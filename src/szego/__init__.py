@@ -26,7 +26,6 @@ from .rational import (
     hankel_apply,
     hardy_from_terms,
     homogeneous_sobolev_norm,
-    inhomogeneous_sobolev_norm,
     inner_product,
     l2_norm,
     lambda_functional,

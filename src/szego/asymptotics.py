@@ -161,7 +161,7 @@ def remainder_norms(u0: HardyRational, times, s_values) -> ResolutionReport:
         for sp in sols:
             eps = eps - soliton_term(sp, t)
         for k, s in enumerate(s_values):
-            norms[i, k] = _sobolev_combo(HardyRational(eps.terms, ()), s)
+            norms[i, k] = _sobolev_combo(HardyRational(eps.terms), s)
     exponents = tuple(
         _fit_decay(times, norms[:, k])[0] for k in range(len(s_values))
     )

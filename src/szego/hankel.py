@@ -1,10 +1,13 @@
 """Spectral decomposition of the finite-rank Hankel operator of a rational symbol.
 
 The range of the operator attached to a degree-N symbol is spanned by the
-partial-fraction basis 1/(x-p_j)^l.  We orthonormalize through the Cholesky
-factor of the Gram matrix, represent the antilinear Hankel action there as a
-complex-symmetric matrix K (so the squared operator is the Hermitian product
-K K^H), and fix eigenvector phases so that the antilinear eigenrelation
+partial-fraction basis 1/(x-p_j)^l.  On this basis the Gram matrix and the
+matrix of the Hankel action are closed-form Cauchy matrices (confluent ones
+for multiple poles), assembled by broadcasting over the poles.  We
+orthonormalize through the Cholesky factor of the Gram matrix, represent the
+antilinear Hankel action there as a complex-symmetric matrix K (so the
+squared operator is the Hermitian product K K^H), and fix eigenvector phases
+so that the antilinear eigenrelation
 H e_j = lambda_j e_j holds with positive lambda_j.  Inside a degenerate
 eigenspace the antilinear conjugation C = H/lambda is an antiunitary
 involution and we return an orthonormal basis of its fixed real subspace.
@@ -27,9 +30,7 @@ from .rational import (
     BlaschkeData,
     HardyRational,
     blaschke,
-    hankel_apply,
     hardy_from_terms,
-    inner_product,
 )
 
 GRAM_COND_LIMIT = 1e12
@@ -92,7 +93,8 @@ class SpectralDecomposition:
     `evecs` columns are the phase-fixed eigenvectors in the orthonormalized
     range basis; `clusters` groups indices of (numerically) equal
     eigenvalues; `two_phis` stores 2*phi_j in [0, 2pi), the quantity that is
-    insensitive to the residual e_j -> -e_j ambiguity.
+    insensitive to the residual e_j -> -e_j ambiguity; `shift` holds the
+    entries (T e_j, e_k) of the infinitesimal shift in the eigenbasis.
     """
 
     u: HardyRational
@@ -104,6 +106,7 @@ class SpectralDecomposition:
     nus: np.ndarray
     two_phis: np.ndarray
     gammas: np.ndarray
+    shift: np.ndarray
     clusters: tuple[tuple[int, ...], ...]
     genericity: str
 
@@ -119,27 +122,30 @@ class SpectralDecomposition:
 
 
 def build_range_basis(u: HardyRational) -> RangeBasis:
-    """Enumerate 1/(x-p_j)^l and assemble the Gram matrix by residues."""
+    """Enumerate 1/(x-p_j)^l and assemble the Gram matrix in closed form.
+
+    For f_a = 1/(x-p)^l and f_b = 1/(x-q)^m the integral of f_a conj(f_b)
+    is -2 pi i times the residue at p of (x-p)^-l (x-conj q)^-m:
+
+        G[a, b] = -2 pi i C(l+m-2, l-1) (-1)^(l-1) (p - conj q)^-(l+m-1),
+
+    a Cauchy matrix for simple poles and a confluent one otherwise.
+    """
     if u.is_zero():
         raise PreconditionError("undefined for zero symbol")
-    index = []
-    for t in u.terms:
-        for l in range(1, t.multiplicity + 1):
-            index.append((t.pole, l))
-    n = len(index)
-    fns = []
-    for a, (pole, l) in enumerate(index):
-        fns.append(hardy_from_terms([(pole, [0.0j] * (l - 1) + [1.0 + 0.0j])]))
-    G = np.empty((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(a, n):
-            G[a, b] = inner_product(fns[a], fns[b])
-            G[b, a] = np.conj(G[a, b])
+    index = tuple((t.pole, l) for t in u.terms for l in range(1, t.multiplicity + 1))
+    p = np.array([pole for pole, _ in index])
+    ls = [l for _, l in index]
+    binom = np.array([[math.comb(l + m - 2, l - 1) for m in ls] for l in ls])
+    sign = (-1.0) ** (np.array(ls)[:, None] - 1)
+    power = np.add.outer(ls, ls) - 1
+    G = -2j * math.pi * sign * binom / (p[:, None] - p.conj()[None, :]) ** power
+    G = 0.5 * (G + G.conj().T)
     evals = np.linalg.eigvalsh(G)
     if evals[0] <= 0 or evals[-1] / evals[0] > GRAM_COND_LIMIT:
         raise NumericalError("ill-conditioned range basis")
     L = np.linalg.cholesky(np.conj(G))
-    return RangeBasis(tuple(index), G, L)
+    return RangeBasis(index, G, L)
 
 
 def function_coords(f: HardyRational, rb: RangeBasis) -> np.ndarray:
@@ -149,9 +155,6 @@ def function_coords(f: HardyRational, rb: RangeBasis) -> np.ndarray:
     """
     c = np.zeros(rb.size, dtype=complex)
     budget = f.max_coeff()
-    lookup = {}
-    for a, (pole, l) in enumerate(rb.index):
-        lookup[(round(pole.real, 9), round(pole.imag, 9), l)] = a
     for t in f.terms:
         match = None
         for a, (pole, l) in enumerate(rb.index):
@@ -188,13 +191,24 @@ def coords_to_function(c: np.ndarray, rb: RangeBasis) -> HardyRational:
 
 
 def hankel_matrix(u: HardyRational, rb: RangeBasis) -> np.ndarray:
-    """M with H_u f_a = sum_b M[b, a] f_b; the map itself is h -> M conj(h)."""
-    n = rb.size
-    M = np.empty((n, n), dtype=complex)
-    for a in range(n):
-        w = hankel_apply(u, rb.basis_fn(a))
-        M[:, a] = function_coords(w, rb)
-    return M
+    """M with H_u f_a = sum_b M[b, a] f_b; the map itself is h -> M conj(h).
+
+    The principal part of u conj(f_a) at a pole p of u pairs the coefficients
+    c_{p,k} of u with the Taylor coefficients of conj(f_a) at p, which are
+    the Gram entries G[(p, r), a] / (-2 pi i).  Hence M = C G / (-2 pi i)
+    with C block-diagonal per pole, C[(p, l), (p, r)] = c_{p, l+r-1} (zero
+    past the multiplicity); for simple poles M[j, b] = c_j / (p_j - conj p_b).
+    """
+    if not {(t.pole, t.multiplicity) for t in u.terms} <= set(rb.index):
+        raise NumericalError("range leakage")
+    coeffs = {t.pole: t.coeffs for t in u.terms}
+    C = np.zeros((rb.size, rb.size), dtype=complex)
+    for a, (p, l) in enumerate(rb.index):
+        cs = coeffs.get(p, ())
+        for b, (q, r) in enumerate(rb.index):
+            if q == p and l + r - 1 <= len(cs):
+                C[a, b] = cs[l + r - 2]
+    return C @ rb.gram / (-2j * math.pi)
 
 
 def _orthonormal_hankel(rb: RangeBasis, M: np.ndarray) -> np.ndarray:
@@ -357,7 +371,6 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
     Linv = np.linalg.inv(rb.chol)
     Tq = rb.chol.conj().T @ Tf @ Linv.conj().T
     Te = evecs.conj().T @ Tq @ evecs
-    gammas = np.real(np.diag(Te))
 
     dec = SpectralDecomposition(
         u=u,
@@ -368,7 +381,8 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
         betas=betas,
         nus=nus,
         two_phis=two_phis,
-        gammas=gammas,
+        gammas=np.real(np.diag(Te)),
+        shift=Te,
         clusters=clusters,
         genericity="",
     )
@@ -378,14 +392,13 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
 
 
 def t_matrix(u: HardyRational, dec: SpectralDecomposition) -> TMatrix:
-    """Matrix of the infinitesimal shift in the eigenbasis, plus its adjoint."""
-    g_coords_f = function_coords(dec.bl.g, dec.rb)
-    Tf = _t_matrix_f(dec.rb, g_coords_f)
-    # closure check: columns of Tf must stay inside the range basis, which is
-    # structural here; verify the eigen-adjoint identity instead
-    Linv = np.linalg.inv(dec.rb.chol)
-    Tq = dec.rb.chol.conj().T @ Tf @ Linv.conj().T
-    Te = dec.evecs.conj().T @ Tq @ dec.evecs
+    """Matrix of the infinitesimal shift in the eigenbasis, plus its adjoint.
+
+    The matrix is the one `eigendecompose` stored.  Its columns stay inside
+    the range basis by construction, so the closure check verifies the
+    eigen-adjoint identity T - T^* = (i/2pi) beta beta^H instead.
+    """
+    Te = dec.shift
     scale = max(1.0, float(np.max(np.abs(Te))))
     w = dec.betas
     gap = Te - (Te.conj().T - (1.0 / (2j * math.pi)) * np.outer(w, w.conj()))

@@ -2,12 +2,12 @@
 
 Every function is stored as a finite sum
 
-    f(x) = poly(x) + sum_j sum_{l=1}^{m_j} c_{j,l} / (x - p_j)^l
+    f(x) = sum_j sum_{l=1}^{m_j} c_{j,l} / (x - p_j)^l
 
-with pairwise distinct poles ``p_j``.  Hardy elements (class
-:class:`HardyRational`) have empty polynomial part and every pole strictly
-below the real axis, so they are boundary values of functions holomorphic in
-the upper half-plane and their Fourier transform is supported on ``[0, oo)``:
+with pairwise distinct poles ``p_j``; every such function decays at infinity.
+Hardy elements (class :class:`HardyRational`) have every pole strictly below
+the real axis, so they are boundary values of functions holomorphic in the
+upper half-plane and their Fourier transform is supported on ``[0, oo)``:
 
     FT[1/(x-p)^l](xi) = 2*pi*(-i)^l / (l-1)! * xi^(l-1) * exp(-i*p*xi).
 
@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma as _gamma
 
 from .errors import InputError, NumericalError, PreconditionError
@@ -33,7 +32,7 @@ from .errors import InputError, NumericalError, PreconditionError
 POLE_MERGE_RTOL = 1e-12      # arithmetic: poles this close are the same pole
 ROOT_CLUSTER_RTOL = 1e-9     # root finding: cluster radius for B's roots
 COEFF_TRIM_RTOL = 5e-14      # coefficients this small (vs. the largest) are dropped
-DEGREE_CAP = 64              # polynomial degree cap; M(N) work is small-N
+DEGREE_CAP = 64              # denominator degree cap of pf_from_ratio
 
 __all__ = [
     "PoleTerm",
@@ -57,7 +56,6 @@ __all__ = [
     "fourier_transform",
     "spectral_density",
     "homogeneous_sobolev_norm",
-    "inhomogeneous_sobolev_norm",
     "l2_norm",
     "h_half_norm",
     "to_json_dict",
@@ -93,7 +91,6 @@ class RationalFn:
     """Canonical partial-fraction form; immutable value object."""
 
     terms: tuple[PoleTerm, ...] = ()
-    poly: tuple[complex, ...] = ()
 
     # -- structure ------------------------------------------------------
 
@@ -107,9 +104,7 @@ class RationalFn:
         return mx <= tol
 
     def max_coeff(self) -> float:
-        vals = [abs(c) for t in self.terms for c in t.coeffs]
-        vals += [abs(c) for c in self.poly]
-        return max(vals, default=0.0)
+        return max((abs(c) for t in self.terms for c in t.coeffs), default=0.0)
 
     def poles(self) -> tuple[complex, ...]:
         return tuple(t.pole for t in self.terms)
@@ -119,8 +114,7 @@ class RationalFn:
     def __add__(self, other: "RationalFn") -> "RationalFn":
         pairs = [(t.pole, list(t.coeffs)) for t in self.terms]
         pairs += [(t.pole, list(t.coeffs)) for t in other.terms]
-        poly = _poly_add(self.poly, other.poly)
-        return from_terms(pairs, poly)
+        return from_terms(pairs)
 
     def __sub__(self, other: "RationalFn") -> "RationalFn":
         return self + (-other)
@@ -134,8 +128,7 @@ class RationalFn:
         terms = tuple(
             PoleTerm(t.pole, tuple(a * c for c in t.coeffs)) for t in self.terms
         )
-        poly = tuple(a * c for c in self.poly)
-        return RationalFn(terms, poly)
+        return RationalFn(terms)
 
     def __rmul__(self, a):
         if isinstance(a, (int, float, complex)):
@@ -155,28 +148,7 @@ class RationalFn:
             (t.pole.conjugate(), [c.conjugate() for c in t.coeffs])
             for t in self.terms
         ]
-        poly = tuple(c.conjugate() for c in self.poly)
-        return from_terms(terms, poly)
-
-    def mul_by_x(self) -> "RationalFn":
-        """Exact multiplication by x.
-
-        Uses x/(x-p)^l = 1/(x-p)^(l-1) + p/(x-p)^l, where the l=1 case
-        produces the constant 1.
-        """
-        pairs = []
-        const = 0.0 + 0.0j
-        for t in self.terms:
-            coeffs = [0.0j] * t.multiplicity
-            for l, c in enumerate(t.coeffs, start=1):
-                coeffs[l - 1] += t.pole * c
-                if l == 1:
-                    const += c
-                else:
-                    coeffs[l - 2] += c
-            pairs.append((t.pole, coeffs))
-        poly = _poly_add(_poly_mul(self.poly, (0.0j, 1.0 + 0.0j)), (const,))
-        return from_terms(pairs, poly)
+        return from_terms(terms)
 
     # -- evaluation -----------------------------------------------------
 
@@ -187,8 +159,6 @@ class RationalFn:
         """Direct summation of the partial fractions at z (scalar or array)."""
         zarr = np.asarray(z, dtype=complex)
         out = np.zeros_like(zarr)
-        if self.poly:
-            out += _poly_eval(self.poly, zarr)
         for t in self.terms:
             d = zarr - t.pole
             if np.min(np.abs(d)) < 1e-14:
@@ -207,14 +177,12 @@ class HardyRational(RationalFn):
     """Rational element of the Hardy space: decaying, poles strictly below R."""
 
     def __post_init__(self):
-        if self.poly:
-            raise InputError("Hardy element cannot carry a polynomial part")
         for t in self.terms:
             if t.pole.imag >= -1e-12:
                 raise InputError("pole on or above real line")
 
 
-def from_terms(pairs, poly=()) -> RationalFn:
+def from_terms(pairs) -> RationalFn:
     """Canonicalize (pole, coeffs) pairs: merge, trim, sort."""
     merged: list[tuple[complex, list[complex]]] = []
     for pole, coeffs in pairs:
@@ -230,10 +198,7 @@ def from_terms(pairs, poly=()) -> RationalFn:
                 break
         else:
             merged.append((pole, coeffs))
-    scale = max(
-        [abs(c) for _, cs in merged for c in cs] + [abs(c) for c in poly],
-        default=0.0,
-    )
+    scale = max((abs(c) for _, cs in merged for c in cs), default=0.0)
     floor = COEFF_TRIM_RTOL * scale
     out = []
     for pole, coeffs in merged:
@@ -243,21 +208,16 @@ def from_terms(pairs, poly=()) -> RationalFn:
         if coeffs:
             out.append(PoleTerm(pole, tuple(coeffs)))
     out.sort(key=lambda t: (t.pole.real, t.pole.imag))
-    ptrim = list(complex(c) for c in poly)
-    while ptrim and abs(ptrim[-1]) <= floor:
-        ptrim.pop()
-    if len(ptrim) > DEGREE_CAP + 1:
-        raise InputError(f"polynomial degree exceeds cap {DEGREE_CAP}")
-    return RationalFn(tuple(out), tuple(ptrim))
+    return RationalFn(tuple(out))
 
 
 def hardy_from_terms(pairs) -> HardyRational:
     f = from_terms(pairs)
-    return HardyRational(f.terms, ())
+    return HardyRational(f.terms)
 
 
 def as_hardy(f: RationalFn) -> HardyRational:
-    return HardyRational(f.terms, f.poly)
+    return HardyRational(f.terms)
 
 
 def simple_pole(coeff: complex, pole: complex) -> HardyRational:
@@ -343,10 +303,6 @@ def _laurent_at(f: RationalFn, p: complex, mult_here: int, order: int):
             tay = _taylor_of_term_at(t.pole, t.coeffs, p, order)
             for n in range(order):
                 coeffs[mult_here + n] += tay[n]
-    if f.poly:
-        shifted = _poly_shift(f.poly, p)
-        for n in range(min(order, len(shifted))):
-            coeffs[mult_here + n] += shifted[n]
     return coeffs
 
 
@@ -358,25 +314,8 @@ def _mult_at(f: RationalFn, p: complex) -> int:
     return 0
 
 
-def _series_at_infinity(f: RationalFn, down_to: int) -> dict[int, complex]:
-    """Coefficients of x^j, j >= down_to, in the expansion of f at infinity."""
-    ser: dict[int, complex] = {}
-    for j, c in enumerate(f.poly):
-        ser[j] = ser.get(j, 0.0j) + c
-    for t in f.terms:
-        for l, c in enumerate(t.coeffs, start=1):
-            if c == 0:
-                continue
-            d = l
-            while -d >= down_to:
-                ser[-d] = ser.get(-d, 0.0j) + c * math.comb(d - 1, l - 1) * t.pole ** (d - l)
-                d += 1
-    return ser
-
-
 def _mul(f: RationalFn, g: RationalFn) -> RationalFn:
     # pole set of the product with summed multiplicities
-    pole_mults: list[tuple[complex, int, int]] = []
     seen: list[complex] = []
     for src in (f, g):
         for t in src.terms:
@@ -401,23 +340,7 @@ def _mul(f: RationalFn, g: RationalFn) -> RationalFn:
         # coeffs[idx] holds exponent idx - m; coefficient of 1/(x-p)^l is at idx = m - l
         stack = [coeffs[m - l] for l in range(1, m + 1)]
         pairs.append((p, stack))
-    if f.poly or g.poly:
-        deg_f = len(f.poly) - 1
-        deg_g = len(g.poly) - 1
-        need_f = -(deg_g if deg_g >= 0 else 0)
-        need_g = -(deg_f if deg_f >= 0 else 0)
-        sf = _series_at_infinity(f, need_f)
-        sg = _series_at_infinity(g, need_g)
-        top = max(deg_f, 0) + max(deg_g, 0)
-        poly = [0.0j] * (top + 1)
-        for i, a in sf.items():
-            for j, b in sg.items():
-                if 0 <= i + j <= top:
-                    poly[i + j] += a * b
-        poly = tuple(poly)
-    else:
-        poly = ()
-    return from_terms(pairs, poly)
+    return from_terms(pairs)
 
 
 # ----------------------------------------------------------------------------
@@ -524,8 +447,6 @@ def _pf_from_factored(num, clusters):
 
 def szego_project(f: RationalFn) -> HardyRational:
     """Keep the partial-fraction terms with poles in the lower half-plane."""
-    if f.poly and any(abs(c) > 0 for c in f.poly):
-        raise PreconditionError("cannot project non-decaying function")
     keep = [(t.pole, t.coeffs) for t in f.terms if t.pole.imag < 0]
     return hardy_from_terms(keep)
 
@@ -537,15 +458,11 @@ def hankel_apply(u: HardyRational, h: HardyRational) -> HardyRational:
 
 def lambda_functional(f: RationalFn) -> complex:
     """lim_{x->oo} x f(x): the sum of all first-order coefficients."""
-    if f.poly and any(abs(c) > 0 for c in f.poly):
-        raise PreconditionError("lambda functional needs a decaying function")
     return sum((t.coeffs[0] for t in f.terms), 0.0j)
 
 
 def fn_integral(f: RationalFn) -> complex:
     """Integral over R of a rational function decaying like 1/x^2."""
-    if f.poly and any(abs(c) > 0 for c in f.poly):
-        raise PreconditionError("non-integrable")
     scale = f.max_coeff()
     if scale == 0.0:
         return 0.0j
@@ -676,31 +593,6 @@ def homogeneous_sobolev_norm(f: HardyRational, s: float) -> float:
     c = 1j * (pol[:, None] - np.conj(pol[None, :]))
     total = np.sum(A * _gamma(n + 1.0) / c ** (n + 1.0))
     val = total.real / (2.0 * math.pi)
-    return math.sqrt(max(val, 0.0))
-
-
-def inhomogeneous_sobolev_norm(f: HardyRational, s: float) -> float:
-    """(1/2pi) int_0^oo (1+xi^2)^s |fhat|^2 by adaptive quadrature.
-
-    The integration window [0, Xi] is grown until the analytic exponential
-    tail bound is below 1e-12 in absolute terms.
-    """
-    if s < 0:
-        raise PreconditionError("Sobolev index must be nonnegative")
-    fts = fourier_transform(f)
-    if not fts:
-        return 0.0
-    delta = min(-t.pole.imag for t in fts)
-    maxpow = max(t.power for t in fts)
-
-    def integrand(xi):
-        d = spectral_density(f, xi)
-        return (1.0 + xi * xi) ** s * (d.real**2 + d.imag**2) / (2.0 * math.pi)
-
-    hi = max(10.0, (2.0 * s + 2.0 * maxpow + 20.0) / (2.0 * delta))
-    while integrand(hi) > 1e-13 * delta and hi < 1e6:
-        hi *= 1.5
-    val, _err = quad(integrand, 0.0, hi, limit=400, epsabs=1e-12, epsrel=1e-11)
     return math.sqrt(max(val, 0.0))
 
 

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from .errors import NumericalError
 from .hankel import SpectralDecomposition, eigendecompose
 from .rational import HardyRational, as_hardy, hardy_from_terms
 from .actionangle import ActionAngleCoords
@@ -66,7 +67,7 @@ def _conditioned(n, rng, want, lam_ratio, scale_to) -> tuple[HardyRational, Spec
             u = as_hardy((scale_to / dec.lambdas[-1]) * u)
             dec = eigendecompose(u)
         return u, dec
-    raise RuntimeError("rejection sampling failed; loosen the constraints")
+    raise NumericalError("rejection sampling failed; loosen the constraints")
 
 
 def random_generic(n: int, rng: np.random.Generator, lam_ratio: float = 0.05,

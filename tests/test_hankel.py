@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -28,6 +29,17 @@ from szego.rational import (
 from conftest import quad_inner
 
 XS = np.linspace(-3.7, 4.1, 11)
+CROSS_CHECKED = ("soliton_symbol", "double_eig_symbol", "generic_m2", "mixed_mult")
+
+
+@pytest.fixture
+def mixed_mult():
+    # one simple, one double and one triple pole: confluent Cauchy blocks
+    return hardy_from_terms([
+        (0.9 - 0.8j, [1.0]),
+        (-1.0 - 1.0j, [0.5, 1.0]),
+        (-1.5j, [0.3, 0.2, 1.0]),
+    ])
 
 
 class TestRangeBasis:
@@ -46,6 +58,19 @@ class TestRangeBasis:
         u = hardy_from_terms([(-1j, [0.3, 1.0])])
         rb = build_range_basis(u)
         assert [l for (_p, l) in rb.index] == [1, 2]
+
+    def test_mixed_multiplicity_enumeration(self, mixed_mult):
+        rb = build_range_basis(mixed_mult)
+        assert [l for (_p, l) in rb.index] == [1, 2, 1, 2, 3, 1]
+
+    @pytest.mark.parametrize("name", CROSS_CHECKED)
+    def test_closed_form_matches_residue_arithmetic(self, name, request):
+        u = request.getfixturevalue(name)
+        rb = build_range_basis(u)
+        for a in range(rb.size):
+            for b in range(rb.size):
+                want = inner_product(rb.basis_fn(a), rb.basis_fn(b))
+                assert abs(rb.gram[a, b] - want) <= 1e-12 * abs(want)
 
     def test_near_merging_poles_rejected(self):
         u = hardy_from_terms([(-1j, [1.0]), (1e-7 - 1j, [1.0])])
@@ -76,6 +101,21 @@ class TestHankelMatrix:
         ur = as_hardy(np.exp(1j * theta) * generic_m2)
         Mr = hankel_matrix(ur, build_range_basis(ur))
         assert np.max(np.abs(Mr - np.exp(1j * theta) * M)) < 1e-12
+
+    @pytest.mark.parametrize("name", CROSS_CHECKED)
+    def test_closed_form_matches_hankel_action(self, name, request):
+        u = request.getfixturevalue(name)
+        rb = build_range_basis(u)
+        M = hankel_matrix(u, rb)
+        basis = [rb.basis_fn(b).evaluate(XS) for b in range(rb.size)]
+        for a in range(rb.size):
+            want = hankel_apply(u, rb.basis_fn(a)).evaluate(XS)
+            got = sum(M[b, a] * basis[b] for b in range(rb.size))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_symbol_outside_basis_rejected(self, generic_m2, soliton_symbol):
+        with pytest.raises(NumericalError, match="range leakage"):
+            hankel_matrix(generic_m2, build_range_basis(soliton_symbol))
 
     def test_symmetry_identity(self, generic_m2):
         rb = build_range_basis(generic_m2)
@@ -173,6 +213,20 @@ class TestEigendecompose:
 
 
 class TestTMatrix:
+    @pytest.mark.parametrize("name", CROSS_CHECKED)
+    def test_is_stored_shift(self, name, request):
+        u = request.getfixturevalue(name)
+        dec = eigendecompose(u)
+        assert np.array_equal(t_matrix(u, dec).t, dec.shift)
+        assert np.array_equal(dec.gammas, np.real(np.diag(dec.shift)))
+
+    def test_corrupted_shift_rejected(self, generic_m2):
+        dec = eigendecompose(generic_m2)
+        bad = dec.shift.copy()
+        bad[0, 1] += 1e-6 * np.max(np.abs(bad))
+        with pytest.raises(NumericalError, match="shift closure"):
+            t_matrix(generic_m2, dataclasses.replace(dec, shift=bad))
+
     def test_rank_one_entry(self, soliton_symbol):
         dec = eigendecompose(soliton_symbol)
         tm = t_matrix(soliton_symbol, dec)
