@@ -114,12 +114,6 @@ class SpectralDecomposition:
     def size(self) -> int:
         return len(self.lambdas)
 
-    def cluster_of(self, j: int) -> tuple[int, ...]:
-        for c in self.clusters:
-            if j in c:
-                return c
-        raise IndexError(j)
-
 
 def build_range_basis(u: HardyRational) -> RangeBasis:
     """Enumerate 1/(x-p_j)^l and assemble the Gram matrix in closed form.

@@ -488,8 +488,8 @@ def symplectic_form(u: RationalFn, v: RationalFn) -> float:
 
 
 def l2_norm(f: HardyRational) -> float:
-    v = inner_product(f, f)
-    return math.sqrt(max(v.real, 0.0))
+    """The L^2 norm in closed form: the s = 0 homogeneous Sobolev norm."""
+    return homogeneous_sobolev_norm(f, 0.0)
 
 
 # ----------------------------------------------------------------------------

@@ -30,8 +30,11 @@ _MAX_TRIES = 5000
 
 
 def random_symbol(n: int, rng: np.random.Generator, min_sep: float = 0.5) -> HardyRational:
-    """A degree-n symbol with simple, well-separated poles."""
-    while True:
+    """A degree-n symbol with simple, well-separated poles.
+
+    Raises NumericalError when `_MAX_TRIES` draws all miss the constraints.
+    """
+    for _ in range(_MAX_TRIES):
         poles = [complex(rng.uniform(-1.5, 1.5), -rng.uniform(0.5, 1.6))
                  for _ in range(n)]
         ok = all(
@@ -44,6 +47,7 @@ def random_symbol(n: int, rng: np.random.Generator, min_sep: float = 0.5) -> Har
         if any(abs(c) < 0.2 for c in coeffs):
             continue
         return hardy_from_terms([(p, [c]) for p, c in zip(poles, coeffs)])
+    raise NumericalError(f"rejection sampling failed: no degree-{n} symbol in {_MAX_TRIES} tries")
 
 
 def _conditioned(n, rng, want, lam_ratio, scale_to) -> tuple[HardyRational, SpectralDecomposition]:

@@ -34,3 +34,13 @@ def double_eig_symbol():
 @pytest.fixture
 def generic_m2():
     return hardy_from_terms([(-1j, [1.0]), (0.8 - 0.7j, [0.5 + 0.3j])])
+
+
+@pytest.fixture
+def mixed_mult():
+    # one simple, one double and one triple pole: confluent Cauchy blocks
+    return hardy_from_terms([
+        (0.9 - 0.8j, [1.0]),
+        (-1.0 - 1.0j, [0.5, 1.0]),
+        (-1.5j, [0.3, 0.2, 1.0]),
+    ])

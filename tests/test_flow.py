@@ -1,10 +1,14 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from szego.errors import PreconditionError
+from szego import flow
+from szego.asymptotics import soliton_params_from_spectrum, soliton_term
+from szego.errors import NumericalError, PreconditionError
 from szego.flow import (
+    _resolvent_values,
     conserved_quantities,
     evolve_eval,
     recover_rational,
@@ -17,14 +21,71 @@ from szego.rational import (
     h_half_norm,
     hardy_from_terms,
     inner_product,
+    l2_norm,
     simple_pole,
     zero,
 )
+from szego.sampling import random_strongly_generic
+
+# A fixed simple 8-pole symbol (poles 0.5 apart, Im p in [-1.6, -0.5]).
+EIGHT_POLES = [
+    (-0.03977 - 1.11150j, [-1.14492 + 0.44809j]),
+    (0.77910 - 0.76247j, [2.01112 + 0.65005j]),
+    (0.33390 - 1.52831j, [0.92424 - 0.64873j]),
+    (1.43694 - 1.34093j, [0.34024 - 1.11579j]),
+    (1.28048 - 0.71513j, [0.53058 - 0.44429j]),
+    (0.89562 - 1.27814j, [1.28511 + 0.46048j]),
+    (-0.86131 - 1.20254j, [-0.62360 + 1.27353j]),
+    (-0.95361 - 0.65024j, [0.02747 - 0.66450j]),
+]
+S_CHECKED = ("soliton_symbol", "generic_m2", "double_eig_symbol", "mixed_mult",
+             "eight_poles")
+
+
+@pytest.fixture
+def eight_poles():
+    return hardy_from_terms(EIGHT_POLES)
 
 
 def dec_tm(u):
     dec = eigendecompose(u)
     return dec, t_matrix(u, dec)
+
+
+def s_matrix_loop(dec, tmat, t):
+    """Entry-by-entry S(t): the reference for the broadcast assembly."""
+    n = dec.size
+    lam = dec.lambdas
+    lam2 = lam**2
+    beta = dec.betas
+    S = np.empty((n, n), dtype=complex)
+    for j in range(n):
+        grp = next(c for c in dec.clusters if j in c)
+        for k in range(n):
+            if k in grp:
+                S[k, j] = (lam2[j] / (2.0 * math.pi)) * np.conj(beta[j]) * beta[k] * t \
+                    + tmat.t[k, j]
+            else:
+                osc1 = cmath.exp(0.5j * t * (lam2[k] - lam2[j]))
+                osc2 = cmath.exp(0.5j * t * (lam2[j] - lam2[k]))
+                S[k, j] = lam[j] / (2j * math.pi * (lam2[k] - lam2[j])) * (
+                    lam[j] * osc1 * np.conj(beta[j]) * beta[k]
+                    - lam[k] * osc2 * beta[j] * np.conj(beta[k])
+                )
+    return S
+
+
+def counting(monkeypatch, name):
+    """Wrap flow.<name> so that its calls are counted."""
+    calls = []
+    inner = getattr(flow, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(flow, name, wrapper)
+    return calls
 
 
 class TestSMatrix:
@@ -68,6 +129,92 @@ class TestSMatrix:
             an[:, j] = (lam[j] ** 2 * np.conj(w[j]) * w
                         + lam[j] * w[j] * lam * np.conj(w)) / (4 * math.pi)
         assert np.max(np.abs(fd - an)) < 1e-6
+
+
+class TestBroadcastSMatrix:
+    @pytest.mark.parametrize("name", S_CHECKED)
+    def test_matches_entrywise_loop(self, name, request):
+        dec, tm = dec_tm(request.getfixturevalue(name))
+        for t in (0.0, 0.7, -11.0, 123.0):
+            got = s_matrix(dec, tm, t).s
+            want = s_matrix_loop(dec, tm, t)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_clusters_exercised(self, double_eig_symbol, eight_poles):
+        # the double eigenvalue fills a 2x2 drift block; 8 poles, none
+        assert [len(c) for c in dec_tm(double_eig_symbol)[0].clusters] == [2]
+        assert [len(c) for c in dec_tm(eight_poles)[0].clusters] == [1] * 8
+
+
+class TestResolventBatch:
+    def test_batch_equals_scalar_calls(self, eight_poles):
+        dec, tm = dec_tm(eight_poles)
+        xs = np.concatenate([np.linspace(-6.0, 6.0, 18), [0.3 + 0.5j, -1.0 + 2.0j]])
+        for t in (0.0, 2.5):
+            batch = _resolvent_values(dec, s_matrix(dec, tm, t), xs)
+            one = np.array([evolve_eval(dec, tm, t, x) for x in xs])
+            assert batch.shape == (20,)
+            assert np.max(np.abs(batch - one)) <= 1e-13 * np.max(np.abs(one))
+
+    def test_one_bad_point_fails_the_batch(self, generic_m2):
+        # a point on a pole of u(t) makes its resolvent matrix singular
+        dec, tm = dec_tm(generic_m2)
+        fm = s_matrix(dec, tm, 0.7)
+        xs = np.linspace(-3.0, 3.0, 19)
+        _resolvent_values(dec, fm, xs)
+        pole = np.linalg.eigvals(np.conj(fm.s))[0]
+        with pytest.raises(NumericalError, match="resolvent solve failed"):
+            _resolvent_values(dec, fm, np.concatenate([xs[:9], [pole], xs[9:]]))
+
+
+class TestRecoverChecks:
+    def test_one_s_matrix_on_direct_route(self, monkeypatch, eight_poles):
+        dec, tm = dec_tm(eight_poles)
+        built = counting(monkeypatch, "s_matrix")
+        fits = counting(monkeypatch, "fit_partial_fractions")
+        recover_rational(dec, tm, 0.7)
+        assert len(built) == 1 and not fits
+
+    def test_one_s_matrix_on_fit_route(self, monkeypatch):
+        u = hardy_from_terms([(-1j, [0.0, 1.0])])
+        dec, tm = dec_tm(u)
+        built = counting(monkeypatch, "s_matrix")
+        fits = counting(monkeypatch, "fit_partial_fractions")
+        u0 = recover_rational(dec, tm, 0.0)
+        assert len(built) == 1 and len(fits) == 1
+        assert u0.terms[0].multiplicity == 2
+
+    def test_perturbed_coefficients_fail_postcondition(self, monkeypatch, generic_m2):
+        dec, tm = dec_tm(generic_m2)
+        exact = flow.hardy_from_terms
+
+        def perturbed(pairs):
+            return exact([(p, [c + 1e-6 for c in cs]) for p, cs in pairs])
+
+        monkeypatch.setattr(flow, "hardy_from_terms", perturbed)
+        with pytest.raises(NumericalError,
+                           match="defective recovery: pointwise mismatch"):
+            recover_rational(dec, tm, 0.7)
+
+
+class TestL2Norm:
+    @pytest.mark.parametrize("name", ("soliton_symbol", "generic_m2",
+                                      "double_eig_symbol", "mixed_mult"))
+    def test_matches_inner_product(self, name, request):
+        f = request.getfixturevalue(name)
+        want = math.sqrt(inner_product(f, f).real)
+        assert abs(l2_norm(f) - want) <= 1e-12 * want
+
+    def test_soliton_remainder(self):
+        u = random_strongly_generic(2, np.random.default_rng(24))
+        dec, tm = dec_tm(u)
+        t = 1e3
+        rem = recover_rational(dec, tm, t)
+        for sp in soliton_params_from_spectrum(dec, tm):
+            rem = rem - soliton_term(sp, t)
+        want = math.sqrt(inner_product(rem, rem).real)
+        assert 0.0 < want < 0.1 * l2_norm(u)
+        assert abs(l2_norm(rem) - want) <= 1e-12 * want
 
 
 class TestEvolveEval:

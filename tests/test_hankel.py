@@ -32,16 +32,6 @@ XS = np.linspace(-3.7, 4.1, 11)
 CROSS_CHECKED = ("soliton_symbol", "double_eig_symbol", "generic_m2", "mixed_mult")
 
 
-@pytest.fixture
-def mixed_mult():
-    # one simple, one double and one triple pole: confluent Cauchy blocks
-    return hardy_from_terms([
-        (0.9 - 0.8j, [1.0]),
-        (-1.0 - 1.0j, [0.5, 1.0]),
-        (-1.5j, [0.3, 0.2, 1.0]),
-    ])
-
-
 class TestRangeBasis:
     def test_rank_one_gram(self, soliton_symbol):
         rb = build_range_basis(soliton_symbol)
