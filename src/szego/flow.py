@@ -5,7 +5,8 @@ symbol, S(t) is assembled by broadcasting over a cluster mask: oscillatory
 off the eigenvalue cluster, linear drift
 (lambda_j^2/2pi) conj(beta_j) beta_k t + (T e_j, e_k) inside it.  S(t)
 depends on t only, so it is built once per time and every point is
-evaluated from it by a batched resolvent solve.  The solution is the
+evaluated from it by a resolvent solve, stacked into one solve where many
+points are asked for at once.  The solution is the
 resolvent pairing
 
     u(t, x) = -(i/2pi) * (u0, W(t) (S(t) - x I)^{-1} W(t) g0),
@@ -23,9 +24,11 @@ the soliton-resolution amplitudes C_j = i lambda_j conj(beta_j)^2 / (2 pi).
 Poles of u(t) are the complex conjugates of the eigenvalues of S(t); the
 recovery path eigendecomposes conj(S) and reads residues off the bilinear
 expansion, falling back to a Schur-plus-least-squares fit when S(t) is
-numerically defective (multiple poles).  Its fit values and its 20-point
-postcondition are both resolvent solves against the one S(t) of the call,
-so the postcondition does not depend on the eigendecomposition it checks.
+numerically defective (multiple poles).  Its fit values are one stacked
+resolvent solve; its 20-point postcondition evaluates u(t) point by point
+through `evolve_eval`, so it does not depend on the eigendecomposition it
+checks.  Both use the one S(t) of the call: the last S(t) built is kept
+and reused while the same decomposition is asked for at the same time.
 """
 
 from __future__ import annotations
@@ -114,9 +117,26 @@ def _resolvent_values(dec: SpectralDecomposition, fm: FlowMatrix, xs) -> np.ndar
     return -0.5j / math.pi * (y @ (dec.lambdas * rhs))
 
 
+# (dec, tmat, t, S(t)) of the last S(t) built by _flow_at.  The
+# decomposition and the shift matrix are compared by identity; they are
+# frozen and held here, so an identity cannot be reused by another object.
+_last_flow: tuple = (None, None, None, None)
+
+
+def _flow_at(dec: SpectralDecomposition, tmat: TMatrix, t: float) -> FlowMatrix:
+    """S(t), rebuilt only when the decomposition or the time changes."""
+    global _last_flow
+    last_dec, last_tmat, last_t, fm = _last_flow
+    if last_dec is dec and last_tmat is tmat and last_t == t:
+        return fm
+    fm = s_matrix(dec, tmat, t)
+    _last_flow = (dec, tmat, t, fm)
+    return fm
+
+
 def evolve_eval(dec: SpectralDecomposition, tmat: TMatrix, t: float, x) -> complex:
     """Value of the solution at time t and a point x with Im x >= 0."""
-    return complex(_resolvent_values(dec, s_matrix(dec, tmat, t), [complex(x)])[0])
+    return complex(_resolvent_values(dec, _flow_at(dec, tmat, t), [complex(x)])[0])
 
 
 def fit_partial_fractions(poles_mults, xs, values) -> HardyRational:
@@ -192,7 +212,7 @@ def _eig2x2(A: np.ndarray):
 
 def recover_rational(dec: SpectralDecomposition, tmat: TMatrix, t: float) -> HardyRational:
     """The solution at time t as an exact element of the rational class."""
-    fm = s_matrix(dec, tmat, t)
+    fm = _flow_at(dec, tmat, t)
     w = fm.w_diag * dec.betas
     Sc = np.conj(fm.s)
     a = dec.lambdas * np.conj(w)
@@ -215,7 +235,7 @@ def recover_rational(dec: SpectralDecomposition, tmat: TMatrix, t: float) -> Har
         out = fit_partial_fractions(poles, xs, _resolvent_values(dec, fm, xs))
 
     check_x = np.linspace(-2.3 * scale - 1.0, 2.3 * scale + 1.0, 20)
-    ref = _resolvent_values(dec, fm, check_x)
+    ref = np.array([evolve_eval(dec, tmat, t, x) for x in check_x])
     got = out.evaluate(check_x)
     err = float(np.max(np.abs(got - ref)))
     if err > RECOVER_TOL * max(1.0, float(np.max(np.abs(ref)))):

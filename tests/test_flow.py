@@ -156,6 +156,15 @@ class TestResolventBatch:
             assert batch.shape == (20,)
             assert np.max(np.abs(batch - one)) <= 1e-13 * np.max(np.abs(one))
 
+    def test_shared_s_matrix_follows_symbol_and_time(self, generic_m2, eight_poles):
+        # evolve_eval reuses the last S(t) only for the same decomposition and t
+        x = 0.3 + 0.2j
+        for u in (generic_m2, eight_poles):
+            dec, tm = dec_tm(u)
+            for t in (0.7, 0.7, 2.5, 0.7):
+                want = _resolvent_values(dec, s_matrix(dec, tm, t), [x])[0]
+                assert evolve_eval(dec, tm, t, x) == want
+
     def test_one_bad_point_fails_the_batch(self, generic_m2):
         # a point on a pole of u(t) makes its resolvent matrix singular
         dec, tm = dec_tm(generic_m2)
@@ -172,16 +181,20 @@ class TestRecoverChecks:
         dec, tm = dec_tm(eight_poles)
         built = counting(monkeypatch, "s_matrix")
         fits = counting(monkeypatch, "fit_partial_fractions")
+        points = counting(monkeypatch, "evolve_eval")
         recover_rational(dec, tm, 0.7)
         assert len(built) == 1 and not fits
+        assert len(points) == 20
 
     def test_one_s_matrix_on_fit_route(self, monkeypatch):
         u = hardy_from_terms([(-1j, [0.0, 1.0])])
         dec, tm = dec_tm(u)
         built = counting(monkeypatch, "s_matrix")
         fits = counting(monkeypatch, "fit_partial_fractions")
+        points = counting(monkeypatch, "evolve_eval")
         u0 = recover_rational(dec, tm, 0.0)
         assert len(built) == 1 and len(fits) == 1
+        assert len(points) == 20
         assert u0.terms[0].multiplicity == 2
 
     def test_perturbed_coefficients_fail_postcondition(self, monkeypatch, generic_m2):
