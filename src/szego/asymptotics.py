@@ -32,9 +32,8 @@ from .flow import recover_rational, s_matrix
 from .rational import (
     HardyRational,
     RationalFn,
+    _sobolev_norms,
     h_half_norm,
-    homogeneous_sobolev_norm,
-    l2_norm,
     simple_pole,
 )
 
@@ -133,14 +132,13 @@ def _fit_decay(times, values, min_points: int = 5):
     return fit_power_law(t, np.maximum(vals, 1e-300))
 
 
-def _sobolev_combo(f: HardyRational, s: float) -> float:
-    """sqrt(L2^2 + Hdot_s^2): the inhomogeneous-norm convention used for
-    fits (exact via the Gamma formula; equivalent to the (1+xi^2)^s weight)."""
-    if s == 0:
-        return l2_norm(f)
-    a = l2_norm(f)
-    b = homogeneous_sobolev_norm(f, s)
-    return math.sqrt(a * a + b * b)
+def _sobolev_combos(f: HardyRational, s_values) -> list[float]:
+    """sqrt(L2^2 + Hdot_s^2) for every s: the inhomogeneous-norm convention
+    used for fits (exact via the Gamma formula; equivalent to the
+    (1+xi^2)^s weight)."""
+    l2, *hdots = _sobolev_norms(f, (0.0, *s_values))
+    return [l2 if s == 0 else math.sqrt(l2 * l2 + b * b)
+            for s, b in zip(s_values, hdots)]
 
 
 def remainder_norms(u0: HardyRational, times, s_values) -> ResolutionReport:
@@ -160,8 +158,7 @@ def remainder_norms(u0: HardyRational, times, s_values) -> ResolutionReport:
         eps: RationalFn = ut
         for sp in sols:
             eps = eps - soliton_term(sp, t)
-        for k, s in enumerate(s_values):
-            norms[i, k] = _sobolev_combo(HardyRational(eps.terms), s)
+        norms[i] = _sobolev_combos(HardyRational(eps.terms), s_values)
     exponents = tuple(
         _fit_decay(times, norms[:, k])[0] for k in range(len(s_values))
     )
@@ -263,8 +260,9 @@ def growth_fit(u0: HardyRational, s: float, times) -> dict:
     h_half = []
     for t in times:
         ut = recover_rational(dec, tmat, t)
-        vals.append(homogeneous_sobolev_norm(ut, s))
-        h_half.append(h_half_norm(ut))
+        l2, half, hdot = _sobolev_norms(ut, (0.0, 0.5, s))
+        vals.append(hdot)
+        h_half.append(math.sqrt(l2 * l2 + half * half))
     slope, intercept = fit_power_law(times, vals)
     ref = h_half_norm(u0)
     drift = max(abs(v - ref) for v in h_half) / ref

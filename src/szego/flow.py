@@ -48,9 +48,8 @@ from .hankel import (
 )
 from .rational import (
     HardyRational,
-    h_half_norm,
+    _sobolev_norms,
     hardy_from_terms,
-    homogeneous_sobolev_norm,
     l2_norm,
 )
 
@@ -312,10 +311,11 @@ def trajectory(
             dect = eigendecompose(ut)
             row["J"] = spectral_conserved(dect, 4)
         if "norms" in observables:
-            row["L2"] = l2_norm(ut)
-            row["H12"] = h_half_norm(ut)
-            for s in hs:
-                row[f"Hdot{s:g}"] = homogeneous_sobolev_norm(ut, float(s))
+            l2, half, *hdots = _sobolev_norms(ut, (0.0, 0.5, *hs))
+            row["L2"] = l2
+            row["H12"] = math.sqrt(l2 * l2 + half * half)
+            for s, v in zip(hs, hdots):
+                row[f"Hdot{s:g}"] = v
         if "solitons" in observables:
             from .asymptotics import soliton_term
 

@@ -4,13 +4,14 @@ The range of the operator attached to a degree-N symbol is spanned by the
 partial-fraction basis 1/(x-p_j)^l.  On this basis the Gram matrix and the
 matrix of the Hankel action are closed-form Cauchy matrices (confluent ones
 for multiple poles), assembled by broadcasting over the poles.  We
-orthonormalize through the Cholesky factor of the Gram matrix, represent the
-antilinear Hankel action there as a complex-symmetric matrix K (so the
-squared operator is the Hermitian product K K^H), and fix eigenvector phases
-so that the antilinear eigenrelation
-H e_j = lambda_j e_j holds with positive lambda_j.  Inside a degenerate
-eigenspace the antilinear conjugation C = H/lambda is an antiunitary
-involution and we return an orthonormal basis of its fixed real subspace.
+orthonormalize through the Cholesky factor of the Gram matrix, where the
+antilinear Hankel action becomes d -> K conj(d) with K complex symmetric.
+The antilinear eigenrelation H e_j = lambda_j e_j with lambda_j > 0 is then
+the Takagi factorization K = W diag(lambda) W^T, read off one SVD
+K = U diag(lambda) V^H: conj(V) = U D with D unitary and symmetric, and
+W = U sqrt(D).  D is diagonal except on clusters of equal lambda, where its
+symmetric unitary square root spans the fixed real subspace of the
+antiunitary involution H/lambda.
 
 Spectral coordinates extracted here: lambda_j, beta_j = (g, e_j),
 nu_j = |beta_j|, the angle 2*phi_j = arg(beta_j^2), and the generalized
@@ -205,14 +206,6 @@ def hankel_matrix(u: HardyRational, rb: RangeBasis) -> np.ndarray:
     return C @ rb.gram / (-2j * math.pi)
 
 
-def _orthonormal_hankel(rb: RangeBasis, M: np.ndarray) -> np.ndarray:
-    """K with the antilinear action d -> K conj(d) in the orthonormal basis."""
-    L = rb.chol
-    Linv = np.linalg.inv(L)
-    K = L.conj().T @ M @ Linv.T
-    return K
-
-
 def _cluster_indices(vals: np.ndarray) -> tuple[tuple[int, ...], ...]:
     groups = [[0]]
     for i in range(1, len(vals)):
@@ -221,37 +214,6 @@ def _cluster_indices(vals: np.ndarray) -> tuple[tuple[int, ...], ...]:
         else:
             groups.append([i])
     return tuple(tuple(g) for g in groups)
-
-
-def _fixed_subspace_basis(K: np.ndarray, V: np.ndarray, lam: float) -> np.ndarray:
-    """Orthonormal basis of {v in span(V): K conj(v) = lam v}.
-
-    The conjugation C d = K conj(d)/lam is an antiunitary involution of the
-    eigenspace; real-linear combinations v + C v span its fixed real form.
-    """
-    m = V.shape[1]
-    B = V.conj().T @ K @ np.conj(V) / lam
-    cands = []
-    for k in range(m):
-        e = np.zeros(m, dtype=complex)
-        e[k] = 1.0
-        cands.append(e + B @ np.conj(e))
-        cands.append(1j * e + B @ np.conj(1j * e))
-    C = np.array(cands).T  # m x 2m complex, columns fixed vectors
-    stacked = np.vstack([C.real, C.imag])  # 2m x 2m real
-    U, S, _ = np.linalg.svd(stacked, full_matrices=False)
-    rank = int(np.sum(S > 1e-8 * S[0]))
-    if rank != m:
-        raise NumericalError("conjugation basis failure")
-    Y = U[:m, :m] + 1j * U[m:, :m]
-    # columns of Y are orthonormal in the complex inner product because the
-    # fixed subspace has a real-valued Gram
-    out = V @ Y
-    for j in range(out.shape[1]):
-        resid = K @ np.conj(out[:, j]) - lam * out[:, j]
-        if np.linalg.norm(resid) > 1e-7 * max(1.0, lam):
-            raise NumericalError("conjugation basis failure")
-    return out
 
 
 def _concentrate_g(fixed: np.ndarray, d_g: np.ndarray) -> np.ndarray:
@@ -310,49 +272,43 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
     u + h * (tangent field).
     """
     rb = build_range_basis(u)
-    M = hankel_matrix(u, rb)
-    K = _orthonormal_hankel(rb, M)
-    H2 = K @ K.conj().T
-    H2 = 0.5 * (H2 + H2.conj().T)
-    vals, vecs = np.linalg.eigh(H2)
-    vals = np.maximum(vals, 0.0)
-    lambdas = np.sqrt(vals)
+    L = rb.chol
+    Linv = np.linalg.inv(L)
+    # the antilinear action d -> K conj(d) in the orthonormal basis; K = K^T
+    K = L.conj().T @ hankel_matrix(u, rb) @ Linv.T
+    U, sigma, Vh = np.linalg.svd(K)
+    lambdas = sigma[::-1]
+    U = U[:, ::-1]
+    Vbar = Vh[::-1].T  # columns conj(v_j)
     if lambdas[0] < rank_tol * lambdas[-1]:
         if rank_tol <= RANK_RTOL:
             raise PreconditionError("numerically rank-deficient symbol")
         keep = lambdas >= rank_tol * lambdas[-1]
-        vals = vals[keep]
-        lambdas = lambdas[keep]
-        vecs = vecs[:, keep]
-    clusters = _cluster_indices(vals)
+        lambdas, U, Vbar = lambdas[keep], U[:, keep], Vbar[:, keep]
+    clusters = _cluster_indices(lambdas**2)
 
     bl = blaschke(u)
     g_coords_f = function_coords(bl.g, rb)
-    d_g = rb.chol.conj().T @ g_coords_f
+    d_g = L.conj().T @ g_coords_f
 
-    evecs = np.empty_like(vecs)
+    # Takagi: conj(V) = U D with D unitary and symmetric, so W = U sqrt(D)
+    # gives K = W diag(lambda) W^T, i.e. K conj(w_j) = lambda_j w_j
+    evecs = U * np.sqrt(np.sum(U.conj() * Vbar, axis=0))
+    ref = lambdas.copy()
+    tol = np.full(len(lambdas), 1e-8 * max(1.0, lambdas[-1]))
     for grp in clusters:
-        if len(grp) == 1:
-            j = grp[0]
-            v = vecs[:, j]
-            c = np.vdot(v, K @ np.conj(v))
-            theta = math.atan2(c.imag, c.real)
-            if theta < 0:
-                theta += 2.0 * math.pi
-            e = np.exp(1j * theta / 2.0) * v
-            resid = K @ np.conj(e) - abs(c) * e
-            if np.linalg.norm(resid) > 1e-8 * max(1.0, lambdas[-1]):
-                raise NumericalError("eigenvector phase fixing failed")
-            evecs[:, j] = e
-        else:
-            lam = float(np.mean(lambdas[list(grp)]))
-            V = vecs[:, list(grp)]
-            fixed = _fixed_subspace_basis(K, V, lam)
-            fixed = _concentrate_g(fixed, d_g)
-            for col, j in enumerate(grp):
-                evecs[:, j] = fixed[:, col]
+        if len(grp) > 1:
+            c = list(grp)
+            w, X = np.linalg.eig(U[:, c].conj().T @ Vbar[:, c])
+            root = (X * np.sqrt(w)) @ np.linalg.inv(X)
+            evecs[:, c] = _concentrate_g(U[:, c] @ root, d_g)
+            ref[c] = np.mean(lambdas[c])
+            tol[c] = 1e-7 * max(1.0, ref[c[0]])
+    resid = np.linalg.norm(K @ evecs.conj() - evecs * ref, axis=0)
+    if np.any(resid > tol):
+        raise NumericalError("Takagi eigenvector residual too large")
 
-    betas = np.array([np.vdot(evecs[:, j], d_g) for j in range(evecs.shape[1])])
+    betas = evecs.conj().T @ d_g
     nus = np.abs(betas)
     gnorm = float(np.linalg.norm(d_g))
     two_phis = np.where(
@@ -361,9 +317,7 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
         0.0,
     )
 
-    Tf = _t_matrix_f(rb, g_coords_f)
-    Linv = np.linalg.inv(rb.chol)
-    Tq = rb.chol.conj().T @ Tf @ Linv.conj().T
+    Tq = L.conj().T @ _t_matrix_f(rb, g_coords_f) @ Linv.conj().T
     Te = evecs.conj().T @ Tq @ evecs
 
     dec = SpectralDecomposition(

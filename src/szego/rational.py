@@ -573,27 +573,32 @@ def spectral_density(f: HardyRational, xi):
     return out
 
 
-def homogeneous_sobolev_norm(f: HardyRational, s: float) -> float:
-    """Exact homogeneous Sobolev norm via Gamma-function integrals.
+def _sobolev_norms(f: HardyRational, ss) -> tuple[float, ...]:
+    """Homogeneous Sobolev norms of f for every s in ss, from one transform.
 
     ||f||_{Hdot^s}^2 = (1/2pi) int_0^oo xi^(2s) |fhat|^2, with every cross
     term integrating to Gamma(a+1)/c^(a+1) where c = i(p_a - conj(p_b)) has
     positive real part.
     """
-    if s < 0:
+    ss = np.asarray(ss, dtype=float)
+    if np.any(ss < 0):
         raise PreconditionError("Sobolev index must be nonnegative")
     fts = fourier_transform(f)
     if not fts:
-        return 0.0
+        return (0.0,) * len(ss)
     amp = np.array([t.amplitude for t in fts])
     pol = np.array([t.pole for t in fts])
     pw = np.array([t.power for t in fts], dtype=float)
     A = amp[:, None] * np.conj(amp[None, :])
-    n = 2.0 * s + pw[:, None] + pw[None, :]
+    n = 2.0 * ss[:, None, None] + pw[:, None] + pw[None, :]
     c = 1j * (pol[:, None] - np.conj(pol[None, :]))
-    total = np.sum(A * _gamma(n + 1.0) / c ** (n + 1.0))
-    val = total.real / (2.0 * math.pi)
-    return math.sqrt(max(val, 0.0))
+    total = np.sum(A * _gamma(n + 1.0) / c ** (n + 1.0), axis=(1, 2))
+    return tuple(math.sqrt(max(v, 0.0)) for v in total.real / (2.0 * math.pi))
+
+
+def homogeneous_sobolev_norm(f: HardyRational, s: float) -> float:
+    """Exact homogeneous Sobolev norm via Gamma-function integrals."""
+    return _sobolev_norms(f, (s,))[0]
 
 
 def h_half_norm(f: HardyRational) -> float:
@@ -603,8 +608,7 @@ def h_half_norm(f: HardyRational) -> float:
     that the flow preserves exactly, and the convention used by trajectory
     observables and conservation tests.
     """
-    a = l2_norm(f)
-    b = homogeneous_sobolev_norm(f, 0.5)
+    a, b = _sobolev_norms(f, (0.0, 0.5))
     return math.sqrt(a * a + b * b)
 
 

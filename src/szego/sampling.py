@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, PreconditionError
 from .hankel import SpectralDecomposition, eigendecompose
 from .rational import HardyRational, as_hardy, hardy_from_terms
 from .actionangle import ActionAngleCoords
@@ -55,7 +55,7 @@ def _conditioned(n, rng, want, lam_ratio, scale_to) -> tuple[HardyRational, Spec
         u = random_symbol(n, rng)
         try:
             dec = eigendecompose(u)
-        except Exception:
+        except (NumericalError, PreconditionError, np.linalg.LinAlgError):
             continue
         if want == "generic" and dec.genericity == "non_generic":
             continue

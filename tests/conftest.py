@@ -44,3 +44,21 @@ def mixed_mult():
         (-1.0 - 1.0j, [0.5, 1.0]),
         (-1.5j, [0.3, 0.2, 1.0]),
     ])
+
+
+# A fixed simple 8-pole symbol (poles 0.5 apart, Im p in [-1.6, -0.5]).
+EIGHT_POLES = [
+    (-0.03977 - 1.11150j, [-1.14492 + 0.44809j]),
+    (0.77910 - 0.76247j, [2.01112 + 0.65005j]),
+    (0.33390 - 1.52831j, [0.92424 - 0.64873j]),
+    (1.43694 - 1.34093j, [0.34024 - 1.11579j]),
+    (1.28048 - 0.71513j, [0.53058 - 0.44429j]),
+    (0.89562 - 1.27814j, [1.28511 + 0.46048j]),
+    (-0.86131 - 1.20254j, [-0.62360 + 1.27353j]),
+    (-0.95361 - 0.65024j, [0.02747 - 0.66450j]),
+]
+
+
+@pytest.fixture
+def eight_poles():
+    return hardy_from_terms(EIGHT_POLES)

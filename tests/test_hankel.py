@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,6 +15,7 @@ from szego.hankel import (
     hankel_matrix,
     t_matrix,
 )
+from szego.flow import recover_rational
 from szego.rational import (
     RationalFn,
     as_hardy,
@@ -25,11 +27,43 @@ from szego.rational import (
     simple_pole,
     zero,
 )
+from szego.sampling import random_symbol
 
-from conftest import quad_inner
+from conftest import EIGHT_POLES, quad_inner
 
 XS = np.linspace(-3.7, 4.1, 11)
 CROSS_CHECKED = ("soliton_symbol", "double_eig_symbol", "generic_m2", "mixed_mult")
+
+# Simple 8-pole symbol whose two smallest lambda^2 (about 1.8e-14 and 7.1e-14)
+# fall within one CLUSTER_RTOL * lambda_max^2 band.
+CLOSE_SMALL_PAIR = [
+    (0.93269 - 0.55958j, [-1.55955 + 1.68307j]),
+    (0.39448 - 0.83194j, [-0.34251 - 0.41007j]),
+    (-0.58067 - 1.11813j, [2.29485 - 1.27207j]),
+    (-1.23327 - 1.38245j, [0.21750 - 0.20595j]),
+    (-0.10743 - 1.41191j, [0.46041 - 0.01903j]),
+    (0.39228 - 1.58516j, [-0.16110 + 0.19354j]),
+    (1.02605 - 1.34907j, [0.13479 + 0.49109j]),
+    (-0.40129 - 0.59904j, [0.87674 - 1.32792j]),
+]
+
+
+def mp_lambda2(u, dps=50):
+    """Ascending eigenvalues of M conj(M), M[j, a] = c_j / (p_j - conj p_a).
+
+    H_u f_a = sum_j M[j, a] f_j on f_a = 1/(x - p_a) for a symbol with simple
+    poles, and H_u is antilinear, so its square acts as M conj(M).
+    """
+    with mpmath.workdps(dps):
+        p = [mpmath.mpc(t.pole) for t in u.terms]
+        c = [mpmath.mpc(t.coeffs[0]) for t in u.terms]
+        n = len(p)
+        M = mpmath.matrix(n, n)
+        for j in range(n):
+            for a in range(n):
+                M[j, a] = c[j] / (p[j] - mpmath.conj(p[a]))
+        vals = mpmath.eig(M * M.conjugate(), left=False, right=False)
+        return np.sort([float(mpmath.re(v)) for v in vals])
 
 
 class TestRangeBasis:
@@ -138,13 +172,14 @@ class TestEigendecompose:
         assert abs(dec.lambdas[0] - abs(C) / (2 * abs(p.imag))) < 1e-12
         assert abs(-dec.nus[0] ** 2 / (4 * math.pi) - p.imag) < 1e-12
 
-    def test_eigenrelation_as_functions(self, generic_m2):
-        dec = eigendecompose(generic_m2)
-        for j in range(dec.size):
-            ej = eigenfunction(dec, j)
-            got = hankel_apply(generic_m2, ej)
-            gap = np.abs(got.evaluate(XS) - dec.lambdas[j] * ej.evaluate(XS))
-            assert np.max(gap) < 1e-9
+    def test_eigenrelation_as_functions(self, generic_m2, mixed_mult, eight_poles):
+        for u in (generic_m2, mixed_mult, eight_poles):
+            dec = eigendecompose(u)
+            for j in range(dec.size):
+                ej = eigenfunction(dec, j)
+                got = hankel_apply(u, ej)
+                gap = np.abs(got.evaluate(XS) - dec.lambdas[j] * ej.evaluate(XS))
+                assert np.max(gap) < 1e-9
 
     def test_eigenrelation_in_degenerate_cluster(self, double_eig_symbol):
         dec = eigendecompose(double_eig_symbol)
@@ -194,6 +229,21 @@ class TestEigendecompose:
         dec = eigendecompose(double_eig_symbol)
         cross = np.conj(dec.betas[0]) * dec.betas[1]
         assert abs(cross.imag) < 1e-10
+
+    @pytest.mark.parametrize("n, rtol", ((2, 1e-8), (4, 1e-8), (6, 1e-8), (8, 1e-6)))
+    def test_lambda2_against_mpmath(self, n, rtol):
+        for seed in range(10):
+            u = random_symbol(n, np.random.default_rng(seed))
+            want = mp_lambda2(u)
+            got = eigendecompose(u).lambdas ** 2
+            assert np.max(np.abs(got - want) / want) <= rtol, seed
+
+    def test_close_small_pair_decomposes(self):
+        u = hardy_from_terms(CLOSE_SMALL_PAIR)
+        dec = eigendecompose(u)
+        J2 = float(np.sum(dec.lambdas**2 * dec.nus**2))
+        assert abs(J2 - l2_norm(u) ** 2) <= 1e-9 * J2
+        assert len(recover_rational(dec, t_matrix(u, dec), 0.0).terms) == 8
 
     def test_rank_deficient_rejected(self):
         # second channel eleven orders below the first trips the rank guard

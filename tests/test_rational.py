@@ -11,6 +11,7 @@ import szego
 from szego.errors import InputError, PreconditionError
 from szego.rational import (
     HardyRational,
+    _sobolev_norms,
     RationalFn,
     as_hardy,
     blaschke,
@@ -306,6 +307,15 @@ class TestSobolev:
         with pytest.raises(PreconditionError):
             homogeneous_sobolev_norm(soliton_symbol, -0.5)
 
+    @pytest.mark.parametrize("name", ("soliton_symbol", "generic_m2", "mixed_mult",
+                                      "eight_poles"))
+    def test_batched_norms_match_single_calls(self, name, request):
+        f = request.getfixturevalue(name)
+        ss = (0.0, 0.5, 1.0, 0.7, 2.5)
+        for s, got in zip(ss, _sobolev_norms(f, ss)):
+            want = homogeneous_sobolev_norm(f, s)
+            assert abs(got - want) <= 1e-13 * want
+
 
 class TestEvaluate:
     def test_values(self, soliton_symbol, double_eig_symbol):
@@ -377,10 +387,12 @@ class TestRepresentation:
 
 
 def test_import_leaves_quadrature_out():
-    # no quadrature in the library: scipy.integrate stays unimported
+    # no quadrature and no dense linear algebra beyond numpy's in the
+    # library: importing either scipy subpackage costs start-up time
     src = os.path.dirname(os.path.dirname(szego.__file__))
-    code = "import sys, szego; print('scipy.integrate' in sys.modules)"
+    code = ("import sys, szego; "
+            "print([m in sys.modules for m in ('scipy.integrate', 'scipy.linalg')])")
     env = dict(os.environ, PYTHONPATH=src)
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "False"
+    assert run.stdout.strip() == "[False, False]"

@@ -23,6 +23,20 @@ def test_roundtrip_exits_3_when_sampling_fails(monkeypatch, tmp_path, capsys):
     assert "rejection sampling failed" in capsys.readouterr().err
 
 
+def test_unexpected_errors_propagate(monkeypatch):
+    # only the typed spectral failures reject a draw; a bug surfaces at once
+    calls = []
+
+    def broken(u):
+        calls.append(u)
+        raise TypeError("broken decomposition")
+
+    monkeypatch.setattr(sampling, "eigendecompose", broken)
+    with pytest.raises(TypeError, match="broken decomposition"):
+        sampling.random_generic(2, np.random.default_rng(0))
+    assert len(calls) == 1
+
+
 def _uncapped_random_symbol(n, rng, min_sep=0.5):
     """The sampler without its cap: the draws a capped success must repeat."""
     while True:
