@@ -302,8 +302,9 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
             w, X = np.linalg.eig(U[:, c].conj().T @ Vbar[:, c])
             root = (X * np.sqrt(w)) @ np.linalg.inv(X)
             evecs[:, c] = _concentrate_g(U[:, c] @ root, d_g)
-            ref[c] = np.mean(lambdas[c])
-            tol[c] = 1e-7 * max(1.0, ref[c[0]])
+            lam = float(np.mean(lambdas[c]))
+            ref[c] = lam
+            tol[c] = 1e-7 * max(1.0, lam)
     resid = np.linalg.norm(K @ evecs.conj() - evecs * ref, axis=0)
     if np.any(resid > tol):
         raise NumericalError("Takagi eigenvector residual too large")
