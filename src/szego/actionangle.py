@@ -13,9 +13,12 @@ matrix from coordinates alone, in the basis e~_j = e^{i phi_j} e_j:
               / (lambda_k^2 - lambda_j^2),            k != j,
     T[j, j] = gamma_j + i nu_j^2 / (4 pi),
 
-and evaluates u(x) = -(i/2pi) * conj(m^T (T - xI)^{-1} nu) with
-m_a = lambda_a nu_a e^{2 i phi_a}; poles of u are the conjugated
-eigenvalues of T.  The phase/sign convention matches the forward pipeline
+and u(x) = -(i/2pi) * conj(m^T (T - xI)^{-1} nu) with
+m_a = lambda_a nu_a e^{2 i phi_a}, i.e. the resolvent pairing
+-(i/2pi) conj(m)^T (conj T - x I)^{-1} nu of the flow layer, whose poles
+are the eigenvalues of conj T.  `flow._from_pairing` reads its partial
+fractions off one eigendecomposition, fitting only when poles cluster
+into multiple poles.  The phase/sign convention matches the forward pipeline
 (it is pinned by the rank-one case, where the reconstruction must return
 C e^{i a}/(x-p) with 2 phi = pi/2 - a, not its conjugate).
 
@@ -40,7 +43,7 @@ from .rational import (
     blaschke,
     hankel_apply,
 )
-from .flow import fit_partial_fractions, _cluster_poles
+from .flow import _from_pairing
 
 ROUNDTRIP_TOL = 1e-8
 
@@ -135,20 +138,9 @@ def chi_inverse(coords: ActionAngleCoords) -> HardyRational:
             "map is onto the coordinate domain, so this indicates numerical "
             "trouble (extreme coordinates) rather than an inadmissible input"
         )
-    poles = _cluster_poles(np.conj(evals))
-    lam = coords.lambdas()
     nu = coords.nus()
-    m = lam * nu * np.exp(1j * np.array(coords.angles))
-    n = coords.size
-    radius = 3.0 * max(1.0, float(np.max(np.abs(evals))))
-    count = 4 * n + 8
-    k = np.arange(count)
-    xs = radius * np.cos((2 * k + 1) * math.pi / (2 * count))
-    vals = []
-    for x in xs:
-        y = np.linalg.solve(T - x * np.eye(n), nu.astype(complex))
-        vals.append(-0.5j / math.pi * np.conj(np.dot(m, y)))
-    u = fit_partial_fractions(poles, xs, np.array(vals))
+    m = coords.lambdas() * nu * np.exp(1j * np.array(coords.angles))
+    u = _from_pairing(np.conj(T), np.conj(m), nu)
     back = chi(eigendecompose(u))
     err = _coords_distance(coords, back)
     if err > ROUNDTRIP_TOL:

@@ -354,12 +354,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, symbol=True):
+    def common(sp, symbol=True, tol=2e-4):
         if symbol:
             sp.add_argument("--symbol", help="symbol JSON (path or inline)")
         sp.add_argument("--out", help="output directory for artifacts")
         sp.add_argument("--seed", type=int, default=0, help="RNG seed")
-        sp.add_argument("--tol", type=float, default=None, help="tolerance")
+        sp.add_argument("--tol", type=float, default=tol, help="tolerance")
 
     sp = sub.add_parser("spectrum", help="eigendata of the Hankel operator")
     common(sp)
@@ -393,10 +393,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_actionangle)
 
     sp = sub.add_parser("roundtrip", help="random action-angle round trips")
-    common(sp, symbol=False)
+    common(sp, symbol=False, tol=1e-7)
     sp.add_argument("--n", type=int, default=3, help="symbol degree")
     sp.add_argument("--count", type=int, default=10)
-    sp.set_defaults(func=_cmd_roundtrip, tol_default=1e-7)
+    sp.set_defaults(func=_cmd_roundtrip)
 
     sp = sub.add_parser("validate", help="pseudo-spectral cross-check")
     common(sp)
@@ -462,8 +462,6 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     args = parser.parse_args(argv)
-    if args.tol is None:
-        args.tol = 1e-7 if args.command == "roundtrip" else 2e-4
     try:
         return args.func(args)
     except InputError as e:

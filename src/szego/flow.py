@@ -21,14 +21,15 @@ The sign differs from some statements of the pairing in the literature; it
 is pinned here by the exact single-soliton solution and is consistent with
 the soliton-resolution amplitudes C_j = i lambda_j conj(beta_j)^2 / (2 pi).
 
-Poles of u(t) are the complex conjugates of the eigenvalues of S(t); the
-recovery path eigendecomposes conj(S) and reads residues off the bilinear
-expansion, falling back to a Schur-plus-least-squares fit when S(t) is
-numerically defective (multiple poles).  Its fit values are one stacked
-resolvent solve; its 20-point postcondition evaluates u(t) point by point
-through `evolve_eval`, so it does not depend on the eigendecomposition it
-checks.  Both use the one S(t) of the call: the last S(t) built is kept
-and reused while the same decomposition is asked for at the same time.
+The inverse spectral map of `actionangle` is the same resolvent pairing
+-(i/2pi) a^T (A - z I)^{-1} b with another (A, a, b); its poles are the
+eigenvalues of A.  `_from_pairing` reads the residues off one `eig` of A,
+or, when eigenvalues cluster into a multiple pole, fits the coefficients
+to the pairing at Chebyshev points (one stacked solve).  The 20-point
+postcondition of `recover_rational` evaluates u(t) point by point through
+`evolve_eval`, so it does not depend on the eigendecomposition it checks.
+Both use the one S(t) of the call: the last S(t) built is kept and reused
+while the same decomposition is asked for at the same time.
 """
 
 from __future__ import annotations
@@ -47,16 +48,14 @@ from .hankel import (
     t_matrix,
 )
 from .rational import (
+    EIG_SEP_RTOL,
     HardyRational,
+    _cluster_poles,
     _sobolev_norms,
     hardy_from_terms,
     l2_norm,
 )
 
-# Relative eigenvalue separation required for the direct recovery path.
-# Eigenvalues of a numerically defective matrix scatter like eps^(1/m), about
-# 2e-8 already for a double pole, so the gate must sit well above that.
-EIG_SEP_RTOL = 20.0 * (2.3e-16) ** (1.0 / 3.0)
 RECOVER_TOL = 1e-9        # postcondition: recovered rational vs resolvent values
 FIT_TOL = 1e-7            # fallback least-squares residual bound
 
@@ -101,19 +100,24 @@ def s_matrix(dec: SpectralDecomposition, tmat: TMatrix, t: float) -> FlowMatrix:
     return FlowMatrix(np.where(same, drift, wave), w, float(t))
 
 
-def _resolvent_values(dec: SpectralDecomposition, fm: FlowMatrix, xs) -> np.ndarray:
-    """u(t, x) at every x of xs from one S(t), by one stacked solve.
+def _pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray, xs) -> np.ndarray:
+    """-(i/2pi) a^T (A - x I)^{-1} b at every x of xs, by one stacked solve.
 
     Each point's residual is checked against the 1e-10 bound on its own.
     """
     xs = np.asarray(xs, dtype=complex)
-    rhs = np.conj(fm.w_diag * dec.betas)
-    A = np.conj(fm.s)[None, :, :] - xs[:, None, None] * np.eye(dec.size)
-    y = np.linalg.solve(A, np.broadcast_to(rhs, (len(xs), dec.size))[..., None])[..., 0]
-    resid = np.linalg.norm(np.einsum("pkj,pj->pk", A, y) - rhs, axis=1)
-    if np.any(resid > 1e-10 * max(1.0, np.linalg.norm(rhs))):
+    M = A[None, :, :] - xs[:, None, None] * np.eye(len(b))
+    y = np.linalg.solve(M, np.broadcast_to(b, (len(xs), len(b)))[..., None])[..., 0]
+    resid = np.linalg.norm(np.einsum("pkj,pj->pk", M, y) - b, axis=1)
+    if np.any(resid > 1e-10 * max(1.0, np.linalg.norm(b))):
         raise NumericalError("resolvent solve failed")
-    return -0.5j / math.pi * (y @ (dec.lambdas * rhs))
+    return -0.5j / math.pi * (y @ a)
+
+
+def _flow_pairing(dec: SpectralDecomposition, fm: FlowMatrix):
+    """(A, a, b) of u(t) = -(i/2pi) a^T (A - x)^{-1} b: (conj S, Lam conj w, conj w)."""
+    b = np.conj(fm.w_diag * dec.betas)
+    return np.conj(fm.s), dec.lambdas * b, b
 
 
 # (dec, tmat, t, S(t)) of the last S(t) built by _flow_at.  The
@@ -135,7 +139,7 @@ def _flow_at(dec: SpectralDecomposition, tmat: TMatrix, t: float) -> FlowMatrix:
 
 def evolve_eval(dec: SpectralDecomposition, tmat: TMatrix, t: float, x) -> complex:
     """Value of the solution at time t and a point x with Im x >= 0."""
-    return complex(_resolvent_values(dec, _flow_at(dec, tmat, t), [complex(x)])[0])
+    return complex(_pairing(*_flow_pairing(dec, _flow_at(dec, tmat, t)), [complex(x)])[0])
 
 
 def fit_partial_fractions(poles_mults, xs, values) -> HardyRational:
@@ -163,20 +167,6 @@ def fit_partial_fractions(poles_mults, xs, values) -> HardyRational:
             stack.append(0.0j)
         stack[l - 1] += complex(c)
     return hardy_from_terms(list(pairs.items()))
-
-
-def _cluster_poles(vals: np.ndarray) -> list[tuple[complex, int]]:
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    tol = EIG_SEP_RTOL * scale
-    groups: list[tuple[complex, int]] = []
-    for v in sorted(vals, key=lambda z: (z.real, z.imag)):
-        for i, (c, m) in enumerate(groups):
-            if abs(v - c) <= tol:
-                groups[i] = ((c * m + v) / (m + 1), m + 1)
-                break
-        else:
-            groups.append((complex(v), 1))
-    return groups
 
 
 def _eig2x2(A: np.ndarray):
@@ -209,30 +199,30 @@ def _eig2x2(A: np.ndarray):
     return np.array([e1, e2]), np.array(vecs).T
 
 
+def _from_pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray) -> HardyRational:
+    """Partial fractions of x -> -(i/2pi) a^T (A - x I)^{-1} b.
+
+    Its poles are the eigenvalues of A.  Separated eigenvalues give the
+    residues (i/2pi)(a^T V)_k (V^{-1} b)_k of the bilinear expansion;
+    clustered ones are merged into multiple poles and the coefficients
+    fitted at 4N Chebyshev points.
+    """
+    n = len(b)
+    E, V = _eig2x2(A) if n == 2 else np.linalg.eig(A)
+    scale = max(1.0, float(np.max(np.abs(E))))
+    seps = np.abs(E[:, None] - E[None, :])[np.triu_indices(n, 1)]
+    if seps.size == 0 or float(np.min(seps)) > EIG_SEP_RTOL * scale:
+        coeffs = 0.5j / math.pi * (a @ V) * np.linalg.solve(V, b)
+        return hardy_from_terms([(complex(e), [complex(c)]) for e, c in zip(E, coeffs)])
+    k = np.arange(4 * n)
+    xs = (2.0 * scale + 1.0) * np.cos((2 * k + 1) * math.pi / (2 * len(k)))
+    return fit_partial_fractions(_cluster_poles(E), xs, _pairing(A, a, b, xs))
+
+
 def recover_rational(dec: SpectralDecomposition, tmat: TMatrix, t: float) -> HardyRational:
     """The solution at time t as an exact element of the rational class."""
-    fm = _flow_at(dec, tmat, t)
-    w = fm.w_diag * dec.betas
-    Sc = np.conj(fm.s)
-    a = dec.lambdas * np.conj(w)
-    E, V = _eig2x2(Sc) if dec.size == 2 else np.linalg.eig(Sc)
-    scale = max(1.0, float(np.max(np.abs(E))))
-    seps = np.abs(E[:, None] - E[None, :])[np.triu_indices(dec.size, 1)]
-    direct = seps.size == 0 or float(np.min(seps)) > EIG_SEP_RTOL * scale
-
-    if direct:
-        left = a @ V
-        right = np.linalg.solve(V, np.conj(w))
-        coeffs = 0.5j / math.pi * left * right
-        out = hardy_from_terms([(complex(e), [complex(c)]) for e, c in zip(E, coeffs)])
-    else:
-        Tm, _Z = _schur(Sc)
-        poles = _cluster_poles(np.diag(Tm))
-        radius = 2.0 * scale + 1.0
-        k = np.arange(4 * dec.size)
-        xs = radius * np.cos((2 * k + 1) * math.pi / (2 * len(k)))
-        out = fit_partial_fractions(poles, xs, _resolvent_values(dec, fm, xs))
-
+    out = _from_pairing(*_flow_pairing(dec, _flow_at(dec, tmat, t)))
+    scale = max([1.0, *map(abs, out.poles())])
     check_x = np.linspace(-2.3 * scale - 1.0, 2.3 * scale + 1.0, 20)
     ref = np.array([evolve_eval(dec, tmat, t, x) for x in check_x])
     got = out.evaluate(check_x)
@@ -242,12 +232,6 @@ def recover_rational(dec: SpectralDecomposition, tmat: TMatrix, t: float) -> Har
             f"defective recovery: pointwise mismatch {err:.3e} at t={t}"
         )
     return out
-
-
-def _schur(A: np.ndarray):
-    from scipy.linalg import schur
-
-    return schur(A, output="complex")
 
 
 def spectral_conserved(dec: SpectralDecomposition, kmax: int) -> list[float]:

@@ -15,6 +15,9 @@ Integrals of functions decaying like 1/x^2 are evaluated by residues:
 ``int f = -2*pi*i * (sum of first-order coefficients at poles below the
 axis)``.  Products are computed exactly by truncated Laurent expansion around
 each pole of the result, so no polynomial root finding enters the arithmetic.
+
+Root finding enters only `pf_from_ratio`: `_cluster_poles` groups its roots
+into multiple poles by the rule the flow layer applies to eigenvalues.
 """
 
 from __future__ import annotations
@@ -24,15 +27,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .errors import InputError, NumericalError, PreconditionError
 
 # Tolerances of the representation layer.
 POLE_MERGE_RTOL = 1e-12      # arithmetic: poles this close are the same pole
-ROOT_CLUSTER_RTOL = 1e-9     # root finding: cluster radius for B's roots
 COEFF_TRIM_RTOL = 5e-14      # coefficients this small (vs. the largest) are dropped
 DEGREE_CAP = 64              # denominator degree cap of pf_from_ratio
+# Relative separation below which computed roots or eigenvalues are one
+# multiple pole.  They scatter like eps^(1/m), about 2e-8 already for a
+# double pole, so the radius must sit well above that.
+EIG_SEP_RTOL = 20.0 * (2.3e-16) ** (1.0 / 3.0)
 
 __all__ = [
     "PoleTerm",
@@ -347,43 +352,23 @@ def _mul(f: RationalFn, g: RationalFn) -> RationalFn:
 # construction from a ratio of polynomials
 
 
-def _cluster_roots(roots: np.ndarray) -> list[tuple[complex, int]]:
-    """Group computed roots into (center, multiplicity) clusters.
+def _cluster_poles(vals: np.ndarray) -> list[tuple[complex, int]]:
+    """Group computed roots or eigenvalues into (center, multiplicity).
 
-    A first pass links roots within ROOT_CLUSTER_RTOL.  Multiple roots of a
-    double-precision polynomial scatter like eps^(1/m), so follow-up passes
-    keep merging clusters whose separation is consistent with that scatter
-    (up to triple roots; higher multiplicities should be supplied in partial
-    fractions directly).  Cluster centers are means, which cancels the
-    leading, symmetric part of the scatter.
+    Values within EIG_SEP_RTOL * max(1, max |v|) of a cluster's running
+    mean join it; the mean cancels the leading, symmetric part of the
+    eps^(1/m) scatter of a multiple root.
     """
-    items = [(complex(r), 1) for r in sorted(roots, key=lambda z: (z.real, z.imag))]
-
-    def _pass(cur, first):
-        out: list[tuple[complex, int]] = []
-        moved = False
-        for center, m in cur:
-            placed = False
-            for idx, (c0, m0) in enumerate(out):
-                scale = max(1.0, abs(c0), abs(center))
-                if first:
-                    tol = ROOT_CLUSTER_RTOL * scale
-                else:
-                    tol = 20.0 * scale * (2.3e-16) ** (1.0 / 3.0)
-                if abs(center - c0) <= tol:
-                    out[idx] = ((c0 * m0 + center * m) / (m0 + m), m0 + m)
-                    placed = True
-                    moved = True
-                    break
-            if not placed:
-                out.append((center, m))
-        return out, moved
-
-    items, _ = _pass(items, True)
-    moved = True
-    while moved:
-        items, moved = _pass(items, False)
-    return items
+    tol = EIG_SEP_RTOL * max(1.0, float(np.max(np.abs(vals))))
+    groups: list[tuple[complex, int]] = []
+    for v in sorted(vals, key=lambda z: (z.real, z.imag)):
+        for i, (c, m) in enumerate(groups):
+            if abs(v - c) <= tol:
+                groups[i] = ((c * m + v) / (m + 1), m + 1)
+                break
+        else:
+            groups.append((complex(v), 1))
+    return groups
 
 
 def pf_from_ratio(numerator, denominator) -> HardyRational:
@@ -405,7 +390,7 @@ def pf_from_ratio(numerator, denominator) -> HardyRational:
     if len(den) > DEGREE_CAP + 1:
         raise InputError(f"polynomial degree exceeds cap {DEGREE_CAP}")
     roots = np.roots(den[::-1])
-    clusters = _cluster_roots(roots)
+    clusters = _cluster_poles(roots)
     for p, _m in clusters:
         if p.imag >= -1e-12:
             raise InputError("pole on or above real line")
@@ -588,11 +573,14 @@ def _sobolev_norms(f: HardyRational, ss) -> tuple[float, ...]:
         return (0.0,) * len(ss)
     amp = np.array([t.amplitude for t in fts])
     pol = np.array([t.pole for t in fts])
-    pw = np.array([t.power for t in fts], dtype=float)
+    pw = np.array([t.power for t in fts])
     A = amp[:, None] * np.conj(amp[None, :])
-    n = 2.0 * ss[:, None, None] + pw[:, None] + pw[None, :]
+    k = pw[:, None] + pw[None, :]
+    gam = np.array([[math.gamma(2.0 * s + j + 1.0) for j in range(2 * pw.max() + 1)]
+                    for s in ss])
+    n = 2.0 * ss[:, None, None] + k
     c = 1j * (pol[:, None] - np.conj(pol[None, :]))
-    total = np.sum(A * _gamma(n + 1.0) / c ** (n + 1.0), axis=(1, 2))
+    total = np.sum(A * gam[:, k] / c ** (n + 1.0), axis=(1, 2))
     return tuple(math.sqrt(max(v, 0.0)) for v in total.real / (2.0 * math.pi))
 
 

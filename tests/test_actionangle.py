@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from szego import flow
 from szego.actionangle import (
     ActionAngleCoords,
+    _coords_distance,
     chi,
     chi_inverse,
     coords_from_json,
@@ -19,6 +21,7 @@ from szego.flow import recover_rational
 from szego.hankel import eigendecompose, t_matrix
 from szego.rational import (
     as_hardy,
+    hardy_from_terms,
     inner_product,
     simple_pole,
     szego_project,
@@ -29,6 +32,19 @@ from szego.sampling import random_coords, random_generic, random_strongly_generi
 def l2_gap(a, b):
     d = a - b
     return math.sqrt(abs(inner_product(d, d)))
+
+
+def counted_fits(monkeypatch):
+    """Count the calls of flow.fit_partial_fractions."""
+    calls = []
+    inner = flow.fit_partial_fractions
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(flow, "fit_partial_fractions", wrapper)
+    return calls
 
 
 def coords_gap(a: ActionAngleCoords, b: ActionAngleCoords) -> float:
@@ -107,6 +123,27 @@ class TestChiInverse:
             u = random_generic(n, rng)
             u2 = chi_inverse(chi(eigendecompose(u)))
             assert l2_gap(u, u2) < 1e-7
+
+    def test_random_coords_roundtrip_n8(self, monkeypatch):
+        # separated poles: residues from the eigendecomposition, no fit
+        fits = counted_fits(monkeypatch)
+        worst = 0.0
+        for seed in range(20):
+            c = random_coords(8, np.random.default_rng(seed))
+            back = chi(eigendecompose(chi_inverse(c)))
+            worst = max(worst, _coords_distance(c, back))
+        assert worst <= 5e-12
+        assert not fits
+
+    def test_double_pole_through_one_fit(self, monkeypatch):
+        u = hardy_from_terms([(-1j, [1.0]), (0.5 - 1.2j, [0.2, 0.7])])
+        dec = eigendecompose(u)
+        assert dec.genericity == "strongly_generic"
+        fits = counted_fits(monkeypatch)
+        u2 = chi_inverse(chi(dec))
+        assert len(fits) == 1
+        assert [t.multiplicity for t in u2.terms] == [1, 2]
+        assert l2_gap(u, u2) <= 1e-10
 
     def test_coords_validation(self):
         with pytest.raises(InputError):

@@ -174,6 +174,7 @@ class TestRoundtripCommand:
         doc = read_json(out / "roundtrip.json")
         assert doc["max_coords_error"] < 1e-7
         assert doc["max_symbol_l2_error"] < 1e-7
+        assert read_json(out / "manifest.json")["config"]["tol"] == 1e-7
 
     def test_tolerance_exceeded_exits_4(self, tmp_path):
         code = main(["roundtrip", "--n", "2", "--count", "1", "--seed", "7",
@@ -191,6 +192,7 @@ class TestValidateCommand:
         doc = read_json(out / "validate.json")
         assert doc["l2_error"] < 2e-4
         assert doc["j2_drift_oracle"] < 1e-12
+        assert read_json(out / "manifest.json")["config"]["tol"] == 2e-4
 
     def test_tight_tolerance_exits_4(self):
         code = main(["validate", "--symbol", SOLITON, "--t", "0.25",

@@ -8,7 +8,8 @@ from szego import flow
 from szego.asymptotics import soliton_params_from_spectrum, soliton_term
 from szego.errors import NumericalError, PreconditionError
 from szego.flow import (
-    _resolvent_values,
+    _flow_pairing,
+    _pairing,
     conserved_quantities,
     evolve_eval,
     recover_rational,
@@ -135,7 +136,7 @@ class TestResolventBatch:
         dec, tm = dec_tm(eight_poles)
         xs = np.concatenate([np.linspace(-6.0, 6.0, 18), [0.3 + 0.5j, -1.0 + 2.0j]])
         for t in (0.0, 2.5):
-            batch = _resolvent_values(dec, s_matrix(dec, tm, t), xs)
+            batch = _pairing(*_flow_pairing(dec, s_matrix(dec, tm, t)), xs)
             one = np.array([evolve_eval(dec, tm, t, x) for x in xs])
             assert batch.shape == (20,)
             assert np.max(np.abs(batch - one)) <= 1e-13 * np.max(np.abs(one))
@@ -146,7 +147,7 @@ class TestResolventBatch:
         for u in (generic_m2, eight_poles):
             dec, tm = dec_tm(u)
             for t in (0.7, 0.7, 2.5, 0.7):
-                want = _resolvent_values(dec, s_matrix(dec, tm, t), [x])[0]
+                want = _pairing(*_flow_pairing(dec, s_matrix(dec, tm, t)), [x])[0]
                 assert evolve_eval(dec, tm, t, x) == want
 
     def test_one_bad_point_fails_the_batch(self, generic_m2):
@@ -154,10 +155,10 @@ class TestResolventBatch:
         dec, tm = dec_tm(generic_m2)
         fm = s_matrix(dec, tm, 0.7)
         xs = np.linspace(-3.0, 3.0, 19)
-        _resolvent_values(dec, fm, xs)
+        _pairing(*_flow_pairing(dec, fm), xs)
         pole = np.linalg.eigvals(np.conj(fm.s))[0]
         with pytest.raises(NumericalError, match="resolvent solve failed"):
-            _resolvent_values(dec, fm, np.concatenate([xs[:9], [pole], xs[9:]]))
+            _pairing(*_flow_pairing(dec, fm), np.concatenate([xs[:9], [pole], xs[9:]]))
 
 
 class TestRecoverChecks:
