@@ -241,5 +241,5 @@ def coords_from_json(d: dict) -> ActionAngleCoords:
             tuple(float(x) for x in d["angles"]),
             tuple(float(x) for x in d["gammas"]),
         )
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed coordinates JSON: {e}") from e

@@ -12,11 +12,12 @@ Sobolev norm.  The overall amplitude sign is anchored by the rank-one case,
 where the decomposition must be exact with eps identically zero.
 
 A degree-2 symbol whose squared Hankel operator has a double eigenvalue
-behaves differently: after rotating the eigenbasis so that the second
-coordinate of g vanishes, the flow matrix is 2x2 with a single linear-drift
-entry, its discriminant D(t) = A^2 t^2 + B t + C steers one eigenvalue to a
-finite limit and the other to the real axis at rate 1/t^2, and the Sobolev
-norms above the conserved 1/2 level grow like |t|^(2s-1).
+behaves differently: `eigendecompose` already rotates the cluster so that
+the second coordinate of g vanishes, so the flow matrix is 2x2 with a
+single linear-drift entry, its discriminant D(t) = A^2 t^2 + B t + C
+steers one eigenvalue to a finite limit and the other to the real axis at
+rate 1/t^2, and the Sobolev norms above the conserved 1/2 level grow like
+|t|^(2s-1).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .hankel import SpectralDecomposition, TMatrix, eigendecompose, t_matrix
+from .hankel import SpectralDecomposition, eigendecompose
 from .flow import recover_rational, s_matrix
 from .rational import (
     HardyRational,
@@ -83,8 +84,7 @@ class NonGenericReport:
     e2_imag_exponent: float    # fitted decay rate of Im E_2 (expect -2)
 
 
-def soliton_params_from_spectrum(dec: SpectralDecomposition,
-                                 tmat: TMatrix) -> tuple[SolitonParams, ...]:
+def soliton_params_from_spectrum(dec: SpectralDecomposition) -> tuple[SolitonParams, ...]:
     """One soliton per channel; requires strongly generic data."""
     if dec.genericity != "strongly_generic":
         raise PreconditionError("soliton resolution requires strongly generic data")
@@ -94,7 +94,7 @@ def soliton_params_from_spectrum(dec: SpectralDecomposition,
         beta = dec.betas[j]
         nu = float(dec.nus[j])
         C = 1j * lam * np.conj(beta) ** 2 / (2.0 * math.pi)
-        p = complex(tmat.t[j, j].real, -nu**2 / (4.0 * math.pi))
+        p = complex(dec.shift[j, j].real, -nu**2 / (4.0 * math.pi))
         out.append(SolitonParams(complex(C), p,
                                  lam**2 * nu**2 / (2.0 * math.pi), lam**2))
     return tuple(out)
@@ -149,12 +149,11 @@ def remainder_norms(u0: HardyRational, times, s_values) -> ResolutionReport:
     if len({t > 0 for t in times}) != 1:
         raise PreconditionError("times must share one sign (one direction tag)")
     dec = eigendecompose(u0)
-    tmat = t_matrix(u0, dec)
-    sols = soliton_params_from_spectrum(dec, tmat)
+    sols = soliton_params_from_spectrum(dec)
     s_values = tuple(float(s) for s in s_values)
     norms = np.empty((len(times), len(s_values)))
     for i, t in enumerate(times):
-        ut = recover_rational(dec, tmat, t)
+        ut = recover_rational(dec, t)
         eps: RationalFn = ut
         for sp in sols:
             eps = eps - soliton_term(sp, t)
@@ -166,30 +165,6 @@ def remainder_norms(u0: HardyRational, times, s_values) -> ResolutionReport:
     return ResolutionReport(sols, times, s_values, norms, exponents, direction)
 
 
-def _rotate_double_basis(dec: SpectralDecomposition):
-    """Real rotation of a double eigenspace making the second g-coordinate zero.
-
-    Within a conjugation-fixed eigenbasis the products conj(beta_1) beta_2
-    are real, so beta_j = e^{i theta} r_j with real r_j, and the real
-    rotation by (r_1, r_2)/|r| preserves the antilinear eigenrelation.
-    """
-    b = dec.betas
-    r1, r2 = abs(b[0]), abs(b[1])
-    if r1 == 0 and r2 == 0:
-        raise PreconditionError("zero symbol has no Blaschke coordinates")
-    cross = np.conj(b[0]) * b[1]
-    sign = 1.0 if cross.real >= 0 else -1.0
-    if r1 == 0:
-        theta = np.angle(b[1])
-        r2 *= 1.0
-    else:
-        theta = np.angle(b[0])
-        r2 *= sign
-    rho = math.hypot(r1, r2)
-    R = np.array([[r1 / rho, r2 / rho], [r2 / rho, -r1 / rho]])
-    return R, theta, rho
-
-
 def nongeneric_analysis(u0: HardyRational, times=None) -> NonGenericReport:
     """Pole-track analysis for a degree-2 symbol with a double eigenvalue."""
     dec = eigendecompose(u0)
@@ -197,16 +172,14 @@ def nongeneric_analysis(u0: HardyRational, times=None) -> NonGenericReport:
         raise PreconditionError(
             "analysis requires a degree-2 symbol with an exact double eigenvalue"
         )
-    tmat = t_matrix(u0, dec)
-    R, _theta, _rho = _rotate_double_basis(dec)
-    Trot = R.T @ tmat.t @ R
-    betas = R.T @ dec.betas
+    T = dec.shift
+    betas = dec.betas
     if abs(betas[1]) > 1e-9 * abs(betas[0]):
         raise PreconditionError("basis rotation failed to annihilate beta_2")
     lam = float(dec.lambdas[0])
     nu1 = abs(betas[0])
-    c1, c2 = Trot[0, 0], Trot[1, 0]
-    d1, d2 = Trot[0, 1], Trot[1, 1]
+    c1, c2 = T[0, 0], T[1, 0]
+    d1, d2 = T[0, 1], T[1, 1]
     A = lam**2 * nu1**2 / (2.0 * math.pi)
     B = (lam**2 * nu1**2 / math.pi) * (c1 - d2)
     Cc = (c1 - d2) ** 2 + 4.0 * c2 * d1
@@ -232,7 +205,7 @@ def nongeneric_analysis(u0: HardyRational, times=None) -> NonGenericReport:
         e1s.append(complex((tr + root) / 2.0))
         e2s.append(complex((tr - root) / 2.0))
         # consistency with the assembled flow matrix
-        ev = np.linalg.eigvals(s_matrix(dec, tmat, t).s)
+        ev = np.linalg.eigvals(s_matrix(dec, t).s)
         got = sorted(ev, key=lambda z: abs(z - e1s[-1]))
         if abs(got[0] - e1s[-1]) > 1e-6 * max(1.0, abs(e1s[-1])):
             raise PreconditionError("closed-form eigenvalue track disagrees with S(t)")
@@ -255,11 +228,10 @@ def growth_fit(u0: HardyRational, s: float, times) -> dict:
     if len(times) < 5:
         raise PreconditionError("insufficient samples")
     dec = eigendecompose(u0)
-    tmat = t_matrix(u0, dec)
     vals = []
     h_half = []
     for t in times:
-        ut = recover_rational(dec, tmat, t)
+        ut = recover_rational(dec, t)
         l2, half, hdot = _sobolev_norms(ut, (0.0, 0.5, s))
         vals.append(hdot)
         h_half.append(math.sqrt(l2 * l2 + half * half))

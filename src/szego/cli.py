@@ -41,8 +41,11 @@ from .sampling import random_coords, random_generic
 
 def _parse_times(spec: str) -> list[float]:
     if spec.startswith("lin:") or spec.startswith("log:"):
-        kind, a, b, n = spec.split(":")
-        a, b, n = float(a), float(b), int(n)
+        try:
+            kind, a, b, n = spec.split(":")
+            a, b, n = float(a), float(b), int(n)
+        except ValueError as e:
+            raise InputError(f"bad times spec {spec!r}: {e}") from e
         if n < 1:
             raise InputError("times spec needs at least one point")
         if kind == "lin":
@@ -446,7 +449,10 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
             act = actions.get(key)
             if act is None:
                 raise InputError(f"unknown config key {key!r}")
-            converted[key] = act.type(val) if act.type else val
+            try:
+                converted[key] = act.type(val) if act.type else val
+            except ValueError as e:
+                raise InputError(f"bad config value for {key!r}: {e}") from e
             act.required = False
         choices[subcmd].set_defaults(**converted)
     return rest

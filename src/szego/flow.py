@@ -1,8 +1,8 @@
 """Closed-form time evolution through the flow matrix S(t).
 
-With spectral data (lambda_j, beta_j) and the shift matrix T of the initial
-symbol, S(t) is assembled by broadcasting over a cluster mask: oscillatory
-off the eigenvalue cluster, linear drift
+With spectral data (lambda_j, beta_j) and the shift matrix T = `dec.shift`
+of the initial symbol, S(t) is assembled by broadcasting over a cluster
+mask: oscillatory off the eigenvalue cluster, linear drift
 (lambda_j^2/2pi) conj(beta_j) beta_k t + (T e_j, e_k) inside it.  S(t)
 depends on t only, so it is built once per time and every point is
 evaluated from it by a resolvent solve, stacked into one solve where many
@@ -28,8 +28,8 @@ or, when eigenvalues cluster into a multiple pole, fits the coefficients
 to the pairing at Chebyshev points (one stacked solve).  The 20-point
 postcondition of `recover_rational` evaluates u(t) point by point through
 `evolve_eval`, so it does not depend on the eigendecomposition it checks.
-Both use the one S(t) of the call: the last S(t) built is kept and reused
-while the same decomposition is asked for at the same time.
+Both use the one S(t) of the call: the last S(t) built is kept, keyed on
+(decomposition, t), and reused while the same pair is asked for.
 """
 
 from __future__ import annotations
@@ -41,12 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .hankel import (
-    SpectralDecomposition,
-    TMatrix,
-    eigendecompose,
-    t_matrix,
-)
+from .hankel import SpectralDecomposition, eigendecompose
 from .rational import (
     EIG_SEP_RTOL,
     HardyRational,
@@ -80,7 +75,7 @@ class FlowMatrix:
     t: float
 
 
-def s_matrix(dec: SpectralDecomposition, tmat: TMatrix, t: float) -> FlowMatrix:
+def s_matrix(dec: SpectralDecomposition, t: float) -> FlowMatrix:
     """Assemble S(t) in the eigenbasis; S(0) is the shift matrix itself."""
     lam = dec.lambdas
     lam2 = lam**2
@@ -92,7 +87,7 @@ def s_matrix(dec: SpectralDecomposition, tmat: TMatrix, t: float) -> FlowMatrix:
     d = lam2[:, None] - lam2[None, :]             # lambda_k^2 - lambda_j^2
     bb = beta[:, None] * np.conj(beta[None, :])   # beta_k conj(beta_j)
     osc = np.exp(0.5j * t * d)
-    drift = (lam2[None, :] / (2.0 * math.pi)) * bb * t + tmat.t
+    drift = (lam2[None, :] / (2.0 * math.pi)) * bb * t + dec.shift
     wave = lam[None, :] / (2j * math.pi * np.where(same, 1.0, d)) * (
         lam[None, :] * osc * bb - lam[:, None] * np.conj(osc) * np.conj(bb)
     )
@@ -120,26 +115,26 @@ def _flow_pairing(dec: SpectralDecomposition, fm: FlowMatrix):
     return np.conj(fm.s), dec.lambdas * b, b
 
 
-# (dec, tmat, t, S(t)) of the last S(t) built by _flow_at.  The
-# decomposition and the shift matrix are compared by identity; they are
-# frozen and held here, so an identity cannot be reused by another object.
-_last_flow: tuple = (None, None, None, None)
+# (dec, t, S(t)) of the last S(t) built by _flow_at.  The decomposition is
+# compared by identity; it is frozen and held here, so an identity cannot be
+# reused by another object.
+_last_flow: tuple = (None, None, None)
 
 
-def _flow_at(dec: SpectralDecomposition, tmat: TMatrix, t: float) -> FlowMatrix:
+def _flow_at(dec: SpectralDecomposition, t: float) -> FlowMatrix:
     """S(t), rebuilt only when the decomposition or the time changes."""
     global _last_flow
-    last_dec, last_tmat, last_t, fm = _last_flow
-    if last_dec is dec and last_tmat is tmat and last_t == t:
+    last_dec, last_t, fm = _last_flow
+    if last_dec is dec and last_t == t:
         return fm
-    fm = s_matrix(dec, tmat, t)
-    _last_flow = (dec, tmat, t, fm)
+    fm = s_matrix(dec, t)
+    _last_flow = (dec, t, fm)
     return fm
 
 
-def evolve_eval(dec: SpectralDecomposition, tmat: TMatrix, t: float, x) -> complex:
+def evolve_eval(dec: SpectralDecomposition, t: float, x) -> complex:
     """Value of the solution at time t and a point x with Im x >= 0."""
-    return complex(_pairing(*_flow_pairing(dec, _flow_at(dec, tmat, t)), [complex(x)])[0])
+    return complex(_pairing(*_flow_pairing(dec, _flow_at(dec, t)), [complex(x)])[0])
 
 
 def fit_partial_fractions(poles_mults, xs, values) -> HardyRational:
@@ -219,12 +214,12 @@ def _from_pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray) -> HardyRational:
     return fit_partial_fractions(_cluster_poles(E), xs, _pairing(A, a, b, xs))
 
 
-def recover_rational(dec: SpectralDecomposition, tmat: TMatrix, t: float) -> HardyRational:
+def recover_rational(dec: SpectralDecomposition, t: float) -> HardyRational:
     """The solution at time t as an exact element of the rational class."""
-    out = _from_pairing(*_flow_pairing(dec, _flow_at(dec, tmat, t)))
+    out = _from_pairing(*_flow_pairing(dec, _flow_at(dec, t)))
     scale = max([1.0, *map(abs, out.poles())])
     check_x = np.linspace(-2.3 * scale - 1.0, 2.3 * scale + 1.0, 20)
-    ref = np.array([evolve_eval(dec, tmat, t, x) for x in check_x])
+    ref = np.array([evolve_eval(dec, t, x) for x in check_x])
     got = out.evaluate(check_x)
     err = float(np.max(np.abs(got - ref)))
     if err > RECOVER_TOL * max(1.0, float(np.max(np.abs(ref)))):
@@ -270,15 +265,14 @@ def trajectory(
         if ob not in known:
             raise PreconditionError(f"unknown observable {ob!r}")
     dec = eigendecompose(u0)
-    tmat = t_matrix(u0, dec)
     params = None
     if "solitons" in observables:
         from .asymptotics import soliton_params_from_spectrum
 
-        params = soliton_params_from_spectrum(dec, tmat)
+        params = soliton_params_from_spectrum(dec)
     rows = []
     for t in times:
-        ut = recover_rational(dec, tmat, float(t))
+        ut = recover_rational(dec, float(t))
         row: dict = {"time": float(t)}
         if "poles" in observables or "coefficients" in observables:
             flat_poles = []

@@ -17,6 +17,14 @@ Spectral coordinates extracted here: lambda_j, beta_j = (g, e_j),
 nu_j = |beta_j|, the angle 2*phi_j = arg(beta_j^2), and the generalized
 angle gamma_j = Re (T e_j, e_j), where T f = x f - Lambda(f) b_u is the
 infinitesimal shift on the range.
+
+`eigendecompose` is the one place where g, T and the cluster basis are
+made and checked.  The coordinates of g = 1 - b_u come in closed form from
+`rational._g_coeffs` and pass the Blaschke postcondition H_u g = u as
+M conj(c_g) = c_u with the Hankel matrix M.  Each eigenvalue cluster is
+rotated once, so that g lies on its first vector.  T is stored in the
+eigenbasis as `shift` after its closure check; the flow layer reads it
+from there.
 """
 
 from __future__ import annotations
@@ -27,12 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .rational import (
-    BlaschkeData,
-    HardyRational,
-    blaschke,
-    hardy_from_terms,
-)
+from .rational import HardyRational, _g_coeffs, hardy_from_terms
 
 GRAM_COND_LIMIT = 1e12
 CLUSTER_RTOL = 1e-8       # relative gap that groups eigenvalues of H^2
@@ -50,7 +53,6 @@ __all__ = [
     "classify_genericity",
     "eigenfunction",
     "coords_to_function",
-    "function_coords",
     "decomposition_to_json",
 ]
 
@@ -100,7 +102,6 @@ class SpectralDecomposition:
 
     u: HardyRational
     rb: RangeBasis
-    bl: BlaschkeData
     lambdas: np.ndarray
     evecs: np.ndarray
     betas: np.ndarray
@@ -141,35 +142,6 @@ def build_range_basis(u: HardyRational) -> RangeBasis:
         raise NumericalError("ill-conditioned range basis")
     L = np.linalg.cholesky(np.conj(G))
     return RangeBasis(index, G, L)
-
-
-def function_coords(f: HardyRational, rb: RangeBasis) -> np.ndarray:
-    """Partial-fraction coordinates of f in the range basis.
-
-    Raises if f carries mass outside the basis (a range-leakage signal).
-    """
-    c = np.zeros(rb.size, dtype=complex)
-    budget = f.max_coeff()
-    for t in f.terms:
-        match = None
-        for a, (pole, l) in enumerate(rb.index):
-            if abs(pole - t.pole) <= 1e-9 * max(1.0, abs(pole)):
-                match = pole
-                break
-        if match is None:
-            if max(abs(x) for x in t.coeffs) > 1e-8 * max(1.0, budget):
-                raise NumericalError("range leakage")
-            continue
-        for l, coeff in enumerate(t.coeffs, start=1):
-            found = False
-            for a, (pole, ll) in enumerate(rb.index):
-                if ll == l and abs(pole - t.pole) <= 1e-9 * max(1.0, abs(pole)):
-                    c[a] = coeff
-                    found = True
-                    break
-            if not found and abs(coeff) > 1e-8 * max(1.0, budget):
-                raise NumericalError("range leakage")
-    return c
 
 
 def coords_to_function(c: np.ndarray, rb: RangeBasis) -> HardyRational:
@@ -274,8 +246,9 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
     rb = build_range_basis(u)
     L = rb.chol
     Linv = np.linalg.inv(L)
+    M = hankel_matrix(u, rb)
     # the antilinear action d -> K conj(d) in the orthonormal basis; K = K^T
-    K = L.conj().T @ hankel_matrix(u, rb) @ Linv.T
+    K = L.conj().T @ M @ Linv.T
     U, sigma, Vh = np.linalg.svd(K)
     lambdas = sigma[::-1]
     U = U[:, ::-1]
@@ -287,8 +260,11 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
         lambdas, U, Vbar = lambdas[keep], U[:, keep], Vbar[:, keep]
     clusters = _cluster_indices(lambdas**2)
 
-    bl = blaschke(u)
-    g_coords_f = function_coords(bl.g, rb)
+    # Blaschke postcondition H_u g = u, in partial-fraction coordinates
+    g_coords_f = _g_coeffs(u)
+    u_coords = np.array([c for t in u.terms for c in t.coeffs])
+    if np.max(np.abs(M @ g_coords_f.conj() - u_coords)) > 1e-10 * max(1.0, u.max_coeff()):
+        raise NumericalError("Blaschke postcondition H_u(g) = u failed")
     d_g = L.conj().T @ g_coords_f
 
     # Takagi: conj(V) = U D with D unitary and symmetric, so W = U sqrt(D)
@@ -320,11 +296,15 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
 
     Tq = L.conj().T @ _t_matrix_f(rb, g_coords_f) @ Linv.conj().T
     Te = evecs.conj().T @ Tq @ evecs
+    # columns of T stay inside the range basis by construction, so closure
+    # is checked through the eigen-adjoint identity T - T^* = (i/2pi) beta beta^H
+    gap = Te - (Te.conj().T - (1.0 / (2j * math.pi)) * np.outer(betas, betas.conj()))
+    if np.max(np.abs(gap)) > 1e-8 * max(1.0, float(np.max(np.abs(Te)))):
+        raise NumericalError("shift closure violated")
 
     dec = SpectralDecomposition(
         u=u,
         rb=rb,
-        bl=bl,
         lambdas=lambdas,
         evecs=evecs,
         betas=betas,
@@ -341,19 +321,8 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
 
 
 def t_matrix(u: HardyRational, dec: SpectralDecomposition) -> TMatrix:
-    """Matrix of the infinitesimal shift in the eigenbasis, plus its adjoint.
-
-    The matrix is the one `eigendecompose` stored.  Its columns stay inside
-    the range basis by construction, so the closure check verifies the
-    eigen-adjoint identity T - T^* = (i/2pi) beta beta^H instead.
-    """
-    Te = dec.shift
-    scale = max(1.0, float(np.max(np.abs(Te))))
-    w = dec.betas
-    gap = Te - (Te.conj().T - (1.0 / (2j * math.pi)) * np.outer(w, w.conj()))
-    if np.max(np.abs(gap)) > 1e-8 * scale:
-        raise NumericalError("shift closure violated")
-    return TMatrix(Te, Te.conj().T)
+    """The shift matrix `eigendecompose` stored and checked, plus its adjoint."""
+    return TMatrix(dec.shift, dec.shift.conj().T)
 
 
 def classify_genericity(dec: SpectralDecomposition) -> str:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError, PreconditionError
-from .hankel import eigendecompose, t_matrix
+from .hankel import eigendecompose
 from .rational import HardyRational, spectral_density
 
 __all__ = [
@@ -228,10 +228,9 @@ def compare(u0: HardyRational, t: float, L: float, M: int, dt: float) -> dict:
     gt = integrate(g0, t, dt) if t != 0 else g0
 
     dec = eigendecompose(u0)
-    tm = t_matrix(u0, dec)
     from .flow import recover_rational, spectral_conserved
 
-    ut = recover_rational(dec, tm, t)
+    ut = recover_rational(dec, t)
     gex = sample_to_grid(ut, L, M)
 
     diff = gt.amps - gex.amps

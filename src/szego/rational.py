@@ -18,6 +18,11 @@ each pole of the result, so no polynomial root finding enters the arithmetic.
 
 Root finding enters only `pf_from_ratio`: `_cluster_poles` groups its roots
 into multiple poles by the rule the flow layer applies to eigenvalues.
+
+The coefficients of g = 1 - b_u, with b_u the Blaschke product of u, have a
+closed form in the poles alone (`_g_coeffs`); the spectral layer reads them
+directly, and `blaschke` regroups them into a function and checks
+H_u(g) = u with the generic arithmetic above.
 """
 
 from __future__ import annotations
@@ -236,24 +241,6 @@ def zero() -> HardyRational:
 
 # ----------------------------------------------------------------------------
 # polynomial helpers (ascending coefficient tuples)
-
-
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else 0.0j) + (b[i] if i < len(b) else 0.0j)
-        for i in range(n)
-    )
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [0.0j] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return tuple(out)
 
 
 def _poly_eval(coeffs, z):
@@ -499,23 +486,44 @@ class BlaschkeData:
         return out
 
 
+def _g_coeffs(u: HardyRational) -> np.ndarray:
+    """Coefficients of g = 1 - b_u on 1/(x-p)^l, in range-basis order.
+
+    Around a pole p of multiplicity m, b_u = (x-p)^-m h(x) with
+    h(x) = (x - conj p)^m prod_{q != p} ((x - conj q)/(x - q))^(m_q), so the
+    coefficient of g on 1/(x-p)^l is -h_(m-l).  The Taylor coefficients of
+    h/h(p) follow from the power sums of log h,
+    s_n = (-1)^(n+1)/n sum_q m_q ((p - conj q)^-n - [q != p] (p - q)^-n),
+    by the exponential recursion n a_n = sum_k k s_k a_(n-k).  For a simple
+    pole the coefficient is -(p - conj p) prod_{q != p} (p - conj q)/(p - q).
+    """
+    p = np.array([t.pole for t in u.terms])
+    m = np.array([t.multiplicity for t in u.terms])
+    Dbar = p[:, None] - p.conj()[None, :]   # p_j - conj p_k, never zero
+    D = p[:, None] - p[None, :]
+    np.fill_diagonal(D, 1.0)
+    h0 = np.prod((Dbar / D) ** m, axis=1)
+    Dinv = 1.0 / D
+    np.fill_diagonal(Dinv, 0.0)
+    s = [None] + [(-1) ** (n + 1) / n * ((Dbar ** -n - Dinv**n) @ m)
+                  for n in range(1, int(m.max()))]
+    out = []
+    for j, mj in enumerate(m):
+        a = [1.0 + 0.0j]
+        for n in range(1, mj):
+            a.append(sum(k * s[k][j] * a[n - k] for k in range(1, n + 1)) / n)
+        out.extend(-h0[j] * a[mj - l] for l in range(1, mj + 1))
+    return np.array(out)
+
+
 def blaschke(u: HardyRational) -> BlaschkeData:
     """Blaschke data of the symbol; checks H_u(g) = u internally."""
     if u.is_zero():
         raise PreconditionError("undefined for zero symbol")
     poles = tuple(t.pole for t in u.terms)
     mults = tuple(t.multiplicity for t in u.terms)
-    # g = (den - num)/den with den = prod (x-p)^m, num = prod (x-conj p)^m
-    den = (1.0 + 0.0j,)
-    num = (1.0 + 0.0j,)
-    for p, m in zip(poles, mults):
-        for _ in range(m):
-            den = _poly_mul(den, (-p, 1.0 + 0.0j))
-            num = _poly_mul(num, (-p.conjugate(), 1.0 + 0.0j))
-    diff = _poly_add(den, tuple(-c for c in num))
-    diff = diff[: len(den) - 1]  # leading terms cancel exactly
-    pairs = _pf_from_factored(diff, list(zip(poles, mults)))
-    g = hardy_from_terms(pairs)
+    cg = iter(_g_coeffs(u))
+    g = hardy_from_terms([(p, [next(cg) for _ in range(m)]) for p, m in zip(poles, mults)])
     resid = hankel_apply(u, g) - u
     if resid.max_coeff() > 1e-10 * max(1.0, u.max_coeff()):
         raise NumericalError("Blaschke postcondition H_u(g) = u failed")

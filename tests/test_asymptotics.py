@@ -13,7 +13,7 @@ from szego.asymptotics import (
 )
 from szego.errors import PreconditionError
 from szego.flow import recover_rational
-from szego.hankel import eigendecompose, t_matrix
+from szego.hankel import eigendecompose
 from szego.rational import (
     homogeneous_sobolev_norm,
     l2_norm,
@@ -22,14 +22,9 @@ from szego.rational import (
 from szego.sampling import random_strongly_generic
 
 
-def dec_tm(u):
-    dec = eigendecompose(u)
-    return dec, t_matrix(u, dec)
-
-
 class TestSolitonParams:
     def test_rank_one_channel(self, soliton_symbol):
-        (sp,) = soliton_params_from_spectrum(*dec_tm(soliton_symbol))
+        (sp,) = soliton_params_from_spectrum(eigendecompose(soliton_symbol))
         assert abs(abs(sp.amplitude) - 1.0) < 1e-12
         assert abs(sp.pole + 1j) < 1e-12
         assert abs(sp.speed - 0.5) < 1e-12
@@ -38,7 +33,7 @@ class TestSolitonParams:
     def test_traveling_wave_invariants(self):
         rng = np.random.default_rng(21)
         u = random_strongly_generic(2, rng)
-        for sp in soliton_params_from_spectrum(*dec_tm(u)):
+        for sp in soliton_params_from_spectrum(eigendecompose(u)):
             assert abs(sp.frequency
                        - abs(sp.amplitude) ** 2 / (4 * sp.pole.imag**2)) < 1e-10
             assert abs(sp.speed
@@ -47,15 +42,15 @@ class TestSolitonParams:
     def test_speeds_sorted_with_channels(self):
         rng = np.random.default_rng(22)
         u = random_strongly_generic(3, rng)
-        dec, tm = dec_tm(u)
-        sols = soliton_params_from_spectrum(dec, tm)
+        dec = eigendecompose(u)
+        sols = soliton_params_from_spectrum(dec)
         want = dec.lambdas**2 * dec.nus**2 / (2 * math.pi)
         assert np.allclose([sp.speed for sp in sols], want)
         assert len({round(sp.speed, 9) for sp in sols}) == 3
 
     def test_nongeneric_rejected(self, double_eig_symbol):
         with pytest.raises(PreconditionError, match="strongly generic"):
-            soliton_params_from_spectrum(*dec_tm(double_eig_symbol))
+            soliton_params_from_spectrum(eigendecompose(double_eig_symbol))
 
 
 class TestExactSolitonPropagation:
@@ -65,11 +60,11 @@ class TestExactSolitonPropagation:
             C = complex(rng.normal(), rng.normal())
             p = complex(rng.uniform(-2, 2), -rng.uniform(0.3, 2.0))
             u = simple_pole(C, p)
-            dec, tm = dec_tm(u)
+            dec = eigendecompose(u)
             om = abs(C) ** 2 / (4 * p.imag**2)
             c = abs(C) ** 2 / (-2 * p.imag)
             for t in rng.uniform(-9, 9, 3):
-                ut = recover_rational(dec, tm, float(t))
+                ut = recover_rational(dec, float(t))
                 assert abs(ut.terms[0].pole - (p + c * t)) < 1e-10
                 assert abs(ut.terms[0].coeffs[0] - C * np.exp(-1j * om * t)) < 1e-10
 
@@ -99,7 +94,7 @@ class TestRemainderNorms:
     def test_mass_splits_across_solitons(self):
         rng = np.random.default_rng(26)
         u = random_strongly_generic(2, rng)
-        sols = soliton_params_from_spectrum(*dec_tm(u))
+        sols = soliton_params_from_spectrum(eigendecompose(u))
         total = l2_norm(u) ** 2
         parts = sum(
             abs(sp.amplitude) ** 2 * math.pi / (-sp.pole.imag) for sp in sols

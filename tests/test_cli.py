@@ -100,6 +100,11 @@ class TestEvolveCommand:
         assert main(["evolve", "--symbol", SOLITON, "--times", "0",
                      "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("spec", ("lin:0:1", "log:1:x:3"))
+    def test_malformed_times_exit_2(self, spec, capsys):
+        assert main(["evolve", "--symbol", SOLITON, "--times", spec]) == 2
+        assert "bad times spec" in capsys.readouterr().err
+
     def test_manifest_lists_artifacts(self, tmp_path):
         out = tmp_path / "run"
         assert main(["evolve", "--symbol", SOLITON, "--times", "0,1",
@@ -165,6 +170,13 @@ class TestActionAngleCommand:
         assert abs(pole[0]) < 1e-9 and abs(pole[1] + 1.0) < 1e-9
 
 
+    def test_non_numeric_coords_exit_2(self, capsys):
+        coords = json.dumps({"actions_i": ["x"], "actions_lambda": [math.pi],
+                             "angles": [0.0], "gammas": [0.0]})
+        assert main(["actionangle", "--coords", coords]) == 2
+        assert "malformed coordinates JSON" in capsys.readouterr().err
+
+
 class TestRoundtripCommand:
     def test_random_m3(self, tmp_path):
         out = tmp_path / "run"
@@ -175,6 +187,12 @@ class TestRoundtripCommand:
         assert doc["max_coords_error"] < 1e-7
         assert doc["max_symbol_l2_error"] < 1e-7
         assert read_json(out / "manifest.json")["config"]["tol"] == 1e-7
+
+    def test_non_numeric_config_value_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = abc\n")
+        assert main(["roundtrip", "--config", str(cfg)]) == 2
+        assert "bad config value" in capsys.readouterr().err
 
     def test_tolerance_exceeded_exits_4(self, tmp_path):
         code = main(["roundtrip", "--n", "2", "--count", "1", "--seed", "7",

@@ -17,7 +17,7 @@ from szego.flow import (
     spectral_conserved,
     trajectory,
 )
-from szego.hankel import eigendecompose, t_matrix
+from szego.hankel import eigendecompose
 from szego.rational import (
     h_half_norm,
     hardy_from_terms,
@@ -32,12 +32,7 @@ S_CHECKED = ("soliton_symbol", "generic_m2", "double_eig_symbol", "mixed_mult",
              "eight_poles")
 
 
-def dec_tm(u):
-    dec = eigendecompose(u)
-    return dec, t_matrix(u, dec)
-
-
-def s_matrix_loop(dec, tmat, t):
+def s_matrix_loop(dec, t):
     """Entry-by-entry S(t): the reference for the broadcast assembly."""
     n = dec.size
     lam = dec.lambdas
@@ -49,7 +44,7 @@ def s_matrix_loop(dec, tmat, t):
         for k in range(n):
             if k in grp:
                 S[k, j] = (lam2[j] / (2.0 * math.pi)) * np.conj(beta[j]) * beta[k] * t \
-                    + tmat.t[k, j]
+                    + dec.shift[k, j]
             else:
                 osc1 = cmath.exp(0.5j * t * (lam2[k] - lam2[j]))
                 osc2 = cmath.exp(0.5j * t * (lam2[j] - lam2[k]))
@@ -75,38 +70,38 @@ def counting(monkeypatch, name):
 
 class TestSMatrix:
     def test_zero_time_is_shift_matrix(self, generic_m2):
-        dec, tm = dec_tm(generic_m2)
-        fm = s_matrix(dec, tm, 0.0)
-        assert np.max(np.abs(fm.s - tm.t)) < 1e-12
+        dec = eigendecompose(generic_m2)
+        fm = s_matrix(dec, 0.0)
+        assert np.max(np.abs(fm.s - dec.shift)) < 1e-12
         assert np.allclose(fm.w_diag, 1.0)
 
     def test_rank_one_track(self, soliton_symbol):
-        dec, tm = dec_tm(soliton_symbol)
-        fm = s_matrix(dec, tm, 3.0)
+        dec = eigendecompose(soliton_symbol)
+        fm = s_matrix(dec, 3.0)
         assert abs(fm.s[0, 0] - (1.5 + 1j)) < 1e-13
         assert abs(fm.w_diag[0] - np.exp(1j * 3.0 * 0.25 / 2)) < 1e-13
 
     def test_double_eigenvalue_drift_pattern(self, double_eig_symbol):
         # in the rotated cluster basis only the beta-carrying entry drifts
-        dec, tm = dec_tm(double_eig_symbol)
-        d = s_matrix(dec, tm, 5.0).s - s_matrix(dec, tm, 0.0).s
+        dec = eigendecompose(double_eig_symbol)
+        d = s_matrix(dec, 5.0).s - s_matrix(dec, 0.0).s
         assert abs(d[0, 0]) > 0.1
         assert max(abs(d[0, 1]), abs(d[1, 0]), abs(d[1, 1])) < 1e-12
 
     def test_rank_one_defect_along_flow(self, generic_m2):
-        dec, tm = dec_tm(generic_m2)
+        dec = eigendecompose(generic_m2)
         for t in (0.7, -11.0, 123.0):
-            fm = s_matrix(dec, tm, t)
+            fm = s_matrix(dec, t)
             w = fm.w_diag * dec.betas
             gap = fm.s - (fm.s.conj().T - np.outer(w, np.conj(w)) / (2j * math.pi))
             assert np.max(np.abs(gap)) < 1e-10
             assert np.all(np.linalg.eigvals(fm.s).imag > 0)
 
     def test_time_derivative_formula(self, generic_m2):
-        dec, tm = dec_tm(generic_m2)
+        dec = eigendecompose(generic_m2)
         h, t0 = 1e-5, 1.234
-        fd = (s_matrix(dec, tm, t0 + h).s - s_matrix(dec, tm, t0 - h).s) / (2 * h)
-        w = s_matrix(dec, tm, t0).w_diag * dec.betas
+        fd = (s_matrix(dec, t0 + h).s - s_matrix(dec, t0 - h).s) / (2 * h)
+        w = s_matrix(dec, t0).w_diag * dec.betas
         lam = dec.lambdas
         n = dec.size
         an = np.empty((n, n), dtype=complex)
@@ -119,25 +114,25 @@ class TestSMatrix:
 class TestBroadcastSMatrix:
     @pytest.mark.parametrize("name", S_CHECKED)
     def test_matches_entrywise_loop(self, name, request):
-        dec, tm = dec_tm(request.getfixturevalue(name))
+        dec = eigendecompose(request.getfixturevalue(name))
         for t in (0.0, 0.7, -11.0, 123.0):
-            got = s_matrix(dec, tm, t).s
-            want = s_matrix_loop(dec, tm, t)
+            got = s_matrix(dec, t).s
+            want = s_matrix_loop(dec, t)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_clusters_exercised(self, double_eig_symbol, eight_poles):
         # the double eigenvalue fills a 2x2 drift block; 8 poles, none
-        assert [len(c) for c in dec_tm(double_eig_symbol)[0].clusters] == [2]
-        assert [len(c) for c in dec_tm(eight_poles)[0].clusters] == [1] * 8
+        assert [len(c) for c in eigendecompose(double_eig_symbol).clusters] == [2]
+        assert [len(c) for c in eigendecompose(eight_poles).clusters] == [1] * 8
 
 
 class TestResolventBatch:
     def test_batch_equals_scalar_calls(self, eight_poles):
-        dec, tm = dec_tm(eight_poles)
+        dec = eigendecompose(eight_poles)
         xs = np.concatenate([np.linspace(-6.0, 6.0, 18), [0.3 + 0.5j, -1.0 + 2.0j]])
         for t in (0.0, 2.5):
-            batch = _pairing(*_flow_pairing(dec, s_matrix(dec, tm, t)), xs)
-            one = np.array([evolve_eval(dec, tm, t, x) for x in xs])
+            batch = _pairing(*_flow_pairing(dec, s_matrix(dec, t)), xs)
+            one = np.array([evolve_eval(dec, t, x) for x in xs])
             assert batch.shape == (20,)
             assert np.max(np.abs(batch - one)) <= 1e-13 * np.max(np.abs(one))
 
@@ -145,15 +140,15 @@ class TestResolventBatch:
         # evolve_eval reuses the last S(t) only for the same decomposition and t
         x = 0.3 + 0.2j
         for u in (generic_m2, eight_poles):
-            dec, tm = dec_tm(u)
+            dec = eigendecompose(u)
             for t in (0.7, 0.7, 2.5, 0.7):
-                want = _pairing(*_flow_pairing(dec, s_matrix(dec, tm, t)), [x])[0]
-                assert evolve_eval(dec, tm, t, x) == want
+                want = _pairing(*_flow_pairing(dec, s_matrix(dec, t)), [x])[0]
+                assert evolve_eval(dec, t, x) == want
 
     def test_one_bad_point_fails_the_batch(self, generic_m2):
         # a point on a pole of u(t) makes its resolvent matrix singular
-        dec, tm = dec_tm(generic_m2)
-        fm = s_matrix(dec, tm, 0.7)
+        dec = eigendecompose(generic_m2)
+        fm = s_matrix(dec, 0.7)
         xs = np.linspace(-3.0, 3.0, 19)
         _pairing(*_flow_pairing(dec, fm), xs)
         pole = np.linalg.eigvals(np.conj(fm.s))[0]
@@ -163,27 +158,27 @@ class TestResolventBatch:
 
 class TestRecoverChecks:
     def test_one_s_matrix_on_direct_route(self, monkeypatch, eight_poles):
-        dec, tm = dec_tm(eight_poles)
+        dec = eigendecompose(eight_poles)
         built = counting(monkeypatch, "s_matrix")
         fits = counting(monkeypatch, "fit_partial_fractions")
         points = counting(monkeypatch, "evolve_eval")
-        recover_rational(dec, tm, 0.7)
+        recover_rational(dec, 0.7)
         assert len(built) == 1 and not fits
         assert len(points) == 20
 
     def test_one_s_matrix_on_fit_route(self, monkeypatch):
         u = hardy_from_terms([(-1j, [0.0, 1.0])])
-        dec, tm = dec_tm(u)
+        dec = eigendecompose(u)
         built = counting(monkeypatch, "s_matrix")
         fits = counting(monkeypatch, "fit_partial_fractions")
         points = counting(monkeypatch, "evolve_eval")
-        u0 = recover_rational(dec, tm, 0.0)
+        u0 = recover_rational(dec, 0.0)
         assert len(built) == 1 and len(fits) == 1
         assert len(points) == 20
         assert u0.terms[0].multiplicity == 2
 
     def test_perturbed_coefficients_fail_postcondition(self, monkeypatch, generic_m2):
-        dec, tm = dec_tm(generic_m2)
+        dec = eigendecompose(generic_m2)
         exact = flow.hardy_from_terms
 
         def perturbed(pairs):
@@ -192,7 +187,7 @@ class TestRecoverChecks:
         monkeypatch.setattr(flow, "hardy_from_terms", perturbed)
         with pytest.raises(NumericalError,
                            match="defective recovery: pointwise mismatch"):
-            recover_rational(dec, tm, 0.7)
+            recover_rational(dec, 0.7)
 
 
 class TestL2Norm:
@@ -205,10 +200,10 @@ class TestL2Norm:
 
     def test_soliton_remainder(self):
         u = random_strongly_generic(2, np.random.default_rng(24))
-        dec, tm = dec_tm(u)
+        dec = eigendecompose(u)
         t = 1e3
-        rem = recover_rational(dec, tm, t)
-        for sp in soliton_params_from_spectrum(dec, tm):
+        rem = recover_rational(dec, t)
+        for sp in soliton_params_from_spectrum(dec):
             rem = rem - soliton_term(sp, t)
         want = math.sqrt(inner_product(rem, rem).real)
         assert 0.0 < want < 0.1 * l2_norm(u)
@@ -217,60 +212,60 @@ class TestL2Norm:
 
 class TestEvolveEval:
     def test_reproduces_initial_datum(self, double_eig_symbol):
-        dec, tm = dec_tm(double_eig_symbol)
+        dec = eigendecompose(double_eig_symbol)
         xs = np.linspace(-7, 7, 20)
-        got = np.array([evolve_eval(dec, tm, 0.0, x) for x in xs])
+        got = np.array([evolve_eval(dec, 0.0, x) for x in xs])
         assert np.max(np.abs(got - double_eig_symbol.evaluate(xs))) < 1e-10
 
     def test_exact_soliton(self, soliton_symbol):
-        dec, tm = dec_tm(soliton_symbol)
+        dec = eigendecompose(soliton_symbol)
         for t in (0.0, 1.0, -2.7, 5.3):
             for x in (0.0, 1.3, 0.5 + 0.9j):
-                got = evolve_eval(dec, tm, t, x)
+                got = evolve_eval(dec, t, x)
                 want = np.exp(-1j * t / 4) / (x - t / 2 + 1j)
                 assert abs(got - want) < 1e-12
 
 
 class TestRecoverRational:
     def test_soliton_closed_form(self, soliton_symbol):
-        dec, tm = dec_tm(soliton_symbol)
-        ut = recover_rational(dec, tm, 2.0)
+        dec = eigendecompose(soliton_symbol)
+        ut = recover_rational(dec, 2.0)
         assert abs(ut.terms[0].pole - (1.0 - 1j)) < 1e-12
         assert abs(ut.terms[0].coeffs[0] - np.exp(-0.5j)) < 1e-12
 
     def test_identity_at_zero(self, generic_m2):
-        dec, tm = dec_tm(generic_m2)
-        u0 = recover_rational(dec, tm, 0.0)
+        dec = eigendecompose(generic_m2)
+        u0 = recover_rational(dec, 0.0)
         xs = np.linspace(-5, 5, 9)
         assert np.max(np.abs(u0.evaluate(xs) - generic_m2.evaluate(xs))) < 1e-11
 
     def test_pole_eigenvalue_duality(self, generic_m2):
-        dec, tm = dec_tm(generic_m2)
+        dec = eigendecompose(generic_m2)
         for t in (0.9, -7.7):
-            ut = recover_rational(dec, tm, t)
+            ut = recover_rational(dec, t)
             poles = sorted((tt.pole for tt in ut.terms), key=lambda z: z.real)
-            eigs = sorted(np.conj(np.linalg.eigvals(s_matrix(dec, tm, t).s)),
+            eigs = sorted(np.conj(np.linalg.eigvals(s_matrix(dec, t).s)),
                           key=lambda z: z.real)
             assert max(abs(a - b) for a, b in zip(poles, eigs)) < 1e-8
 
     def test_degenerate_shift_matrix_fallback(self):
         # 1/(x+i)^2 has a defective shift matrix at t = 0 (double pole)
         u = hardy_from_terms([(-1j, [0.0, 1.0])])
-        dec, tm = dec_tm(u)
-        u0 = recover_rational(dec, tm, 0.0)
+        dec = eigendecompose(u)
+        u0 = recover_rational(dec, 0.0)
         assert u0.terms[0].multiplicity == 2
         xs = np.linspace(-4, 4, 9)
         assert np.max(np.abs(u0.evaluate(xs) - u.evaluate(xs))) < 1e-10
         # the double pole splits immediately under the flow
-        u1 = recover_rational(dec, tm, 0.5)
+        u1 = recover_rational(dec, 0.5)
         assert sorted(t.multiplicity for t in u1.terms) == [1, 1]
 
     def test_double_eigenvalue_pole_tracks(self, double_eig_symbol):
         # one pole settles at -i nu_1^2/(4 pi) = -3i, the other approaches
         # the axis like -13.5/t^2
-        dec, tm = dec_tm(double_eig_symbol)
+        dec = eigendecompose(double_eig_symbol)
         for t in (1e2, 1e3):
-            ut = recover_rational(dec, tm, t)
+            ut = recover_rational(dec, t)
             ims = sorted(tt.pole.imag for tt in ut.terms)
             assert abs(ims[0] + 3.0) < 20.0 / t**2
             assert abs(ims[1] * t**2 + 13.5) < 0.1 * 13.5
@@ -295,11 +290,11 @@ class TestConservedQuantities:
         assert abs(J[1] - quartic / 2) < 1e-9 * quartic
 
     def test_conservation_along_flow(self, generic_m2):
-        dec, tm = dec_tm(generic_m2)
+        dec = eigendecompose(generic_m2)
         J0 = spectral_conserved(dec, 4)
         h0 = h_half_norm(generic_m2)
         for t in (-100.0, -3.0, 17.0, 100.0):
-            ut = recover_rational(dec, tm, t)
+            ut = recover_rational(dec, t)
             Jt = spectral_conserved(eigendecompose(ut), 4)
             assert max(abs(a - b) / abs(b) for a, b in zip(Jt, J0)) < 1e-9
             assert abs(h_half_norm(ut) - h0) / h0 < 1e-9

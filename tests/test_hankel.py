@@ -1,10 +1,10 @@
-import dataclasses
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
+from szego import hankel, rational
 from szego.errors import NumericalError, PreconditionError
 from szego.hankel import (
     build_range_basis,
@@ -19,6 +19,7 @@ from szego.flow import recover_rational
 from szego.rational import (
     RationalFn,
     as_hardy,
+    blaschke,
     hankel_apply,
     hardy_from_terms,
     homogeneous_sobolev_norm,
@@ -218,7 +219,7 @@ class TestEigendecompose:
         # flipping an eigenvector leaves 2 phi_j unchanged mod 2 pi
         dec = eigendecompose(generic_m2)
         g_coords = dec.rb.chol.conj().T @ np.array(
-            [t.coeffs[0] for t in dec.bl.g.terms]
+            [t.coeffs[0] for t in blaschke(generic_m2).g.terms]
         )
         for j in range(dec.size):
             beta_flipped = np.vdot(-dec.evecs[:, j], g_coords)
@@ -243,7 +244,33 @@ class TestEigendecompose:
         dec = eigendecompose(u)
         J2 = float(np.sum(dec.lambdas**2 * dec.nus**2))
         assert abs(J2 - l2_norm(u) ** 2) <= 1e-9 * J2
-        assert len(recover_rational(dec, t_matrix(u, dec), 0.0).terms) == 8
+        assert len(recover_rational(dec, 0.0).terms) == 8
+
+    def test_perturbed_blaschke_coordinates_rejected(self, monkeypatch, generic_m2):
+        exact = hankel._g_coeffs
+        monkeypatch.setattr(hankel, "_g_coeffs", lambda u: exact(u) + 1e-6)
+        with pytest.raises(NumericalError, match="Blaschke postcondition"):
+            eigendecompose(generic_m2)
+
+    def test_no_residue_arithmetic_on_hot_path(self, monkeypatch, eight_poles, mixed_mult):
+        calls = []
+        mul = RationalFn.__mul__
+        apply = rational.hankel_apply
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(RationalFn, "__mul__", counted(mul))
+        monkeypatch.setattr(rational, "hankel_apply", counted(apply))
+        for u in (eight_poles, mixed_mult):
+            eigendecompose(u)
+        assert calls == []
+        # the counters do see the generic route
+        blaschke(mixed_mult)
+        assert mul in calls and apply in calls
 
     def test_rank_deficient_rejected(self):
         # second channel eleven orders below the first trips the rank guard
@@ -260,12 +287,17 @@ class TestTMatrix:
         assert np.array_equal(t_matrix(u, dec).t, dec.shift)
         assert np.array_equal(dec.gammas, np.real(np.diag(dec.shift)))
 
-    def test_corrupted_shift_rejected(self, generic_m2):
-        dec = eigendecompose(generic_m2)
-        bad = dec.shift.copy()
-        bad[0, 1] += 1e-6 * np.max(np.abs(bad))
+    def test_corrupted_shift_rejected(self, monkeypatch, generic_m2):
+        exact = hankel._t_matrix_f
+
+        def corrupted(rb, g_coords):
+            T = exact(rb, g_coords)
+            T[0, 1] += 1e-6 * np.max(np.abs(T))
+            return T
+
+        monkeypatch.setattr(hankel, "_t_matrix_f", corrupted)
         with pytest.raises(NumericalError, match="shift closure"):
-            t_matrix(generic_m2, dataclasses.replace(dec, shift=bad))
+            eigendecompose(generic_m2)
 
     def test_rank_one_entry(self, soliton_symbol):
         dec = eigendecompose(soliton_symbol)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -13,6 +14,7 @@ from szego.rational import (
     HardyRational,
     _sobolev_norms,
     RationalFn,
+    _g_coeffs,
     as_hardy,
     blaschke,
     fn_integral,
@@ -37,6 +39,39 @@ from szego.rational import (
 )
 
 from conftest import quad_inner, quad_line
+
+
+G_CHECKED = ("soliton_symbol", "generic_m2", "mixed_mult", "eight_poles", "triple_pole")
+
+
+@pytest.fixture
+def triple_pole():
+    return hardy_from_terms([(-1j, [0.0, 0.0, 1.0])])
+
+
+def mp_g_laurent(u, dps=40, points=128):
+    """Coefficients of 1 - b_u on 1/(x-p)^l by the Cauchy integral
+    integral of (1 - b_u(x)) (x-p)^(l-1) dx / (2 pi i), trapezoid rule on a circle
+    around each pole at 0.4 of the distance to the nearest other singularity.
+    """
+    with mpmath.workdps(dps):
+        poles = [mpmath.mpc(t.pole) for t in u.terms]
+        sing = poles + [mpmath.conj(p) for p in poles]
+
+        def b(x):
+            out = mpmath.mpf(1)
+            for q, t in zip(poles, u.terms):
+                out *= ((x - mpmath.conj(q)) / (x - q)) ** t.multiplicity
+            return out
+
+        want = []
+        for p, t in zip(poles, u.terms):
+            r = 0.4 * min(abs(p - q) for q in sing if q != p)
+            ys = [r * mpmath.expj(2 * mpmath.pi * k / points) for k in range(points)]
+            vals = [1 - b(p + y) for y in ys]
+            for l in range(1, t.multiplicity + 1):
+                want.append(complex(sum(v * y**l for v, y in zip(vals, ys)) / points))
+        return np.array(want)
 
 
 def terms_dict(f):
@@ -244,6 +279,20 @@ class TestBlaschke:
         with pytest.raises(PreconditionError, match="zero symbol"):
             blaschke(zero())
 
+    @pytest.mark.parametrize("name", G_CHECKED)
+    def test_closed_form_matches_laurent_reference(self, name, request):
+        u = request.getfixturevalue(name)
+        got, want = _g_coeffs(u), mp_g_laurent(u)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name", G_CHECKED)
+    def test_g_is_closed_form_by_pole(self, name, request):
+        u = request.getfixturevalue(name)
+        g = blaschke(u).g
+        assert g.poles() == u.poles()
+        flat = [c for t in g.terms for c in t.coeffs]
+        assert np.array_equal(flat, _g_coeffs(u))
+
 
 class TestFourier:
     def test_simple_pole_amplitude(self, soliton_symbol):
@@ -408,7 +457,7 @@ def test_import_leaves_quadrature_out():
         "print(scipy_loaded())\n"
         "u = szego.hardy_from_terms([(-1j, [0.0, 1.0])])\n"
         "dec = szego.eigendecompose(u)\n"
-        "u0 = szego.recover_rational(dec, szego.t_matrix(u, dec), 0.0)\n"
+        "u0 = szego.recover_rational(dec, 0.0)\n"
         "print(u0.terms[0].multiplicity, scipy_loaded())\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
