@@ -24,8 +24,11 @@ A 2L-periodic representation cannot reproduce pointwise values of a
 accurate to O(1/L^2) in the box interior only), which is why quantitative
 comparisons happen in the shared spectral representation.
 
-Time stepping is classical RK4 (the equation has no stiff linear part), and
-the cubic nonlinearity is dealiased by zero padding to 2M modes.
+Time stepping is classical RK4 (the equation has no stiff linear part).  The
+cubic term is one zero-padded inverse FFT, a pointwise cube and one forward
+FFT on n = M + max(M//8, 1) points: its triples k1 + k2 - k3 span [-M/2, M], so any
+n > M keeps every alias off the kept modes 0..M/2, and the half-shift
+modulation and the (-1)^k grid-offset sign cancel in |u|^2 u.
 """
 
 from __future__ import annotations
@@ -89,6 +92,8 @@ def sample_to_grid(u: HardyRational, L: float, M: int,
     """
     if M < 4 or M & (M - 1):
         raise InputError("mode count must be a power of two")
+    if not (math.isfinite(L) and L > 0):
+        raise InputError(f"box half-width must be positive and finite, got {L!r}")
     amps = spectral_density(u, grid_frequencies(L, M))
     scale = float(np.max(np.abs(amps))) if amps.size else 0.0
     if scale > 0 and abs(amps[-1]) > 1e-14 * scale:
@@ -109,51 +114,24 @@ def sample_to_grid(u: HardyRational, L: float, M: int,
     return GridState(float(L), int(M), amps.astype(complex), 0.0)
 
 
-_VEC_CACHE: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _vectors(L: float, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached (-1)^k mode signs and e^{i x dxi / 2} grid modulation."""
-    key = (float(L), int(N))
-    got = _VEC_CACHE.get(key)
-    if got is None:
-        k = np.fft.fftfreq(N, d=1.0 / N).astype(int)
-        sign = np.where(k % 2 == 0, 1.0, -1.0)
-        x = -L + 2.0 * L / N * np.arange(N)
-        mod = np.exp(1j * x * (0.5 * math.pi / L))
-        if len(_VEC_CACHE) > 32:
-            _VEC_CACHE.clear()
-        _VEC_CACHE[key] = (sign, mod)
-        got = (sign, mod)
-    return got
-
-
-def _synthesize(amps: np.ndarray, L: float, M: int, N: int) -> np.ndarray:
-    """Physical values of sum_k amps_k e^{i x (k+1/2) dxi} / (2 pi / dxi)."""
-    sign, mod = _vectors(L, N)
-    full = np.zeros(N, dtype=complex)
-    full[: len(amps)] = amps
-    full *= sign
-    return np.fft.ifft(full) * (mod * (N / (2.0 * L)))
-
-
-def _analyze(u: np.ndarray, L: float, N: int) -> np.ndarray:
-    """Amplitudes at (k + 1/2) dxi, k = 0..N-1, of physical grid values."""
-    sign, mod = _vectors(L, N)
-    return (2.0 * L / N) * sign * np.fft.fft(u * np.conj(mod))
-
-
 def grid_physical(state: GridState) -> np.ndarray:
-    """Physical values of the grid representation at grid_points(L, M)."""
-    return _synthesize(state.amps, state.L, state.M, state.M)
+    """Physical values of the grid representation at grid_points(L, M).
+
+    u(x_j) = (1/2L) sum_k amps_k e^{i x_j (k+1/2) pi/L} with x_j = -L + 2Lj/M,
+    i.e. (M/2L) (-i) e^{i pi j/M} ifft((-1)^k amps_k).
+    """
+    L, M = state.L, state.M
+    sign = (-1.0) ** np.arange(len(state.amps))
+    mod = -1j * np.exp(1j * math.pi / M * np.arange(M))
+    return np.fft.ifft(state.amps * sign, M) * (mod * (M / (2.0 * L)))
 
 
 def _nonlinearity(amps: np.ndarray, L: float, M: int) -> np.ndarray:
-    """FT of |u|^2 u restricted to the kept frequencies, dealiased on 2M."""
-    u = _synthesize(amps, L, M, 2 * M)
-    w = (u.real**2 + u.imag**2) * u
-    what = _analyze(w, L, 2 * M)
-    return what[: M // 2 + 1]
+    """FT of |u|^2 u at the kept frequencies, dealiased on n > M points."""
+    n = M + max(M // 8, 1)
+    v = np.fft.ifft(amps, n)
+    v *= v.real**2 + v.imag**2
+    return np.fft.fft(v)[: M // 2 + 1] * (n / (2.0 * L)) ** 2
 
 
 def _rhs(amps: np.ndarray, L: float, M: int) -> np.ndarray:
@@ -163,7 +141,7 @@ def _rhs(amps: np.ndarray, L: float, M: int) -> np.ndarray:
 def step(state: GridState, dt: float) -> GridState:
     """One classical RK4 step; the Hardy constraint holds by construction."""
     sup = state.dxi / (2.0 * math.pi) * float(np.sum(np.abs(state.amps)))
-    if sup > 0 and dt > 0.5 / sup**2:
+    if sup > 0 and abs(dt) > 0.5 / sup**2:
         raise PreconditionError(
             f"dt {dt:.3e} above stability budget {0.5 / sup**2:.3e}"
         )
@@ -180,12 +158,18 @@ def step(state: GridState, dt: float) -> GridState:
 
 
 def integrate(state: GridState, t_final: float, dt: float) -> GridState:
+    """Step to t_final, forward or backward, in steps of size dt > 0."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise InputError(f"time step must be positive and finite, got {dt!r}")
     span = t_final - state.time
-    n = round(span / dt)
-    if n < 0 or abs(n * dt - span) > 1e-9 * max(1.0, abs(span)):
+    if not math.isfinite(span):
+        raise InputError(f"time must be finite, got {t_final!r}")
+    h = math.copysign(dt, span)
+    n = round(span / h)
+    if abs(n * h - span) > 1e-9 * max(1.0, abs(span)):
         raise InputError("time span must be a whole number of steps")
     for _ in range(n):
-        state = step(state, dt)
+        state = step(state, h)
     return state
 
 
@@ -196,9 +180,12 @@ def mass(state: GridState) -> float:
 
 def edge_mass_fraction(state: GridState, frac: float = 0.05) -> float:
     """Fraction of on-grid mass within `frac` of the box edges."""
-    u = grid_physical(state)
-    x = grid_points(state.L, state.M)
-    sel = np.abs(x) > (1.0 - frac) * state.L
+    return _edge_fraction(grid_physical(state), state.L, frac)
+
+
+def _edge_fraction(u: np.ndarray, L: float, frac: float = 0.05) -> float:
+    """edge_mass_fraction of the physical grid values u on [-L, L)."""
+    sel = np.abs(grid_points(L, len(u))) > (1.0 - frac) * L
     tot = float(np.sum(np.abs(u) ** 2))
     if tot == 0.0:
         return 0.0
@@ -225,7 +212,7 @@ def compare(u0: HardyRational, t: float, L: float, M: int, dt: float) -> dict:
         raise PreconditionError("oracle honesty window is |t| <= 5")
     g0 = sample_to_grid(u0, L, M)
     m0 = mass(g0)
-    gt = integrate(g0, t, dt) if t != 0 else g0
+    gt = integrate(g0, t, dt)
 
     dec = eigendecompose(u0)
     from .flow import recover_rational, spectral_conserved
@@ -235,7 +222,8 @@ def compare(u0: HardyRational, t: float, L: float, M: int, dt: float) -> dict:
 
     diff = gt.amps - gex.amps
     l2 = _l2_of_modes(diff, g0.dxi)
-    linf = float(np.max(np.abs(grid_physical(gt) - grid_physical(gex))))
+    ut_grid = grid_physical(gt)
+    linf = float(np.max(np.abs(ut_grid - grid_physical(gex))))
     per_mode = float(np.max(np.abs(diff)))
     j2_oracle = abs(mass(gt) - m0) / m0 if m0 > 0 else 0.0
     J0 = spectral_conserved(dec, 1)[0]
@@ -250,7 +238,7 @@ def compare(u0: HardyRational, t: float, L: float, M: int, dt: float) -> dict:
         "max_mode_error": per_mode,
         "j2_drift_oracle": float(j2_oracle),
         "j2_drift_explicit": abs(Jt - J0) / J0,
-        "edge_mass_fraction": edge_mass_fraction(gt),
+        "edge_mass_fraction": _edge_fraction(ut_grid, gt.L),
     }
 
 

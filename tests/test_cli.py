@@ -212,6 +212,11 @@ class TestValidateCommand:
         assert doc["j2_drift_oracle"] < 1e-12
         assert read_json(out / "manifest.json")["config"]["tol"] == 2e-4
 
+    def test_zero_time_step_exits_2(self):
+        code = main(["validate", "--symbol", SOLITON, "--t", "0.05",
+                     "--L", "100", "--M", str(2**12), "--dt", "0"])
+        assert code == 2
+
     def test_tight_tolerance_exits_4(self):
         code = main(["validate", "--symbol", SOLITON, "--t", "0.25",
                      "--L", "100", "--M", str(2**12), "--dt", "1e-3",

@@ -7,6 +7,7 @@ from szego.errors import InputError, PreconditionError
 from szego.flow import recover_rational
 from szego.hankel import eigendecompose
 from szego.oracle import (
+    _nonlinearity,
     compare,
     edge_mass_fraction,
     grid_frequencies,
@@ -60,6 +61,26 @@ class TestSampleToGrid:
         assert errs[1] < errs[0] / 6
 
 
+class TestNonlinearity:
+    @pytest.mark.parametrize("M", [4, 8, 16, 32])
+    def test_matches_triple_sum(self, M):
+        # the padded length n = M + max(M//8, 1) > M (odd n = 5 at M = 4)
+        # must reproduce the alias-free cubic convolution on the kept modes
+        rng = np.random.default_rng(M)
+        K, L = M // 2 + 1, 7.0
+        a = rng.normal(size=K) + 1j * rng.normal(size=K)
+        want = np.zeros(K, dtype=complex)
+        for k1 in range(K):
+            for k2 in range(K):
+                for k3 in range(K):
+                    k = k1 + k2 - k3
+                    if 0 <= k < K:
+                        want[k] += a[k1] * a[k2] * np.conj(a[k3])
+        want /= (2 * L) ** 2
+        got = _nonlinearity(a, L, M)
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
 class TestStep:
     def test_zero_fixed_point(self):
         g = sample_to_grid(zero(), 50.0, 2**8)
@@ -92,6 +113,15 @@ class TestStep:
         with pytest.raises(InputError, match="whole number"):
             integrate(g, 0.00037, 1e-3)
 
+    def test_backward_steps(self, soliton_symbol):
+        g = sample_to_grid(soliton_symbol, 100.0, 2**12)
+        back = integrate(g, -0.01, 1e-3)
+        assert back.time == pytest.approx(-0.01)
+        again = integrate(back, 0.0, 1e-3)
+        assert np.max(np.abs(again.amps - g.amps)) < 1e-12
+        with pytest.raises(PreconditionError, match="stability budget"):
+            step(g, -1.0)
+
 
 class TestSelfConvergence:
     def test_fourth_order(self, soliton_symbol):
@@ -117,6 +147,22 @@ class TestCompare:
         # periodization and the flow sits below 1e-6 for |t| <= 0.5
         rep = compare(generic_m2, 0.5, 1600.0, 2**16, 1e-3)
         assert rep["l2_error"] < 1e-6
+
+    def test_soliton_backward_window(self, soliton_symbol):
+        # same bounds as the forward window: the oracle steps with -dt
+        rep = compare(soliton_symbol, -0.25, 200.0, 2**14, 1e-3)
+        assert rep["l2_error"] < 1e-5
+        assert rep["j2_drift_oracle"] < 1e-12
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_bad_time_step(self, soliton_symbol, dt):
+        with pytest.raises(InputError, match="time step"):
+            compare(soliton_symbol, 0.05, 100.0, 2**12, dt)
+
+    @pytest.mark.parametrize("L", [0.0, -100.0, float("nan"), float("inf")])
+    def test_bad_box(self, soliton_symbol, L):
+        with pytest.raises(InputError, match="half-width"):
+            compare(soliton_symbol, 0.05, L, 2**12, 1e-3)
 
     def test_honesty_window(self, soliton_symbol):
         with pytest.raises(PreconditionError, match="honesty window"):
