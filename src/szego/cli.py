@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -346,7 +347,9 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; nothing mutates it afterwards."""
     p = argparse.ArgumentParser(
         prog="szego",
         description="Exact evolution and spectral analysis for the cubic "
@@ -412,11 +415,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Load a flat key=value config file as subcommand defaults.
+def _config_token(act: argparse.Action, key: str, val: str) -> list[str]:
+    """The command-line form of one config entry, checked like a flag."""
+    flag = act.option_strings[-1]
+    if act.nargs == 0:   # store_true
+        word = val.lower()
+        if word not in ("true", "false"):
+            raise InputError(f"bad config value for {key!r}: {val!r} is not true or false")
+        return [flag] if word == "true" else []
+    try:
+        checked = act.type(val) if act.type else val
+    except ValueError as e:
+        raise InputError(f"bad config value for {key!r}: {e}") from e
+    if act.choices is not None and checked not in act.choices:
+        raise InputError(f"bad config value for {key!r}: {val!r} not in {list(act.choices)}")
+    return [f"{flag}={val}"]
 
-    Flags given on the command line keep precedence (they override the
-    injected defaults).  Returns argv with the --config option stripped.
+
+def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """Expand a flat key=value config file into subcommand flags.
+
+    Each entry becomes a `--key=value` token right after the subcommand;
+    argparse keeps the last value it sees, so flags given on the command
+    line keep precedence.  The parser itself is left untouched.  Returns
+    argv with the --config option replaced by the config's tokens.
     """
     if "--config" not in argv:
         return argv
@@ -440,22 +462,19 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     except OSError as e:
         raise InputError(f"cannot read config: {e}") from e
     # find the subcommand parser to learn the argument types
-    converted = {}
-    subcmd = next((a for a in rest if not a.startswith("-")), None)
+    pos = next((k for k, a in enumerate(rest) if not a.startswith("-")), None)
     choices = parser._subparsers._group_actions[0].choices
-    if subcmd in choices:
-        actions = {a.dest: a for a in choices[subcmd]._actions}
-        for key, val in entries.items():
-            act = actions.get(key)
-            if act is None:
-                raise InputError(f"unknown config key {key!r}")
-            try:
-                converted[key] = act.type(val) if act.type else val
-            except ValueError as e:
-                raise InputError(f"bad config value for {key!r}: {e}") from e
-            act.required = False
-        choices[subcmd].set_defaults(**converted)
-    return rest
+    if pos is None or rest[pos] not in choices:
+        return rest
+    actions = {a.dest: a for a in choices[rest[pos]]._actions
+               if a.option_strings and a.dest != "help"}
+    tokens = []
+    for key, val in entries.items():
+        act = actions.get(key)
+        if act is None:
+            raise InputError(f"unknown config key {key!r}")
+        tokens += _config_token(act, key, val)
+    return rest[:pos + 1] + tokens + rest[pos + 1:]
 
 
 def main(argv=None) -> int:

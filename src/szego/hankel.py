@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -234,6 +235,31 @@ def _t_matrix_f(rb: RangeBasis, g_coords: np.ndarray) -> np.ndarray:
     return T
 
 
+class _TakagiSVD(NamedTuple):
+    rb: RangeBasis
+    Linv: np.ndarray
+    M: np.ndarray
+    K: np.ndarray
+    U: np.ndarray
+    sigma: np.ndarray
+    Vh: np.ndarray
+
+
+def _takagi_svd(u: HardyRational) -> _TakagiSVD:
+    """Range basis, Hankel matrix M, K = L^H M L^-T and the SVD of K.
+
+    The singular values `sigma` (descending) are the lambda_j; the sampler
+    rejects draws on them alone before paying for the rest of
+    `eigendecompose`.
+    """
+    rb = build_range_basis(u)
+    Linv = np.linalg.inv(rb.chol)
+    M = hankel_matrix(u, rb)
+    # the antilinear action d -> K conj(d) in the orthonormal basis; K = K^T
+    K = rb.chol.conj().T @ M @ Linv.T
+    return _TakagiSVD(rb, Linv, M, K, *np.linalg.svd(K))
+
+
 def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDecomposition:
     """Full spectral data of the squared Hankel operator of u.
 
@@ -243,13 +269,8 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
     diagnostics use this to discard the O(h^2)-sized spurious channels of
     u + h * (tangent field).
     """
-    rb = build_range_basis(u)
+    rb, Linv, M, K, U, sigma, Vh = _takagi_svd(u)
     L = rb.chol
-    Linv = np.linalg.inv(L)
-    M = hankel_matrix(u, rb)
-    # the antilinear action d -> K conj(d) in the orthonormal basis; K = K^T
-    K = L.conj().T @ M @ Linv.T
-    U, sigma, Vh = np.linalg.svd(K)
     lambdas = sigma[::-1]
     U = U[:, ::-1]
     Vbar = Vh[::-1].T  # columns conj(v_j)

@@ -6,6 +6,14 @@ bounded away from zero, and the overall scale normalized.  Finite-difference
 rate checks (the Euler-step consistency suite) need this; lopsided symbols
 make the smallest channel's angle rate vanish like lambda^(2n-2) and drown
 the comparison in curvature error.
+
+A draw is tested in two steps.  First the eigenvalue ratio: the lambda_j
+are the singular values of one SVD of the closed-form matrix K, the same
+SVD `eigendecompose` takes, and most draws fail here.  Only a draw that
+passes is decomposed in full and put to the genericity and speed-gap
+tests.  The accepted draws and the generator's stream are those of
+decomposing every draw; the symbol returned (rescaled or not) is not
+decomposed again, since every caller decomposes it.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import math
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .hankel import SpectralDecomposition, eigendecompose
+from .hankel import _takagi_svd, eigendecompose
 from .rational import HardyRational, as_hardy, hardy_from_terms
 from .actionangle import ActionAngleCoords
 
@@ -50,10 +58,13 @@ def random_symbol(n: int, rng: np.random.Generator, min_sep: float = 0.5) -> Har
     raise NumericalError(f"rejection sampling failed: no degree-{n} symbol in {_MAX_TRIES} tries")
 
 
-def _conditioned(n, rng, want, lam_ratio, scale_to) -> tuple[HardyRational, SpectralDecomposition]:
+def _conditioned(n, rng, want, lam_ratio, scale_to) -> HardyRational:
     for _ in range(_MAX_TRIES):
         u = random_symbol(n, rng)
         try:
+            sigma = _takagi_svd(u).sigma
+            if sigma[-1] < lam_ratio * sigma[0]:
+                continue
             dec = eigendecompose(u)
         except (NumericalError, PreconditionError, np.linalg.LinAlgError):
             continue
@@ -61,16 +72,13 @@ def _conditioned(n, rng, want, lam_ratio, scale_to) -> tuple[HardyRational, Spec
             continue
         if want == "strongly_generic" and dec.genericity != "strongly_generic":
             continue
-        if dec.lambdas[0] < lam_ratio * dec.lambdas[-1]:
-            continue
         if want == "strongly_generic":
             speeds = np.sort(dec.lambdas**2 * dec.nus**2)
             if np.min(np.diff(speeds)) < 0.05 * speeds[-1]:
                 continue
         if scale_to is not None:
             u = as_hardy((scale_to / dec.lambdas[-1]) * u)
-            dec = eigendecompose(u)
-        return u, dec
+        return u
     raise NumericalError("rejection sampling failed; loosen the constraints")
 
 
@@ -83,14 +91,14 @@ def random_generic(n: int, rng: np.random.Generator, lam_ratio: float = 0.05,
     guards against near-degenerate spectra, which matters for degrees >= 4
     where small eigenvalue ratios are the norm.
     """
-    return _conditioned(n, rng, "generic", lam_ratio, scale_to)[0]
+    return _conditioned(n, rng, "generic", lam_ratio, scale_to)
 
 
 def random_strongly_generic(n: int, rng: np.random.Generator,
                             lam_ratio: float = 0.2,
                             scale_to: float | None = 0.8) -> HardyRational:
     """Strongly generic draw with separated soliton speeds."""
-    return _conditioned(n, rng, "strongly_generic", lam_ratio, scale_to)[0]
+    return _conditioned(n, rng, "strongly_generic", lam_ratio, scale_to)
 
 
 def random_coords(n: int, rng: np.random.Generator) -> ActionAngleCoords:

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from szego.cli import main
+from szego.cli import _apply_config, _build_parser, main
 
 
 U5 = '{"terms":[{"pole":[0,-1],"coeffs":[[2,0]]},{"pole":[0,-2],"coeffs":[[-4,0]]}]}'
@@ -93,6 +93,24 @@ class TestEvolveCommand:
                      "--times", "0,5", "--out", str(out2)]) == 0
         doc = read_json(out2 / "trajectory.json")
         assert [r[0] for r in doc["rows"]] == [0.0, 5.0]
+
+    def test_required_times_from_config_only_for_that_call(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("times = -1,0,1\n")
+        out = tmp_path / "a"
+        assert main(["evolve", "--symbol", SOLITON, "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        with open(out / "trajectory.csv", newline="") as fh:
+            assert [float(r["time"]) for r in csv.DictReader(fh)] == [-1.0, 0.0, 1.0]
+        with pytest.raises(SystemExit):   # --times is required again
+            main(["evolve", "--symbol", SOLITON])
+
+    def test_bad_choice_in_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n")
+        assert main(["evolve", "--symbol", SOLITON, "--times", "0",
+                     "--config", str(cfg)]) == 2
+        assert "bad config value" in capsys.readouterr().err
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -199,6 +217,18 @@ class TestRoundtripCommand:
                      "--tol", "1e-30"])
         assert code == 4
 
+    def test_config_does_not_leak_into_the_next_call(self, tmp_path):
+        # the parser is built once per process; a config must not change it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol = 1e-3\ncount = 1\n")
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["roundtrip", "--n", "2", "--seed", "7", "--config", str(cfg),
+                     "--out", str(a)]) == 0
+        assert read_json(a / "manifest.json")["config"]["tol"] == 1e-3
+        assert main(["roundtrip", "--n", "2", "--seed", "7", "--out", str(b)]) == 0
+        config = read_json(b / "manifest.json")["config"]
+        assert config["tol"] == 1e-7 and config["count"] == 10
+
 
 class TestValidateCommand:
     def test_small_budget_passes(self, tmp_path):
@@ -216,6 +246,22 @@ class TestValidateCommand:
         code = main(["validate", "--symbol", SOLITON, "--t", "0.05",
                      "--L", "100", "--M", str(2**12), "--dt", "0"])
         assert code == 2
+
+    @pytest.mark.parametrize("word, want", (("true", True), ("TRUE", True),
+                                            ("false", False), ("False", False)))
+    def test_boolean_config_key(self, tmp_path, word, want):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"convergence = {word}\n")
+        parser = _build_parser()
+        argv = _apply_config(parser, ["validate", "--symbol", SOLITON,
+                                      "--config", str(cfg)])
+        assert parser.parse_args(argv).convergence is want
+
+    def test_non_boolean_config_value_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("convergence = maybe\n")
+        assert main(["validate", "--symbol", SOLITON, "--config", str(cfg)]) == 2
+        assert "bad config value for 'convergence'" in capsys.readouterr().err
 
     def test_tight_tolerance_exits_4(self):
         code = main(["validate", "--symbol", SOLITON, "--t", "0.25",

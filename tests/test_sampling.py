@@ -3,9 +3,11 @@ import time
 import numpy as np
 import pytest
 
-from szego import sampling
+from szego import hankel, sampling
 from szego.cli import main
-from szego.errors import NumericalError
+from szego.errors import NumericalError, PreconditionError
+from szego.hankel import eigendecompose
+from szego.rational import as_hardy, hardy_from_terms
 
 
 def test_exhausted_rejection_sampling_is_typed(monkeypatch):
@@ -67,3 +69,129 @@ def test_random_symbol_impossible_separation_is_typed():
     with pytest.raises(NumericalError, match="rejection sampling failed"):
         sampling.random_symbol(8, np.random.default_rng(0), min_sep=10.0)
     assert time.monotonic() - t0 < 5.0
+
+
+def _reference_conditioned(n, rng, want, lam_ratio, scale_to):
+    """The sampler's rule with every draw decomposed in full, then tested."""
+    for _ in range(sampling._MAX_TRIES):
+        u = sampling.random_symbol(n, rng)
+        try:
+            dec = eigendecompose(u)
+        except (NumericalError, PreconditionError, np.linalg.LinAlgError):
+            continue
+        if want == "generic" and dec.genericity == "non_generic":
+            continue
+        if want == "strongly_generic" and dec.genericity != "strongly_generic":
+            continue
+        if dec.lambdas[0] < lam_ratio * dec.lambdas[-1]:
+            continue
+        if want == "strongly_generic":
+            speeds = np.sort(dec.lambdas**2 * dec.nus**2)
+            if np.min(np.diff(speeds)) < 0.05 * speeds[-1]:
+                continue
+        if scale_to is not None:
+            u = as_hardy((scale_to / dec.lambdas[-1]) * u)
+        return u
+    raise NumericalError("rejection sampling failed; loosen the constraints")
+
+
+def _same_draw(u, v):
+    return [(t.pole, t.coeffs) for t in u.terms] == [(t.pole, t.coeffs) for t in v.terms]
+
+
+def _cli_stream(seed):
+    """`szego roundtrip --n 3 --count 1 --seed <seed>`: coordinates, then a symbol."""
+    return np.random.default_rng(seed), [(sampling.random_coords, 3),
+                                         ("generic", 3)]
+
+
+def _criterion_7_stream():
+    """The acceptance suite's seed-107 stream: 50 coordinates, then 50 symbols."""
+    return np.random.default_rng(107), (
+        [(sampling.random_coords, 1 + k % 4) for k in range(50)]
+        + [("generic", 1 + k % 4) for k in range(50)])
+
+
+def _strong_stream(n, seed):
+    return np.random.default_rng(seed), [("strongly_generic", n)]
+
+
+STREAMS = ([pytest.param(_cli_stream, (seed,), id=f"cli-{seed}") for seed in range(64)]
+           + [pytest.param(_criterion_7_stream, (), id="criterion-7")]
+           + [pytest.param(_strong_stream, (n, seed), id=f"strong-{n}-{seed}")
+              for n in (2, 3) for seed in range(10)])
+
+
+@pytest.mark.parametrize("stream, args", STREAMS)
+def test_accepted_draws_and_rng_states_match_full_decomposition(stream, args):
+    rng, steps = stream(*args)
+    ref, _ = stream(*args)
+    samplers = {"generic": (sampling.random_generic, 0.05),
+                "strongly_generic": (sampling.random_strongly_generic, 0.2)}
+    for draw, n in steps:
+        if draw in samplers:
+            fn, lam_ratio = samplers[draw]
+            u = fn(n, rng)
+            assert _same_draw(u, _reference_conditioned(n, ref, draw, lam_ratio, 0.8))
+        else:
+            draw(n, rng)
+            draw(n, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.fixture
+def decomposed(monkeypatch):
+    """The symbols the sampler passes to `eigendecompose`, in call order."""
+    calls = []
+
+    def counting(u, *a, **kw):
+        calls.append(u)
+        return eigendecompose(u, *a, **kw)
+
+    monkeypatch.setattr(sampling, "eigendecompose", counting)
+    return calls
+
+
+def test_one_decomposition_per_accepted_draw(decomposed):
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        sampling.random_generic(3, rng)
+        sampling.random_strongly_generic(2, rng)
+        assert len(decomposed) == 2 * (seed + 1)
+
+
+def test_unscaled_draw_is_the_raw_symbol(decomposed):
+    for seed in range(5):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        u = sampling.random_generic(3, rng, scale_to=None)
+        assert u is decomposed[-1]
+        assert _same_draw(u, _reference_conditioned(3, ref, "generic", 0.05, None))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_unexpected_errors_in_the_lambda_step_propagate(monkeypatch):
+    def broken(u, rb):
+        raise TypeError("broken Hankel matrix")
+
+    monkeypatch.setattr(hankel, "hankel_matrix", broken)
+    with pytest.raises(TypeError, match="broken Hankel matrix"):
+        sampling.random_generic(2, np.random.default_rng(0))
+
+
+def test_ill_conditioned_draw_is_rejected_by_the_lambda_step(monkeypatch, decomposed):
+    # two poles 1e-6 apart: the Gram matrix of the range basis is singular
+    # to working precision, and the draw must be skipped, not raised
+    bad = hardy_from_terms([(-1j, [1.0]), (-1j + 1e-6, [1.0])])
+    with pytest.raises(NumericalError, match="ill-conditioned range basis"):
+        hankel._takagi_svd(bad)
+    real_symbol = sampling.random_symbol
+    queue = [bad]
+
+    def with_bad_first(n, rng, min_sep=0.5):
+        return queue.pop() if queue else real_symbol(n, rng, min_sep)
+
+    monkeypatch.setattr(sampling, "random_symbol", with_bad_first)
+    u = sampling.random_generic(2, np.random.default_rng(3), scale_to=None)
+    assert not queue and decomposed == [u]
+    monkeypatch.undo()
+    assert _same_draw(u, sampling.random_generic(2, np.random.default_rng(3), scale_to=None))
