@@ -17,6 +17,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -47,6 +48,8 @@ def _parse_times(spec: str) -> list[float]:
             a, b, n = float(a), float(b), int(n)
         except ValueError as e:
             raise InputError(f"bad times spec {spec!r}: {e}") from e
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise InputError(f"bad times spec {spec!r}: endpoints must be finite")
         if n < 1:
             raise InputError("times spec needs at least one point")
         if kind == "lin":
@@ -55,17 +58,17 @@ def _parse_times(spec: str) -> list[float]:
             raise InputError("log spacing needs nonzero endpoints of one sign")
         sgn = 1.0 if a > 0 else -1.0
         return [float(sgn * v) for v in np.geomspace(abs(a), abs(b), n)]
-    try:
-        return [float(v) for v in spec.split(",") if v.strip() != ""]
-    except ValueError as e:
-        raise InputError(f"bad times spec {spec!r}: {e}") from e
+    return _parse_list(spec, "times spec")
 
 
-def _parse_list(spec: str) -> list[float]:
+def _parse_list(spec: str, what: str = "list") -> list[float]:
     try:
-        return [float(v) for v in spec.split(",") if v.strip() != ""]
+        values = [float(v) for v in spec.split(",") if v.strip() != ""]
     except ValueError as e:
-        raise InputError(f"bad list {spec!r}: {e}") from e
+        raise InputError(f"bad {what} {spec!r}: {e}") from e
+    if not all(map(math.isfinite, values)):
+        raise InputError(f"bad {what} {spec!r}: values must be finite")
+    return values
 
 
 def _load_symbol_arg(arg: str):
@@ -486,7 +489,10 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:   # argparse printed usage (code 2) or help (code 0)
+        return e.code
     try:
         return args.func(args)
     except InputError as e:

@@ -5,9 +5,8 @@ of the initial symbol, S(t) is assembled by broadcasting over a cluster
 mask: oscillatory off the eigenvalue cluster, linear drift
 (lambda_j^2/2pi) conj(beta_j) beta_k t + (T e_j, e_k) inside it.  S(t)
 depends on t only, so it is built once per time and every point is
-evaluated from it by a resolvent solve, stacked into one solve where many
-points are asked for at once.  The solution is the
-resolvent pairing
+evaluated from it by a resolvent solve.  The solution is the resolvent
+pairing
 
     u(t, x) = -(i/2pi) * (u0, W(t) (S(t) - x I)^{-1} W(t) g0),
     W(t) = diag exp(i t lambda_j^2 / 2),
@@ -25,22 +24,24 @@ The inverse spectral map of `actionangle` is the same resolvent pairing
 -(i/2pi) a^T (A - z I)^{-1} b with another (A, a, b); its poles are the
 eigenvalues of A.  `_from_pairing` reads the residues off one `eig` of A,
 or, when eigenvalues cluster into a multiple pole, fits the coefficients
-to the pairing at Chebyshev points (one stacked solve).  The 20-point
-postcondition of `recover_rational` evaluates u(t) point by point through
-`evolve_eval`, so it does not depend on the eigendecomposition it checks.
-Both use the one S(t) of the call: the last S(t) built is kept, keyed on
-(decomposition, t), and reused while the same pair is asked for.
+to the pairing at Chebyshev points.  The 20-point postcondition of
+`recover_rational` evaluates u(t) point by point through `evolve_eval`, so
+it does not depend on the eigendecomposition it checks.  Both use the one
+pairing (A, a, b) of the call: the last one built from S(t) is kept, keyed
+on (decomposition, t), and reused while the same pair is asked for.  Every
+point, here and at the Chebyshev points, is one `_resolvent` solve.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, PreconditionError
+from .errors import InputError, NumericalError, PreconditionError
 from .hankel import SpectralDecomposition, eigendecompose
 from .rational import (
     EIG_SEP_RTOL,
@@ -95,18 +96,27 @@ def s_matrix(dec: SpectralDecomposition, t: float) -> FlowMatrix:
     return FlowMatrix(np.where(same, drift, wave), w, float(t))
 
 
-def _pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray, xs) -> np.ndarray:
-    """-(i/2pi) a^T (A - x I)^{-1} b at every x of xs, by one stacked solve.
+def _resolvent(A: np.ndarray, a: np.ndarray, b: np.ndarray, x) -> complex:
+    """-(i/2pi) a^T (A - x I)^{-1} b at one point x.
 
-    Each point's residual is checked against the 1e-10 bound on its own.
+    The solve's residual must be within 1e-10 max(1, |b|); the check fails
+    closed, so a NaN residual raises as well.
     """
-    xs = np.asarray(xs, dtype=complex)
-    M = A[None, :, :] - xs[:, None, None] * np.eye(len(b))
-    y = np.linalg.solve(M, np.broadcast_to(b, (len(xs), len(b)))[..., None])[..., 0]
-    resid = np.linalg.norm(np.einsum("pkj,pj->pk", M, y) - b, axis=1)
-    if np.any(resid > 1e-10 * max(1.0, np.linalg.norm(b))):
+    M = A.astype(complex)
+    M.flat[:: len(b) + 1] -= x
+    try:
+        y = np.linalg.solve(M, b)
+    except np.linalg.LinAlgError as e:
+        raise NumericalError("resolvent solve failed") from e
+    r = M @ y - b
+    if not (np.vdot(r, r).real <= 1e-20 * max(1.0, np.vdot(b, b).real)):
         raise NumericalError("resolvent solve failed")
     return -0.5j / math.pi * (y @ a)
+
+
+def _pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray, xs) -> np.ndarray:
+    """-(i/2pi) a^T (A - x I)^{-1} b at every x of xs, one `_resolvent` each."""
+    return np.array([_resolvent(A, a, b, x) for x in np.asarray(xs, dtype=complex)])
 
 
 def _flow_pairing(dec: SpectralDecomposition, fm: FlowMatrix):
@@ -115,26 +125,31 @@ def _flow_pairing(dec: SpectralDecomposition, fm: FlowMatrix):
     return np.conj(fm.s), dec.lambdas * b, b
 
 
-# (dec, t, S(t)) of the last S(t) built by _flow_at.  The decomposition is
-# compared by identity; it is frozen and held here, so an identity cannot be
-# reused by another object.
+# (dec, t, (A, a, b)) of the last pairing built by _flow_at.  The
+# decomposition is compared by identity; it is frozen and held here, so an
+# identity cannot be reused by another object.
 _last_flow: tuple = (None, None, None)
 
 
-def _flow_at(dec: SpectralDecomposition, t: float) -> FlowMatrix:
-    """S(t), rebuilt only when the decomposition or the time changes."""
+def _flow_at(dec: SpectralDecomposition, t: float) -> tuple:
+    """The pairing (A, a, b) of u(t), rebuilt only when dec or t changes."""
     global _last_flow
-    last_dec, last_t, fm = _last_flow
+    last_dec, last_t, pairing = _last_flow
     if last_dec is dec and last_t == t:
-        return fm
-    fm = s_matrix(dec, t)
-    _last_flow = (dec, t, fm)
-    return fm
+        return pairing
+    if not math.isfinite(t):
+        raise InputError(f"time must be finite, got {t}")
+    pairing = _flow_pairing(dec, s_matrix(dec, t))
+    _last_flow = (dec, t, pairing)
+    return pairing
 
 
 def evolve_eval(dec: SpectralDecomposition, t: float, x) -> complex:
     """Value of the solution at time t and a point x with Im x >= 0."""
-    return complex(_pairing(*_flow_pairing(dec, _flow_at(dec, t)), [complex(x)])[0])
+    x = complex(x)
+    if not cmath.isfinite(x):
+        raise InputError(f"point must be finite, got {x}")
+    return complex(_resolvent(*_flow_at(dec, t), x))
 
 
 def fit_partial_fractions(poles_mults, xs, values) -> HardyRational:
@@ -216,7 +231,7 @@ def _from_pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray) -> HardyRational:
 
 def recover_rational(dec: SpectralDecomposition, t: float) -> HardyRational:
     """The solution at time t as an exact element of the rational class."""
-    out = _from_pairing(*_flow_pairing(dec, _flow_at(dec, t)))
+    out = _from_pairing(*_flow_at(dec, t))
     scale = max([1.0, *map(abs, out.poles())])
     check_x = np.linspace(-2.3 * scale - 1.0, 2.3 * scale + 1.0, 20)
     ref = np.array([evolve_eval(dec, t, x) for x in check_x])

@@ -102,8 +102,8 @@ class TestEvolveCommand:
                      "--out", str(out)]) == 0
         with open(out / "trajectory.csv", newline="") as fh:
             assert [float(r["time"]) for r in csv.DictReader(fh)] == [-1.0, 0.0, 1.0]
-        with pytest.raises(SystemExit):   # --times is required again
-            main(["evolve", "--symbol", SOLITON])
+        # --times is required again
+        assert main(["evolve", "--symbol", SOLITON]) == 2
 
     def test_bad_choice_in_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -118,10 +118,20 @@ class TestEvolveCommand:
         assert main(["evolve", "--symbol", SOLITON, "--times", "0",
                      "--config", str(cfg)]) == 2
 
-    @pytest.mark.parametrize("spec", ("lin:0:1", "log:1:x:3"))
+    @pytest.mark.parametrize("spec", ("lin:0:1", "log:1:x:3", "nan", "0,inf",
+                                      "lin:nan:1:3", "log:1:inf:3"))
     def test_malformed_times_exit_2(self, spec, capsys):
         assert main(["evolve", "--symbol", SOLITON, "--times", spec]) == 2
         assert "bad times spec" in capsys.readouterr().err
+
+    def test_non_finite_sobolev_index_exits_2(self, capsys):
+        assert main(["evolve", "--symbol", SOLITON, "--times", "0",
+                     "--hs", "1,nan"]) == 2
+        assert "bad list" in capsys.readouterr().err
+
+    def test_help_returns_0(self, capsys):
+        assert main(["evolve", "--help"]) == 0
+        assert "--times" in capsys.readouterr().out
 
     def test_manifest_lists_artifacts(self, tmp_path):
         out = tmp_path / "run"

@@ -6,7 +6,7 @@ import pytest
 
 from szego import flow
 from szego.asymptotics import soliton_params_from_spectrum, soliton_term
-from szego.errors import NumericalError, PreconditionError
+from szego.errors import InputError, NumericalError, PreconditionError
 from szego.flow import (
     _flow_pairing,
     _pairing,
@@ -154,6 +154,34 @@ class TestResolventBatch:
         pole = np.linalg.eigvals(np.conj(fm.s))[0]
         with pytest.raises(NumericalError, match="resolvent solve failed"):
             _pairing(*_flow_pairing(dec, fm), np.concatenate([xs[:9], [pole], xs[9:]]))
+
+    def test_nan_matrix_fails_closed(self, generic_m2):
+        # a NaN residual is not within the bound, so the solve fails closed
+        dec = eigendecompose(generic_m2)
+        A, a, b = _flow_pairing(dec, s_matrix(dec, 0.7))
+        with pytest.raises(NumericalError, match="resolvent solve failed"):
+            _pairing(A, a, b, [0.1, complex(math.nan, 0.0)])
+        A = A.copy()
+        A[0, 1] = math.nan
+        with pytest.raises(NumericalError, match="resolvent solve failed"):
+            _pairing(A, a, b, [0.1])
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("t", (math.nan, math.inf, -math.inf))
+    def test_time(self, generic_m2, t):
+        dec = eigendecompose(generic_m2)
+        with pytest.raises(InputError, match="time must be finite"):
+            evolve_eval(dec, t, 0.1)
+        with pytest.raises(InputError, match="time must be finite"):
+            recover_rational(dec, t)
+        with pytest.raises(InputError, match="time must be finite"):
+            trajectory(generic_m2, [0.0, t])
+
+    @pytest.mark.parametrize("x", (math.nan, math.inf, complex(0.1, math.nan)))
+    def test_point(self, generic_m2, x):
+        with pytest.raises(InputError, match="point must be finite"):
+            evolve_eval(eigendecompose(generic_m2), 1.0, x)
 
 
 class TestRecoverChecks:
