@@ -129,6 +129,9 @@ def _shift_matrix(coords: ActionAngleCoords) -> np.ndarray:
 
 def chi_inverse(coords: ActionAngleCoords) -> HardyRational:
     """Reconstruct the unique generic symbol with the given coordinates."""
+    if not all(map(math.isfinite, coords.actions_i + coords.actions_lambda
+                   + coords.angles + coords.gammas)):
+        raise InputError("coordinates must be finite")
     T = _shift_matrix(coords)
     evals = np.linalg.eigvals(T)
     if np.any(evals.imag <= 0):
@@ -168,6 +171,8 @@ def hierarchy_flow(coords: ActionAngleCoords, n: int, t: float) -> ActionAngleCo
     """Flow of the n-th hierarchy Hamiltonian for time t, in coordinates."""
     if n < 2:
         raise PreconditionError("hierarchy flows start at n = 2")
+    if not math.isfinite(t):
+        raise InputError(f"time must be finite, got {t}")
     lam2 = np.array(coords.actions_lambda) / (4.0 * math.pi)
     nu2 = np.array(coords.nus()) ** 2
     rate_angle = lam2 ** (n - 1) / 2.0

@@ -78,6 +78,8 @@ class FlowMatrix:
 
 def s_matrix(dec: SpectralDecomposition, t: float) -> FlowMatrix:
     """Assemble S(t) in the eigenbasis; S(0) is the shift matrix itself."""
+    if not math.isfinite(t):
+        raise InputError(f"time must be finite, got {t}")
     lam = dec.lambdas
     lam2 = lam**2
     beta = dec.betas
@@ -137,8 +139,6 @@ def _flow_at(dec: SpectralDecomposition, t: float) -> tuple:
     last_dec, last_t, pairing = _last_flow
     if last_dec is dec and last_t == t:
         return pairing
-    if not math.isfinite(t):
-        raise InputError(f"time must be finite, got {t}")
     pairing = _flow_pairing(dec, s_matrix(dec, t))
     _last_flow = (dec, t, pairing)
     return pairing

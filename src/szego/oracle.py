@@ -29,6 +29,14 @@ cubic term is one zero-padded inverse FFT, a pointwise cube and one forward
 FFT on n = M + max(M//8, 1) points: its triples k1 + k2 - k3 span [-M/2, M], so any
 n > M keeps every alias off the kept modes 0..M/2, and the half-shift
 modulation and the (-1)^k grid-offset sign cancel in |u|^2 u.
+
+`step` and `integrate` run one RK4 routine on one workspace, allocated per
+call: an n-point transform buffer and three K = M/2 + 1 stage buffers.  The
+cubic term runs in place in the transform buffer: the inverse FFT is left
+unnormalized, the forward FFT overwrites its input, and a single folded
+constant -i/(n (2L)^2) scales the kept modes into a stage buffer.  The
+caller's amplitudes are only read, and every returned state holds a fresh
+array.
 """
 
 from __future__ import annotations
@@ -126,39 +134,74 @@ def grid_physical(state: GridState) -> np.ndarray:
     return np.fft.ifft(state.amps * sign, M) * (mod * (M / (2.0 * L)))
 
 
-def _nonlinearity(amps: np.ndarray, L: float, M: int) -> np.ndarray:
-    """FT of |u|^2 u at the kept frequencies, dealiased on n > M points."""
+def _workspace(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Buffers of the RK4 kernel on M modes, for one step or integrate call.
+
+    One transform buffer of n = M + max(M//8, 1) points and three stage
+    buffers of K = M//2 + 1 modes: the stage derivative, the stage input
+    and the accumulated increment.
+    """
     n = M + max(M // 8, 1)
-    v = np.fft.ifft(amps, n)
-    v *= v.real**2 + v.imag**2
-    return np.fft.fft(v)[: M // 2 + 1] * (n / (2.0 * L)) ** 2
+    return np.empty(n, dtype=complex), np.empty((3, M // 2 + 1), dtype=complex)
 
 
-def _rhs(amps: np.ndarray, L: float, M: int) -> np.ndarray:
-    return -1j * _nonlinearity(amps, L, M)
+def _vector_field(y: np.ndarray, L: float, buf: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """-i FT(|u|^2 u) at the kept frequencies of y, written into out.
+
+    The inverse transform is left unnormalized, so the cube carries n^3 and
+    one constant -i / (n (2L)^2) folds the 1/n of the inverse, the (n/2L)^2
+    of the sampled cube and the -i of the equation.
+    """
+    K = len(y)
+    buf[:K] = y
+    buf[K:] = 0.0
+    np.fft.ifft(buf, norm="forward", out=buf)
+    buf *= buf.real**2 + buf.imag**2
+    np.fft.fft(buf, out=buf)
+    return np.multiply(buf[:K], -1j / (len(buf) * (2.0 * L) ** 2), out=out)
 
 
-def step(state: GridState, dt: float) -> GridState:
-    """One classical RK4 step; the Hardy constraint holds by construction."""
-    sup = state.dxi / (2.0 * math.pi) * float(np.sum(np.abs(state.amps)))
+def _rk4(a: np.ndarray, dt: float, L: float, dxi: float, buf: np.ndarray,
+         stages: np.ndarray, out: np.ndarray) -> None:
+    """One classical RK4 step from a into out; a is only read."""
+    sup = dxi / (2.0 * math.pi) * float(np.sum(np.abs(a)))
     if sup > 0 and abs(dt) > 0.5 / sup**2:
         raise PreconditionError(
             f"dt {dt:.3e} above stability budget {0.5 / sup**2:.3e}"
         )
-    a = state.amps
-    L, M = state.L, state.M
-    k1 = _rhs(a, L, M)
-    k2 = _rhs(a + 0.5 * dt * k1, L, M)
-    k3 = _rhs(a + 0.5 * dt * k2, L, M)
-    k4 = _rhs(a + dt * k3, L, M)
-    new = a + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(new)):
+    k, y, acc = stages
+    _vector_field(a, L, buf, acc)
+    np.multiply(acc, 0.5 * dt, out=y)
+    for c in (0.5 * dt, dt):   # k2 and k3: each feeds the next stage, weight 2
+        y += a
+        _vector_field(y, L, buf, k)
+        np.multiply(k, c, out=y)
+        k *= 2.0
+        acc += k
+    y += a
+    _vector_field(y, L, buf, k)
+    acc += k
+    np.multiply(acc, dt / 6.0, out=out)
+    out += a
+    if not np.all(np.isfinite(out)):
         raise NumericalError("blow-up or instability")
-    return GridState(L, M, new, state.time + dt)
+
+
+def step(state: GridState, dt: float) -> GridState:
+    """One classical RK4 step; the Hardy constraint holds by construction."""
+    if not math.isfinite(dt):
+        raise InputError(f"time step must be finite, got {dt!r}")
+    new = np.empty(len(state.amps), dtype=complex)
+    _rk4(state.amps, dt, state.L, state.dxi, *_workspace(state.M), new)
+    return GridState(state.L, state.M, new, state.time + dt)
 
 
 def integrate(state: GridState, t_final: float, dt: float) -> GridState:
-    """Step to t_final, forward or backward, in steps of size dt > 0."""
+    """Step to t_final, forward or backward, in steps of size dt > 0.
+
+    The same RK4 step as `step`, on one workspace for the whole run.
+    """
     if not (math.isfinite(dt) and dt > 0):
         raise InputError(f"time step must be positive and finite, got {dt!r}")
     span = t_final - state.time
@@ -168,9 +211,15 @@ def integrate(state: GridState, t_final: float, dt: float) -> GridState:
     n = round(span / h)
     if abs(n * h - span) > 1e-9 * max(1.0, abs(span)):
         raise InputError("time span must be a whole number of steps")
+    buf, stages = _workspace(state.M)
+    a = np.array(state.amps, dtype=complex)
+    new = np.empty_like(a)
+    t = state.time
     for _ in range(n):
-        state = step(state, h)
-    return state
+        _rk4(a, h, state.L, state.dxi, buf, stages, new)
+        a, new = new, a
+        t += h
+    return GridState(state.L, state.M, a, t)
 
 
 def mass(state: GridState) -> float:

@@ -151,6 +151,16 @@ class TestChiInverse:
         with pytest.raises(InputError):
             ActionAngleCoords((1.0, 1.0), (2.0, 1.0), (0.0, 0.0), (0.0, 0.0))
 
+    @pytest.mark.parametrize("field", range(4))
+    @pytest.mark.parametrize("value", (math.nan, math.inf))
+    def test_non_finite_coords(self, field, value):
+        # caught before the shift matrix reaches eigvals
+        c = random_coords(2, np.random.default_rng(14))
+        parts = [c.actions_i, c.actions_lambda, c.angles, c.gammas]
+        parts[field] = (parts[field][0], value)
+        with pytest.raises(InputError, match="coordinates must be finite"):
+            chi_inverse(ActionAngleCoords(*parts))
+
     def test_json_roundtrip(self):
         rng = np.random.default_rng(9)
         c = random_coords(2, rng)
@@ -189,6 +199,14 @@ class TestFlowsInCoordinates:
             ua = recover_rational(dec, t)
             ub = chi_inverse(szego_flow(c0, t))
             assert l2_gap(ua, ub) < 1e-7
+
+    @pytest.mark.parametrize("t", (math.nan, math.inf, -math.inf))
+    def test_non_finite_time(self, t):
+        c = random_coords(2, np.random.default_rng(15))
+        with pytest.raises(InputError, match="time must be finite"):
+            hierarchy_flow(c, 3, t)
+        with pytest.raises(InputError, match="time must be finite"):
+            szego_flow(c, t)
 
     def test_n_validation(self):
         rng = np.random.default_rng(13)

@@ -178,6 +178,11 @@ class TestNonFiniteInput:
         with pytest.raises(InputError, match="time must be finite"):
             trajectory(generic_m2, [0.0, t])
 
+    @pytest.mark.parametrize("t", (math.nan, math.inf, -math.inf))
+    def test_flow_matrix_time(self, generic_m2, t):
+        with pytest.raises(InputError, match="time must be finite"):
+            s_matrix(eigendecompose(generic_m2), t)
+
     @pytest.mark.parametrize("x", (math.nan, math.inf, complex(0.1, math.nan)))
     def test_point(self, generic_m2, x):
         with pytest.raises(InputError, match="point must be finite"):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,8 +9,10 @@ import pytest
 from szego.errors import InputError, PreconditionError
 from szego.flow import recover_rational
 from szego.hankel import eigendecompose
+import szego
 from szego.oracle import (
-    _nonlinearity,
+    _vector_field,
+    _workspace,
     compare,
     edge_mass_fraction,
     grid_frequencies,
@@ -64,8 +69,9 @@ class TestSampleToGrid:
 class TestNonlinearity:
     @pytest.mark.parametrize("M", [4, 8, 16, 32])
     def test_matches_triple_sum(self, M):
-        # the padded length n = M + max(M//8, 1) > M (odd n = 5 at M = 4)
-        # must reproduce the alias-free cubic convolution on the kept modes
+        # the workspace's padded length n = M + max(M//8, 1) > M (odd n = 5
+        # at M = 4) must reproduce the alias-free cubic convolution on the
+        # kept modes, times the -i of the equation
         rng = np.random.default_rng(M)
         K, L = M // 2 + 1, 7.0
         a = rng.normal(size=K) + 1j * rng.normal(size=K)
@@ -77,8 +83,9 @@ class TestNonlinearity:
                     if 0 <= k < K:
                         want[k] += a[k1] * a[k2] * np.conj(a[k3])
         want /= (2 * L) ** 2
-        got = _nonlinearity(a, L, M)
-        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+        buf, stages = _workspace(M)
+        got = _vector_field(a, L, buf, stages[0])
+        assert np.max(np.abs(got + 1j * want)) < 1e-13 * np.max(np.abs(want))
 
 
 class TestStep:
@@ -121,6 +128,59 @@ class TestStep:
         assert np.max(np.abs(again.amps - g.amps)) < 1e-12
         with pytest.raises(PreconditionError, match="stability budget"):
             step(g, -1.0)
+
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_step(self, soliton_symbol, dt):
+        g = sample_to_grid(soliton_symbol, 100.0, 2**12)
+        with pytest.raises(InputError, match="time step must be finite"):
+            step(g, dt)
+
+
+class TestWorkspace:
+    def test_integrate_leaves_input_unchanged(self, generic_m2):
+        # compare() reads g0 after integrating it, for the mass drift
+        g0 = sample_to_grid(generic_m2, 100.0, 2**12)
+        before = g0.amps.tobytes()
+        gt = integrate(g0, 0.02, 1e-3)
+        assert g0.amps.tobytes() == before
+        assert not np.shares_memory(gt.amps, g0.amps)
+        assert not np.shares_memory(integrate(g0, 0.0, 1e-3).amps, g0.amps)
+
+    @pytest.mark.parametrize("t", [0.02, -0.02])
+    def test_integrate_equals_steps(self, generic_m2, t):
+        g0 = sample_to_grid(generic_m2, 100.0, 2**12)
+        g = g0
+        for _ in range(20):
+            g = step(g, math.copysign(1e-3, t))
+        got = integrate(g0, t, 1e-3)
+        assert got.amps.tobytes() == g.amps.tobytes()
+        assert got.time == g.time
+
+    def test_interleaved_grids(self, soliton_symbol, generic_m2):
+        grids = [sample_to_grid(generic_m2, 100.0, 2**12),
+                 sample_to_grid(soliton_symbol, 55.0, 2**11)]
+        alone = [integrate(g, 0.03, 1e-3) for g in grids]
+        for t in (0.01, 0.02, 0.03):
+            grids = [integrate(g, t, 1e-3) for g in grids]
+        for g, want in zip(grids, alone):
+            assert g.amps.tobytes() == want.amps.tobytes()
+
+    def test_compare_leaves_scipy_out(self):
+        # the oracle's transforms are numpy's: scipy.fft would be a
+        # dependency the library does not declare
+        src = os.path.dirname(os.path.dirname(szego.__file__))
+        code = (
+            "import sys, szego\n"
+            "u = szego.hardy_from_terms([(-1j, [1.0])])\n"
+            "rep = szego.compare(u, 0.01, 100.0, 2**12, 1e-3)\n"
+            "print(rep['l2_error'] < 1e-5,\n"
+            "      any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert run.stdout.split() == ["True", "False"]
 
 
 class TestSelfConvergence:
