@@ -25,23 +25,33 @@ accurate to O(1/L^2) in the box interior only), which is why quantitative
 comparisons happen in the shared spectral representation.
 
 Time stepping is classical RK4 (the equation has no stiff linear part).  The
-cubic term is one zero-padded inverse FFT, a pointwise cube and one forward
-FFT on n = M + max(M//8, 1) points: its triples k1 + k2 - k3 span [-M/2, M], so any
-n > M keeps every alias off the kept modes 0..M/2, and the half-shift
-modulation and the (-1)^k grid-offset sign cancel in |u|^2 u.
+cubic term is sampled on exactly M points, held as two rows of M/2: the
+even and the odd samples.  Modes M/2+1..M-1 are zero, so the M-point inverse
+transform splits into two M/2-point ones, of y_k and of y_k e^{2 pi i k/M}
+(k < M/2), with the top mode y_{M/2} added to every even sample and
+subtracted from every odd one; one batched inverse FFT, a pointwise cube
+and one batched forward FFT, recombined with the conjugate twiddles, give
+the M-point transform of |u|^2 u.  Its triples k1 + k2 - k3 span
+[-M/2, M], and on M points a triple aliases onto a kept mode 0..M/2 only
+if it sums to M or to -M/2.  Each bound is reached by one triple alone,
+(M/2, M/2, 0) and (0, 0, M/2), since the kept modes stop at M/2; these two
+products are subtracted exactly, which leaves the alias-free convolution
+without any zero padding.  The half-shift modulation and the (-1)^k
+grid-offset sign cancel in |u|^2 u.
 
 `step` and `integrate` run one RK4 routine on one workspace, allocated per
-call: an n-point transform buffer and three K = M/2 + 1 stage buffers.  The
-cubic term runs in place in the transform buffer: the inverse FFT is left
-unnormalized, the forward FFT overwrites its input, and a single folded
-constant -i/(n (2L)^2) scales the kept modes into a stage buffer.  The
-caller's amplitudes are only read, and every returned state holds a fresh
-array.
+call: the (2, M/2) sample rows, the twiddles e^{2 pi i k/M} and their
+conjugates, and three K = M/2 + 1 stage buffers.  The cubic term runs in
+place in the sample rows: the inverse FFT is left unnormalized, the forward
+FFT overwrites its input, and a single folded constant -i/(M (2L)^2) scales
+the kept modes in a stage buffer.  The caller's amplitudes are only read,
+and every returned state holds a fresh array.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +108,10 @@ def sample_to_grid(u: HardyRational, L: float, M: int,
     Checks that the spectral tail at xi_max is negligible and that the
     physical box contains the poles comfortably (|u(+-L)| <= tail_tol).
     """
+    try:
+        M = operator.index(M)
+    except TypeError:
+        raise InputError(f"mode count must be an integer, got {M!r}") from None
     if M < 4 or M & (M - 1):
         raise InputError("mode count must be a power of two")
     if not (math.isfinite(L) and L > 0):
@@ -134,36 +148,53 @@ def grid_physical(state: GridState) -> np.ndarray:
     return np.fft.ifft(state.amps * sign, M) * (mod * (M / (2.0 * L)))
 
 
-def _workspace(M: int) -> tuple[np.ndarray, np.ndarray]:
+def _workspace(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Buffers of the RK4 kernel on M modes, for one step or integrate call.
 
-    One transform buffer of n = M + max(M//8, 1) points and three stage
-    buffers of K = M//2 + 1 modes: the stage derivative, the stage input
-    and the accumulated increment.
+    The (2, M/2) even and odd sample rows of the cubic term; its twiddles,
+    tau_k = e^{2 pi i k/M} in row 0 and their conjugates in row 1, for
+    k < M/2; and three stage buffers of K = M/2 + 1 modes: the stage
+    derivative, the stage input and the accumulated increment.
     """
-    n = M + max(M // 8, 1)
-    return np.empty(n, dtype=complex), np.empty((3, M // 2 + 1), dtype=complex)
+    h = M // 2
+    tau = np.exp(2j * math.pi / M * np.arange(h))
+    return (np.empty((2, h), dtype=complex), np.stack([tau, tau.conj()]),
+            np.empty((3, h + 1), dtype=complex))
 
 
-def _vector_field(y: np.ndarray, L: float, buf: np.ndarray,
+def _vector_field(y: np.ndarray, L: float, rows: np.ndarray, tw: np.ndarray,
                   out: np.ndarray) -> np.ndarray:
     """-i FT(|u|^2 u) at the kept frequencies of y, written into out.
 
-    The inverse transform is left unnormalized, so the cube carries n^3 and
-    one constant -i / (n (2L)^2) folds the 1/n of the inverse, the (n/2L)^2
-    of the sampled cube and the -i of the equation.
+    The M-point inverse transform of y, split into its even and odd samples
+    (the top mode y_{M/2} is +y_{M/2} on every even sample and -y_{M/2} on
+    every odd one), is left unnormalized, so the cube carries M^3.  The
+    forward transform recombines the two rows, the two triples that alias
+    onto kept modes are subtracted, and one constant -i / (M (2L)^2) folds
+    the 1/M of the inverse, the (M/2L)^2 of the sampled cube and the -i of
+    the equation.
     """
-    K = len(y)
-    buf[:K] = y
-    buf[K:] = 0.0
-    np.fft.ifft(buf, norm="forward", out=buf)
-    buf *= buf.real**2 + buf.imag**2
-    np.fft.fft(buf, out=buf)
-    return np.multiply(buf[:K], -1j / (len(buf) * (2.0 * L) ** 2), out=out)
+    h = len(y) - 1
+    y0, top = complex(y[0]), complex(y[h])
+    rows[0] = y[:h]
+    np.multiply(y[:h], tw[0], out=rows[1])
+    rows[0, 0] += top
+    rows[1, 0] -= top
+    np.fft.ifft(rows, axis=1, norm="forward", out=rows)
+    rows *= rows.real**2 + rows.imag**2
+    np.fft.fft(rows, axis=1, out=rows)
+    np.multiply(rows[1], tw[1], out=out[:h])
+    out[:h] += rows[0]
+    out[h] = rows[0, 0] - rows[1, 0]
+    M = 2 * h
+    out[0] -= M * top * top * y0.conjugate()    # triple (M/2, M/2, 0): k = M
+    out[h] -= M * y0 * y0 * top.conjugate()     # triple (0, 0, M/2): k = -M/2
+    out *= -1j / (M * (2.0 * L) ** 2)
+    return out
 
 
-def _rk4(a: np.ndarray, dt: float, L: float, dxi: float, buf: np.ndarray,
-         stages: np.ndarray, out: np.ndarray) -> None:
+def _rk4(a: np.ndarray, dt: float, L: float, dxi: float, rows: np.ndarray,
+         tw: np.ndarray, stages: np.ndarray, out: np.ndarray) -> None:
     """One classical RK4 step from a into out; a is only read."""
     sup = dxi / (2.0 * math.pi) * float(np.sum(np.abs(a)))
     if sup > 0 and abs(dt) > 0.5 / sup**2:
@@ -171,16 +202,16 @@ def _rk4(a: np.ndarray, dt: float, L: float, dxi: float, buf: np.ndarray,
             f"dt {dt:.3e} above stability budget {0.5 / sup**2:.3e}"
         )
     k, y, acc = stages
-    _vector_field(a, L, buf, acc)
+    _vector_field(a, L, rows, tw, acc)
     np.multiply(acc, 0.5 * dt, out=y)
     for c in (0.5 * dt, dt):   # k2 and k3: each feeds the next stage, weight 2
         y += a
-        _vector_field(y, L, buf, k)
+        _vector_field(y, L, rows, tw, k)
         np.multiply(k, c, out=y)
         k *= 2.0
         acc += k
     y += a
-    _vector_field(y, L, buf, k)
+    _vector_field(y, L, rows, tw, k)
     acc += k
     np.multiply(acc, dt / 6.0, out=out)
     out += a
@@ -211,12 +242,12 @@ def integrate(state: GridState, t_final: float, dt: float) -> GridState:
     n = round(span / h)
     if abs(n * h - span) > 1e-9 * max(1.0, abs(span)):
         raise InputError("time span must be a whole number of steps")
-    buf, stages = _workspace(state.M)
+    rows, tw, stages = _workspace(state.M)
     a = np.array(state.amps, dtype=complex)
     new = np.empty_like(a)
     t = state.time
     for _ in range(n):
-        _rk4(a, h, state.L, state.dxi, buf, stages, new)
+        _rk4(a, h, state.L, state.dxi, rows, tw, stages, new)
         a, new = new, a
         t += h
     return GridState(state.L, state.M, a, t)
@@ -228,7 +259,9 @@ def mass(state: GridState) -> float:
 
 
 def edge_mass_fraction(state: GridState, frac: float = 0.05) -> float:
-    """Fraction of on-grid mass within `frac` of the box edges."""
+    """Fraction of on-grid mass within `frac` (0 < frac <= 1) of the box edges."""
+    if not 0.0 < frac <= 1.0:
+        raise InputError(f"edge fraction must lie in (0, 1], got {frac!r}")
     return _edge_fraction(grid_physical(state), state.L, frac)
 
 
@@ -293,10 +326,20 @@ def compare(u0: HardyRational, t: float, L: float, M: int, dt: float) -> dict:
 
 def self_convergence(u0: HardyRational, t: float, L: float, M: int,
                      dt: float) -> dict:
-    """Measured RK4 order from successive dt halvings (expect about 4)."""
+    """Measured RK4 order from successive dt halvings (expect about 4).
+
+    The order is log2 of the ratio of the two halving differences, so it is
+    undefined, and a `PreconditionError` is raised, when either is exactly 0.
+    """
     g0 = sample_to_grid(u0, L, M)
+    if u0.is_zero():
+        raise PreconditionError("undefined for zero symbol")
     sols = [integrate(g0, t, dt / 2**i).amps for i in range(3)]
     e01 = _l2_of_modes(sols[0] - sols[1], g0.dxi)
     e12 = _l2_of_modes(sols[1] - sols[2], g0.dxi)
-    order = math.log2(e01 / e12) if e12 > 0 else float("inf")
+    if e01 == 0.0 or e12 == 0.0:
+        raise PreconditionError(
+            f"RK4 order undefined: halving differences {e01:.3e} and {e12:.3e}"
+        )
+    order = math.log2(e01 / e12)
     return {"dt": dt, "err_coarse": e01, "err_fine": e12, "order": order}

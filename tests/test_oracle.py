@@ -11,6 +11,7 @@ from szego.flow import recover_rational
 from szego.hankel import eigendecompose
 import szego
 from szego.oracle import (
+    GridState,
     _vector_field,
     _workspace,
     compare,
@@ -51,6 +52,15 @@ class TestSampleToGrid:
         with pytest.raises(InputError, match="power of two"):
             sample_to_grid(soliton_symbol, 100.0, 3000)
 
+    def test_integer_mode_count_required(self, soliton_symbol):
+        with pytest.raises(InputError, match="must be an integer"):
+            sample_to_grid(soliton_symbol, 100.0, 4096.0)
+        with pytest.raises(InputError, match="must be an integer"):
+            compare(soliton_symbol, 0.01, 100.0, 4096.0, 1e-3)
+        with pytest.raises(InputError, match="must be an integer"):
+            self_convergence(soliton_symbol, 0.01, 100.0, 4096.0, 1e-3)
+        assert sample_to_grid(soliton_symbol, 100.0, np.int64(4096)).M == 4096
+
     def test_interior_round_trip_scaling(self, soliton_symbol):
         # periodization of a 1/x-tailed function: interior values accurate
         # to O(1/L^2)-ish, improving with the box (pointwise machine
@@ -69,9 +79,9 @@ class TestSampleToGrid:
 class TestNonlinearity:
     @pytest.mark.parametrize("M", [4, 8, 16, 32])
     def test_matches_triple_sum(self, M):
-        # the workspace's padded length n = M + max(M//8, 1) > M (odd n = 5
-        # at M = 4) must reproduce the alias-free cubic convolution on the
-        # kept modes, times the -i of the equation
+        # the even/odd split on M points, less its two alias triples, must
+        # reproduce the alias-free cubic convolution on the kept modes, times
+        # the -i of the equation
         rng = np.random.default_rng(M)
         K, L = M // 2 + 1, 7.0
         a = rng.normal(size=K) + 1j * rng.normal(size=K)
@@ -83,9 +93,26 @@ class TestNonlinearity:
                     if 0 <= k < K:
                         want[k] += a[k1] * a[k2] * np.conj(a[k3])
         want /= (2 * L) ** 2
-        buf, stages = _workspace(M)
-        got = _vector_field(a, L, buf, stages[0])
+        rows, tw, stages = _workspace(M)
+        got = _vector_field(a, L, rows, tw, stages[0])
         assert np.max(np.abs(got + 1j * want)) < 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("M", [4, 8, 2**10])
+    def test_top_and_bottom_mode_aliases(self, M):
+        # with only modes 0 and M/2 set, the triples (M/2, M/2, 0) and
+        # (0, 0, M/2) land on M and -M/2, which alias onto 0 and M/2 on M
+        # points and must not reach the result
+        K, L = M // 2 + 1, 3.0
+        a, b = 0.7 - 1.1j, -0.4 + 0.9j
+        y = np.zeros(K, dtype=complex)
+        y[0], y[-1] = a, b
+        want = np.zeros(K, dtype=complex)
+        want[0] = a * abs(a) ** 2 + 2 * a * abs(b) ** 2
+        want[-1] = b * abs(b) ** 2 + 2 * b * abs(a) ** 2
+        want *= -1j / (2 * L) ** 2
+        rows, tw, stages = _workspace(M)
+        got = _vector_field(y, L, rows, tw, stages[0])
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
 class TestStep:
@@ -137,7 +164,32 @@ class TestStep:
             step(g, dt)
 
 
+def _padded_rk4_step(a, dt, L):
+    """Textbook RK4 step, cubic term on a zero-padded 2M-point FFT."""
+    n = 4 * (len(a) - 1)   # 2M: the triples span [-M/2, M], none aliases
+
+    def rhs(y):
+        v = np.fft.ifft(y, n) * n
+        return -1j * np.fft.fft(v * np.abs(v) ** 2)[:len(y)] / (n * (2 * L) ** 2)
+
+    k1 = rhs(a)
+    k2 = rhs(a + 0.5 * dt * k1)
+    k3 = rhs(a + 0.5 * dt * k2)
+    k4 = rhs(a + dt * k3)
+    return a + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 class TestWorkspace:
+    def test_matches_padded_reference(self, generic_m2):
+        L, M, dt = 30.0, 2**10, 1e-2
+        amps = spectral_density(generic_m2, grid_frequencies(L, M)).astype(complex)
+        want = amps
+        for _ in range(20):
+            want = _padded_rk4_step(want, dt, L)
+        got = integrate(GridState(L, M, amps, 0.0), 20 * dt, dt).amps
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(want - amps)) > 1e-3 * np.max(np.abs(amps))
+
     def test_integrate_leaves_input_unchanged(self, generic_m2):
         # compare() reads g0 after integrating it, for the mass drift
         g0 = sample_to_grid(generic_m2, 100.0, 2**12)
@@ -187,6 +239,28 @@ class TestSelfConvergence:
     def test_fourth_order(self, soliton_symbol):
         sc = self_convergence(soliton_symbol, 1.0, 100.0, 2**12, 0.04)
         assert 3.5 < sc["order"] < 4.5
+
+    def test_zero_symbol(self):
+        with pytest.raises(PreconditionError, match="zero symbol"):
+            self_convergence(zero(), 1.0, 50.0, 2**8, 0.04)
+
+    def test_zero_difference(self, soliton_symbol):
+        # no time elapses, so both halving differences are exactly 0
+        with pytest.raises(PreconditionError, match="order undefined"):
+            self_convergence(soliton_symbol, 0.0, 100.0, 2**12, 0.04)
+
+
+class TestEdgeMassFraction:
+    @pytest.mark.parametrize("frac", [0.0, -0.5, 1.5, 2.0, float("nan")])
+    def test_fraction_out_of_range(self, soliton_symbol, frac):
+        g = sample_to_grid(soliton_symbol, 100.0, 2**12)
+        with pytest.raises(InputError, match="edge fraction"):
+            edge_mass_fraction(g, frac)
+
+    def test_whole_box(self, soliton_symbol):
+        # frac = 1 selects every grid point but x = 0, the soliton's peak
+        g = sample_to_grid(soliton_symbol, 100.0, 2**12)
+        assert 0.95 < edge_mass_fraction(g, 1.0) < 1.0
 
 
 class TestCompare:
