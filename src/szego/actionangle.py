@@ -6,21 +6,21 @@ The forward map packages the spectral data of a generic symbol as
 
 with angles stored as 2 phi_j because phi_j itself is only defined modulo pi
 (the eigenvectors carry a sign ambiguity).  The inverse assembles the shift
-matrix from coordinates alone, in the basis e~_j = e^{i phi_j} e_j:
+matrix from coordinates alone: with beta_j = nu_j e^{i phi_j} it is the flow
+matrix S(0) of `flow`, built by the assembly of `s_matrix`,
 
-    T[k, j] = (lambda_j nu_j nu_k / 2 pi i)
-              * (lambda_j - lambda_k e^{i(2 phi_j - 2 phi_k)})
+    S[k, j] = (lambda_j / 2 pi i)
+              * (lambda_j beta_k conj(beta_j) - lambda_k conj(beta_k) beta_j)
               / (lambda_k^2 - lambda_j^2),            k != j,
-    T[j, j] = gamma_j + i nu_j^2 / (4 pi),
+    S[j, j] = gamma_j + i nu_j^2 / (4 pi),
 
-and u(x) = -(i/2pi) * conj(m^T (T - xI)^{-1} nu) with
-m_a = lambda_a nu_a e^{2 i phi_a}, i.e. the resolvent pairing
--(i/2pi) conj(m)^T (conj T - x I)^{-1} nu of the flow layer, whose poles
-are the eigenvalues of conj T.  `flow._from_pairing` reads its partial
-fractions off one eigendecomposition, fitting only when poles cluster
-into multiple poles.  The phase/sign convention matches the forward pipeline
-(it is pinned by the rank-one case, where the reconstruction must return
-C e^{i a}/(x-p) with 2 phi = pi/2 - a, not its conjugate).
+and u is the flow's resolvent pairing (conj S, lambda conj(beta), conj(beta)),
+whose poles are the eigenvalues of conj S.  Both are quadratic in beta, so
+only 2 phi_j enters.  `flow._from_pairing` reads the partial fractions off
+one eigendecomposition, fitting only when poles cluster into multiple poles.
+The phase/sign convention matches the forward pipeline (it is pinned by the
+rank-one case, where the reconstruction must return C e^{i a}/(x-p) with
+2 phi = pi/2 - a, not its conjugate).
 
 Hierarchy flows act on coordinates as straight-line drift: under the n-th
 conserved Hamiltonian the angles advance at lambda^(2n-2)/4 per phi (so
@@ -43,7 +43,7 @@ from .rational import (
     blaschke,
     hankel_apply,
 )
-from .flow import _from_pairing
+from .flow import _assemble_s, _from_pairing
 
 ROUNDTRIP_TOL = 1e-8
 
@@ -101,30 +101,11 @@ def chi(dec: SpectralDecomposition) -> ActionAngleCoords:
         raise PreconditionError("chi undefined off the generic class")
     lam2 = dec.lambdas**2
     return ActionAngleCoords(
-        tuple(float(2.0 * l2 * n**2) for l2, n in zip(lam2, dec.nus)),
-        tuple(float(4.0 * math.pi * l2) for l2 in lam2),
-        tuple(float(a) for a in dec.two_phis),
-        tuple(float(g) for g in dec.gammas),
+        tuple((2.0 * lam2 * dec.nus**2).tolist()),
+        tuple((4.0 * math.pi * lam2).tolist()),
+        tuple(dec.two_phis.tolist()),
+        tuple(dec.gammas.tolist()),
     )
-
-
-def _shift_matrix(coords: ActionAngleCoords) -> np.ndarray:
-    lam = coords.lambdas()
-    nu = coords.nus()
-    two_phi = np.array(coords.angles)
-    n = coords.size
-    T = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            if k == j:
-                T[j, j] = coords.gammas[j] + 1j * nu[j] ** 2 / (4.0 * math.pi)
-            else:
-                T[k, j] = (
-                    lam[j] * nu[j] * nu[k] / (2j * math.pi)
-                    * (lam[j] - lam[k] * np.exp(1j * (two_phi[j] - two_phi[k])))
-                    / (lam[k] ** 2 - lam[j] ** 2)
-                )
-    return T
 
 
 def chi_inverse(coords: ActionAngleCoords) -> HardyRational:
@@ -132,18 +113,19 @@ def chi_inverse(coords: ActionAngleCoords) -> HardyRational:
     if not all(map(math.isfinite, coords.actions_i + coords.actions_lambda
                    + coords.angles + coords.gammas)):
         raise InputError("coordinates must be finite")
-    T = _shift_matrix(coords)
-    evals = np.linalg.eigvals(T)
-    if np.any(evals.imag <= 0):
+    lam, nu = coords.lambdas(), coords.nus()
+    beta = nu * np.exp(0.5j * np.array(coords.angles))
+    diag = np.diag(np.array(coords.gammas) + 1j * nu**2 / (4.0 * math.pi))
+    S0 = _assemble_s(lam, beta, np.eye(coords.size, dtype=bool), diag, 0.0)
+    evals = np.linalg.eigvals(S0)
+    if (evals.imag <= 0).any():
         raise NumericalError(
             "coordinates outside the admissible image: the assembled shift "
             "matrix has an eigenvalue with nonpositive imaginary part; the "
             "map is onto the coordinate domain, so this indicates numerical "
             "trouble (extreme coordinates) rather than an inadmissible input"
         )
-    nu = coords.nus()
-    m = coords.lambdas() * nu * np.exp(1j * np.array(coords.angles))
-    u = _from_pairing(np.conj(T), np.conj(m), nu)
+    u = _from_pairing(S0.conj(), lam * beta.conj(), beta.conj())
     back = chi(eigendecompose(u))
     err = _coords_distance(coords, back)
     if err > ROUNDTRIP_TOL:

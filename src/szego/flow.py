@@ -20,9 +20,10 @@ The sign differs from some statements of the pairing in the literature; it
 is pinned here by the exact single-soliton solution and is consistent with
 the soliton-resolution amplitudes C_j = i lambda_j conj(beta_j)^2 / (2 pi).
 
-The inverse spectral map of `actionangle` is the same resolvent pairing
--(i/2pi) a^T (A - z I)^{-1} b with another (A, a, b); its poles are the
-eigenvalues of A.  `_from_pairing` reads the residues off one `eig` of A,
+The inverse spectral map of `actionangle` builds S(0) from coordinates by
+the same `_assemble_s` and pairs it the same way.  The poles of a pairing
+-(i/2pi) a^T (A - z I)^{-1} b are the eigenvalues of A; `_from_pairing`
+reads the residues off one `eig` of A,
 or, when eigenvalues cluster into a multiple pole, fits the coefficients
 to the pairing at Chebyshev points.  The 20-point postcondition of
 `recover_rational` evaluates u(t) point by point through `evolve_eval`, so
@@ -80,22 +81,26 @@ def s_matrix(dec: SpectralDecomposition, t: float) -> FlowMatrix:
     """Assemble S(t) in the eigenbasis; S(0) is the shift matrix itself."""
     if not math.isfinite(t):
         raise InputError(f"time must be finite, got {t}")
-    lam = dec.lambdas
+    # clusters are consecutive runs of the ascending eigenvalues
+    label = np.array([c for c, grp in enumerate(dec.clusters) for _ in grp])
+    same = label[:, None] == label                # [k, j]: one cluster
+    s = _assemble_s(dec.lambdas, dec.betas, same, dec.shift, t)
+    return FlowMatrix(s, np.exp(0.5j * t * dec.lambdas**2), float(t))
+
+
+def _assemble_s(lam, beta, same, shift, t) -> np.ndarray:
+    """S(t) from (lambda, beta): drift from `shift` where `same`, oscillatory elsewhere.
+
+    `s_matrix` passes the eigenbasis shift and its cluster mask; the inverse
+    spectral map passes t = 0, the identity mask and diag(gamma + i nu^2/4pi).
+    """
     lam2 = lam**2
-    beta = dec.betas
-    label = np.empty(dec.size, dtype=int)
-    for c, grp in enumerate(dec.clusters):
-        label[list(grp)] = c
-    same = label[:, None] == label[None, :]       # [k, j]: one cluster
-    d = lam2[:, None] - lam2[None, :]             # lambda_k^2 - lambda_j^2
-    bb = beta[:, None] * np.conj(beta[None, :])   # beta_k conj(beta_j)
-    osc = np.exp(0.5j * t * d)
-    drift = (lam2[None, :] / (2.0 * math.pi)) * bb * t + dec.shift
-    wave = lam[None, :] / (2j * math.pi * np.where(same, 1.0, d)) * (
-        lam[None, :] * osc * bb - lam[:, None] * np.conj(osc) * np.conj(bb)
-    )
-    w = np.exp(0.5j * t * lam2)
-    return FlowMatrix(np.where(same, drift, wave), w, float(t))
+    d = lam2[:, None] - lam2                      # lambda_k^2 - lambda_j^2
+    bb = beta[:, None] * beta.conj()              # beta_k conj(beta_j)
+    drift = lam2 / (2.0 * math.pi) * bb * t + shift
+    Y = lam * np.exp(0.5j * t * d) * bb           # lambda_j osc bb; Y.T is lambda_k conj(osc bb)
+    wave = lam / (2j * math.pi * (d + same)) * (Y - Y.T)   # + same: finite where masked
+    return np.where(same, drift, wave)
 
 
 def _resolvent(A: np.ndarray, a: np.ndarray, b: np.ndarray, x) -> complex:
@@ -187,10 +192,9 @@ def _eig2x2(A: np.ndarray):
     time; the accuracy of the small eigenvalue's imaginary part is what
     limits Sobolev norms of recovered symbols with a near-real pole.
     """
-    a, b = A[0, 0], A[0, 1]
-    c, d = A[1, 0], A[1, 1]
-    root = np.sqrt((a - d) ** 2 + 4.0 * b * c)
-    if (np.conj(a - d) * root).real < 0:
+    (a, b), (c, d) = A.tolist()
+    root = cmath.sqrt((a - d) ** 2 + 4.0 * b * c)
+    if ((a - d).conjugate() * root).real < 0:
         root = -root
     denom = (a - d) + root
     if abs(denom) > 1e-30:
@@ -201,11 +205,11 @@ def _eig2x2(A: np.ndarray):
     e2 = d + delta
     vecs = []
     for e in (e1, e2):
-        v1 = np.array([b, e - a])
-        v2 = np.array([e - d, c])
-        v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
-        n = np.linalg.norm(v)
-        vecs.append(v / n if n > 0 else np.array([1.0, 0.0]))
+        v1 = (b, e - a)
+        v2 = (e - d, c)
+        v = v1 if math.hypot(*map(abs, v1)) >= math.hypot(*map(abs, v2)) else v2
+        n = math.hypot(*map(abs, v))
+        vecs.append((v[0] / n, v[1] / n) if n > 0 else (1.0, 0.0))
     return np.array([e1, e2]), np.array(vecs).T
 
 
@@ -219,11 +223,12 @@ def _from_pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray) -> HardyRational:
     """
     n = len(b)
     E, V = _eig2x2(A) if n == 2 else np.linalg.eig(A)
-    scale = max(1.0, float(np.max(np.abs(E))))
-    seps = np.abs(E[:, None] - E[None, :])[np.triu_indices(n, 1)]
-    if seps.size == 0 or float(np.min(seps)) > EIG_SEP_RTOL * scale:
+    scale = max(1.0, abs(E).max())
+    seps = abs(E[:, None] - E)
+    seps.reshape(-1)[:: n + 1] = math.inf
+    if seps.min() > EIG_SEP_RTOL * scale:
         coeffs = 0.5j / math.pi * (a @ V) * np.linalg.solve(V, b)
-        return hardy_from_terms([(complex(e), [complex(c)]) for e, c in zip(E, coeffs)])
+        return hardy_from_terms([(e, [c]) for e, c in zip(E.tolist(), coeffs.tolist())])
     k = np.arange(4 * n)
     xs = (2.0 * scale + 1.0) * np.cos((2 * k + 1) * math.pi / (2 * len(k)))
     return fit_partial_fractions(_cluster_poles(E), xs, _pairing(A, a, b, xs))

@@ -1,11 +1,13 @@
 """Spectral decomposition of the finite-rank Hankel operator of a rational symbol.
 
 The range of the operator attached to a degree-N symbol is spanned by the
-partial-fraction basis 1/(x-p_j)^l.  On this basis the Gram matrix and the
-matrix of the Hankel action are closed-form Cauchy matrices (confluent ones
-for multiple poles), assembled by broadcasting over the poles.  We
-orthonormalize through the Cholesky factor of the Gram matrix, where the
-antilinear Hankel action becomes d -> K conj(d) with K complex symmetric.
+partial-fraction basis 1/(x-p_j)^l.  On this basis the Gram matrix G and the
+matrix M = C G / (-2 pi i) of the Hankel action are closed-form Cauchy
+matrices (confluent ones for multiple poles); G, the block-diagonal
+coefficient matrix C and the shift T_f are each one broadcast over the
+basis.  We orthonormalize through the Cholesky factor conj(G) = L L^H, where
+the antilinear Hankel action becomes d -> K conj(d) with K complex
+symmetric.  K = L^H C conj(L) / (-2 pi i) needs no L^-1: G L^-T = conj(L).
 The antilinear eigenrelation H e_j = lambda_j e_j with lambda_j > 0 is then
 the Takagi factorization K = W diag(lambda) W^T, read off one SVD
 K = U diag(lambda) V^H: conj(V) = U D with D unitary and symmetric, and
@@ -131,12 +133,13 @@ def build_range_basis(u: HardyRational) -> RangeBasis:
     if u.is_zero():
         raise PreconditionError("undefined for zero symbol")
     index = tuple((t.pole, l) for t in u.terms for l in range(1, t.multiplicity + 1))
-    p = np.array([pole for pole, _ in index])
-    ls = [l for _, l in index]
-    binom = np.array([[math.comb(l + m - 2, l - 1) for m in ls] for l in ls])
-    sign = (-1.0) ** (np.array(ls)[:, None] - 1)
-    power = np.add.outer(ls, ls) - 1
-    G = -2j * math.pi * sign * binom / (p[:, None] - p.conj()[None, :]) ** power
+    p = np.array([q for q, _ in index])
+    k = np.array([l - 1 for _, l in index])
+    kk = k[:, None] + k
+    # C(l+m-2, l-1) (-1)^(l-1) = (l+m-2)! * (-1)^(l-1) / (l-1)! * 1 / (m-1)!
+    fact = np.array([float(math.factorial(i)) for i in range(2 * max(l for _, l in index) - 1)])
+    row = np.array([-2j * math.pi * (-1) ** (l - 1) / math.factorial(l - 1) for _, l in index])
+    G = fact[kk] * row[:, None] / fact[k] / (p[:, None] - p.conj()) ** (kk + 1)
     G = 0.5 * (G + G.conj().T)
     evals = np.linalg.eigvalsh(G)
     if evals[0] <= 0 or evals[-1] / evals[0] > GRAM_COND_LIMIT:
@@ -158,6 +161,22 @@ def coords_to_function(c: np.ndarray, rb: RangeBasis) -> HardyRational:
     return hardy_from_terms(list(pairs.items()))
 
 
+def _coefficient_matrix(u: HardyRational, rb: RangeBasis) -> np.ndarray:
+    """C[(p, l), (p, r)] = c_{p, l+r-1}, zero across poles and past the multiplicity."""
+    coeffs = {t.pole: t.coeffs for t in u.terms}
+    width = max(l for _, l in rb.index)
+    # row a holds c_{p, l}, c_{p, l+1}, ... for entry a = (p, l), so C[a, b] is
+    # its column r - 1 for b = (p, r); first[a] is the entry (p, 1)
+    shifted, first = [], []
+    for a, (p, l) in enumerate(rb.index):
+        cs = coeffs.get(p, ())[l - 1 :]
+        shifted += (*cs, *[0j] * (width - len(cs)))
+        first.append(a - l + 1)
+    first = np.array(first)
+    rows = np.array(shifted, dtype=complex).reshape(-1, width)
+    return rows.take(np.arange(len(first)) - first, axis=1) * (first[:, None] == first)
+
+
 def hankel_matrix(u: HardyRational, rb: RangeBasis) -> np.ndarray:
     """M with H_u f_a = sum_b M[b, a] f_b; the map itself is h -> M conj(h).
 
@@ -169,17 +188,11 @@ def hankel_matrix(u: HardyRational, rb: RangeBasis) -> np.ndarray:
     """
     if not {(t.pole, t.multiplicity) for t in u.terms} <= set(rb.index):
         raise NumericalError("range leakage")
-    coeffs = {t.pole: t.coeffs for t in u.terms}
-    C = np.zeros((rb.size, rb.size), dtype=complex)
-    for a, (p, l) in enumerate(rb.index):
-        cs = coeffs.get(p, ())
-        for b, (q, r) in enumerate(rb.index):
-            if q == p and l + r - 1 <= len(cs):
-                C[a, b] = cs[l + r - 2]
-    return C @ rb.gram / (-2j * math.pi)
+    return _coefficient_matrix(u, rb) @ rb.gram / (-2j * math.pi)
 
 
 def _cluster_indices(vals: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    vals = vals.tolist()
     groups = [[0]]
     for i in range(1, len(vals)):
         if vals[i] - vals[groups[-1][0]] <= CLUSTER_RTOL * max(vals[i], vals[-1] * 1e-6):
@@ -198,7 +211,7 @@ def _concentrate_g(fixed: np.ndarray, d_g: np.ndarray) -> np.ndarray:
     matrix drift confined to a single entry of the cluster, which preserves
     the precision of the near-real eigenvalue track for large times.
     """
-    b = np.array([np.vdot(fixed[:, k], d_g) for k in range(fixed.shape[1])])
+    b = fixed.conj().T @ d_g
     if np.max(np.abs(b)) == 0.0:
         return fixed
     k0 = int(np.argmax(np.abs(b)))
@@ -221,23 +234,17 @@ def _t_matrix_f(rb: RangeBasis, g_coords: np.ndarray) -> np.ndarray:
     produced constant cancels against Lambda(f) b_u = Lambda(f)(1 - g),
     leaving p/(x-p) + g.
     """
-    n = rb.size
-    pos = {}
-    for a, (pole, l) in enumerate(rb.index):
-        pos[(pole, l)] = a
-    T = np.zeros((n, n), dtype=complex)
-    for a, (pole, l) in enumerate(rb.index):
-        T[a, a] += pole
-        if l >= 2:
-            T[pos[(pole, l - 1)], a] += 1.0
-        else:
-            T[:, a] += g_coords
+    p = np.array([q for q, _ in rb.index])
+    simple = np.array([l == 1 for _, l in rb.index])
+    T = g_coords[:, None] * simple
+    flat = T.reshape(-1)                          # a view: its diagonals are strided slices
+    flat[:: len(p) + 1] += p
+    flat[1 :: len(p) + 1] += ~simple[1:]
     return T
 
 
 class _TakagiSVD(NamedTuple):
     rb: RangeBasis
-    Linv: np.ndarray
     M: np.ndarray
     K: np.ndarray
     U: np.ndarray
@@ -246,18 +253,20 @@ class _TakagiSVD(NamedTuple):
 
 
 def _takagi_svd(u: HardyRational) -> _TakagiSVD:
-    """Range basis, Hankel matrix M, K = L^H M L^-T and the SVD of K.
+    """Range basis, Hankel matrix M, K = L^H C conj(L) / (-2 pi i) and its SVD.
 
-    The singular values `sigma` (descending) are the lambda_j; the sampler
+    K is the antilinear action d -> K conj(d) in the orthonormal basis, the
+    L^H M L^-T of M = C G / (-2 pi i): conj(G) = L L^H gives G L^-T = conj(L),
+    so K is formed without inverting L, and is more accurate for it.  The
+    singular values `sigma` (descending) are the lambda_j; the sampler
     rejects draws on them alone before paying for the rest of
     `eigendecompose`.
     """
     rb = build_range_basis(u)
-    Linv = np.linalg.inv(rb.chol)
     M = hankel_matrix(u, rb)
-    # the antilinear action d -> K conj(d) in the orthonormal basis; K = K^T
-    K = rb.chol.conj().T @ M @ Linv.T
-    return _TakagiSVD(rb, Linv, M, K, *np.linalg.svd(K))
+    Lbar = rb.chol.conj()
+    K = Lbar.T @ _coefficient_matrix(u, rb) @ Lbar / (-2j * math.pi)
+    return _TakagiSVD(rb, M, K, *np.linalg.svd(K))
 
 
 def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDecomposition:
@@ -269,8 +278,9 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
     diagnostics use this to discard the O(h^2)-sized spurious channels of
     u + h * (tangent field).
     """
-    rb, Linv, M, K, U, sigma, Vh = _takagi_svd(u)
+    rb, M, K, U, sigma, Vh = _takagi_svd(u)
     L = rb.chol
+    Lh = L.conj().T
     lambdas = sigma[::-1]
     U = U[:, ::-1]
     Vbar = Vh[::-1].T  # columns conj(v_j)
@@ -284,13 +294,13 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
     # Blaschke postcondition H_u g = u, in partial-fraction coordinates
     g_coords_f = _g_coeffs(u)
     u_coords = np.array([c for t in u.terms for c in t.coeffs])
-    if np.max(np.abs(M @ g_coords_f.conj() - u_coords)) > 1e-10 * max(1.0, u.max_coeff()):
+    if abs(M @ g_coords_f.conj() - u_coords).max() > 1e-10 * max(1.0, u.max_coeff()):
         raise NumericalError("Blaschke postcondition H_u(g) = u failed")
-    d_g = L.conj().T @ g_coords_f
+    d_g = Lh @ g_coords_f
 
     # Takagi: conj(V) = U D with D unitary and symmetric, so W = U sqrt(D)
     # gives K = W diag(lambda) W^T, i.e. K conj(w_j) = lambda_j w_j
-    evecs = U * np.sqrt(np.sum(U.conj() * Vbar, axis=0))
+    evecs = U * np.sqrt((U.conj() * Vbar).sum(axis=0))
     ref = lambdas.copy()
     tol = np.full(len(lambdas), 1e-8 * max(1.0, lambdas[-1]))
     for grp in clusters:
@@ -302,25 +312,25 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
             lam = float(np.mean(lambdas[c]))
             ref[c] = lam
             tol[c] = 1e-7 * max(1.0, lam)
-    resid = np.linalg.norm(K @ evecs.conj() - evecs * ref, axis=0)
-    if np.any(resid > tol):
+    resid2 = (abs(K @ evecs.conj() - evecs * ref) ** 2).sum(axis=0)   # squared column norms
+    if (resid2 > tol**2).any():
         raise NumericalError("Takagi eigenvector residual too large")
 
     betas = evecs.conj().T @ d_g
     nus = np.abs(betas)
-    gnorm = float(np.linalg.norm(d_g))
+    gnorm = math.sqrt(np.vdot(d_g, d_g).real)
     two_phis = np.where(
         nus > NU_RTOL * max(gnorm, 1e-300),
-        np.mod(2.0 * np.angle(betas), 2.0 * math.pi),
+        2.0 * np.angle(betas) % (2.0 * math.pi),
         0.0,
     )
 
-    Tq = L.conj().T @ _t_matrix_f(rb, g_coords_f) @ Linv.conj().T
-    Te = evecs.conj().T @ Tq @ evecs
+    # (T e_j, e_k) = c_k^H conj(G) T_f c_j with c = L^-H w and conj(G) = L L^H
+    Te = (L @ evecs).conj().T @ _t_matrix_f(rb, g_coords_f) @ np.linalg.solve(Lh, evecs)
     # columns of T stay inside the range basis by construction, so closure
     # is checked through the eigen-adjoint identity T - T^* = (i/2pi) beta beta^H
-    gap = Te - (Te.conj().T - (1.0 / (2j * math.pi)) * np.outer(betas, betas.conj()))
-    if np.max(np.abs(gap)) > 1e-8 * max(1.0, float(np.max(np.abs(Te)))):
+    gap = Te - Te.conj().T + betas[:, None] * betas.conj() / (2j * math.pi)
+    if abs(gap).max() > 1e-8 * max(1.0, abs(Te).max()):
         raise NumericalError("shift closure violated")
 
     dec = SpectralDecomposition(
@@ -331,7 +341,7 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
         betas=betas,
         nus=nus,
         two_phis=two_phis,
-        gammas=np.real(np.diag(Te)),
+        gammas=Te.diagonal().real,
         shift=Te,
         clusters=clusters,
         genericity="",
@@ -348,17 +358,16 @@ def t_matrix(u: HardyRational, dec: SpectralDecomposition) -> TMatrix:
 
 def classify_genericity(dec: SpectralDecomposition) -> str:
     """strongly_generic / generic / non_generic per eigenvalue and nu gaps."""
-    if any(len(g) > 1 for g in dec.clusters):
+    if len(dec.clusters) < dec.size:
         return "non_generic"
     lam2 = dec.lambdas**2
-    gaps = np.diff(lam2)
-    if np.any(gaps <= CLUSTER_RTOL * lam2[-1]):
+    if (lam2[1:] - lam2[:-1] <= CLUSTER_RTOL * lam2[-1]).any():
         return "non_generic"
-    gnorm = float(np.linalg.norm(dec.nus))
-    if np.any(dec.nus <= NU_RTOL * max(gnorm, 1e-300)):
+    gnorm = math.sqrt(dec.nus @ dec.nus)
+    if (dec.nus <= NU_RTOL * max(gnorm, 1e-300)).any():
         return "non_generic"
     speeds = np.sort(lam2 * dec.nus**2)
-    if np.any(np.diff(speeds) <= CLUSTER_RTOL * speeds[-1]):
+    if (speeds[1:] - speeds[:-1] <= CLUSTER_RTOL * speeds[-1]).any():
         return "generic"
     return "strongly_generic"
 

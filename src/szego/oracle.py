@@ -267,7 +267,7 @@ def edge_mass_fraction(state: GridState, frac: float = 0.05) -> float:
 
 def _edge_fraction(u: np.ndarray, L: float, frac: float = 0.05) -> float:
     """edge_mass_fraction of the physical grid values u on [-L, L)."""
-    sel = np.abs(grid_points(L, len(u))) > (1.0 - frac) * L
+    sel = np.abs(grid_points(L, len(u))) >= (1.0 - frac) * L
     tot = float(np.sum(np.abs(u) ** 2))
     if tot == 0.0:
         return 0.0

@@ -27,6 +27,7 @@ H_u(g) = u with the generic arithmetic above.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -198,6 +199,8 @@ def from_terms(pairs) -> RationalFn:
     for pole, coeffs in pairs:
         pole = complex(pole)
         coeffs = [complex(c) for c in coeffs]
+        if not (cmath.isfinite(pole) and all(map(cmath.isfinite, coeffs))):
+            raise InputError("poles and coefficients must be finite")
         tol = POLE_MERGE_RTOL * max(1.0, abs(pole))
         for mp, mc in merged:
             if abs(mp - pole) <= tol:
@@ -366,6 +369,8 @@ def pf_from_ratio(numerator, denominator) -> HardyRational:
     """
     num = tuple(complex(c) for c in numerator)
     den = tuple(complex(c) for c in denominator)
+    if not all(map(cmath.isfinite, num + den)):
+        raise InputError("polynomial coefficients must be finite")
     while num and num[-1] == 0:
         num = num[:-1]
     while den and den[-1] == 0:
@@ -499,21 +504,19 @@ def _g_coeffs(u: HardyRational) -> np.ndarray:
     """
     p = np.array([t.pole for t in u.terms])
     m = np.array([t.multiplicity for t in u.terms])
-    Dbar = p[:, None] - p.conj()[None, :]   # p_j - conj p_k, never zero
-    D = p[:, None] - p[None, :]
-    np.fill_diagonal(D, 1.0)
-    h0 = np.prod((Dbar / D) ** m, axis=1)
-    Dinv = 1.0 / D
-    np.fill_diagonal(Dinv, 0.0)
-    s = [None] + [(-1) ** (n + 1) / n * ((Dbar ** -n - Dinv**n) @ m)
-                  for n in range(1, int(m.max()))]
-    out = []
-    for j, mj in enumerate(m):
-        a = [1.0 + 0.0j]
-        for n in range(1, mj):
-            a.append(sum(k * s[k][j] * a[n - k] for k in range(1, n + 1)) / n)
-        out.extend(-h0[j] * a[mj - l] for l in range(1, mj + 1))
-    return np.array(out)
+    Dbar = p[:, None] - p.conj()   # p_j - conj p_k, never zero
+    D = p[:, None] - p
+    D.reshape(-1)[:: len(p) + 1] = 1.0   # so D^-n - I is (p_j - p_k)^-n off the diagonal
+    h0 = ((Dbar / D) ** m).prod(axis=1)
+    top = max(t.multiplicity for t in u.terms)
+    s = [None] + [(-1) ** (n + 1) / n * ((Dbar ** -n - D ** -n) @ m + m) for n in range(1, top)]
+    a = np.ones((len(p), top), dtype=complex)   # a[j, n]: Taylor coefficients of h/h(p_j)
+    for n in range(1, top):
+        a[:, n] = sum(k * s[k] * a[:, n - k] for k in range(1, n + 1)) / n
+    # entry (p_j, l) of the range basis is -h0_j a[j, m_j - l], at flat index `at`
+    at = np.array([j * top + t.multiplicity - l for j, t in enumerate(u.terms)
+                   for l in range(1, t.multiplicity + 1)])
+    return -h0.take(at // top) * a.take(at)
 
 
 def blaschke(u: HardyRational) -> BlaschkeData:

@@ -96,6 +96,22 @@ class TestChi:
             chi(eigendecompose(double_eig_symbol))
 
 
+def loop_shift_matrix(coords):
+    """The inverse map's shift matrix by its per-entry formula, in the basis e^{i phi_j} e_j."""
+    lam, nu, two_phi = coords.lambdas(), coords.nus(), np.array(coords.angles)
+    n = coords.size
+    T = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            if k == j:
+                T[j, j] = coords.gammas[j] + 1j * nu[j] ** 2 / (4.0 * math.pi)
+            else:
+                T[k, j] = (lam[j] * nu[j] * nu[k] / (2j * math.pi)
+                           * (lam[j] - lam[k] * np.exp(1j * (two_phi[j] - two_phi[k])))
+                           / (lam[k] ** 2 - lam[j] ** 2))
+    return T
+
+
 class TestChiInverse:
     def test_rank_one_roundtrip(self, soliton_symbol):
         c = chi(eigendecompose(soliton_symbol))
@@ -123,6 +139,19 @@ class TestChiInverse:
             u = random_generic(n, rng)
             u2 = chi_inverse(chi(eigendecompose(u)))
             assert l2_gap(u, u2) < 1e-7
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_per_entry_shift_matrix(self, n):
+        # the flow's S(0) assembly against the per-entry formula and its pairing
+        c = random_coords(n, np.random.default_rng(n))
+        T = loop_shift_matrix(c)
+        nu = c.nus()
+        m = c.lambdas() * nu * np.exp(1j * np.array(c.angles))
+        want = flow._from_pairing(np.conj(T), np.conj(m), nu)
+        xs = np.linspace(-4.0, 4.0, 33)
+        ref = want.evaluate(xs)
+        got = chi_inverse(c).evaluate(xs)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_random_coords_roundtrip_n8(self, monkeypatch):
         # separated poles: residues from the eigendecomposition, no fit

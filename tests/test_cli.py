@@ -39,6 +39,15 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--symbol", "{broken"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ("Infinity", "-Infinity", "NaN"))
+    def test_non_finite_symbol_exits_2(self, bad, capsys):
+        # unchecked, an infinite coefficient becomes the zero symbol (exit 3)
+        # and a NaN one an untyped LinAlgError traceback
+        for symbol in (f'{{"terms":[{{"pole":[0,-1],"coeffs":[[{bad},0]]}}]}}',
+                       f'{{"terms":[{{"pole":[{bad},-1],"coeffs":[[1,0]]}}]}}'):
+            assert main(["spectrum", "--symbol", symbol]) == 2
+            assert "finite" in capsys.readouterr().err
+
     def test_zero_symbol_exits_3(self):
         assert main(["spectrum", "--symbol", '{"terms": []}']) == 3
 

@@ -279,6 +279,96 @@ class TestEigendecompose:
             eigendecompose(lowrank)
 
 
+# Per-entry reference assemblies for the broadcasts of `hankel`.
+def loop_gram(rb):
+    G = np.zeros((rb.size, rb.size), dtype=complex)
+    for a, (p, l) in enumerate(rb.index):
+        for b, (q, m) in enumerate(rb.index):
+            G[a, b] = (-2j * math.pi * math.comb(l + m - 2, l - 1) * (-1.0) ** (l - 1)
+                       / (p - q.conjugate()) ** (l + m - 1))
+    return 0.5 * (G + G.conj().T)
+
+
+def loop_coefficients(u, rb):
+    coeffs = {t.pole: t.coeffs for t in u.terms}
+    C = np.zeros((rb.size, rb.size), dtype=complex)
+    for a, (p, l) in enumerate(rb.index):
+        cs = coeffs.get(p, ())
+        for b, (q, r) in enumerate(rb.index):
+            if q == p and l + r - 1 <= len(cs):
+                C[a, b] = cs[l + r - 2]
+    return C
+
+
+def loop_t_matrix_f(rb, g_coords):
+    pos = {key: a for a, key in enumerate(rb.index)}
+    T = np.zeros((rb.size, rb.size), dtype=complex)
+    for a, (pole, l) in enumerate(rb.index):
+        T[a, a] += pole
+        if l >= 2:
+            T[pos[(pole, l - 1)], a] += 1.0
+        else:
+            T[:, a] += g_coords
+    return T
+
+
+def rel_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+DOUBLE_POLES = [(-1j, [0.3, 1.0]), (0.8 - 0.6j, [0.5j, -0.7])]
+TRIPLE_POLE = [(0.2 - 1.1j, [0.4, -0.3j, 1.0])]
+
+
+class TestBroadcastAssemblies:
+    @pytest.fixture(params=("double", "triple", "mixed_mult", "eight_poles"))
+    def symbol(self, request):
+        fixed = {"double": DOUBLE_POLES, "triple": TRIPLE_POLE}
+        if request.param in fixed:
+            return hardy_from_terms(fixed[request.param])
+        return request.getfixturevalue(request.param)
+
+    def test_gram(self, symbol):
+        rb = build_range_basis(symbol)
+        assert rel_gap(rb.gram, loop_gram(rb)) <= 1e-13
+
+    def test_coefficients_and_hankel_matrix(self, symbol):
+        rb = build_range_basis(symbol)
+        C = loop_coefficients(symbol, rb)
+        assert rel_gap(hankel._coefficient_matrix(symbol, rb), C) <= 1e-13
+        assert rel_gap(hankel_matrix(symbol, rb), C @ rb.gram / (-2j * math.pi)) <= 1e-13
+
+    def test_coefficients_on_a_larger_basis(self, mixed_mult):
+        # the symbol's own poles and a basis that also holds another pole
+        u = hardy_from_terms([(-1.5j, [0.3, 0.2])])
+        rb = build_range_basis(mixed_mult)
+        assert np.array_equal(hankel._coefficient_matrix(u, rb), loop_coefficients(u, rb))
+
+    def test_t_matrix_f(self, symbol):
+        rb = build_range_basis(symbol)
+        g = rational._g_coeffs(symbol)
+        assert rel_gap(hankel._t_matrix_f(rb, g), loop_t_matrix_f(rb, g)) <= 1e-13
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    def test_inverse_free_k(self, n):
+        for seed in range(5):
+            u = random_symbol(n, np.random.default_rng(seed))
+            svd = hankel._takagi_svd(u)
+            L = svd.rb.chol
+            want = L.conj().T @ svd.M @ np.linalg.inv(L).T
+            assert rel_gap(svd.K, want) <= 1e-13, seed
+
+    def test_lambda2_against_mpmath_n8(self):
+        # K formed without inverting the Cholesky factor of the Gram matrix
+        worst = 0.0
+        for seed in range(10):
+            u = random_symbol(8, np.random.default_rng(seed))
+            want = mp_lambda2(u)
+            got = eigendecompose(u).lambdas ** 2
+            worst = max(worst, float(np.max(np.abs(got - want) / want)))
+        assert worst <= 1e-8
+
+
 class TestTMatrix:
     @pytest.mark.parametrize("name", CROSS_CHECKED)
     def test_is_stored_shift(self, name, request):

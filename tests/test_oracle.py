@@ -258,9 +258,9 @@ class TestEdgeMassFraction:
             edge_mass_fraction(g, frac)
 
     def test_whole_box(self, soliton_symbol):
-        # frac = 1 selects every grid point but x = 0, the soliton's peak
+        # frac = 1 selects every grid point, x = 0 (the soliton's peak) included
         g = sample_to_grid(soliton_symbol, 100.0, 2**12)
-        assert 0.95 < edge_mass_fraction(g, 1.0) < 1.0
+        assert abs(edge_mass_fraction(g, 1.0) - 1.0) <= 1e-15
 
 
 class TestCompare:

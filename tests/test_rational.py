@@ -135,6 +135,46 @@ class TestPfFromRatio:
             pf_from_ratio([1.0, 2.0], [1j, 1.0])
 
 
+NON_FINITE = (math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(math.inf, -1.0))
+
+
+class TestNonFinite:
+    """A non-finite pole or coefficient is an InputError wherever a symbol is built."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_hardy_from_terms_coefficient(self, bad):
+        # unchecked, one infinite coefficient makes the trim floor infinite
+        # and the result the zero symbol
+        with pytest.raises(InputError, match="finite"):
+            hardy_from_terms([(-1j, [bad]), (1 - 1j, [1.0])])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_hardy_from_terms_pole(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            hardy_from_terms([(complex(0.5, -1.0) + bad, [1.0])])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_simple_pole(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            simple_pole(bad, -1j)
+        with pytest.raises(InputError, match="finite"):
+            simple_pole(1.0, -1j + bad)
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_from_json_dict(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            from_json_dict({"terms": [{"pole": [0.0, -1.0], "coeffs": [[bad, 0.0]]}]})
+        with pytest.raises(InputError, match="finite"):
+            from_json_dict({"terms": [{"pole": [bad, -1.0], "coeffs": [[1.0, 0.0]]}]})
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_pf_from_ratio(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            pf_from_ratio([bad], [1j, 1.0])
+        with pytest.raises(InputError, match="finite"):
+            pf_from_ratio([1.0], [1j, bad, 1.0])
+
+
 class TestProjector:
     def test_residue_split(self, soliton_symbol):
         f = soliton_symbol
