@@ -43,7 +43,7 @@ from .rational import (
     blaschke,
     hankel_apply,
 )
-from .flow import _assemble_s, _from_pairing
+from .flow import _assemble_s, _eigenpairs, _from_pairing
 
 ROUNDTRIP_TOL = 1e-8
 
@@ -117,15 +117,17 @@ def chi_inverse(coords: ActionAngleCoords) -> HardyRational:
     beta = nu * np.exp(0.5j * np.array(coords.angles))
     diag = np.diag(np.array(coords.gammas) + 1j * nu**2 / (4.0 * math.pi))
     S0 = _assemble_s(lam, beta, np.eye(coords.size, dtype=bool), diag, 0.0)
-    evals = np.linalg.eigvals(S0)
-    if (evals.imag <= 0).any():
+    # the poles of u are the eigenvalues of conj(S0): Im >= 0 there is Im <= 0 for S0
+    A = S0.conj()
+    eig = _eigenpairs(A)
+    if (eig[0].imag >= 0).any():
         raise NumericalError(
             "coordinates outside the admissible image: the assembled shift "
             "matrix has an eigenvalue with nonpositive imaginary part; the "
             "map is onto the coordinate domain, so this indicates numerical "
             "trouble (extreme coordinates) rather than an inadmissible input"
         )
-    u = _from_pairing(S0.conj(), lam * beta.conj(), beta.conj())
+    u = _from_pairing(A, lam * beta.conj(), beta.conj(), eig)
     back = chi(eigendecompose(u))
     err = _coords_distance(coords, back)
     if err > ROUNDTRIP_TOL:

@@ -71,6 +71,21 @@ def _parse_list(spec: str, what: str = "list") -> list[float]:
     return values
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value: finite and positive, or no error could ever exceed it."""
+    tol = float(text)
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputError(f"tolerance must be finite and positive, got {text!r}")
+    return tol
+
+
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise InputError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load_symbol_arg(arg: str):
     if arg is None:
         raise InputError("--symbol is required for this command")
@@ -368,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--symbol", help="symbol JSON (path or inline)")
         sp.add_argument("--out", help="output directory for artifacts")
         sp.add_argument("--seed", type=int, default=0, help="RNG seed")
-        sp.add_argument("--tol", type=float, default=tol, help="tolerance")
+        sp.add_argument("--tol", type=_tolerance, default=tol, help="tolerance")
 
     sp = sub.add_parser("spectrum", help="eigendata of the Hankel operator")
     common(sp)
@@ -403,8 +418,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("roundtrip", help="random action-angle round trips")
     common(sp, symbol=False, tol=1e-7)
-    sp.add_argument("--n", type=int, default=3, help="symbol degree")
-    sp.add_argument("--count", type=int, default=10)
+    sp.add_argument("--n", type=_at_least_one, default=3, help="symbol degree")
+    sp.add_argument("--count", type=_at_least_one, default=10)
     sp.set_defaults(func=_cmd_roundtrip)
 
     sp = sub.add_parser("validate", help="pseudo-spectral cross-check")

@@ -213,16 +213,22 @@ def _eig2x2(A: np.ndarray):
     return np.array([e1, e2]), np.array(vecs).T
 
 
-def _from_pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray) -> HardyRational:
+def _eigenpairs(A: np.ndarray):
+    """Eigenvalues E and eigenvectors V of a pairing matrix, as `_from_pairing` factors it."""
+    return _eig2x2(A) if len(A) == 2 else np.linalg.eig(A)
+
+
+def _from_pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray, eig=None) -> HardyRational:
     """Partial fractions of x -> -(i/2pi) a^T (A - x I)^{-1} b.
 
     Its poles are the eigenvalues of A.  Separated eigenvalues give the
     residues (i/2pi)(a^T V)_k (V^{-1} b)_k of the bilinear expansion;
     clustered ones are merged into multiple poles and the coefficients
-    fitted at 4N Chebyshev points.
+    fitted at 4N Chebyshev points.  `eig` is `_eigenpairs(A)`, for a
+    caller that has already factored A.
     """
     n = len(b)
-    E, V = _eig2x2(A) if n == 2 else np.linalg.eig(A)
+    E, V = _eigenpairs(A) if eig is None else eig
     scale = max(1.0, abs(E).max())
     seps = abs(E[:, None] - E)
     seps.reshape(-1)[:: n + 1] = math.inf

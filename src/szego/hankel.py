@@ -3,9 +3,12 @@
 The range of the operator attached to a degree-N symbol is spanned by the
 partial-fraction basis 1/(x-p_j)^l.  On this basis the Gram matrix G and the
 matrix M = C G / (-2 pi i) of the Hankel action are closed-form Cauchy
-matrices (confluent ones for multiple poles); G, the block-diagonal
-coefficient matrix C and the shift T_f are each one broadcast over the
-basis.  We orthonormalize through the Cholesky factor conj(G) = L L^H, where
+matrices (confluent ones for multiple poles); G and the shift T_f are each
+one broadcast over the basis, and the block-diagonal coefficient matrix C
+one scatter of the coefficients.  `_range_stack` assembles G, its
+conditioning test, L and K below for a stack of symbols of one pole
+layout, one symbol being a stack of one.  We orthonormalize through the
+Cholesky factor conj(G) = L L^H, where
 the antilinear Hankel action becomes d -> K conj(d) with K complex
 symmetric.  K = L^H C conj(L) / (-2 pi i) needs no L^-1: G L^-T = conj(L).
 The antilinear eigenrelation H e_j = lambda_j e_j with lambda_j > 0 is then
@@ -130,22 +133,60 @@ def build_range_basis(u: HardyRational) -> RangeBasis:
 
     a Cauchy matrix for simple poles and a confluent one otherwise.
     """
-    if u.is_zero():
-        raise PreconditionError("undefined for zero symbol")
-    index = tuple((t.pole, l) for t in u.terms for l in range(1, t.multiplicity + 1))
-    p = np.array([q for q, _ in index])
-    k = np.array([l - 1 for _, l in index])
+    return _range_basis(u)[0]
+
+
+def _entries(u: HardyRational) -> tuple[tuple[int, ...], list[complex], list[complex]]:
+    """Layout (l - 1 per basis entry), pole and coefficient c_{p, l} of each entry 1/(x-p)^l."""
+    k, p, c = [], [], []
+    for t in u.terms:
+        for l, coeff in enumerate(t.coeffs):
+            k.append(l)
+            p.append(t.pole)
+            c.append(coeff)
+    return tuple(k), p, c
+
+
+def _range_stack(layout: tuple[int, ...], p: np.ndarray, c: np.ndarray):
+    """Gram matrices, conditioning test, Cholesky factors and K for a stack of symbols.
+
+    The symbols share one pole layout: `layout` holds l - 1 for each basis
+    entry 1/(x-p)^l (the entries of a pole consecutive, l = 1..m), and `p`
+    and `c`, shaped (..., N), the pole and the coefficient c_{p, l} of each
+    entry, with leading axes for the stack.  Returns G (..., N, N) by the
+    formula of `build_range_basis`; the mask `ok` of the symbols whose G
+    passes the conditioning test, 0 < e_min and e_max <= GRAM_COND_LIMIT *
+    e_min for its eigenvalues; and, for those only and stacked along one
+    axis, the lower Cholesky factor L of conj(G) and
+    K = L^H C conj(L) / (-2 pi i) (see `_takagi_svd`).  Each LAPACK call is
+    one stacked call, so a stack of one takes the path of every other stack
+    size.
+    """
+    k = np.array(layout)
     kk = k[:, None] + k
     # C(l+m-2, l-1) (-1)^(l-1) = (l+m-2)! * (-1)^(l-1) / (l-1)! * 1 / (m-1)!
-    fact = np.array([float(math.factorial(i)) for i in range(2 * max(l for _, l in index) - 1)])
-    row = np.array([-2j * math.pi * (-1) ** (l - 1) / math.factorial(l - 1) for _, l in index])
-    G = fact[kk] * row[:, None] / fact[k] / (p[:, None] - p.conj()) ** (kk + 1)
-    G = 0.5 * (G + G.conj().T)
+    fact = np.array([float(math.factorial(i)) for i in range(2 * max(layout) + 1)])
+    row = np.array([-2j * math.pi * (-1) ** l / math.factorial(l) for l in layout])
+    G = fact[kk] * row[:, None] / fact[k] / (p[..., :, None] - p[..., None, :].conj()) ** (kk + 1)
+    G = 0.5 * (G + G.conj().swapaxes(-1, -2))
     evals = np.linalg.eigvalsh(G)
-    if evals[0] <= 0 or evals[-1] / evals[0] > GRAM_COND_LIMIT:
+    ok = (evals[..., 0] > 0) & (evals[..., -1] <= GRAM_COND_LIMIT * evals[..., 0])
+    L = np.linalg.cholesky(np.conj(G[ok]))
+    Lbar = L.conj()
+    K = Lbar.swapaxes(-1, -2) @ _coefficient_stack(layout, c[ok]) @ Lbar / (-2j * math.pi)
+    return G, ok, L, K
+
+
+def _range_basis(u: HardyRational) -> tuple[RangeBasis, np.ndarray]:
+    """The range basis of u and its K, as a stack of one."""
+    if u.is_zero():
+        raise PreconditionError("undefined for zero symbol")
+    layout, p, c = _entries(u)
+    G, ok, L, K = _range_stack(layout, np.array([p]), np.array([c]))
+    if not ok[0]:
         raise NumericalError("ill-conditioned range basis")
-    L = np.linalg.cholesky(np.conj(G))
-    return RangeBasis(index, G, L)
+    index = tuple((q, l + 1) for q, l in zip(p, layout))
+    return RangeBasis(index, G[0], L[0]), K[0]
 
 
 def coords_to_function(c: np.ndarray, rb: RangeBasis) -> HardyRational:
@@ -161,20 +202,34 @@ def coords_to_function(c: np.ndarray, rb: RangeBasis) -> HardyRational:
     return hardy_from_terms(list(pairs.items()))
 
 
+def _coefficient_stack(layout: tuple[int, ...], c: np.ndarray) -> np.ndarray:
+    """C[(p, l), (p, r)] = c_{p, l+r-1}, zero across poles and past the multiplicity.
+
+    `layout` is that of `_range_stack` and `c` (..., N) the coefficient
+    c_{p, l} of each entry.  A pole's entries run from f (l = 1) to e, so
+    C[f+i, f+j] = c[f+i+j] for i + j < e - f.
+    """
+    n = len(layout)
+    starts = [a for a, l in enumerate(layout) if l == 0] + [n]
+    at, src = [], []
+    for f, e in zip(starts, starts[1:]):
+        for i in range(e - f):
+            for j in range(e - f - i):
+                at.append((f + i) * n + f + j)
+                src.append(f + i + j)
+    C = np.zeros(c.shape[:-1] + (n * n,), dtype=complex)
+    C[..., at] = c[..., src]
+    return C.reshape(c.shape[:-1] + (n, n))
+
+
 def _coefficient_matrix(u: HardyRational, rb: RangeBasis) -> np.ndarray:
-    """C[(p, l), (p, r)] = c_{p, l+r-1}, zero across poles and past the multiplicity."""
+    """C of `_coefficient_stack` for u on the basis rb, which may hold more poles."""
     coeffs = {t.pole: t.coeffs for t in u.terms}
-    width = max(l for _, l in rb.index)
-    # row a holds c_{p, l}, c_{p, l+1}, ... for entry a = (p, l), so C[a, b] is
-    # its column r - 1 for b = (p, r); first[a] is the entry (p, 1)
-    shifted, first = [], []
-    for a, (p, l) in enumerate(rb.index):
-        cs = coeffs.get(p, ())[l - 1 :]
-        shifted += (*cs, *[0j] * (width - len(cs)))
-        first.append(a - l + 1)
-    first = np.array(first)
-    rows = np.array(shifted, dtype=complex).reshape(-1, width)
-    return rows.take(np.arange(len(first)) - first, axis=1) * (first[:, None] == first)
+    c = []
+    for p, l in rb.index:
+        cs = coeffs.get(p, ())
+        c.append(cs[l - 1] if l <= len(cs) else 0j)
+    return _coefficient_stack(tuple(l - 1 for _, l in rb.index), np.array(c, dtype=complex))
 
 
 def hankel_matrix(u: HardyRational, rb: RangeBasis) -> np.ndarray:
@@ -259,13 +314,11 @@ def _takagi_svd(u: HardyRational) -> _TakagiSVD:
     L^H M L^-T of M = C G / (-2 pi i): conj(G) = L L^H gives G L^-T = conj(L),
     so K is formed without inverting L, and is more accurate for it.  The
     singular values `sigma` (descending) are the lambda_j; the sampler
-    rejects draws on them alone before paying for the rest of
-    `eigendecompose`.
+    takes the same ones for a block of draws from `_range_stack` and one
+    stacked SVD, and rejects most draws on them alone.
     """
-    rb = build_range_basis(u)
+    rb, K = _range_basis(u)
     M = hankel_matrix(u, rb)
-    Lbar = rb.chol.conj()
-    K = Lbar.T @ _coefficient_matrix(u, rb) @ Lbar / (-2j * math.pi)
     return _TakagiSVD(rb, M, K, *np.linalg.svd(K))
 
 

@@ -8,12 +8,21 @@ make the smallest channel's angle rate vanish like lambda^(2n-2) and drown
 the comparison in curvature error.
 
 A draw is tested in two steps.  First the eigenvalue ratio: the lambda_j
-are the singular values of one SVD of the closed-form matrix K, the same
-SVD `eigendecompose` takes, and most draws fail here.  Only a draw that
+are the singular values of the closed-form matrix K, the same SVD
+`eigendecompose` takes, and most draws fail here.  Only a draw that
 passes is decomposed in full and put to the genericity and speed-gap
-tests.  The accepted draws and the generator's stream are those of
-decomposing every draw; the symbol returned (rescaled or not) is not
-decomposed again, since every caller decomposes it.
+tests.  The symbol returned (rescaled or not) is not decomposed again,
+since every caller decomposes it.
+
+The ratio test runs on blocks of `_BLOCK` draws: one stacked pass of
+`hankel._range_stack` (Gram matrices, conditioning, Cholesky factors, K)
+and one stacked SVD, the LAPACK calls `_takagi_svd` makes one draw at a
+time, on the same matrices, so the singular values are bitwise the same.
+The generator's state is recorded after every draw.  The draws of a block
+are then tested in draw order, and on acceptance the generator is set back
+to the state after the accepted draw, so the draws past it in the block
+are never seen.  The accepted draws and the generator's stream are
+therefore those of drawing and decomposing one symbol at a time.
 """
 
 from __future__ import annotations
@@ -22,8 +31,8 @@ import math
 
 import numpy as np
 
-from .errors import NumericalError, PreconditionError
-from .hankel import _takagi_svd, eigendecompose
+from .errors import InputError, NumericalError, PreconditionError
+from .hankel import _entries, _range_stack, eigendecompose
 from .rational import HardyRational, as_hardy, hardy_from_terms
 from .actionangle import ActionAngleCoords
 
@@ -35,6 +44,12 @@ __all__ = [
 ]
 
 _MAX_TRIES = 5000
+_BLOCK = 8          # draws per stacked ratio test
+
+
+def _check_degree(n: int) -> None:
+    if n < 1:
+        raise InputError(f"degree must be at least 1, got {n}")
 
 
 def random_symbol(n: int, rng: np.random.Generator, min_sep: float = 0.5) -> HardyRational:
@@ -42,6 +57,7 @@ def random_symbol(n: int, rng: np.random.Generator, min_sep: float = 0.5) -> Har
 
     Raises NumericalError when `_MAX_TRIES` draws all miss the constraints.
     """
+    _check_degree(n)
     for _ in range(_MAX_TRIES):
         poles = [complex(rng.uniform(-1.5, 1.5), -rng.uniform(0.5, 1.6))
                  for _ in range(n)]
@@ -58,27 +74,73 @@ def random_symbol(n: int, rng: np.random.Generator, min_sep: float = 0.5) -> Har
     raise NumericalError(f"rejection sampling failed: no degree-{n} symbol in {_MAX_TRIES} tries")
 
 
+def _sigmas(layout, p, c) -> list:
+    """Singular values of K for draws of one layout, None where the Gram test fails.
+
+    One stacked pass; if LAPACK fails on the stack, one pass per draw, and
+    a draw it fails on is rejected, as it is when decomposed alone.
+    """
+    try:
+        _, ok, _, K = _range_stack(layout, np.array(p), np.array(c))
+        sigma = iter(np.linalg.svd(K)[1])
+    except np.linalg.LinAlgError:
+        if len(p) == 1:
+            return [None]
+        return [s for pj, cj in zip(p, c) for s in _sigmas(layout, [pj], [cj])]
+    return [next(sigma) if good else None for good in ok]
+
+
+def _block_sigmas(draws: list[HardyRational]) -> list:
+    """The Takagi singular values of each draw, or None where the ratio step rejects it."""
+    by_layout: dict[tuple[int, ...], list] = {}
+    for i, u in enumerate(draws):
+        if not u.is_zero():
+            layout, p, c = _entries(u)
+            by_layout.setdefault(layout, []).append((i, p, c))
+    out = [None] * len(draws)
+    for layout, group in by_layout.items():
+        at, p, c = zip(*group)
+        for i, sigma in zip(at, _sigmas(layout, p, c)):
+            out[i] = sigma
+    return out
+
+
 def _conditioned(n, rng, want, lam_ratio, scale_to) -> HardyRational:
-    for _ in range(_MAX_TRIES):
-        u = random_symbol(n, rng)
-        try:
-            sigma = _takagi_svd(u).sigma
-            if sigma[-1] < lam_ratio * sigma[0]:
+    _check_degree(n)
+    if not math.isfinite(lam_ratio):
+        raise InputError(f"lam_ratio must be finite, got {lam_ratio}")
+    tries = 0
+    while tries < _MAX_TRIES:
+        draws, states, error = [], [], None
+        while len(draws) < min(_BLOCK, _MAX_TRIES - tries):
+            try:
+                draws.append(random_symbol(n, rng))
+            except Exception as e:     # raised once the draws before it are tested
+                error = e
+                break
+            states.append(rng.bit_generator.state)
+        tries += len(draws)
+        for u, state, sigma in zip(draws, states, _block_sigmas(draws)):
+            if sigma is None or sigma[-1] < lam_ratio * sigma[0]:
                 continue
-            dec = eigendecompose(u)
-        except (NumericalError, PreconditionError, np.linalg.LinAlgError):
-            continue
-        if want == "generic" and dec.genericity == "non_generic":
-            continue
-        if want == "strongly_generic" and dec.genericity != "strongly_generic":
-            continue
-        if want == "strongly_generic":
-            speeds = np.sort(dec.lambdas**2 * dec.nus**2)
-            if np.min(np.diff(speeds)) < 0.05 * speeds[-1]:
+            try:
+                dec = eigendecompose(u)
+            except (NumericalError, PreconditionError, np.linalg.LinAlgError):
                 continue
-        if scale_to is not None:
-            u = as_hardy((scale_to / dec.lambdas[-1]) * u)
-        return u
+            if want == "generic" and dec.genericity == "non_generic":
+                continue
+            if want == "strongly_generic" and dec.genericity != "strongly_generic":
+                continue
+            if want == "strongly_generic":
+                speeds = np.sort(dec.lambdas**2 * dec.nus**2)
+                if np.min(np.diff(speeds)) < 0.05 * speeds[-1]:
+                    continue
+            rng.bit_generator.state = state
+            if scale_to is not None:
+                u = as_hardy((scale_to / dec.lambdas[-1]) * u)
+            return u
+        if error is not None:
+            raise error
     raise NumericalError("rejection sampling failed; loosen the constraints")
 
 
@@ -103,6 +165,7 @@ def random_strongly_generic(n: int, rng: np.random.Generator,
 
 def random_coords(n: int, rng: np.random.Generator) -> ActionAngleCoords:
     """A random point of the coordinate domain with moderate conditioning."""
+    _check_degree(n)
     lam2 = np.cumsum(rng.uniform(0.25, 1.0, n))
     nus = rng.uniform(0.6, 1.8, n)
     return ActionAngleCoords(

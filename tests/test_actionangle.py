@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from szego import flow
+from szego import actionangle, flow
 from szego.actionangle import (
     ActionAngleCoords,
     _coords_distance,
@@ -16,7 +16,7 @@ from szego.actionangle import (
     szego_flow,
     toroidal_cylinder_check,
 )
-from szego.errors import InputError, PreconditionError
+from szego.errors import InputError, NumericalError, PreconditionError
 from szego.flow import recover_rational
 from szego.hankel import eigendecompose
 from szego.rational import (
@@ -189,6 +189,15 @@ class TestChiInverse:
         parts[field] = (parts[field][0], value)
         with pytest.raises(InputError, match="coordinates must be finite"):
             chi_inverse(ActionAngleCoords(*parts))
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_inadmissible_shift_matrix_raises(self, monkeypatch, n):
+        # conj(S0) reflects the eigenvalues of S0 across the real line, so
+        # every pole of the reconstruction would lie in the upper half-plane
+        real = actionangle._assemble_s
+        monkeypatch.setattr(actionangle, "_assemble_s", lambda *a: real(*a).conj())
+        with pytest.raises(NumericalError, match="outside the admissible image"):
+            chi_inverse(random_coords(n, np.random.default_rng(n)))
 
     def test_json_roundtrip(self):
         rng = np.random.default_rng(9)

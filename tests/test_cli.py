@@ -231,6 +231,25 @@ class TestRoundtripCommand:
         assert main(["roundtrip", "--config", str(cfg)]) == 2
         assert "bad config value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ("n = 0", "count = -3", "tol = nan", "tol = -1"))
+    def test_out_of_range_config_value_exits_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["roundtrip", "--config", str(cfg)]) == 2
+        assert "bad config value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", (
+        ("--n", "-2"), ("--n", "0"), ("--count", "-3"), ("--count", "0"),
+        ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"), ("--tol", "0")))
+    def test_bad_number_exits_2(self, tmp_path, capsys, flag, value):
+        # unchecked, --n -2 raised an untyped ValueError, --count 0 and
+        # --tol nan passed without a check, and --tol -1 exited 4
+        out = tmp_path / "run"
+        assert main(["roundtrip", "--n", "2", "--count", "1", flag, value,
+                     "--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tolerance_exceeded_exits_4(self, tmp_path):
         code = main(["roundtrip", "--n", "2", "--count", "1", "--seed", "7",
                      "--tol", "1e-30"])
@@ -281,6 +300,12 @@ class TestValidateCommand:
         cfg.write_text("convergence = maybe\n")
         assert main(["validate", "--symbol", SOLITON, "--config", str(cfg)]) == 2
         assert "bad config value for 'convergence'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ("spectrum", "validate"))
+    @pytest.mark.parametrize("tol", ("nan", "-inf", "-1e-3"))
+    def test_bad_tolerance_exits_2(self, command, tol, capsys):
+        assert main([command, "--symbol", SOLITON, "--tol", tol]) == 2
+        assert "--tol" in capsys.readouterr().err
 
     def test_tight_tolerance_exits_4(self):
         code = main(["validate", "--symbol", SOLITON, "--t", "0.25",

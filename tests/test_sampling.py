@@ -1,3 +1,5 @@
+import functools
+import math
 import time
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 
 from szego import hankel, sampling
 from szego.cli import main
-from szego.errors import NumericalError, PreconditionError
+from szego.errors import InputError, NumericalError, PreconditionError
 from szego.hankel import eigendecompose
 from szego.rational import as_hardy, hardy_from_terms
 
@@ -122,21 +124,48 @@ STREAMS = ([pytest.param(_cli_stream, (seed,), id=f"cli-{seed}") for seed in ran
               for n in (2, 3) for seed in range(10)])
 
 
-@pytest.mark.parametrize("stream, args", STREAMS)
-def test_accepted_draws_and_rng_states_match_full_decomposition(stream, args):
-    rng, steps = stream(*args)
-    ref, _ = stream(*args)
-    samplers = {"generic": (sampling.random_generic, 0.05),
-                "strongly_generic": (sampling.random_strongly_generic, 0.2)}
+LAM_RATIOS = {"generic": 0.05, "strongly_generic": 0.2}
+
+
+@functools.cache
+def _reference_stream(stream, args):
+    """Each step's accepted symbol (None for coordinates) and the generator
+    state after it, by the full-decomposition rule; shared by the block sizes."""
+    ref, steps = stream(*args)
+    out = []
     for draw, n in steps:
+        u = None
+        if draw in LAM_RATIOS:
+            u = _reference_conditioned(n, ref, draw, LAM_RATIOS[draw], 0.8)
+        else:
+            draw(n, ref)
+        out.append((u, ref.bit_generator.state))
+    return out
+
+
+def _check_stream(stream, args):
+    rng, steps = stream(*args)
+    samplers = {"generic": sampling.random_generic,
+                "strongly_generic": sampling.random_strongly_generic}
+    for (draw, n), (want_u, want_state) in zip(steps, _reference_stream(stream, args)):
         if draw in samplers:
-            fn, lam_ratio = samplers[draw]
-            u = fn(n, rng)
-            assert _same_draw(u, _reference_conditioned(n, ref, draw, lam_ratio, 0.8))
+            assert _same_draw(samplers[draw](n, rng), want_u)
         else:
             draw(n, rng)
-            draw(n, ref)
-        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.bit_generator.state == want_state
+
+
+@pytest.mark.parametrize("stream, args", STREAMS)
+def test_accepted_draws_and_rng_states_match_full_decomposition(stream, args):
+    _check_stream(stream, args)
+
+
+# block size 1 is the sequential loop; 3 puts block edges elsewhere in the stream
+@pytest.mark.parametrize("block", (1, 3))
+@pytest.mark.parametrize("stream, args", STREAMS)
+def test_accepted_draws_and_rng_states_match_at_block_size(monkeypatch, stream, args, block):
+    monkeypatch.setattr(sampling, "_BLOCK", block)
+    _check_stream(stream, args)
 
 
 @pytest.fixture
@@ -195,3 +224,102 @@ def test_ill_conditioned_draw_is_rejected_by_the_lambda_step(monkeypatch, decomp
     assert not queue and decomposed == [u]
     monkeypatch.undo()
     assert _same_draw(u, sampling.random_generic(2, np.random.default_rng(3), scale_to=None))
+
+
+def test_unexpected_errors_in_the_stacked_lambda_pass_propagate(monkeypatch, decomposed):
+    def broken(k, c):
+        raise TypeError("broken coefficient stack")
+
+    monkeypatch.setattr(hankel, "_coefficient_stack", broken)
+    with pytest.raises(TypeError, match="broken coefficient stack"):
+        sampling.random_generic(2, np.random.default_rng(0))
+    assert decomposed == []
+
+
+def test_lapack_failure_on_a_block_falls_back_to_one_pass_per_draw(monkeypatch):
+    real = sampling._range_stack
+    stacks = []
+
+    def failing_on_stacks(k, p, c):
+        stacks.append(len(p))
+        if len(p) > 1:
+            raise np.linalg.LinAlgError("stacked call failed")
+        return real(k, p, c)
+
+    ref = np.random.default_rng(5)
+    want = sampling.random_generic(3, ref)
+    monkeypatch.setattr(sampling, "_range_stack", failing_on_stacks)
+    rng = np.random.default_rng(5)
+    assert _same_draw(sampling.random_generic(3, rng), want)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert set(stacks) == {sampling._BLOCK, 1}
+
+
+def _raising_after(draws):
+    """A `random_symbol` double: the given draws, then a RuntimeError."""
+    queue = list(draws)
+
+    def double(n, rng, min_sep=0.5):
+        if not queue:
+            raise RuntimeError("no more draws")
+        return queue.pop(0)
+
+    return double
+
+
+@pytest.mark.parametrize("block", (1, 3, 8))
+def test_draws_before_a_failing_draw_are_tested_first(monkeypatch, block):
+    good = sampling.random_generic(2, np.random.default_rng(4), scale_to=None)
+    monkeypatch.setattr(sampling, "_BLOCK", block)
+    monkeypatch.setattr(sampling, "random_symbol", _raising_after([good]))
+    assert sampling.random_generic(2, np.random.default_rng(0), scale_to=None) is good
+
+
+@pytest.mark.parametrize("block", (1, 3, 8))
+def test_a_failing_draw_propagates_when_no_draw_before_it_passes(monkeypatch, block):
+    bad = hardy_from_terms([(-1j, [1.0]), (-1j + 1e-6, [1.0])])   # ill-conditioned
+    monkeypatch.setattr(sampling, "_BLOCK", block)
+    for draws in ([], [bad]):
+        monkeypatch.setattr(sampling, "random_symbol", _raising_after(draws))
+        with pytest.raises(RuntimeError, match="no more draws"):
+            sampling.random_generic(2, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_stacked_pass_is_bitwise_the_single_draw_pass(n):
+    rng = np.random.default_rng(40 + n)
+    draws = [sampling.random_symbol(n, rng) for _ in range(200)]
+    # a double pole, an ill-conditioned pair and a zero symbol in the block
+    draws[3:3] = [hardy_from_terms([(0.2 - 1.1j, [0.4, 1.0])]),
+                  hardy_from_terms([(-1j, [1.0]), (-1j + 1e-6, [1.0])]),
+                  hardy_from_terms([])]
+    accepted = 0
+    for u, sigma in zip(draws, sampling._block_sigmas(draws)):
+        if sigma is None:
+            with pytest.raises((NumericalError, PreconditionError)):
+                hankel._takagi_svd(u)
+            continue
+        assert np.array_equal(sigma, hankel._takagi_svd(u).sigma)
+        accepted += 1
+    assert accepted >= 190
+    simple = draws[:3] + draws[6:]
+    k, p, c = zip(*map(hankel._entries, simple))
+    G, ok, _, _ = hankel._range_stack(k[0], np.array(p), np.array(c))
+    for u, gram, good in zip(simple, G, ok):
+        if good:
+            assert np.array_equal(gram, hankel.build_range_basis(u).gram)
+
+
+@pytest.mark.parametrize("draw", (sampling.random_symbol, sampling.random_generic,
+                                  sampling.random_strongly_generic, sampling.random_coords))
+@pytest.mark.parametrize("n", (0, -2))
+def test_degree_below_one_is_an_input_error(draw, n):
+    with pytest.raises(InputError, match="degree must be at least 1"):
+        draw(n, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("lam_ratio", (math.nan, math.inf, -math.inf))
+def test_non_finite_lambda_ratio_is_an_input_error(lam_ratio):
+    # a NaN ratio would turn the test sigma_min < nan * sigma_max off
+    with pytest.raises(InputError, match="lam_ratio"):
+        sampling.random_generic(2, np.random.default_rng(0), lam_ratio=lam_ratio)
