@@ -10,34 +10,7 @@ cross-validation.
 __version__ = "0.1.0"
 
 from .errors import InputError, NumericalError, PreconditionError, ToleranceExceeded
-from .rational import (
-    BlaschkeData,
-    FourierTerm,
-    HardyRational,
-    PoleTerm,
-    RationalFn,
-    as_hardy,
-    blaschke,
-    fn_integral,
-    fourier_transform,
-    from_json_dict,
-    from_terms,
-    h_half_norm,
-    hankel_apply,
-    hardy_from_terms,
-    homogeneous_sobolev_norm,
-    inner_product,
-    l2_norm,
-    lambda_functional,
-    load_symbol,
-    pf_from_ratio,
-    simple_pole,
-    spectral_density,
-    symplectic_form,
-    szego_project,
-    to_json_dict,
-    zero,
-)
+from .rational import *  # noqa: F403 -- the names of rational.__all__
 from .hankel import (
     RangeBasis,
     SpectralDecomposition,

@@ -34,6 +34,7 @@ from .rational import (
     HardyRational,
     RationalFn,
     _sobolev_norms,
+    as_hardy,
     h_half_norm,
     simple_pole,
 )
@@ -88,16 +89,16 @@ def soliton_params_from_spectrum(dec: SpectralDecomposition) -> tuple[SolitonPar
     """One soliton per channel; requires strongly generic data."""
     if dec.genericity != "strongly_generic":
         raise PreconditionError("soliton resolution requires strongly generic data")
-    out = []
-    for j in range(dec.size):
-        lam = float(dec.lambdas[j])
-        beta = dec.betas[j]
-        nu = float(dec.nus[j])
-        C = 1j * lam * np.conj(beta) ** 2 / (2.0 * math.pi)
-        p = complex(dec.shift[j, j].real, -nu**2 / (4.0 * math.pi))
-        out.append(SolitonParams(complex(C), p,
-                                 lam**2 * nu**2 / (2.0 * math.pi), lam**2))
-    return tuple(out)
+    return tuple(_soliton(float(dec.lambdas[j]), dec.betas[j], float(dec.nus[j]),
+                          dec.shift[j, j].real) for j in range(dec.size))
+
+
+def _soliton(lam: float, beta: complex, nu: float, gamma: float) -> SolitonParams:
+    """The channel's soliton: C = i lam conj(beta)^2 / 2pi, p = gamma - i nu^2 / 4pi,
+    c = lam^2 nu^2 / 2pi and omega = lam^2."""
+    C = 1j * lam * np.conj(beta) ** 2 / (2.0 * math.pi)
+    p = complex(gamma, -nu**2 / (4.0 * math.pi))
+    return SolitonParams(complex(C), p, lam**2 * nu**2 / (2.0 * math.pi), lam**2)
 
 
 def soliton_term(sp: SolitonParams, t: float) -> HardyRational:
@@ -157,7 +158,7 @@ def remainder_norms(u0: HardyRational, times, s_values) -> ResolutionReport:
         eps: RationalFn = ut
         for sp in sols:
             eps = eps - soliton_term(sp, t)
-        norms[i] = _sobolev_combos(HardyRational(eps.terms), s_values)
+        norms[i] = _sobolev_combos(as_hardy(eps), s_values)
     exponents = tuple(
         _fit_decay(times, norms[:, k])[0] for k in range(len(s_values))
     )
@@ -180,17 +181,10 @@ def nongeneric_analysis(u0: HardyRational, times=None) -> NonGenericReport:
     nu1 = abs(betas[0])
     c1, c2 = T[0, 0], T[1, 0]
     d1, d2 = T[0, 1], T[1, 1]
-    A = lam**2 * nu1**2 / (2.0 * math.pi)
+    sol = _soliton(lam, betas[0], nu1, c1.real)
+    A = sol.speed
     B = (lam**2 * nu1**2 / math.pi) * (c1 - d2)
     Cc = (c1 - d2) ** 2 + 4.0 * c2 * d1
-
-    Csol = 1j * lam * np.conj(betas[0]) ** 2 / (2.0 * math.pi)
-    sol = SolitonParams(
-        complex(Csol),
-        complex(c1.real, -nu1**2 / (4.0 * math.pi)),
-        A,
-        lam**2,
-    )
 
     if times is None:
         times = tuple(float(v) for v in np.geomspace(1e2, 1e4, 17))

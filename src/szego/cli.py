@@ -378,12 +378,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, symbol=True, tol=2e-4):
+    def common(sp, symbol=True):
         if symbol:
             sp.add_argument("--symbol", help="symbol JSON (path or inline)")
         sp.add_argument("--out", help="output directory for artifacts")
-        sp.add_argument("--seed", type=int, default=0, help="RNG seed")
-        sp.add_argument("--tol", type=_tolerance, default=tol, help="tolerance")
 
     sp = sub.add_parser("spectrum", help="eigendata of the Hankel operator")
     common(sp)
@@ -417,13 +415,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_actionangle)
 
     sp = sub.add_parser("roundtrip", help="random action-angle round trips")
-    common(sp, symbol=False, tol=1e-7)
+    common(sp, symbol=False)
+    sp.add_argument("--seed", type=int, default=0, help="RNG seed")
+    sp.add_argument("--tol", type=_tolerance, default=1e-7, help="tolerance")
     sp.add_argument("--n", type=_at_least_one, default=3, help="symbol degree")
     sp.add_argument("--count", type=_at_least_one, default=10)
     sp.set_defaults(func=_cmd_roundtrip)
 
     sp = sub.add_parser("validate", help="pseudo-spectral cross-check")
     common(sp)
+    sp.add_argument("--tol", type=_tolerance, default=2e-4, help="tolerance")
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--L", type=float, default=200.0)
     sp.add_argument("--M", type=int, default=2**14)

@@ -48,6 +48,8 @@ from .rational import (
     EIG_SEP_RTOL,
     HardyRational,
     _cluster_poles,
+    _from_flat,
+    _layout,
     _sobolev_norms,
     hardy_from_terms,
     l2_norm,
@@ -159,14 +161,10 @@ def evolve_eval(dec: SpectralDecomposition, t: float, x) -> complex:
 
 def fit_partial_fractions(poles_mults, xs, values) -> HardyRational:
     """Least-squares partial fractions with prescribed poles/multiplicities."""
-    cols = []
-    layout = []
-    xs = np.asarray(xs, dtype=complex)
-    for p, m in poles_mults:
-        for l in range(1, m + 1):
-            cols.append(1.0 / (xs - p) ** l)
-            layout.append((p, l))
-    A = np.array(cols).T
+    centers, mults = zip(*poles_mults)
+    layout = _layout(mults)
+    poles = np.repeat(centers, mults)
+    A = 1.0 / (np.asarray(xs, dtype=complex)[:, None] - poles) ** np.add(layout, 1)
     sol, _res, _rk, _sv = np.linalg.lstsq(A, np.asarray(values, dtype=complex),
                                           rcond=None)
     resid = np.linalg.norm(A @ sol - values)
@@ -175,13 +173,7 @@ def fit_partial_fractions(poles_mults, xs, values) -> HardyRational:
         raise NumericalError(
             f"defective recovery: fit residual {resid:.3e} on scale {scale:.3e}"
         )
-    pairs: dict[complex, list[complex]] = {}
-    for (p, l), c in zip(layout, sol):
-        stack = pairs.setdefault(p, [])
-        while len(stack) < l:
-            stack.append(0.0j)
-        stack[l - 1] += complex(c)
-    return hardy_from_terms(list(pairs.items()))
+    return _from_flat(layout, poles, sol)
 
 
 def _eig2x2(A: np.ndarray):
@@ -225,19 +217,24 @@ def _from_pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray, eig=None) -> Hard
     residues (i/2pi)(a^T V)_k (V^{-1} b)_k of the bilinear expansion;
     clustered ones are merged into multiple poles and the coefficients
     fitted at 4N Chebyshev points.  `eig` is `_eigenpairs(A)`, for a
-    caller that has already factored A.
+    caller that has already factored A.  A pole that rounding puts on or
+    above the real axis is a `NumericalError`.
     """
     n = len(b)
     E, V = _eigenpairs(A) if eig is None else eig
     scale = max(1.0, abs(E).max())
     seps = abs(E[:, None] - E)
     seps.reshape(-1)[:: n + 1] = math.inf
-    if seps.min() > EIG_SEP_RTOL * scale:
+    clusters = None if seps.min() > EIG_SEP_RTOL * scale else _cluster_poles(E)
+    poles = E if clusters is None else np.array([p for p, _ in clusters])
+    if (poles.imag >= -1e-12).any():
+        raise NumericalError("recovered pole on or above the real line")
+    if clusters is None:
         coeffs = 0.5j / math.pi * (a @ V) * np.linalg.solve(V, b)
         return hardy_from_terms([(e, [c]) for e, c in zip(E.tolist(), coeffs.tolist())])
     k = np.arange(4 * n)
     xs = (2.0 * scale + 1.0) * np.cos((2 * k + 1) * math.pi / (2 * len(k)))
-    return fit_partial_fractions(_cluster_poles(E), xs, _pairing(A, a, b, xs))
+    return fit_partial_fractions(clusters, xs, _pairing(A, a, b, xs))
 
 
 def recover_rational(dec: SpectralDecomposition, t: float) -> HardyRational:
@@ -300,17 +297,10 @@ def trajectory(
     for t in times:
         ut = recover_rational(dec, float(t))
         row: dict = {"time": float(t)}
-        if "poles" in observables or "coefficients" in observables:
-            flat_poles = []
-            flat_coeffs = []
-            for term in ut.terms:
-                for l, c in enumerate(term.coeffs, start=1):
-                    flat_poles.append(term.pole)
-                    flat_coeffs.append(c)
-            if "poles" in observables:
-                row["poles"] = flat_poles
-            if "coefficients" in observables:
-                row["coefficients"] = flat_coeffs
+        if "poles" in observables:
+            row["poles"] = ut._flat[1].tolist()
+        if "coefficients" in observables:
+            row["coefficients"] = ut._flat[2].tolist()
         if "conserved" in observables:
             dect = eigendecompose(ut)
             row["J"] = spectral_conserved(dect, 4)

@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .rational import HardyRational, _g_coeffs, hardy_from_terms
+from .rational import HardyRational, _from_flat, _g_coeffs, hardy_from_terms
 
 GRAM_COND_LIMIT = 1e12
 CLUSTER_RTOL = 1e-8       # relative gap that groups eigenvalues of H^2
@@ -136,31 +136,19 @@ def build_range_basis(u: HardyRational) -> RangeBasis:
     return _range_basis(u)[0]
 
 
-def _entries(u: HardyRational) -> tuple[tuple[int, ...], list[complex], list[complex]]:
-    """Layout (l - 1 per basis entry), pole and coefficient c_{p, l} of each entry 1/(x-p)^l."""
-    k, p, c = [], [], []
-    for t in u.terms:
-        for l, coeff in enumerate(t.coeffs):
-            k.append(l)
-            p.append(t.pole)
-            c.append(coeff)
-    return tuple(k), p, c
-
-
 def _range_stack(layout: tuple[int, ...], p: np.ndarray, c: np.ndarray):
     """Gram matrices, conditioning test, Cholesky factors and K for a stack of symbols.
 
-    The symbols share one pole layout: `layout` holds l - 1 for each basis
-    entry 1/(x-p)^l (the entries of a pole consecutive, l = 1..m), and `p`
-    and `c`, shaped (..., N), the pole and the coefficient c_{p, l} of each
-    entry, with leading axes for the stack.  Returns G (..., N, N) by the
-    formula of `build_range_basis`; the mask `ok` of the symbols whose G
-    passes the conditioning test, 0 < e_min and e_max <= GRAM_COND_LIMIT *
-    e_min for its eigenvalues; and, for those only and stacked along one
-    axis, the lower Cholesky factor L of conj(G) and
-    K = L^H C conj(L) / (-2 pi i) (see `_takagi_svd`).  Each LAPACK call is
-    one stacked call, so a stack of one takes the path of every other stack
-    size.
+    The symbols share one flat layout (see `rational`): `layout` holds
+    l - 1 for each basis entry 1/(x-p)^l, and `p` and `c`, shaped (..., N),
+    the pole and the coefficient c_{p, l} of each entry, with leading axes
+    for the stack.  Returns G (..., N, N) by the formula of
+    `build_range_basis`; the mask `ok` of the symbols whose G passes the
+    conditioning test, 0 < e_min and e_max <= GRAM_COND_LIMIT * e_min for
+    its eigenvalues; and, for those only and stacked along one axis, the
+    lower Cholesky factor L of conj(G) and K = L^H C conj(L) / (-2 pi i)
+    (see `_takagi_svd`).  Each LAPACK call is one stacked call, so a stack
+    of one takes the path of every other stack size.
     """
     k = np.array(layout)
     kk = k[:, None] + k
@@ -181,33 +169,24 @@ def _range_basis(u: HardyRational) -> tuple[RangeBasis, np.ndarray]:
     """The range basis of u and its K, as a stack of one."""
     if u.is_zero():
         raise PreconditionError("undefined for zero symbol")
-    layout, p, c = _entries(u)
-    G, ok, L, K = _range_stack(layout, np.array([p]), np.array([c]))
+    layout, p, c = u._flat
+    G, ok, L, K = _range_stack(layout, p[None], c[None])
     if not ok[0]:
         raise NumericalError("ill-conditioned range basis")
-    index = tuple((q, l + 1) for q, l in zip(p, layout))
+    index = tuple((q, l + 1) for q, l in zip(p.tolist(), layout))
     return RangeBasis(index, G[0], L[0]), K[0]
 
 
 def coords_to_function(c: np.ndarray, rb: RangeBasis) -> HardyRational:
-    pairs = {}
-    for a, (pole, l) in enumerate(rb.index):
-        key = pole
-        if key not in pairs:
-            pairs[key] = []
-        stack = pairs[key]
-        while len(stack) < l:
-            stack.append(0.0j)
-        stack[l - 1] += complex(c[a])
-    return hardy_from_terms(list(pairs.items()))
+    poles, ls = zip(*rb.index)
+    return _from_flat([l - 1 for l in ls], poles, c)
 
 
 def _coefficient_stack(layout: tuple[int, ...], c: np.ndarray) -> np.ndarray:
     """C[(p, l), (p, r)] = c_{p, l+r-1}, zero across poles and past the multiplicity.
 
-    `layout` is that of `_range_stack` and `c` (..., N) the coefficient
-    c_{p, l} of each entry.  A pole's entries run from f (l = 1) to e, so
-    C[f+i, f+j] = c[f+i+j] for i + j < e - f.
+    `layout` and `c` (..., N) are those of `_range_stack`.  A pole's entries
+    run from f (l = 1) to e, so C[f+i, f+j] = c[f+i+j] for i + j < e - f.
     """
     n = len(layout)
     starts = [a for a, l in enumerate(layout) if l == 0] + [n]
@@ -223,13 +202,18 @@ def _coefficient_stack(layout: tuple[int, ...], c: np.ndarray) -> np.ndarray:
 
 
 def _coefficient_matrix(u: HardyRational, rb: RangeBasis) -> np.ndarray:
-    """C of `_coefficient_stack` for u on the basis rb, which may hold more poles."""
-    coeffs = {t.pole: t.coeffs for t in u.terms}
-    c = []
-    for p, l in rb.index:
-        cs = coeffs.get(p, ())
-        c.append(cs[l - 1] if l <= len(cs) else 0j)
-    return _coefficient_stack(tuple(l - 1 for _, l in rb.index), np.array(c, dtype=complex))
+    """C of `_coefficient_stack` for u on the basis rb, which may hold more poles.
+
+    Raises "range leakage" when an entry of u is not in rb.
+    """
+    layout, p, c = u._flat
+    try:
+        at = [rb.index.index((q, k + 1)) for q, k in zip(p.tolist(), layout)]
+    except ValueError:
+        raise NumericalError("range leakage") from None
+    cb = np.zeros(rb.size, dtype=complex)
+    cb[at] = c
+    return _coefficient_stack(tuple(l - 1 for _, l in rb.index), cb)
 
 
 def hankel_matrix(u: HardyRational, rb: RangeBasis) -> np.ndarray:
@@ -241,8 +225,6 @@ def hankel_matrix(u: HardyRational, rb: RangeBasis) -> np.ndarray:
     with C block-diagonal per pole, C[(p, l), (p, r)] = c_{p, l+r-1} (zero
     past the multiplicity); for simple poles M[j, b] = c_j / (p_j - conj p_b).
     """
-    if not {(t.pole, t.multiplicity) for t in u.terms} <= set(rb.index):
-        raise NumericalError("range leakage")
     return _coefficient_matrix(u, rb) @ rb.gram / (-2j * math.pi)
 
 
@@ -346,8 +328,7 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
 
     # Blaschke postcondition H_u g = u, in partial-fraction coordinates
     g_coords_f = _g_coeffs(u)
-    u_coords = np.array([c for t in u.terms for c in t.coeffs])
-    if abs(M @ g_coords_f.conj() - u_coords).max() > 1e-10 * max(1.0, u.max_coeff()):
+    if abs(M @ g_coords_f.conj() - u._flat[2]).max() > 1e-10 * max(1.0, u.max_coeff()):
         raise NumericalError("Blaschke postcondition H_u(g) = u failed")
     d_g = Lh @ g_coords_f
 

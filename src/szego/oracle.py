@@ -119,14 +119,14 @@ def sample_to_grid(u: HardyRational, L: float, M: int,
     amps = spectral_density(u, grid_frequencies(L, M))
     scale = float(np.max(np.abs(amps))) if amps.size else 0.0
     if scale > 0 and abs(amps[-1]) > 1e-14 * scale:
-        delta = min(-t.pole.imag for t in u.terms)
+        delta = -float(u._flat[1].imag.max())
         need = math.log(scale / 1e-14) / delta
         raise InputError(
             f"box too small: spectral tail {abs(amps[-1]):.2e}; "
             f"need xi_max >= {need:.1f}, e.g. L <= {M * math.pi / (2 * need):.1f} "
             f"or a larger M"
         )
-    if u.terms:
+    if u.degree:
         edge = max(abs(u.evaluate(1.0 * L)), abs(u.evaluate(-1.0 * L)))
         if edge > tail_tol:
             raise InputError(

@@ -16,6 +16,12 @@ Integrals of functions decaying like 1/x^2 are evaluated by residues:
 axis)``.  Products are computed exactly by truncated Laurent expansion around
 each pole of the result, so no polynomial root finding enters the arithmetic.
 
+The other modules read a function in one flat layout, its `_flat` view:
+one entry per 1/(x - p_j)^l, a pole's entries consecutive for l = 1..m_j
+and the poles in `terms` order, given as the tuple of l - 1 per entry (the
+layout) and the arrays of the entries' poles and coefficients.  The view
+is built once per object; `_from_flat` is the one way back.
+
 Root finding enters only `pf_from_ratio`: `_cluster_poles` groups its roots
 into multiple poles by the rule the flow layer applies to eigenvalues.
 
@@ -31,6 +37,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -120,6 +127,16 @@ class RationalFn:
     def poles(self) -> tuple[complex, ...]:
         return tuple(t.pole for t in self.terms)
 
+    @cached_property
+    def _flat(self) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+        """(layout, poles, coefficients) in the flat layout; built once, read-only."""
+        terms = self.terms
+        layout = _layout([len(t.coeffs) for t in terms])
+        poles = np.array([t.pole for t in terms for _ in t.coeffs], dtype=complex)
+        coeffs = np.array([c for t in terms for c in t.coeffs], dtype=complex)
+        poles.flags.writeable = coeffs.flags.writeable = False
+        return layout, poles, coeffs
+
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other: "RationalFn") -> "RationalFn":
@@ -168,16 +185,12 @@ class RationalFn:
 
     def evaluate(self, z):
         """Direct summation of the partial fractions at z (scalar or array)."""
+        layout, poles, coeffs = self._flat
         zarr = np.asarray(z, dtype=complex)
-        out = np.zeros_like(zarr)
-        for t in self.terms:
-            d = zarr - t.pole
-            if np.min(np.abs(d)) < 1e-14:
-                raise InputError("evaluation at pole")
-            acc = np.zeros_like(zarr)
-            for c in reversed(t.coeffs):
-                acc = (acc + c) / d
-            out = out + acc
+        d = zarr[..., None] - poles
+        if d.size and np.min(np.abs(d)) < 1e-14:
+            raise InputError("evaluation at pole")
+        out = (coeffs / d ** np.add(layout, 1)).sum(axis=-1)
         if np.isscalar(z) or zarr.ndim == 0:
             return complex(out)
         return out
@@ -227,6 +240,17 @@ def from_terms(pairs) -> RationalFn:
 def hardy_from_terms(pairs) -> HardyRational:
     f = from_terms(pairs)
     return HardyRational(f.terms)
+
+
+def _layout(mults) -> tuple[int, ...]:
+    """The flat layout of poles of the given multiplicities: l - 1 per entry."""
+    return tuple([l for m in mults for l in range(m)])
+
+
+def _from_flat(layout, poles, coeffs) -> HardyRational:
+    """The Hardy element whose flat view is (layout, poles, coeffs); a pole starts at each 0."""
+    starts = [a for a, l in enumerate(layout) if l == 0] + [len(layout)]
+    return hardy_from_terms([(poles[f], coeffs[f:e]) for f, e in zip(starts, starts[1:])])
 
 
 def as_hardy(f: RationalFn) -> HardyRational:
@@ -492,7 +516,7 @@ class BlaschkeData:
 
 
 def _g_coeffs(u: HardyRational) -> np.ndarray:
-    """Coefficients of g = 1 - b_u on 1/(x-p)^l, in range-basis order.
+    """Coefficients of g = 1 - b_u on 1/(x-p)^l, in the flat layout.
 
     Around a pole p of multiplicity m, b_u = (x-p)^-m h(x) with
     h(x) = (x - conj p)^m prod_{q != p} ((x - conj q)/(x - q))^(m_q), so the
@@ -523,14 +547,12 @@ def blaschke(u: HardyRational) -> BlaschkeData:
     """Blaschke data of the symbol; checks H_u(g) = u internally."""
     if u.is_zero():
         raise PreconditionError("undefined for zero symbol")
-    poles = tuple(t.pole for t in u.terms)
-    mults = tuple(t.multiplicity for t in u.terms)
-    cg = iter(_g_coeffs(u))
-    g = hardy_from_terms([(p, [next(cg) for _ in range(m)]) for p, m in zip(poles, mults)])
+    layout, poles, _ = u._flat
+    g = _from_flat(layout, poles, _g_coeffs(u))
     resid = hankel_apply(u, g) - u
     if resid.max_coeff() > 1e-10 * max(1.0, u.max_coeff()):
         raise NumericalError("Blaschke postcondition H_u(g) = u failed")
-    return BlaschkeData(poles, mults, g)
+    return BlaschkeData(u.poles(), tuple(t.multiplicity for t in u.terms), g)
 
 
 # ----------------------------------------------------------------------------
@@ -546,24 +568,27 @@ class FourierTerm:
     power: int
 
 
+def _fourier_arrays(f: HardyRational) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Amplitudes, poles and powers of the transform's terms, one per nonzero entry."""
+    layout, poles, coeffs = f._flat
+    keep = coeffs != 0
+    power = np.array(layout, dtype=int)[keep]
+    amp = [c * 2.0 * math.pi * (-1j) ** (k + 1) / math.factorial(k)
+           for k, c in zip(power.tolist(), coeffs[keep].tolist())]
+    return np.array(amp, dtype=complex), poles[keep], power
+
+
 def fourier_transform(f: HardyRational) -> tuple[FourierTerm, ...]:
     """Closed-form Fourier transform on xi > 0; zero on xi < 0."""
-    out = []
-    for t in f.terms:
-        for l, c in enumerate(t.coeffs, start=1):
-            if c == 0:
-                continue
-            amp = c * 2.0 * math.pi * (-1j) ** l / math.factorial(l - 1)
-            out.append(FourierTerm(amp, t.pole, l - 1))
-    return tuple(out)
+    return tuple(map(FourierTerm, *(a.tolist() for a in _fourier_arrays(f))))
 
 
 def spectral_density(f: HardyRational, xi):
     """Evaluate the closed-form transform at xi >= 0 (scalar or array)."""
     xarr = np.asarray(xi, dtype=float)
     out = np.zeros(xarr.shape, dtype=complex)
-    for ft in fourier_transform(f):
-        out += ft.amplitude * xarr**ft.power * np.exp(-1j * ft.pole * xarr)
+    for amp, pole, power in zip(*(a.tolist() for a in _fourier_arrays(f))):
+        out += amp * xarr**power * np.exp(-1j * pole * xarr)
     if np.isscalar(xi) or xarr.ndim == 0:
         return complex(out)
     return out
@@ -579,12 +604,9 @@ def _sobolev_norms(f: HardyRational, ss) -> tuple[float, ...]:
     ss = np.asarray(ss, dtype=float)
     if np.any(ss < 0):
         raise PreconditionError("Sobolev index must be nonnegative")
-    fts = fourier_transform(f)
-    if not fts:
+    amp, pol, pw = _fourier_arrays(f)
+    if not len(amp):
         return (0.0,) * len(ss)
-    amp = np.array([t.amplitude for t in fts])
-    pol = np.array([t.pole for t in fts])
-    pw = np.array([t.power for t in fts])
     A = amp[:, None] * np.conj(amp[None, :])
     k = pw[:, None] + pw[None, :]
     gam = np.array([[math.gamma(2.0 * s + j + 1.0) for j in range(2 * pw.max() + 1)]

@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .errors import InputError, NumericalError, PreconditionError
-from .hankel import _entries, _range_stack, eigendecompose
+from .hankel import _range_stack, eigendecompose
 from .rational import HardyRational, as_hardy, hardy_from_terms
 from .actionangle import ActionAngleCoords
 
@@ -95,7 +95,7 @@ def _block_sigmas(draws: list[HardyRational]) -> list:
     by_layout: dict[tuple[int, ...], list] = {}
     for i, u in enumerate(draws):
         if not u.is_zero():
-            layout, p, c = _entries(u)
+            layout, p, c = u._flat
             by_layout.setdefault(layout, []).append((i, p, c))
     out = [None] * len(draws)
     for layout, group in by_layout.items():

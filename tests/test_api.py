@@ -1,0 +1,101 @@
+"""The public API, pinned: a refactor that drops or changes a public name fails here.
+
+`szego.__all__` is pinned as a sorted list of names, and every public
+function of `szego.rational`, `szego.hankel` and `szego.flow` (a function
+named in the module's `__all__`) by the text of its `inspect.signature`.
+A deliberate API change edits these tables in the same change.
+"""
+
+import inspect
+
+import pytest
+
+import szego
+from szego import flow, hankel, rational
+
+PACKAGE_ALL = [
+    "ActionAngleCoords", "BlaschkeData", "FlowMatrix", "FourierTerm",
+    "GridState", "HardyRational", "InputError", "NonGenericReport",
+    "NumericalError", "PoleTerm", "PreconditionError", "RangeBasis",
+    "RationalFn", "ResolutionReport", "SolitonParams", "SpectralDecomposition",
+    "TMatrix", "ToleranceExceeded", "actionangle", "as_hardy", "asymptotics",
+    "blaschke", "build_range_basis", "chi", "chi_inverse",
+    "classify_genericity", "compare", "conserved_quantities",
+    "decomposition_to_json", "eigendecompose", "eigenfunction", "errors",
+    "evolve_eval", "flow", "fn_integral", "fourier_transform",
+    "from_json_dict", "from_terms", "grid_physical", "growth_fit",
+    "h_half_norm", "hankel", "hankel_apply", "hankel_matrix",
+    "hardy_from_terms", "hierarchy_flow", "hierarchy_vector_field",
+    "homogeneous_sobolev_norm", "inner_product", "integrate", "l2_norm",
+    "lambda_functional", "load_symbol", "mass", "nongeneric_analysis",
+    "oracle", "pf_from_ratio", "rational", "recover_rational",
+    "remainder_norms", "s_matrix", "sample_to_grid", "self_convergence",
+    "simple_pole", "soliton_params_from_spectrum", "soliton_term",
+    "spectral_conserved", "spectral_density", "step", "symplectic_form",
+    "szego_flow", "szego_project", "t_matrix", "to_json_dict",
+    "toroidal_cylinder_check", "trajectory", "zero",
+]
+
+SIGNATURES = {
+    "rational": {
+        "from_terms": "(pairs) -> 'RationalFn'",
+        "hardy_from_terms": "(pairs) -> 'HardyRational'",
+        "simple_pole": "(coeff: 'complex', pole: 'complex') -> 'HardyRational'",
+        "zero": "() -> 'HardyRational'",
+        "as_hardy": "(f: 'RationalFn') -> 'HardyRational'",
+        "pf_from_ratio": "(numerator, denominator) -> 'HardyRational'",
+        "szego_project": "(f: 'RationalFn') -> 'HardyRational'",
+        "hankel_apply": "(u: 'HardyRational', h: 'HardyRational') -> 'HardyRational'",
+        "lambda_functional": "(f: 'RationalFn') -> 'complex'",
+        "fn_integral": "(f: 'RationalFn') -> 'complex'",
+        "inner_product": "(f: 'RationalFn', h: 'RationalFn') -> 'complex'",
+        "symplectic_form": "(u: 'RationalFn', v: 'RationalFn') -> 'float'",
+        "blaschke": "(u: 'HardyRational') -> 'BlaschkeData'",
+        "fourier_transform": "(f: 'HardyRational') -> 'tuple[FourierTerm, ...]'",
+        "spectral_density": "(f: 'HardyRational', xi)",
+        "homogeneous_sobolev_norm": "(f: 'HardyRational', s: 'float') -> 'float'",
+        "l2_norm": "(f: 'HardyRational') -> 'float'",
+        "h_half_norm": "(f: 'HardyRational') -> 'float'",
+        "to_json_dict": "(f: 'HardyRational') -> 'dict'",
+        "from_json_dict": "(d: 'dict') -> 'HardyRational'",
+        "load_symbol": "(text_or_dict) -> 'HardyRational'",
+    },
+    "hankel": {
+        "build_range_basis": "(u: 'HardyRational') -> 'RangeBasis'",
+        "hankel_matrix": "(u: 'HardyRational', rb: 'RangeBasis') -> 'np.ndarray'",
+        "eigendecompose":
+            "(u: 'HardyRational', rank_tol: 'float' = 1e-10) -> 'SpectralDecomposition'",
+        "t_matrix": "(u: 'HardyRational', dec: 'SpectralDecomposition') -> 'TMatrix'",
+        "classify_genericity": "(dec: 'SpectralDecomposition') -> 'str'",
+        "eigenfunction": "(dec: 'SpectralDecomposition', j: 'int') -> 'HardyRational'",
+        "coords_to_function": "(c: 'np.ndarray', rb: 'RangeBasis') -> 'HardyRational'",
+        "decomposition_to_json": "(dec: 'SpectralDecomposition') -> 'dict'",
+    },
+    "flow": {
+        "s_matrix": "(dec: 'SpectralDecomposition', t: 'float') -> 'FlowMatrix'",
+        "evolve_eval": "(dec: 'SpectralDecomposition', t: 'float', x) -> 'complex'",
+        "recover_rational": "(dec: 'SpectralDecomposition', t: 'float') -> 'HardyRational'",
+        "conserved_quantities": "(u: 'HardyRational', kmax: 'int') -> 'list[float]'",
+        "spectral_conserved": "(dec: 'SpectralDecomposition', kmax: 'int') -> 'list[float]'",
+        "trajectory": (
+            "(u0: 'HardyRational', times, observables: 'tuple[str, ...]' = "
+            "('poles', 'coefficients', 'conserved', 'norms'), "
+            "hs: 'tuple[float, ...]' = ()) -> 'list[dict]'"),
+        "fit_partial_fractions": "(poles_mults, xs, values) -> 'HardyRational'",
+    },
+}
+
+MODULES = {"rational": rational, "hankel": hankel, "flow": flow}
+
+
+def test_package_all_is_pinned():
+    assert sorted(szego.__all__) == PACKAGE_ALL
+
+
+@pytest.mark.parametrize("module", sorted(SIGNATURES))
+def test_public_functions_and_signatures_are_pinned(module):
+    mod = MODULES[module]
+    public = {name: getattr(mod, name) for name in mod.__all__}
+    got = {name: str(inspect.signature(obj)) for name, obj in public.items()
+           if inspect.isfunction(obj)}
+    assert got == SIGNATURES[module]

@@ -57,6 +57,12 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--symbol", str(p), "--out",
                      str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("flag", ("--seed", "--tol"))
+    def test_options_of_other_commands_exit_2(self, flag, capsys):
+        # only roundtrip reads --seed, and only roundtrip and validate --tol
+        assert main(["spectrum", "--symbol", SOLITON, flag, "1"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestEvolveCommand:
     def test_soliton_pole_column(self, tmp_path):
@@ -301,10 +307,11 @@ class TestValidateCommand:
         assert main(["validate", "--symbol", SOLITON, "--config", str(cfg)]) == 2
         assert "bad config value for 'convergence'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ("spectrum", "validate"))
+    @pytest.mark.parametrize("command", ("roundtrip", "validate"))
     @pytest.mark.parametrize("tol", ("nan", "-inf", "-1e-3"))
     def test_bad_tolerance_exits_2(self, command, tol, capsys):
-        assert main([command, "--symbol", SOLITON, "--tol", tol]) == 2
+        given = {"roundtrip": ["--n", "2"], "validate": ["--symbol", SOLITON]}[command]
+        assert main([command, *given, "--tol", tol]) == 2
         assert "--tol" in capsys.readouterr().err
 
     def test_tight_tolerance_exits_4(self):

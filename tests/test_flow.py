@@ -222,6 +222,22 @@ class TestRecoverChecks:
                            match="defective recovery: pointwise mismatch"):
             recover_rational(dec, 0.7)
 
+    @pytest.mark.parametrize("A", ([[-1j, 0], [0, 0]], [[0, 1], [0, 0]]), ids=("eig", "fit"))
+    def test_pole_on_the_axis_is_a_numerical_error_on_both_routes(self, A):
+        with pytest.raises(NumericalError, match="on or above the real line"):
+            flow._from_pairing(np.array(A, dtype=complex), np.ones(2), np.ones(2))
+
+    @pytest.mark.parametrize("t", (4e6, 5e6, 6e6, 8e6))
+    def test_near_axis_pole_returns_or_raises_numerical_error(self, double_eig_symbol, t):
+        # the second pole nears the axis like -13.5/t^2, below what eig of
+        # S(t) resolves at these t; a pole rounded onto the axis is not an
+        # input error
+        dec = eigendecompose(double_eig_symbol)
+        try:
+            recover_rational(dec, t)
+        except NumericalError:
+            pass
+
 
 class TestL2Norm:
     @pytest.mark.parametrize("name", ("soliton_symbol", "generic_m2",

@@ -14,6 +14,7 @@ from szego.rational import (
     HardyRational,
     _sobolev_norms,
     RationalFn,
+    _from_flat,
     _g_coeffs,
     as_hardy,
     blaschke,
@@ -484,6 +485,57 @@ class TestRepresentation:
         want = math.hypot(l2_norm(generic_m2),
                           homogeneous_sobolev_norm(generic_m2, 0.5))
         assert abs(v - want) < 1e-14
+
+
+# Per-term reference loops for the flat view.
+def loop_flat(u):
+    layout, poles, coeffs = [], [], []
+    for t in u.terms:
+        for l, c in enumerate(t.coeffs):
+            layout.append(l)
+            poles.append(t.pole)
+            coeffs.append(c)
+    return tuple(layout), poles, coeffs
+
+
+def loop_evaluate(u, z):
+    out = np.zeros_like(z)
+    for t in u.terms:
+        acc = np.zeros_like(z)
+        for c in reversed(t.coeffs):
+            acc = (acc + c) / (z - t.pole)
+        out = out + acc
+    return out
+
+
+class TestFlatView:
+    @pytest.fixture(params=("soliton_symbol", "double_eig_symbol", "generic_m2",
+                            "mixed_mult", "eight_poles", "zero"))
+    def symbol(self, request):
+        if request.param == "zero":
+            return zero()
+        return request.getfixturevalue(request.param)
+
+    def test_matches_the_per_term_loop(self, symbol):
+        layout, poles, coeffs = symbol._flat
+        assert (layout, poles.tolist(), coeffs.tolist()) == loop_flat(symbol)
+        assert symbol.degree == len(layout)
+
+    def test_from_flat_gives_back_the_terms(self, symbol):
+        assert _from_flat(*symbol._flat).terms == symbol.terms
+
+    def test_built_once_and_read_only(self, symbol):
+        view = symbol._flat
+        assert symbol._flat is view
+        for a in view[1:]:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 1.0
+
+    def test_evaluate_matches_horner(self, symbol):
+        z = np.concatenate([np.linspace(-4.0, 4.0, 17), np.linspace(-3.0, 3.0, 7) + 0.5j])
+        want = loop_evaluate(symbol, z)
+        assert np.max(np.abs(symbol.evaluate(z) - want)) <= 1e-14 * np.max(np.abs(want))
+        assert symbol.evaluate(0.3) == complex(symbol.evaluate(np.array([0.3]))[0])
 
 
 def test_import_leaves_quadrature_out():

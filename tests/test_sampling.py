@@ -303,7 +303,7 @@ def test_stacked_pass_is_bitwise_the_single_draw_pass(n):
         accepted += 1
     assert accepted >= 190
     simple = draws[:3] + draws[6:]
-    k, p, c = zip(*map(hankel._entries, simple))
+    k, p, c = zip(*(u._flat for u in simple))
     G, ok, _, _ = hankel._range_stack(k[0], np.array(p), np.array(c))
     for u, gram, good in zip(simple, G, ok):
         if good:
