@@ -118,7 +118,7 @@ def chi_inverse(coords: ActionAngleCoords) -> HardyRational:
     diag = np.diag(np.array(coords.gammas) + 1j * nu**2 / (4.0 * math.pi))
     S0 = _assemble_s(lam, beta, np.eye(coords.size, dtype=bool), diag, 0.0)
     # the poles of u are the eigenvalues of conj(S0): Im >= 0 there is Im <= 0 for S0
-    A = S0.conj()
+    A = S0.conj()[None]
     eig = _eigenpairs(A)
     if (eig[0].imag >= 0).any():
         raise NumericalError(
@@ -127,7 +127,7 @@ def chi_inverse(coords: ActionAngleCoords) -> HardyRational:
             "map is onto the coordinate domain, so this indicates numerical "
             "trouble (extreme coordinates) rather than an inadmissible input"
         )
-    u = _from_pairing(A, lam * beta.conj(), beta.conj(), eig)
+    u = _from_pairing(A, (lam * beta.conj())[None], beta.conj()[None], eig)[0]
     back = chi(eigendecompose(u))
     err = _coords_distance(coords, back)
     if err > ROUNDTRIP_TOL:

@@ -29,10 +29,9 @@ import numpy as np
 
 from .errors import PreconditionError
 from .hankel import SpectralDecomposition, eigendecompose
-from .flow import recover_rational, s_matrix
+from .flow import _recover_many, _s_stack
 from .rational import (
     HardyRational,
-    RationalFn,
     _sobolev_norms,
     as_hardy,
     h_half_norm,
@@ -133,17 +132,14 @@ def _fit_decay(times, values, min_points: int = 5):
     return fit_power_law(t, np.maximum(vals, 1e-300))
 
 
-def _sobolev_combos(f: HardyRational, s_values) -> list[float]:
-    """sqrt(L2^2 + Hdot_s^2) for every s: the inhomogeneous-norm convention
-    used for fits (exact via the Gamma formula; equivalent to the
-    (1+xi^2)^s weight)."""
-    l2, *hdots = _sobolev_norms(f, (0.0, *s_values))
-    return [l2 if s == 0 else math.sqrt(l2 * l2 + b * b)
-            for s, b in zip(s_values, hdots)]
-
-
 def remainder_norms(u0: HardyRational, times, s_values) -> ResolutionReport:
-    """Track ||u(t) - sum of solitons||_{H^s} and fit the decay exponents."""
+    """Track ||u(t) - sum of solitons||_{H^s} and fit the decay exponents.
+
+    The norm is the inhomogeneous sqrt(L2^2 + Hdot_s^2), the L2 norm at
+    s = 0.  u(t) is recovered at every time on the time-stacked route
+    (`flow._recover_many`); the solitons are subtracted time by time, and
+    the norms of all remainders come from one `_sobolev_norms` call.
+    """
     times = tuple(float(t) for t in times)
     if any(t == 0 for t in times):
         raise PreconditionError("remainder decay is measured at nonzero times")
@@ -152,13 +148,15 @@ def remainder_norms(u0: HardyRational, times, s_values) -> ResolutionReport:
     dec = eigendecompose(u0)
     sols = soliton_params_from_spectrum(dec)
     s_values = tuple(float(s) for s in s_values)
-    norms = np.empty((len(times), len(s_values)))
-    for i, t in enumerate(times):
-        ut = recover_rational(dec, t)
-        eps: RationalFn = ut
+    eps = []
+    for t, ut in zip(times, _recover_many(dec, times)):
         for sp in sols:
-            eps = eps - soliton_term(sp, t)
-        norms[i] = _sobolev_combos(as_hardy(eps), s_values)
+            ut = ut - soliton_term(sp, t)
+        eps.append(as_hardy(ut))
+    l2, *hdots = _sobolev_norms(eps, (0.0, *s_values)).T
+    norms = np.empty((len(times), len(s_values)))
+    for k, (s, b) in enumerate(zip(s_values, hdots)):
+        norms[:, k] = l2 if s == 0 else np.sqrt(l2 * l2 + b * b)
     exponents = tuple(
         _fit_decay(times, norms[:, k])[0] for k in range(len(s_values))
     )
@@ -198,11 +196,11 @@ def nongeneric_analysis(u0: HardyRational, times=None) -> NonGenericReport:
         tr = (A * t + c1 + d2)
         e1s.append(complex((tr + root) / 2.0))
         e2s.append(complex((tr - root) / 2.0))
-        # consistency with the assembled flow matrix
-        ev = np.linalg.eigvals(s_matrix(dec, t).s)
-        got = sorted(ev, key=lambda z: abs(z - e1s[-1]))
-        if abs(got[0] - e1s[-1]) > 1e-6 * max(1.0, abs(e1s[-1])):
-            raise PreconditionError("closed-form eigenvalue track disagrees with S(t)")
+    # consistency with the assembled flow matrices: each has E_1 as an eigenvalue
+    e1 = np.array(e1s)
+    gap = abs(np.linalg.eigvals(_s_stack(dec, times)) - e1[:, None]).min(axis=-1)
+    if (gap > 1e-6 * np.maximum(1.0, abs(e1))).any():
+        raise PreconditionError("closed-form eigenvalue track disagrees with S(t)")
     exponent, _ = fit_power_law(times, [abs(z.imag) for z in e2s])
     return NonGenericReport(
         lam**2, sol, A, complex(B), complex(Cc),
@@ -216,22 +214,19 @@ def growth_fit(u0: HardyRational, s: float, times) -> dict:
     Returns the fitted slope of log ||u(t)||_{Hdot^s} against log |t| plus
     the relative drift of the conserved H^(1/2) quantity over the same
     times.  For the double-eigenvalue class the slope approaches 2s-1 for
-    s > 1/2 and 0 at the conserved s = 1/2.
+    s > 1/2 and 0 at the conserved s = 1/2.  u(t) is recovered at every
+    time on the time-stacked route (`flow._recover_many`), and the norms
+    of all times come from one `_sobolev_norms` call.
     """
     times = tuple(float(t) for t in times)
     if len(times) < 5:
         raise PreconditionError("insufficient samples")
     dec = eigendecompose(u0)
-    vals = []
-    h_half = []
-    for t in times:
-        ut = recover_rational(dec, t)
-        l2, half, hdot = _sobolev_norms(ut, (0.0, 0.5, s))
-        vals.append(hdot)
-        h_half.append(math.sqrt(l2 * l2 + half * half))
+    l2, half, hdot = _sobolev_norms(_recover_many(dec, times), (0.0, 0.5, s)).T
+    vals = hdot.tolist()
     slope, intercept = fit_power_law(times, vals)
     ref = h_half_norm(u0)
-    drift = max(abs(v - ref) for v in h_half) / ref
+    drift = float(np.max(abs(np.sqrt(l2 * l2 + half * half) - ref))) / ref
     return {
         "s": float(s),
         "slope": slope,

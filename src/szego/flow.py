@@ -4,9 +4,9 @@ With spectral data (lambda_j, beta_j) and the shift matrix T = `dec.shift`
 of the initial symbol, S(t) is assembled by broadcasting over a cluster
 mask: oscillatory off the eigenvalue cluster, linear drift
 (lambda_j^2/2pi) conj(beta_j) beta_k t + (T e_j, e_k) inside it.  S(t)
-depends on t only, so it is built once per time and every point is
-evaluated from it by a resolvent solve.  The solution is the resolvent
-pairing
+depends on t only, so it is built once per time (or once for a stack of
+times) and every point is evaluated from it by a resolvent solve.  The
+solution is the resolvent pairing
 
     u(t, x) = -(i/2pi) * (u0, W(t) (S(t) - x I)^{-1} W(t) g0),
     W(t) = diag exp(i t lambda_j^2 / 2),
@@ -22,15 +22,30 @@ the soliton-resolution amplitudes C_j = i lambda_j conj(beta_j)^2 / (2 pi).
 
 The inverse spectral map of `actionangle` builds S(0) from coordinates by
 the same `_assemble_s` and pairs it the same way.  The poles of a pairing
--(i/2pi) a^T (A - z I)^{-1} b are the eigenvalues of A; `_from_pairing`
-reads the residues off one `eig` of A,
-or, when eigenvalues cluster into a multiple pole, fits the coefficients
-to the pairing at Chebyshev points.  The 20-point postcondition of
-`recover_rational` evaluates u(t) point by point through `evolve_eval`, so
-it does not depend on the eigendecomposition it checks.  Both use the one
-pairing (A, a, b) of the call: the last one built from S(t) is kept, keyed
-on (decomposition, t), and reused while the same pair is asked for.  Every
-point, here and at the Chebyshev points, is one `_resolvent` solve.
+-(i/2pi) a^T (A - z I)^{-1} b are the eigenvalues of A.  `_from_pairing`
+takes a stack of pairings: one stacked `eig` (`_eig2x2` per matrix at
+N = 2) and one stacked solve give every pairing's residues, and where
+eigenvalues cluster into a multiple pole the coefficients are fitted to
+the pairing at Chebyshev points.  `_pairing` evaluates a stack of
+pairings at a stack of points by one stacked solve.
+
+u(t) is recovered as a rational function on one of two routes.  Each
+checks its result at 20 points against resolvent solves, which do not
+depend on the eigendecomposition they check.
+- `_recover_many(dec, times)`, for `remainder_norms` and `growth_fit`:
+  S(t) for all times is one broadcast of `_assemble_s` over a time axis,
+  the partial fractions are one `_from_pairing` call, and the 20-point
+  checks of all times are one (T, 20, N, N) `_pairing` solve.
+- `recover_rational(dec, t)`, one time, for `trajectory` (a loop over its
+  times) and for public callers: a stack of one through `_from_pairing`,
+  checked by 20 `evolve_eval` calls.  `evolve_eval` is one `_resolvent`
+  solve against the pairing (A, a, b) that `_flow_at` keeps for the last
+  (decomposition, t) asked for; at one point this costs about a third of
+  a stack-of-one `_pairing`.
+`trajectory` and the check of `recover_rational` stay on the one-time
+route only because the benchmark's tracer counts public calls
+(`flow.recover_rational.calls`, 20 `evolve_eval` calls per recovery);
+ROADMAP item 6, the next change to the benchmark, removes that pin.
 """
 
 from __future__ import annotations
@@ -83,11 +98,25 @@ def s_matrix(dec: SpectralDecomposition, t: float) -> FlowMatrix:
     """Assemble S(t) in the eigenbasis; S(0) is the shift matrix itself."""
     if not math.isfinite(t):
         raise InputError(f"time must be finite, got {t}")
+    s = _assemble_s(dec.lambdas, dec.betas, _cluster_mask(dec), dec.shift, t)
+    return FlowMatrix(s, np.exp(0.5j * t * dec.lambdas**2), float(t))
+
+
+def _s_stack(dec: SpectralDecomposition, times) -> np.ndarray:
+    """S(t) for every t of times: one (T, N, N) broadcast of `_assemble_s`."""
+    ts = np.asarray(times, dtype=float)
+    bad = ts[~np.isfinite(ts)]
+    if bad.size:
+        raise InputError(f"time must be finite, got {bad[0]}")
+    return _assemble_s(dec.lambdas, dec.betas, _cluster_mask(dec), dec.shift,
+                       ts[:, None, None])
+
+
+def _cluster_mask(dec: SpectralDecomposition) -> np.ndarray:
+    """[k, j] is True where channels k and j share an eigenvalue cluster."""
     # clusters are consecutive runs of the ascending eigenvalues
     label = np.array([c for c, grp in enumerate(dec.clusters) for _ in grp])
-    same = label[:, None] == label                # [k, j]: one cluster
-    s = _assemble_s(dec.lambdas, dec.betas, same, dec.shift, t)
-    return FlowMatrix(s, np.exp(0.5j * t * dec.lambdas**2), float(t))
+    return label[:, None] == label
 
 
 def _assemble_s(lam, beta, same, shift, t) -> np.ndarray:
@@ -95,13 +124,15 @@ def _assemble_s(lam, beta, same, shift, t) -> np.ndarray:
 
     `s_matrix` passes the eigenbasis shift and its cluster mask; the inverse
     spectral map passes t = 0, the identity mask and diag(gamma + i nu^2/4pi).
+    A t of shape (T, 1, 1) gives the (T, N, N) stack of S at those times.
     """
     lam2 = lam**2
     d = lam2[:, None] - lam2                      # lambda_k^2 - lambda_j^2
     bb = beta[:, None] * beta.conj()              # beta_k conj(beta_j)
     drift = lam2 / (2.0 * math.pi) * bb * t + shift
-    Y = lam * np.exp(0.5j * t * d) * bb           # lambda_j osc bb; Y.T is lambda_k conj(osc bb)
-    wave = lam / (2j * math.pi * (d + same)) * (Y - Y.T)   # + same: finite where masked
+    Y = lam * np.exp(0.5j * t * d) * bb           # lambda_j osc bb; Y^T is lambda_k conj(osc bb)
+    Yt = Y.swapaxes(-1, -2)
+    wave = lam / (2j * math.pi * (d + same)) * (Y - Yt)    # + same: finite where masked
     return np.where(same, drift, wave)
 
 
@@ -124,8 +155,30 @@ def _resolvent(A: np.ndarray, a: np.ndarray, b: np.ndarray, x) -> complex:
 
 
 def _pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray, xs) -> np.ndarray:
-    """-(i/2pi) a^T (A - x I)^{-1} b at every x of xs, one `_resolvent` each."""
-    return np.array([_resolvent(A, a, b, x) for x in np.asarray(xs, dtype=complex)])
+    """-(i/2pi) a^T (A - x I)^{-1} b at every x of xs, by one stacked solve.
+
+    A is (..., N, N), a and b are (..., N) and xs is (..., P), with the
+    leading axes broadcast; the result is (..., P).  Each point's matrix is
+    A with x taken off the diagonal, as in `_resolvent`, and each point's
+    residual must be within 1e-10 max(1, |b|).  The check fails closed, and
+    one failed point fails the whole stack.
+    """
+    xs = np.asarray(xs, dtype=complex)
+    n = b.shape[-1]
+    lead = np.broadcast_shapes(A.shape[:-2], a.shape[:-1], b.shape[:-1], xs.shape[:-1])
+    M = np.broadcast_to(A[..., None, :, :], (*lead, xs.shape[-1], n, n)).astype(complex)
+    M[..., range(n), range(n)] -= xs[..., None]
+    B = np.broadcast_to(b[..., None, :, None], (*M.shape[:-1], 1))
+    try:
+        y = np.linalg.solve(M, B)
+    except np.linalg.LinAlgError as e:
+        raise NumericalError("resolvent solve failed") from e
+    r = (M @ y - B)[..., 0]
+    bound = 1e-20 * np.maximum(1.0, np.vecdot(b, b).real)[..., None]
+    if not (np.vecdot(r, r).real <= bound).all():
+        raise NumericalError("resolvent solve failed")
+    # vecdot of conj(a) sums as `_resolvent`'s y @ a does, so the values agree bitwise
+    return -0.5j / math.pi * np.vecdot(a.conj()[..., None, :], y[..., 0])
 
 
 def _flow_pairing(dec: SpectralDecomposition, fm: FlowMatrix):
@@ -202,54 +255,100 @@ def _eig2x2(A: np.ndarray):
         v = v1 if math.hypot(*map(abs, v1)) >= math.hypot(*map(abs, v2)) else v2
         n = math.hypot(*map(abs, v))
         vecs.append((v[0] / n, v[1] / n) if n > 0 else (1.0, 0.0))
-    return np.array([e1, e2]), np.array(vecs).T
+    return (e1, e2), tuple(zip(*vecs))            # eigenvectors as columns
 
 
 def _eigenpairs(A: np.ndarray):
-    """Eigenvalues E and eigenvectors V of a pairing matrix, as `_from_pairing` factors it."""
-    return _eig2x2(A) if len(A) == 2 else np.linalg.eig(A)
+    """Eigenvalues E (T, N) and eigenvectors V (T, N, N) of a (T, N, N) stack of
+    pairing matrices, as `_from_pairing` factors them: `_eig2x2` per matrix at N = 2."""
+    if A.shape[-1] != 2:
+        return np.linalg.eig(A)
+    E, V = zip(*map(_eig2x2, A))
+    return np.array(E), np.array(V)
 
 
-def _from_pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray, eig=None) -> HardyRational:
-    """Partial fractions of x -> -(i/2pi) a^T (A - x I)^{-1} b.
+def _from_pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray,
+                  eig=None) -> list[HardyRational]:
+    """Partial fractions of x -> -(i/2pi) a^T (A - x I)^{-1} b for a stack of pairings.
 
-    Its poles are the eigenvalues of A.  Separated eigenvalues give the
-    residues (i/2pi)(a^T V)_k (V^{-1} b)_k of the bilinear expansion;
-    clustered ones are merged into multiple poles and the coefficients
-    fitted at 4N Chebyshev points.  `eig` is `_eigenpairs(A)`, for a
-    caller that has already factored A.  A pole that rounding puts on or
-    above the real axis is a `NumericalError`.
+    A is (T, N, N) and a, b are (T, N); the result holds one function per
+    pairing.  Its poles are the eigenvalues of A.  Separated eigenvalues
+    give the residues (i/2pi)(a^T V)_k (V^{-1} b)_k of the bilinear
+    expansion, from one stacked solve; clustered ones are merged into
+    multiple poles and the coefficients fitted at 4N Chebyshev points,
+    evaluated by one stacked `_pairing`.  `eig` is `_eigenpairs(A)`, for
+    a caller that has already factored A.  A pole that rounding puts on
+    or above the real axis is a `NumericalError`.
     """
-    n = len(b)
     E, V = _eigenpairs(A) if eig is None else eig
-    scale = max(1.0, abs(E).max())
-    seps = abs(E[:, None] - E)
-    seps.reshape(-1)[:: n + 1] = math.inf
-    clusters = None if seps.min() > EIG_SEP_RTOL * scale else _cluster_poles(E)
-    poles = E if clusters is None else np.array([p for p, _ in clusters])
-    if (poles.imag >= -1e-12).any():
+    n = E.shape[-1]
+    scale = abs(E).max(axis=-1, initial=1.0)
+    seps = abs(E[:, :, None] - E[:, None, :]).reshape(len(E), -1)
+    seps[:, :: n + 1] = math.inf
+    apart = (seps.min(axis=-1) > EIG_SEP_RTOL * scale).tolist()
+    fit = [i for i, sep in enumerate(apart) if not sep]
+    clusters = [_cluster_poles(E[i]) for i in fit]
+    on_axis = E.imag >= -1e-12
+    if fit:                                       # a cluster's pole is its center
+        on_axis[fit] = False
+        V = V.copy()
+        V[fit] = np.eye(n)                        # a solvable stand-in; not read
+    if on_axis.any() or any(p.imag >= -1e-12 for grp in clusters for p, _ in grp):
         raise NumericalError("recovered pole on or above the real line")
-    if clusters is None:
-        coeffs = 0.5j / math.pi * (a @ V) * np.linalg.solve(V, b)
-        return hardy_from_terms([(e, [c]) for e, c in zip(E.tolist(), coeffs.tolist())])
-    k = np.arange(4 * n)
-    xs = (2.0 * scale + 1.0) * np.cos((2 * k + 1) * math.pi / (2 * len(k)))
-    return fit_partial_fractions(clusters, xs, _pairing(A, a, b, xs))
+    coeffs = (0.5j / math.pi * (a[:, None] @ V)[:, 0]
+              * np.linalg.solve(V, b[..., None])[..., 0])
+    out = [None if i in fit else hardy_from_terms([(p, [k]) for p, k in zip(e, c)])
+           for i, (e, c) in enumerate(zip(E.tolist(), coeffs.tolist()))]
+    if fit:
+        k = np.arange(4 * n)
+        xs = (2.0 * scale[fit][:, None] + 1.0) * np.cos((2 * k + 1) * math.pi / (2 * len(k)))
+        values = _pairing(A[fit], a[fit], b[fit], xs)
+        for i, grp, x, v in zip(fit, clusters, xs, values):
+            out[i] = fit_partial_fractions(grp, x, v)
+    return out
 
 
-def recover_rational(dec: SpectralDecomposition, t: float) -> HardyRational:
-    """The solution at time t as an exact element of the rational class."""
-    out = _from_pairing(*_flow_at(dec, t))
-    scale = max([1.0, *map(abs, out.poles())])
-    check_x = np.linspace(-2.3 * scale - 1.0, 2.3 * scale + 1.0, 20)
-    ref = np.array([evolve_eval(dec, t, x) for x in check_x])
-    got = out.evaluate(check_x)
-    err = float(np.max(np.abs(got - ref)))
+def _check_points(u: HardyRational) -> np.ndarray:
+    """The 20 points of the recovery postcondition, spanning u's poles."""
+    scale = max([1.0, *map(abs, u.poles())])
+    return np.linspace(-2.3 * scale - 1.0, 2.3 * scale + 1.0, 20)
+
+
+def _checked(u: HardyRational, xs, ref, t: float) -> HardyRational:
+    """u, if it matches the resolvent values ref at xs to RECOVER_TOL."""
+    err = float(np.max(np.abs(u.evaluate(xs) - ref)))
     if err > RECOVER_TOL * max(1.0, float(np.max(np.abs(ref)))):
         raise NumericalError(
             f"defective recovery: pointwise mismatch {err:.3e} at t={t}"
         )
-    return out
+    return u
+
+
+def recover_rational(dec: SpectralDecomposition, t: float) -> HardyRational:
+    """The solution at time t as an exact element of the rational class."""
+    A, a, b = _flow_at(dec, t)
+    out = _from_pairing(A[None], a[None], b[None])[0]
+    check_x = _check_points(out)
+    return _checked(out, check_x, np.array([evolve_eval(dec, t, x) for x in check_x]), t)
+
+
+def _recover_many(dec: SpectralDecomposition, times) -> list[HardyRational]:
+    """`recover_rational` at every t of times, on stacks over the time axis.
+
+    S(t) for all times is one broadcast, the partial fractions come from
+    one `_from_pairing` call, and the 20-point postcondition is one
+    stacked `_pairing` of every time's resolvent.
+    """
+    ts = np.asarray(times, dtype=float)
+    if not ts.size:
+        return []
+    S = _s_stack(dec, ts)
+    b = np.conj(np.exp(0.5j * ts[:, None] * dec.lambdas**2) * dec.betas)
+    A, a = np.conj(S), dec.lambdas * b
+    outs = _from_pairing(A, a, b)
+    check_x = np.array([_check_points(u) for u in outs])
+    ref = _pairing(A, a, b, check_x)
+    return [_checked(*args) for args in zip(outs, check_x, ref, ts.tolist())]
 
 
 def spectral_conserved(dec: SpectralDecomposition, kmax: int) -> list[float]:
@@ -281,7 +380,8 @@ def trajectory(
 
     Conserved quantities and norms are recomputed from the recovered
     rational at each time (not copied from t=0), so the table doubles as a
-    conservation regression.  `hs` adds homogeneous Sobolev norms.
+    conservation regression.  `hs` adds homogeneous Sobolev norms; the
+    norms of all times come from one `_sobolev_norms` call.
     """
     known = set(_CORE_OBSERVABLES) | {"solitons"}
     for ob in observables:
@@ -293,9 +393,11 @@ def trajectory(
         from .asymptotics import soliton_params_from_spectrum
 
         params = soliton_params_from_spectrum(dec)
+    uts = [recover_rational(dec, float(t)) for t in times]
+    if "norms" in observables:
+        norms = _sobolev_norms(uts, (0.0, 0.5, *hs)).tolist()
     rows = []
-    for t in times:
-        ut = recover_rational(dec, float(t))
+    for i, (t, ut) in enumerate(zip(times, uts)):
         row: dict = {"time": float(t)}
         if "poles" in observables:
             row["poles"] = ut._flat[1].tolist()
@@ -305,7 +407,7 @@ def trajectory(
             dect = eigendecompose(ut)
             row["J"] = spectral_conserved(dect, 4)
         if "norms" in observables:
-            l2, half, *hdots = _sobolev_norms(ut, (0.0, 0.5, *hs))
+            l2, half, *hdots = norms[i]
             row["L2"] = l2
             row["H12"] = math.sqrt(l2 * l2 + half * half)
             for s, v in zip(hs, hdots):

@@ -594,32 +594,42 @@ def spectral_density(f: HardyRational, xi):
     return out
 
 
-def _sobolev_norms(f: HardyRational, ss) -> tuple[float, ...]:
-    """Homogeneous Sobolev norms of f for every s in ss, from one transform.
+def _sobolev_norms(fs, ss) -> np.ndarray:
+    """Homogeneous Sobolev norms of every f of fs for every s in ss, shape (len(fs), len(ss)).
 
     ||f||_{Hdot^s}^2 = (1/2pi) int_0^oo xi^(2s) |fhat|^2, with every cross
     term integrating to Gamma(a+1)/c^(a+1) where c = i(p_a - conj(p_b)) has
-    positive real part.
+    positive real part.  Each f's transform is built once, and the
+    functions whose transforms have the same powers are one broadcast.
     """
     ss = np.asarray(ss, dtype=float)
     if np.any(ss < 0):
         raise PreconditionError("Sobolev index must be nonnegative")
-    amp, pol, pw = _fourier_arrays(f)
-    if not len(amp):
-        return (0.0,) * len(ss)
-    A = amp[:, None] * np.conj(amp[None, :])
-    k = pw[:, None] + pw[None, :]
-    gam = np.array([[math.gamma(2.0 * s + j + 1.0) for j in range(2 * pw.max() + 1)]
-                    for s in ss])
-    n = 2.0 * ss[:, None, None] + k
-    c = 1j * (pol[:, None] - np.conj(pol[None, :]))
-    total = np.sum(A * gam[:, k] / c ** (n + 1.0), axis=(1, 2))
-    return tuple(math.sqrt(max(v, 0.0)) for v in total.real / (2.0 * math.pi))
+    terms = [_fourier_arrays(f) for f in fs]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, (_amp, _pol, pw) in enumerate(terms):
+        groups.setdefault(tuple(pw.tolist()), []).append(i)
+    jmax = 2 * max((max(key) for key in groups if key), default=0)
+    gam = np.array([[math.gamma(2.0 * s + j + 1.0) for j in range(jmax + 1)] for s in ss])
+    out = np.zeros((len(terms), len(ss)))
+    for key, idx in groups.items():
+        if not key:
+            continue
+        amp = np.array([terms[i][0] for i in idx])
+        pol = np.array([terms[i][1] for i in idx])
+        pw = terms[idx[0]][2]
+        A = amp[:, :, None] * np.conj(amp[:, None, :])
+        k = pw[:, None] + pw[None, :]
+        n = 2.0 * ss[:, None, None] + k
+        c = 1j * (pol[:, :, None] - np.conj(pol[:, None, :]))
+        total = np.sum(A[:, None] * gam[:, k] / c[:, None] ** (n + 1.0), axis=(2, 3))
+        out[idx] = np.sqrt(np.maximum(total.real / (2.0 * math.pi), 0.0))
+    return out
 
 
 def homogeneous_sobolev_norm(f: HardyRational, s: float) -> float:
     """Exact homogeneous Sobolev norm via Gamma-function integrals."""
-    return _sobolev_norms(f, (s,))[0]
+    return float(_sobolev_norms([f], (s,))[0, 0])
 
 
 def h_half_norm(f: HardyRational) -> float:
@@ -629,7 +639,7 @@ def h_half_norm(f: HardyRational) -> float:
     that the flow preserves exactly, and the convention used by trajectory
     observables and conservation tests.
     """
-    a, b = _sobolev_norms(f, (0.0, 0.5))
+    a, b = _sobolev_norms([f], (0.0, 0.5))[0].tolist()
     return math.sqrt(a * a + b * b)
 
 

@@ -147,7 +147,7 @@ class TestChiInverse:
         T = loop_shift_matrix(c)
         nu = c.nus()
         m = c.lambdas() * nu * np.exp(1j * np.array(c.angles))
-        want = flow._from_pairing(np.conj(T), np.conj(m), nu)
+        want = flow._from_pairing(np.conj(T)[None], np.conj(m)[None], nu[None])[0]
         xs = np.linspace(-4.0, 4.0, 33)
         ref = want.evaluate(xs)
         got = chi_inverse(c).evaluate(xs)

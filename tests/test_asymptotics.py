@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from szego import asymptotics
 from szego.asymptotics import (
     fit_power_law,
     growth_fit,
@@ -133,6 +134,21 @@ class TestNonGenericAnalysis:
     def test_generic_input_rejected(self, generic_m2):
         with pytest.raises(PreconditionError, match="double eigenvalue"):
             nongeneric_analysis(generic_m2)
+
+    def test_track_checked_against_every_flow_matrix(self, monkeypatch, double_eig_symbol):
+        # one S(t) of the stack moved off the closed-form track fails the analysis
+        exact = asymptotics._s_stack
+        times = np.geomspace(1e2, 1e4, 7)
+
+        def moved(dec, ts):
+            S = exact(dec, ts)
+            S[4] += 1e-3 * abs(S[4]).max() * np.eye(2)
+            return S
+
+        nongeneric_analysis(double_eig_symbol, times)
+        monkeypatch.setattr(asymptotics, "_s_stack", moved)
+        with pytest.raises(PreconditionError, match="disagrees with S"):
+            nongeneric_analysis(double_eig_symbol, times)
 
 
 class TestGrowthFit:

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from szego import flow
-from szego.asymptotics import soliton_params_from_spectrum, soliton_term
+from szego.asymptotics import growth_fit, soliton_params_from_spectrum, soliton_term
 from szego.errors import InputError, NumericalError, PreconditionError
 from szego.flow import (
     _flow_pairing,
     _pairing,
+    _recover_many,
+    _resolvent,
+    _s_stack,
     conserved_quantities,
     evolve_eval,
     recover_rational,
@@ -30,6 +33,7 @@ from szego.sampling import random_strongly_generic
 
 S_CHECKED = ("soliton_symbol", "generic_m2", "double_eig_symbol", "mixed_mult",
              "eight_poles")
+MANY_TIMES = (0.0, 0.7, -0.7, 5.0, -5.0, *np.geomspace(1e2, 1e4, 5).tolist())
 
 
 def s_matrix_loop(dec, t):
@@ -120,6 +124,19 @@ class TestBroadcastSMatrix:
             want = s_matrix_loop(dec, t)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("name", S_CHECKED)
+    def test_time_stack_matches_one_time_assembly(self, name, request):
+        dec = eigendecompose(request.getfixturevalue(name))
+        stack = _s_stack(dec, MANY_TIMES)
+        assert stack.shape == (len(MANY_TIMES), dec.size, dec.size)
+        for t, got in zip(MANY_TIMES, stack):
+            want = s_matrix(dec, t).s
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_time_stack_rejects_a_non_finite_time(self, generic_m2):
+        with pytest.raises(InputError, match="time must be finite, got nan"):
+            _s_stack(eigendecompose(generic_m2), [0.0, 1.0, math.nan])
+
     def test_clusters_exercised(self, double_eig_symbol, eight_poles):
         # the double eigenvalue fills a 2x2 drift block; 8 poles, none
         assert [len(c) for c in eigendecompose(double_eig_symbol).clusters] == [2]
@@ -165,6 +182,123 @@ class TestResolventBatch:
         A[0, 1] = math.nan
         with pytest.raises(NumericalError, match="resolvent solve failed"):
             _pairing(A, a, b, [0.1])
+
+
+def stacked_pairings(dec, times):
+    """(A, a, b) of every t, stacked along a leading axis, from one-time pairings."""
+    return tuple(map(np.array, zip(*(_flow_pairing(dec, s_matrix(dec, t)) for t in times))))
+
+
+class TestStackedPairing:
+    @pytest.mark.parametrize("name", S_CHECKED)
+    def test_time_point_stack_equals_resolvent_loop(self, name, request):
+        dec = eigendecompose(request.getfixturevalue(name))
+        times = (0.3, -2.0, 7.5)
+        A, a, b = stacked_pairings(dec, times)
+        xs = np.array([np.linspace(-4.0, 4.0, 9) + k for k in range(3)], dtype=complex)
+        xs[:, 4] += 0.6j                                  # one point off the axis
+        got = _pairing(A, a, b, xs)
+        assert got.shape == (3, 9)
+        want = np.array([[_resolvent(A[i], a[i], b[i], x) for x in xs[i]]
+                         for i in range(3)])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_one_nan_point_fails_the_stack(self, eight_poles):
+        dec = eigendecompose(eight_poles)
+        A, a, b = stacked_pairings(dec, (0.3, 1.0, 2.0))
+        xs = np.tile(np.linspace(-3.0, 3.0, 5), (3, 1)).astype(complex)
+        _pairing(A, a, b, xs)
+        xs[2, 1] = complex(math.nan, 0.0)
+        with pytest.raises(NumericalError, match="resolvent solve failed"):
+            _pairing(A, a, b, xs)
+
+    def test_one_on_pole_point_fails_the_stack(self, generic_m2):
+        # a point on a pole of u(t) at one time of the stack
+        dec = eigendecompose(generic_m2)
+        times = (0.3, 0.7, 2.0)
+        A, a, b = stacked_pairings(dec, times)
+        xs = np.tile(np.linspace(-3.0, 3.0, 6), (3, 1)).astype(complex)
+        _pairing(A, a, b, xs)
+        xs[1, 3] = np.linalg.eigvals(A[1])[0]
+        with pytest.raises(NumericalError, match="resolvent solve failed"):
+            _pairing(A, a, b, xs)
+
+
+def assert_same_symbols(got, want, rtol=1e-13):
+    """Equal layouts (so multiplicities), poles and coefficients to rtol relative."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        (gl, gp, gc), (wl, wp, wc) = g._flat, w._flat
+        assert gl == wl
+        assert np.max(np.abs(gp - wp), initial=0.0) <= rtol * np.max(np.abs(wp), initial=0.0)
+        assert np.max(np.abs(gc - wc), initial=0.0) <= rtol * np.max(np.abs(wc), initial=0.0)
+
+
+class TestRecoverMany:
+    @pytest.mark.parametrize("name", S_CHECKED)
+    def test_equals_per_time_recovery(self, name, request):
+        dec = eigendecompose(request.getfixturevalue(name))
+        want, good = [], []
+        for t in MANY_TIMES:
+            try:
+                want.append(recover_rational(dec, t))
+            except NumericalError as e:
+                # the same failure on the stacked route
+                with pytest.raises(NumericalError, match=str(e).split(":")[0]):
+                    _recover_many(dec, [t])
+            else:
+                good.append(t)
+        assert len(good) >= len(MANY_TIMES) - 1
+        assert_same_symbols(_recover_many(dec, good), want)
+
+    def test_cluster_route(self, monkeypatch):
+        # 1/(x+i)^2: a double eigenvalue of S(0), merged and fitted
+        dec = eigendecompose(hardy_from_terms([(-1j, [0.0, 1.0])]))
+        fits = counting(monkeypatch, "fit_partial_fractions")
+        (got,) = _recover_many(dec, [0.0])
+        assert len(fits) == 1
+        assert got.terms[0].multiplicity == 2
+        # the flow splits the pole at once: cluster and separated routes in one stack
+        both = _recover_many(dec, [0.0, 0.5])
+        assert len(fits) == 2
+        assert [t.multiplicity for t in both[1].terms] == [1, 1]
+        assert_same_symbols([got], [recover_rational(dec, 0.0)])
+        assert_same_symbols(both, [recover_rational(dec, t) for t in (0.0, 0.5)])
+
+    def test_times_validated(self, generic_m2):
+        dec = eigendecompose(generic_m2)
+        assert _recover_many(dec, []) == []
+        with pytest.raises(InputError, match="time must be finite"):
+            _recover_many(dec, [1.0, math.inf])
+
+    def test_postcondition_covers_every_time(self, monkeypatch, generic_m2):
+        dec = eigendecompose(generic_m2)
+        exact = flow.hardy_from_terms
+        made = []
+
+        def perturb_third(pairs):
+            made.append(None)
+            if len(made) == 3:
+                pairs = [(p, [c + 1e-6 for c in cs]) for p, cs in pairs]
+            return exact(pairs)
+
+        monkeypatch.setattr(flow, "hardy_from_terms", perturb_third)
+        with pytest.raises(NumericalError,
+                           match="defective recovery: pointwise mismatch .* at t=2.5"):
+            _recover_many(dec, [0.7, 1.5, 2.5, 3.5])
+
+    @pytest.mark.parametrize("t", (4e6, 5e6, 6e6, 8e6))
+    def test_near_axis_pole_returns_or_raises_numerical_error(self, double_eig_symbol, t):
+        dec = eigendecompose(double_eig_symbol)
+        try:
+            _recover_many(dec, [t])
+        except NumericalError:
+            pass
+
+    def test_growth_past_the_resolved_range_is_a_numerical_error(self, double_eig_symbol):
+        # at t = 1e8 the second pole (about -13.5/t^2) rounds onto the axis
+        with pytest.raises(NumericalError):
+            growth_fit(double_eig_symbol, 1.0, np.geomspace(1e5, 1e8, 8))
 
 
 class TestNonFiniteInput:
@@ -225,7 +359,13 @@ class TestRecoverChecks:
     @pytest.mark.parametrize("A", ([[-1j, 0], [0, 0]], [[0, 1], [0, 0]]), ids=("eig", "fit"))
     def test_pole_on_the_axis_is_a_numerical_error_on_both_routes(self, A):
         with pytest.raises(NumericalError, match="on or above the real line"):
-            flow._from_pairing(np.array(A, dtype=complex), np.ones(2), np.ones(2))
+            flow._from_pairing(np.array([A], dtype=complex), np.ones((1, 2)), np.ones((1, 2)))
+
+    def test_cluster_is_checked_at_its_center(self):
+        # one eigenvalue of the cluster rounds onto the axis, their mean does not
+        A = np.array([np.diag([-1e-5j, -1e-13j])])
+        (u,) = flow._from_pairing(A, np.ones((1, 2)), np.ones((1, 2)))
+        assert abs(u.poles()[0] + 5.00000005e-6j) < 1e-18
 
     @pytest.mark.parametrize("t", (4e6, 5e6, 6e6, 8e6))
     def test_near_axis_pole_returns_or_raises_numerical_error(self, double_eig_symbol, t):

@@ -14,6 +14,7 @@ from szego.rational import (
     HardyRational,
     _sobolev_norms,
     RationalFn,
+    _fourier_arrays,
     _from_flat,
     _g_coeffs,
     as_hardy,
@@ -413,9 +414,53 @@ class TestSobolev:
     def test_batched_norms_match_single_calls(self, name, request):
         f = request.getfixturevalue(name)
         ss = (0.0, 0.5, 1.0, 0.7, 2.5)
-        for s, got in zip(ss, _sobolev_norms(f, ss)):
+        for s, got in zip(ss, _sobolev_norms([f], ss)[0]):
             want = homogeneous_sobolev_norm(f, s)
             assert abs(got - want) <= 1e-13 * want
+
+
+def sobolev_norms_one(f, ss):
+    """The per-function Sobolev norms: the reference for the sequence form."""
+    ss = np.asarray(ss, dtype=float)
+    amp, pol, pw = _fourier_arrays(f)
+    if not len(amp):
+        return (0.0,) * len(ss)
+    A = amp[:, None] * np.conj(amp[None, :])
+    k = pw[:, None] + pw[None, :]
+    gam = np.array([[math.gamma(2.0 * s + j + 1.0) for j in range(2 * pw.max() + 1)]
+                    for s in ss])
+    n = 2.0 * ss[:, None, None] + k
+    c = 1j * (pol[:, None] - np.conj(pol[None, :]))
+    total = np.sum(A * gam[:, k] / c ** (n + 1.0), axis=(1, 2))
+    return tuple(math.sqrt(max(v, 0.0)) for v in total.real / (2.0 * math.pi))
+
+
+class TestSobolevSequence:
+    SS = (0.0, 0.5, 1.0, 0.7, 2.5)
+
+    def test_mixed_layouts_in_one_call(self, soliton_symbol, generic_m2, mixed_mult,
+                                       eight_poles, double_eig_symbol):
+        fs = [soliton_symbol, mixed_mult, zero(), generic_m2, eight_poles,
+              hardy_from_terms([(-0.5 - 1j, [0.2, 1.0]), (0.4 - 0.9j, [0.0, 0.3, 1.0])]),
+              mixed_mult.scale(0.5), double_eig_symbol, zero(), soliton_symbol.scale(2j)]
+        got = _sobolev_norms(fs, self.SS)
+        assert got.shape == (len(fs), len(self.SS))
+        for f, row in zip(fs, got):
+            want = np.array(sobolev_norms_one(f, self.SS))
+            assert np.all(np.abs(row - want) <= 1e-13 * want)
+
+    def test_zero_and_empty(self):
+        assert _sobolev_norms([zero(), zero()], (0.0, 1.0)).tolist() == [[0.0, 0.0]] * 2
+        assert _sobolev_norms([], (0.0, 1.0)).shape == (0, 2)
+
+    def test_s_zero_is_the_l2_norm(self, generic_m2, mixed_mult):
+        got = _sobolev_norms([generic_m2, mixed_mult], (0.0,))[:, 0]
+        want = [math.sqrt(inner_product(f, f).real) for f in (generic_m2, mixed_mult)]
+        assert np.all(np.abs(got - want) <= 1e-12 * np.array(want))
+
+    def test_negative_s_rejected(self, soliton_symbol):
+        with pytest.raises(PreconditionError):
+            _sobolev_norms([soliton_symbol], (0.0, -0.5))
 
 
 class TestEvaluate:
