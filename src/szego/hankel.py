@@ -328,7 +328,7 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
 
     # Blaschke postcondition H_u g = u, in partial-fraction coordinates
     g_coords_f = _g_coeffs(u)
-    if abs(M @ g_coords_f.conj() - u._flat[2]).max() > 1e-10 * max(1.0, u.max_coeff()):
+    if abs(M @ g_coords_f.conj() - u._flat[2]).max() > 1e-10 * u.max_coeff():
         raise NumericalError("Blaschke postcondition H_u(g) = u failed")
     d_g = Lh @ g_coords_f
 

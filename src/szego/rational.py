@@ -13,8 +13,9 @@ upper half-plane and their Fourier transform is supported on ``[0, oo)``:
 
 Integrals of functions decaying like 1/x^2 are evaluated by residues:
 ``int f = -2*pi*i * (sum of first-order coefficients at poles below the
-axis)``.  Products are computed exactly by truncated Laurent expansion around
-each pole of the result, so no polynomial root finding enters the arithmetic.
+axis)``.  Products are exact, without root finding: on the flat view below
+each pair of entries c/(x-p)^l, d/(x-q)^k has a closed-form product with
+poles at p and q only (`_product`).
 
 The other modules read a function in one flat layout, its `_flat` view:
 one entry per 1/(x - p_j)^l, a pole's entries consecutive for l = 1..m_j
@@ -23,12 +24,13 @@ layout) and the arrays of the entries' poles and coefficients.  The view
 is built once per object; `_from_flat` is the one way back.
 
 Root finding enters only `pf_from_ratio`: `_cluster_poles` groups its roots
-into multiple poles by the rule the flow layer applies to eigenvalues.
+into multiple poles by the rule the flow layer applies to eigenvalues, and
+1/B is the same product folded over the factors 1/(x-p)^m.
 
 The coefficients of g = 1 - b_u, with b_u the Blaschke product of u, have a
 closed form in the poles alone (`_g_coeffs`); the spectral layer reads them
 directly, and `blaschke` regroups them into a function and checks
-H_u(g) = u with the generic arithmetic above.
+H_u(g) = u through the product, at the symbol's own scale.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -167,7 +169,7 @@ class RationalFn:
         if isinstance(other, (int, float, complex)):
             return self.scale(other)
         if isinstance(other, RationalFn):
-            return _mul(self, other)
+            return from_terms(_pairs(*_product(self._flat, other._flat)))
         return NotImplemented
 
     def conj_reflect(self) -> "RationalFn":
@@ -247,10 +249,16 @@ def _layout(mults) -> tuple[int, ...]:
     return tuple([l for m in mults for l in range(m)])
 
 
-def _from_flat(layout, poles, coeffs) -> HardyRational:
-    """The Hardy element whose flat view is (layout, poles, coeffs); a pole starts at each 0."""
+def _pairs(layout, poles, coeffs) -> list:
+    """The (pole, coeffs) pairs of a flat view; a pole starts at each 0 of the layout."""
     starts = [a for a, l in enumerate(layout) if l == 0] + [len(layout)]
-    return hardy_from_terms([(poles[f], coeffs[f:e]) for f, e in zip(starts, starts[1:])])
+    poles, coeffs = np.asarray(poles).tolist(), np.asarray(coeffs).tolist()
+    return [(poles[f], coeffs[f:e]) for f, e in zip(starts, starts[1:])]
+
+
+def _from_flat(layout, poles, coeffs) -> HardyRational:
+    """The Hardy element whose flat view is (layout, poles, coeffs)."""
+    return hardy_from_terms(_pairs(layout, poles, coeffs))
 
 
 def as_hardy(f: RationalFn) -> HardyRational:
@@ -267,99 +275,53 @@ def zero() -> HardyRational:
 
 
 # ----------------------------------------------------------------------------
-# polynomial helpers (ascending coefficient tuples)
-
-
-def _poly_eval(coeffs, z):
-    acc = np.zeros_like(np.asarray(z, dtype=complex))
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
-def _poly_shift(coeffs, p):
-    """Coefficients of q(y) = poly(p + y), by repeated synthetic division."""
-    work = list(coeffs)
-    res = []
-    for _ in range(len(coeffs)):
-        q = [0.0j] * (len(work) - 1)
-        rem = work[-1]
-        for i in range(len(work) - 2, -1, -1):
-            q[i] = rem
-            rem = work[i] + p * rem
-        res.append(rem)
-        work = q
-        if not work:
-            break
-    return tuple(res)
-
-
-# ----------------------------------------------------------------------------
 # exact multiplication
 
 
-def _taylor_of_term_at(pole, coeffs, p, order):
-    """Taylor coefficients (length `order`) around p of sum_l c_l/(x-pole)^l."""
-    out = [0.0j] * order
-    d = p - pole
-    for l, c in enumerate(coeffs, start=1):
-        if c == 0:
-            continue
-        for n in range(order):
-            out[n] += c * ((-1) ** n) * math.comb(l + n - 1, n) / d ** (l + n)
+def _product(f, g) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """The flat view of f * g, in closed form pair by pair of entries c/(x-p)^l, d/(x-q)^k.
+
+    A pair at a shared pole (POLE_MERGE_RTOL) is cd/(x-p)^(l+k); otherwise
+    1/((x-p)^l (x-q)^k) = sum_{n<l} C(k+n-1, n) (-1)^n (p-q)^-(k+n) / (x-p)^(l-n)
+    + (p <-> q).  The result runs over f's poles, then g's, then one run per
+    shared pair; `from_terms` merges a repeated pole, keeping f's value.
+    """
+    lf, p, c = f
+    lg, q, d = g
+    if not (lf and lg):
+        return (), p[:0], c[:0]
+    cd = c[:, None] * d
+    delta = p[:, None] - q
+    same = np.abs(delta) <= POLE_MERGE_RTOL * np.maximum(1.0, np.abs(p))[:, None]
+    inv = np.where(same, 0.0, 1.0 / np.where(same, 1.0, delta))   # a shared pair adds nothing here
+
+    def side(lx, ly, inv, cd):
+        """The coefficients on x's entries of the pairs' terms at x's poles."""
+        n = np.arange(max(lx) + 1)
+        k = np.add(ly, 1)[None, :, None]
+        signed = np.array([[(-1) ** b * math.comb(a, b) for b in n]
+                           for a in range(k.max() + n[-1])], dtype=float)
+        w = signed[k + n - 1, n] * inv[..., None] ** (k + n)
+        return _onto_entries(lx, np.einsum("ab,abn->an", cd, w))
+
+    views = [(lf, p, side(lf, lg, inv, cd)), (lg, q, side(lg, lf, -inv.T, cd.T))]
+    views += [_run(p[a], lf[a] + lg[b] + 2, cd[a, b]) for a, b in zip(*np.nonzero(same))]
+    layouts, poles, coeffs = zip(*views)
+    return sum(layouts, ()), np.concatenate(poles), np.concatenate(coeffs)
+
+
+def _run(pole, m, top):
+    """The flat view of top/(x - pole)^m."""
+    return _layout([m]), np.full(m, pole, dtype=complex), np.eye(m)[-1] * top
+
+
+def _onto_entries(layout, w) -> np.ndarray:
+    """Entry e gets sum_n w[e + n, n], w[a, n] being a term n powers below entry a's own."""
+    out = w[:, 0].copy()
+    lay = np.array(layout)
+    for n in range(1, w.shape[1]):
+        out[:-n] += np.where(lay[n:] >= n, w[n:, n], 0.0)
     return out
-
-
-def _laurent_at(f: RationalFn, p: complex, mult_here: int, order: int):
-    """Laurent coefficients of f around p for exponents -mult_here .. order-1."""
-    coeffs = [0.0j] * (mult_here + order)
-    tol = POLE_MERGE_RTOL * max(1.0, abs(p))
-    for t in f.terms:
-        if abs(t.pole - p) <= tol:
-            for l, c in enumerate(t.coeffs, start=1):
-                coeffs[mult_here - l] += c
-        else:
-            tay = _taylor_of_term_at(t.pole, t.coeffs, p, order)
-            for n in range(order):
-                coeffs[mult_here + n] += tay[n]
-    return coeffs
-
-
-def _mult_at(f: RationalFn, p: complex) -> int:
-    tol = POLE_MERGE_RTOL * max(1.0, abs(p))
-    for t in f.terms:
-        if abs(t.pole - p) <= tol:
-            return t.multiplicity
-    return 0
-
-
-def _mul(f: RationalFn, g: RationalFn) -> RationalFn:
-    # pole set of the product with summed multiplicities
-    seen: list[complex] = []
-    for src in (f, g):
-        for t in src.terms:
-            tol = POLE_MERGE_RTOL * max(1.0, abs(t.pole))
-            if not any(abs(t.pole - q) <= tol for q in seen):
-                seen.append(t.pole)
-    pairs = []
-    for p in seen:
-        mf, mg = _mult_at(f, p), _mult_at(g, p)
-        m = mf + mg
-        lf = _laurent_at(f, p, mf, mg)   # exponents -mf .. mg-1
-        lg = _laurent_at(g, p, mg, mf)   # exponents -mg .. mf-1
-        # product principal part: exponents -m .. -1
-        coeffs = [0.0j] * m
-        for i, a in enumerate(lf):       # exponent i - mf
-            if a == 0:
-                continue
-            for j, b in enumerate(lg):   # exponent j - mg
-                k = (i - mf) + (j - mg)
-                if -m <= k <= -1:
-                    coeffs[k + m] += a * b
-        # coeffs[idx] holds exponent idx - m; coefficient of 1/(x-p)^l is at idx = m - l
-        stack = [coeffs[m - l] for l in range(1, m + 1)]
-        pairs.append((p, stack))
-    return from_terms(pairs)
 
 
 # ----------------------------------------------------------------------------
@@ -390,56 +352,40 @@ def pf_from_ratio(numerator, denominator) -> HardyRational:
 
     `numerator`, `denominator`: ascending complex coefficients.  Requires
     deg A <= deg B - 1 and all roots of B strictly below the real axis.
+    1/B is `_product` folded over its factors 1/(x-p)^m.  With A(x) = sum_n
+    a_n (x-p)^n, its entry r/(x-p)^i gives r a_(i-j) on 1/(x-p)^j, j <= i.
     """
-    num = tuple(complex(c) for c in numerator)
-    den = tuple(complex(c) for c in denominator)
-    if not all(map(cmath.isfinite, num + den)):
+    num = np.trim_zeros(np.array(numerator, dtype=complex), "b")
+    den = np.trim_zeros(np.array(denominator, dtype=complex), "b")
+    if not (np.isfinite(num).all() and np.isfinite(den).all()):
         raise InputError("polynomial coefficients must be finite")
-    while num and num[-1] == 0:
-        num = num[:-1]
-    while den and den[-1] == 0:
-        den = den[:-1]
     if len(den) < 2:
         raise InputError("denominator must have degree >= 1")
     if len(num) >= len(den):
         raise InputError("numerator degree must be below denominator degree")
     if len(den) > DEGREE_CAP + 1:
         raise InputError(f"polynomial degree exceeds cap {DEGREE_CAP}")
-    roots = np.roots(den[::-1])
-    clusters = _cluster_poles(roots)
+    clusters = _cluster_poles(np.roots(den[::-1]))
     for p, _m in clusters:
         if p.imag >= -1e-12:
             raise InputError("pole on or above real line")
-    if num:
-        for p, _m in clusters:
-            scale = sum(abs(c) * max(1.0, abs(p)) ** k for k, c in enumerate(num))
-            if abs(_poly_eval(num, p)) <= 1e-8 * scale:
-                raise InputError("non-reduced fraction")
-    lead = den[-1]
-    scaled_num = tuple(c / lead for c in num)
-    pairs = _pf_from_factored(scaled_num, clusters)
-    return hardy_from_terms(pairs)
-
-
-def _pf_from_factored(num, clusters):
-    """Partial fractions of num(x)/prod (x-p)^m with a known factored base."""
-    pairs = []
-    for p, m in clusters:
-        tay = list(_poly_shift(num, p)[:m]) if num else []
-        while len(tay) < m:
-            tay.append(0.0j)
-        for q, mq in clusters:
-            if q is p or (q == p):
-                continue
-            fac = _taylor_of_term_at(q, [0.0j] * (mq - 1) + [1.0 + 0.0j], p, m)
-            new = [0.0j] * m
-            for i in range(m):
-                for j in range(m - i):
-                    new[i + j] += tay[i] * fac[j]
-            tay = new
-        coeffs = [tay[m - l] for l in range(1, m + 1)]
-        pairs.append((p, coeffs))
-    return pairs
+    if not len(num):
+        return zero()
+    # Leja order (Reichel, BIT 30, 1990): each factor's pole maximizes the product
+    # of its distances to the poles before it.  A new pole's coefficient is a
+    # sum over the earlier ones, which in sorted order loses 5 digits at degree 16.
+    order = [max(clusters, key=lambda c: abs(c[0]))]
+    while len(order) < len(clusters):
+        order.append(max((c for c in clusters if c not in order),
+                         key=lambda c: sum(math.log(abs(c[0] - q)) for q, _ in order)))
+    layout, poles, r = reduce(_product, [_run(p, m, 1.0) for p, m in order])
+    # a[e, n] = A^(n)(p_e) / n!: the Taylor coefficients of A at each entry's pole
+    num = num[::-1] / den[-1]      # highest power first, as np.polyval takes it
+    a = np.array([np.polyval(np.polyder(num, n), poles) / math.factorial(n)
+                  for n in range(max(layout) + 1)]).T
+    if np.any(np.abs(a[:, 0]) <= 1e-8 * np.polyval(np.abs(num), np.maximum(1.0, np.abs(poles)))):
+        raise InputError("non-reduced fraction")
+    return _from_flat(layout, poles, _onto_entries(layout, r[:, None] * a))
 
 
 # ----------------------------------------------------------------------------
@@ -544,13 +490,17 @@ def _g_coeffs(u: HardyRational) -> np.ndarray:
 
 
 def blaschke(u: HardyRational) -> BlaschkeData:
-    """Blaschke data of the symbol; checks H_u(g) = u internally."""
+    """Blaschke data of the symbol, g = 1 - b_u from `_g_coeffs`.
+
+    Checks H_u(g) = Pi(u conj(g)) = u, one product, to 1e-10 of u's largest
+    coefficient: H_u g is linear in u, and g does not depend on u's amplitude.
+    """
     if u.is_zero():
         raise PreconditionError("undefined for zero symbol")
     layout, poles, _ = u._flat
     g = _from_flat(layout, poles, _g_coeffs(u))
     resid = hankel_apply(u, g) - u
-    if resid.max_coeff() > 1e-10 * max(1.0, u.max_coeff()):
+    if resid.max_coeff() > 1e-10 * u.max_coeff():
         raise NumericalError("Blaschke postcondition H_u(g) = u failed")
     return BlaschkeData(u.poles(), tuple(t.multiplicity for t in u.terms), g)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -9,8 +10,10 @@ import pytest
 from scipy.integrate import quad
 
 import szego
-from szego.errors import InputError, PreconditionError
+from szego import rational
+from szego.errors import InputError, NumericalError, PreconditionError
 from szego.rational import (
+    POLE_MERGE_RTOL,
     HardyRational,
     _sobolev_norms,
     RationalFn,
@@ -105,14 +108,17 @@ class TestPfFromRatio:
         assert abs(t.coeffs[0]) < 1e-9 and abs(t.coeffs[1] - 1.0) < 1e-7
         # 1/(x+i)^3 and 1/((x+i)^2 (x+2i)^3): every multiple root is one pole
         xs = np.linspace(-5.0, 5.0, 21)
+        # with a constant numerator and with one of full degree deg B - 1
         for roots, mults in (([-1j] * 3, [3]), ([-1j] * 2 + [-2j] * 3, [2, 3])):
             den = np.polynomial.polynomial.polyfromroots(roots)
-            r = pf_from_ratio([1.0], den)
-            terms = sorted(r.terms, key=lambda t: -t.pole.imag)
-            assert [t.multiplicity for t in terms] == mults
-            assert max(abs(t.pole - p) for t, p in zip(terms, [-1j, -2j])) < 1e-9
-            want = 1.0 / np.polynomial.polynomial.polyval(xs, den)
-            assert np.max(np.abs(r.evaluate(xs) - want)) < 1e-9 * np.max(np.abs(want))
+            for num in ([1.0], np.linspace(1.0, 2.0, len(roots)) + 0.5j):
+                r = pf_from_ratio(num, den)
+                terms = sorted(r.terms, key=lambda t: -t.pole.imag)
+                assert [t.multiplicity for t in terms] == mults
+                assert max(abs(t.pole - p) for t, p in zip(terms, [-1j, -2j])) < 1e-9
+                want = (np.polynomial.polynomial.polyval(xs, num)
+                        / np.polynomial.polynomial.polyval(xs, den))
+                assert np.max(np.abs(r.evaluate(xs) - want)) < 1e-9 * np.max(np.abs(want))
 
     def test_roundtrip_random_points(self):
         rng = np.random.default_rng(0)
@@ -321,6 +327,14 @@ class TestBlaschke:
         with pytest.raises(PreconditionError, match="zero symbol"):
             blaschke(zero())
 
+    @pytest.mark.parametrize("amplitude", (1.0, 1e-9))
+    def test_perturbed_coefficients_rejected(self, monkeypatch, generic_m2, amplitude):
+        # the residual of H_u g = u is checked at the symbol's own scale
+        exact = rational._g_coeffs
+        monkeypatch.setattr(rational, "_g_coeffs", lambda u: exact(u) + 1e-6)
+        with pytest.raises(NumericalError, match="Blaschke postcondition"):
+            blaschke(as_hardy(amplitude * generic_m2))
+
     @pytest.mark.parametrize("name", G_CHECKED)
     def test_closed_form_matches_laurent_reference(self, name, request):
         u = request.getfixturevalue(name)
@@ -334,6 +348,43 @@ class TestBlaschke:
         assert g.poles() == u.poles()
         flat = [c for t in g.terms for c in t.coeffs]
         assert np.array_equal(flat, _g_coeffs(u))
+
+
+PRODUCT_SYMBOLS = ("soliton_symbol", "double_eig_symbol", "generic_m2", "mixed_mult", "eight_poles")
+
+
+class TestProduct:
+    xs = np.linspace(-6.0, 6.0, 61) + 0.05j   # just above the axis, off every pole
+
+    def assert_pointwise(self, f, g):
+        want = f.evaluate(self.xs) * g.evaluate(self.xs)
+        got = (f * g).evaluate(self.xs)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("reflect", (False, True))
+    @pytest.mark.parametrize("fname,gname", itertools.product(PRODUCT_SYMBOLS, repeat=2))
+    def test_pointwise(self, fname, gname, reflect, request):
+        f, g = request.getfixturevalue(fname), request.getfixturevalue(gname)
+        self.assert_pointwise(f, g.conj_reflect() if reflect else g)
+
+    def test_shared_poles_add_multiplicities(self, mixed_mult):
+        sq = mixed_mult * mixed_mult
+        assert sq.poles() == mixed_mult.poles()
+        assert [t.multiplicity for t in sq.terms] == [2 * t.multiplicity for t in mixed_mult.terms]
+        self.assert_pointwise(mixed_mult, mixed_mult)
+
+    def test_poles_within_the_merge_tolerance_are_one_pole(self, generic_m2):
+        p = generic_m2.terms[0].pole
+        near = simple_pole(0.7 - 0.2j, p * (1.0 + 0.01 * POLE_MERGE_RTOL))
+        prod = generic_m2 * near
+        assert len(prod.terms) == 2 and prod.terms[0].pole == p
+        assert prod.terms[0].multiplicity == 2
+        self.assert_pointwise(generic_m2, near)
+
+    def test_zero_and_scalar_factors(self, mixed_mult):
+        assert (mixed_mult * zero()).is_zero() and (zero() * mixed_mult).is_zero()
+        assert (mixed_mult * 2.5).terms == (2.5 * mixed_mult).terms == mixed_mult.scale(2.5).terms
+        self.assert_pointwise(mixed_mult, simple_pole(2.5, -3j))
 
 
 class TestFourier:

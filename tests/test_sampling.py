@@ -323,3 +323,9 @@ def test_non_finite_lambda_ratio_is_an_input_error(lam_ratio):
     # a NaN ratio would turn the test sigma_min < nan * sigma_max off
     with pytest.raises(InputError, match="lam_ratio"):
         sampling.random_generic(2, np.random.default_rng(0), lam_ratio=lam_ratio)
+
+
+def test_one_pole_strongly_generic_draw():
+    # one soliton speed leaves no gap to test
+    u = sampling.random_strongly_generic(1, np.random.default_rng(0))
+    assert u.degree == 1 and eigendecompose(u).genericity == "strongly_generic"
