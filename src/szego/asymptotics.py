@@ -33,8 +33,8 @@ from .flow import _recover_many, _s_stack
 from .rational import (
     HardyRational,
     _sobolev_norms,
-    as_hardy,
     h_half_norm,
+    hardy_from_terms,
     simple_pole,
 )
 
@@ -100,9 +100,19 @@ def _soliton(lam: float, beta: complex, nu: float, gamma: float) -> SolitonParam
     return SolitonParams(complex(C), p, lam**2 * nu**2 / (2.0 * math.pi), lam**2)
 
 
+def _soliton_at(sp: SolitonParams, t: float) -> tuple[complex, complex]:
+    """(coefficient, pole) of the soliton at time t, in `simple_pole`'s order."""
+    return complex(sp.amplitude * np.exp(-1j * sp.frequency * t)), sp.pole + sp.speed * t
+
+
 def soliton_term(sp: SolitonParams, t: float) -> HardyRational:
-    coeff = sp.amplitude * np.exp(-1j * sp.frequency * t)
-    return simple_pole(complex(coeff), sp.pole + sp.speed * t)
+    return simple_pole(*_soliton_at(sp, t))
+
+
+def _minus_solitons(ut: HardyRational, sols, t: float) -> HardyRational:
+    """u(t) minus every soliton at time t, in one merge of both sets of entries."""
+    return hardy_from_terms([(term.pole, term.coeffs) for term in ut.terms]
+                            + [(p, [-c]) for c, p in (_soliton_at(sp, t) for sp in sols)])
 
 
 def fit_power_law(times, values) -> tuple[float, float]:
@@ -137,8 +147,9 @@ def remainder_norms(u0: HardyRational, times, s_values) -> ResolutionReport:
 
     The norm is the inhomogeneous sqrt(L2^2 + Hdot_s^2), the L2 norm at
     s = 0.  u(t) is recovered at every time on the time-stacked route
-    (`flow._recover_many`); the solitons are subtracted time by time, and
-    the norms of all remainders come from one `_sobolev_norms` call.
+    (`flow._recover_many`); all solitons at a time are subtracted in one
+    merge (`_minus_solitons`), and the norms of all remainders come from
+    one `_sobolev_norms` call.
     """
     times = tuple(float(t) for t in times)
     if any(t == 0 for t in times):
@@ -148,11 +159,7 @@ def remainder_norms(u0: HardyRational, times, s_values) -> ResolutionReport:
     dec = eigendecompose(u0)
     sols = soliton_params_from_spectrum(dec)
     s_values = tuple(float(s) for s in s_values)
-    eps = []
-    for t, ut in zip(times, _recover_many(dec, times)):
-        for sp in sols:
-            ut = ut - soliton_term(sp, t)
-        eps.append(as_hardy(ut))
+    eps = [_minus_solitons(ut, sols, t) for t, ut in zip(times, _recover_many(dec, times))]
     l2, *hdots = _sobolev_norms(eps, (0.0, *s_values)).T
     norms = np.empty((len(times), len(s_values)))
     for k, (s, b) in enumerate(zip(s_values, hdots)):

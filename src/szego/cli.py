@@ -1,10 +1,14 @@
 """Command-line surface: spectrum, evolve, solitons, growth, actionangle,
 roundtrip, validate.
 
-Every run writes its artifacts plus a manifest.json (config echo, library
-version, wall time, artifact list) into the output directory.  Artifact
-files are written atomically and are byte-identical across runs with the
-same configuration and seed; only the manifest carries timing.
+Every run writes its artifacts plus a manifest.json into the output
+directory: the command, its config (every option but --out, as parsed),
+the library version, the wall time and the artifact list.  All files are
+written atomically; artifacts are byte-identical across runs with
+the same configuration and seed, and only the manifest carries timing.
+
+`evolve` lays its table out from the keys of the trajectory rows
+(`_evolve_cells`), and an observable `flow.trajectory` does not know exits 2.
 
 Exit codes: 0 success, 2 invalid input, 3 mathematical precondition
 violated, 4 tolerance exceeded.
@@ -28,7 +32,7 @@ from . import __version__
 from .errors import InputError, NumericalError, PreconditionError, ToleranceExceeded
 from .rational import inner_product, load_symbol, to_json_dict
 from .hankel import decomposition_to_json, eigendecompose
-from .flow import trajectory
+from .flow import _OBSERVABLES, trajectory
 from .actionangle import (
     chi,
     chi_inverse,
@@ -86,39 +90,49 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _read_arg(arg: str) -> str:
+    """A path-or-inline option's text: the named file's contents, else arg itself."""
+    if os.path.exists(arg):
+        with open(arg, "r", encoding="utf-8") as fh:
+            return fh.read()
+    return arg
+
+
 def _load_symbol_arg(arg: str):
     if arg is None:
         raise InputError("--symbol is required for this command")
-    if os.path.exists(arg):
-        with open(arg, "r", encoding="utf-8") as fh:
-            return load_symbol(fh.read())
-    return load_symbol(arg)
+    return load_symbol(_read_arg(arg))
+
+
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 class _Run:
-    """Collects artifacts for one CLI invocation and writes the manifest."""
+    """Collects artifacts for one CLI invocation and writes the manifest,
+    whose config echoes the parsed options but --out."""
 
-    def __init__(self, outdir: str | None, command: str, config: dict):
-        self.outdir = outdir
-        self.command = command
-        self.config = config
+    def __init__(self, args: argparse.Namespace):
+        self.config = vars(args).copy()
+        self.outdir = self.config.pop("out")
+        self.command = self.config.pop("command")
+        del self.config["func"]
         self.artifacts: list[str] = []
         self.t0 = time.monotonic()
-        if outdir:
-            os.makedirs(outdir, exist_ok=True)
+        if self.outdir:
+            os.makedirs(self.outdir, exist_ok=True)
 
-    def _write_atomic(self, name: str, data: str):
-        if not self.outdir:
-            return
-        path = os.path.join(self.outdir, name)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-        self.artifacts.append(name)
+    def _write(self, name: str, data: str):
+        """Write one file into the output directory atomically and list it."""
+        if self.outdir:
+            path = os.path.join(self.outdir, name)
+            with open(path + ".tmp", "w", encoding="utf-8") as fh:
+                fh.write(data)
+            os.replace(path + ".tmp", path)
+            self.artifacts.append(name)
 
     def write_json(self, name: str, obj):
-        self._write_atomic(name, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        self._write(name, _json_text(obj))
 
     def write_csv(self, name: str, header: list[str], rows: list[list]):
         buf = io.StringIO()
@@ -126,38 +140,53 @@ class _Run:
         w.writerow(header)
         for row in rows:
             w.writerow([repr(v) if isinstance(v, float) else v for v in row])
-        self._write_atomic(name, buf.getvalue())
+        self._write(name, buf.getvalue())
 
     def finish(self):
-        if self.outdir:
-            manifest = {
-                "command": self.command,
-                "config": self.config,
-                "version": __version__,
-                "wall_time_s": time.monotonic() - self.t0,
-                "artifacts": sorted(self.artifacts),
-            }
-            path = os.path.join(self.outdir, "manifest.json")
-            tmp = path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(manifest, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp, path)
+        # the manifest lists the artifacts written before it, not itself
+        self._write("manifest.json", _json_text({
+            "command": self.command,
+            "config": self.config,
+            "version": __version__,
+            "wall_time_s": time.monotonic() - self.t0,
+            "artifacts": sorted(self.artifacts),
+        }))
 
 
 def _cmd_spectrum(args) -> int:
     u = _load_symbol_arg(args.symbol)
-    run = _Run(args.out, "spectrum", {"symbol": args.symbol})
+    run = _Run(args)
     dec = eigendecompose(u)
     doc = decomposition_to_json(dec)
     run.write_json("spectrum.json", doc)
-    print("lambda:     ", " ".join(f"{v:.12g}" for v in doc["lambda"]))
-    print("nu:         ", " ".join(f"{v:.12g}" for v in doc["nu"]))
-    print("two_phi:    ", " ".join(f"{v:.12g}" for v in doc["two_phi"]))
-    print("gamma:      ", " ".join(f"{v:.12g}" for v in doc["gamma"]))
+    for key in ("lambda", "nu", "two_phi", "gamma"):
+        print(f"{key + ':':12}", " ".join(f"{v:.12g}" for v in doc[key]))
     print("genericity: ", doc["genericity"])
     run.finish()
     return 0
+
+
+_SLOT_NAMES = {"poles": "pole", "coefficients": "coeff"}
+
+
+def _evolve_cells(row: dict, n: int) -> dict:
+    """One trajectory row as `evolve`'s table cells, column name -> value.
+
+    `time` comes first.  Poles and coefficients fill n slots as pole_k_re,
+    pole_k_im, coeff_k_re, coeff_k_im, interleaved per k when both are
+    present and NaN past the row's own.  Then J is J2 J4 J6 J8, and every
+    scalar key (L2, H12, Hdot{s}, remainder_L2) is one column of its name.
+    """
+    out = {"time": row["time"]}
+    slots = [(name, row[key]) for key, name in _SLOT_NAMES.items() if key in row]
+    for k in range(n):
+        for name, vals in slots:
+            z = vals[k] if k < len(vals) else complex(math.nan, math.nan)
+            out[f"{name}_{k + 1}_re"], out[f"{name}_{k + 1}_im"] = z.real, z.imag
+    for key, val in row.items():
+        if key not in ("time", *_SLOT_NAMES):
+            out.update(zip(("J2", "J4", "J6", "J8"), val) if key == "J" else [(key, val)])
+    return out
 
 
 def _cmd_evolve(args) -> int:
@@ -165,42 +194,21 @@ def _cmd_evolve(args) -> int:
     times = _parse_times(args.times)
     hs = tuple(_parse_list(args.hs)) if args.hs else ()
     observables = tuple(args.observables.split(","))
+    for ob in observables:
+        if ob not in _OBSERVABLES:
+            raise InputError(f"unknown observable {ob!r}; known: {', '.join(_OBSERVABLES)}")
     rows = trajectory(u, times, observables=observables, hs=hs)
-    run = _Run(args.out, "evolve", {
-        "symbol": args.symbol, "times": args.times,
-        "observables": args.observables, "hs": args.hs,
-        "format": args.format,
-    })
-    n = max((len(r.get("poles", ())) for r in rows), default=0)
-    header = ["time"]
-    for k in range(1, n + 1):
-        header += [f"pole_{k}_re", f"pole_{k}_im", f"coeff_{k}_re", f"coeff_{k}_im"]
-    if "conserved" in observables:
-        header += ["J2", "J4", "J6", "J8"]
-    if "norms" in observables:
-        header += ["L2", "H12"] + [f"Hdot{s:g}" for s in hs]
-    table = []
-    for r in rows:
-        row = [r["time"]]
-        poles = r.get("poles", [])
-        coeffs = r.get("coefficients", [])
-        for k in range(n):
-            if k < len(poles):
-                row += [poles[k].real, poles[k].imag, coeffs[k].real, coeffs[k].imag]
-            else:
-                row += [float("nan")] * 4
-        if "conserved" in observables:
-            row += list(r["J"])
-        if "norms" in observables:
-            row += [r["L2"], r["H12"]] + [r[f"Hdot{s:g}"] for s in hs]
-        table.append(row)
+    run = _Run(args)
+    n = max((len(r[key]) for r in rows for key in _SLOT_NAMES if key in r), default=0)
+    cells = [_evolve_cells(r, n) for r in rows]
+    # with no times, the header is a one-time table's without its pole slots
+    header = list(cells[0] if rows else
+                  _evolve_cells(trajectory(u, [0.0], observables, hs)[0], 0))
+    table = [list(c.values()) for c in cells]
     if args.format == "csv":
         run.write_csv("trajectory.csv", header, table)
     else:
-        run.write_json("trajectory.json", {
-            "columns": header,
-            "rows": [[v for v in row] for row in table],
-        })
+        run.write_json("trajectory.json", {"columns": header, "rows": table})
     print(f"evolved {len(rows)} times; columns: {', '.join(header[:6])}, ...")
     run.finish()
     return 0
@@ -211,9 +219,7 @@ def _cmd_solitons(args) -> int:
     times = _parse_times(args.times)
     svals = _parse_list(args.s)
     rep = remainder_norms(u, times, svals)
-    run = _Run(args.out, "solitons", {
-        "symbol": args.symbol, "times": args.times, "s": args.s,
-    })
+    run = _Run(args)
     run.write_json("solitons.json", {
         "direction": rep.direction,
         "solitons": [
@@ -231,14 +237,10 @@ def _cmd_solitons(args) -> int:
     header = ["time"] + [f"remainder_H{s:g}" for s in rep.s_values]
     for k in range(1, len(rep.solitons) + 1):
         header += [f"soliton_{k}_pole_re", f"soliton_{k}_pole_im"]
-    rows = []
-    for i, t in enumerate(rep.times):
-        row = [t] + [float(v) for v in rep.norms[i]]
-        for sp in rep.solitons:
-            track = sp.pole + sp.speed * t
-            row += [track.real, track.imag]
-        rows.append(row)
-    run.write_csv("remainder.csv", header, rows)
+    tracks = [[sp.pole + sp.speed * t for sp in rep.solitons] for t in rep.times]
+    run.write_csv("remainder.csv", header, [
+        [t, *map(float, norms), *(v for z in zs for v in (z.real, z.imag))]
+        for t, norms, zs in zip(rep.times, rep.norms, tracks)])
     print("decay exponents:", " ".join(f"{e:.4f}" for e in rep.exponents))
     run.finish()
     return 0
@@ -248,9 +250,7 @@ def _cmd_growth(args) -> int:
     u = _load_symbol_arg(args.symbol)
     times = _parse_times(args.times)
     svals = _parse_list(args.s)
-    run = _Run(args.out, "growth", {
-        "symbol": args.symbol, "times": args.times, "s": args.s,
-    })
+    run = _Run(args)
     out = []
     for s in svals:
         g = growth_fit(u, s, times)
@@ -272,17 +272,10 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_actionangle(args) -> int:
-    run = _Run(args.out, "actionangle", {
-        "symbol": args.symbol, "coords": args.coords,
-    })
+    run = _Run(args)
     if args.coords:
-        if os.path.exists(args.coords):
-            with open(args.coords, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        else:
-            text = args.coords
         try:
-            coords = coords_from_json(json.loads(text))
+            coords = coords_from_json(json.loads(_read_arg(args.coords)))
         except json.JSONDecodeError as e:
             raise InputError(f"invalid JSON: {e}") from e
         u = chi_inverse(coords)
@@ -299,54 +292,42 @@ def _cmd_actionangle(args) -> int:
         u = _load_symbol_arg(args.symbol)
         coords = chi(eigendecompose(u))
         run.write_json("actionangle.json", {"coords": coords_to_json(coords)})
-        print("actions_i:     ", " ".join(f"{v:.12g}" for v in coords.actions_i))
-        print("actions_lambda:", " ".join(f"{v:.12g}" for v in coords.actions_lambda))
-        print("angles:        ", " ".join(f"{v:.12g}" for v in coords.angles))
-        print("gammas:        ", " ".join(f"{v:.12g}" for v in coords.gammas))
+        for key in ("actions_i", "actions_lambda", "angles", "gammas"):
+            print(f"{key + ':':15}", " ".join(f"{v:.12g}" for v in getattr(coords, key)))
     run.finish()
     return 0
 
 
 def _cmd_roundtrip(args) -> int:
     rng = np.random.default_rng(args.seed)
-    run = _Run(args.out, "roundtrip", {
-        "n": args.n, "count": args.count, "seed": args.seed, "tol": args.tol,
-    })
-    worst_coords = 0.0
-    worst_symbol = 0.0
+    run = _Run(args)
+    worst_coords = worst_symbol = 0.0
     for _ in range(args.count):
         c = random_coords(args.n, rng)
-        u = chi_inverse(c)
-        back = chi(eigendecompose(u))
+        back = chi(eigendecompose(chi_inverse(c)))
         worst_coords = max(worst_coords, _coords_distance(c, back))
         v = random_generic(args.n, rng)
         v2 = chi_inverse(chi(eigendecompose(v)))
         diff = v2 - v
         worst_symbol = max(worst_symbol, float(np.sqrt(abs(inner_product(diff, diff)))))
-    doc = {
+    run.write_json("roundtrip.json", {
         "count": args.count,
         "n": args.n,
         "max_coords_error": worst_coords,
         "max_symbol_l2_error": worst_symbol,
         "tol": args.tol,
-    }
-    run.write_json("roundtrip.json", doc)
+    })
     print(f"coords round trip max error: {worst_coords:.3e}")
     print(f"symbol round trip max L2 error: {worst_symbol:.3e}")
     run.finish()
     if max(worst_coords, worst_symbol) > args.tol:
-        raise ToleranceExceeded(
-            f"round-trip error above tolerance {args.tol:g}"
-        )
+        raise ToleranceExceeded(f"round-trip error above tolerance {args.tol:g}")
     return 0
 
 
 def _cmd_validate(args) -> int:
     u = _load_symbol_arg(args.symbol)
-    run = _Run(args.out, "validate", {
-        "symbol": args.symbol, "t": args.t, "L": args.L, "M": args.M,
-        "dt": args.dt, "tol": args.tol, "convergence": args.convergence,
-    })
+    run = _Run(args)
     rep = compare(u, args.t, args.L, args.M, args.dt)
     if args.convergence:
         tc = min(abs(args.t), 1.0) or 1.0
@@ -359,9 +340,8 @@ def _cmd_validate(args) -> int:
         print(f"measured RK4 order: {rep['self_convergence']['order']:.2f}")
     run.finish()
     if rep["l2_error"] > args.tol:
-        raise ToleranceExceeded(
-            f"oracle comparison {rep['l2_error']:.3e} above tolerance {args.tol:g}"
-        )
+        raise ToleranceExceeded(f"oracle comparison {rep['l2_error']:.3e} "
+                                f"above tolerance {args.tol:g}")
     return 0
 
 

@@ -367,13 +367,14 @@ def conserved_quantities(u: HardyRational, kmax: int) -> list[float]:
     return spectral_conserved(eigendecompose(u), kmax)
 
 
-_CORE_OBSERVABLES = ("poles", "coefficients", "conserved", "norms")
+# every observable `trajectory` tabulates; the first four are its default
+_OBSERVABLES = ("poles", "coefficients", "conserved", "norms", "solitons")
 
 
 def trajectory(
     u0: HardyRational,
     times,
-    observables: tuple[str, ...] = _CORE_OBSERVABLES,
+    observables: tuple[str, ...] = _OBSERVABLES[:4],
     hs: tuple[float, ...] = (),
 ) -> list[dict]:
     """Evolve u0 and tabulate observables at each requested time.
@@ -383,14 +384,13 @@ def trajectory(
     conservation regression.  `hs` adds homogeneous Sobolev norms; the
     norms of all times come from one `_sobolev_norms` call.
     """
-    known = set(_CORE_OBSERVABLES) | {"solitons"}
     for ob in observables:
-        if ob not in known:
+        if ob not in _OBSERVABLES:
             raise PreconditionError(f"unknown observable {ob!r}")
     dec = eigendecompose(u0)
     params = None
     if "solitons" in observables:
-        from .asymptotics import soliton_params_from_spectrum
+        from .asymptotics import _minus_solitons, soliton_params_from_spectrum
 
         params = soliton_params_from_spectrum(dec)
     uts = [recover_rational(dec, float(t)) for t in times]
@@ -413,11 +413,6 @@ def trajectory(
             for s, v in zip(hs, hdots):
                 row[f"Hdot{s:g}"] = v
         if "solitons" in observables:
-            from .asymptotics import soliton_term
-
-            rem = ut
-            for sp in params:
-                rem = rem - soliton_term(sp, float(t))
-            row["remainder_L2"] = l2_norm(rem)
+            row["remainder_L2"] = l2_norm(_minus_solitons(ut, params, float(t)))
         rows.append(row)
     return rows

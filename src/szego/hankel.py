@@ -336,7 +336,7 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
     # gives K = W diag(lambda) W^T, i.e. K conj(w_j) = lambda_j w_j
     evecs = U * np.sqrt((U.conj() * Vbar).sum(axis=0))
     ref = lambdas.copy()
-    tol = np.full(len(lambdas), 1e-8 * max(1.0, lambdas[-1]))
+    tol = np.full(len(lambdas), 1e-8 * lambdas[-1])
     for grp in clusters:
         if len(grp) > 1:
             c = list(grp)
@@ -345,7 +345,7 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
             evecs[:, c] = _concentrate_g(U[:, c] @ root, d_g)
             lam = float(np.mean(lambdas[c]))
             ref[c] = lam
-            tol[c] = 1e-7 * max(1.0, lam)
+            tol[c] = 1e-7 * lambdas[-1]
     resid2 = (abs(K @ evecs.conj() - evecs * ref) ** 2).sum(axis=0)   # squared column norms
     if (resid2 > tol**2).any():
         raise NumericalError("Takagi eigenvector residual too large")
@@ -364,7 +364,7 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
     # columns of T stay inside the range basis by construction, so closure
     # is checked through the eigen-adjoint identity T - T^* = (i/2pi) beta beta^H
     gap = Te - Te.conj().T + betas[:, None] * betas.conj() / (2j * math.pi)
-    if abs(gap).max() > 1e-8 * max(1.0, abs(Te).max()):
+    if abs(gap).max() > 1e-8 * abs(Te).max():
         raise NumericalError("shift closure violated")
 
     dec = SpectralDecomposition(

@@ -148,6 +148,33 @@ class TestEvolveCommand:
         assert main(["evolve", "--help"]) == 0
         assert "--times" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("observables, columns", (
+        ("poles", ["pole_1_re", "pole_1_im"]),
+        ("coefficients", ["coeff_1_re", "coeff_1_im"]),
+        ("poles,coefficients,solitons",
+         ["pole_1_re", "pole_1_im", "coeff_1_re", "coeff_1_im", "remainder_L2"]),
+    ))
+    def test_observable_subsets_keep_their_columns(self, tmp_path, observables, columns):
+        # unchecked, poles alone raised an untyped IndexError, and coefficients
+        # alone and the remainder of solitons were dropped from the table
+        out = tmp_path / "run"
+        assert main(["evolve", "--symbol", SOLITON, "--times", "0,1",
+                     "--observables", observables, "--out", str(out)]) == 0
+        with open(out / "trajectory.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["time", *columns]
+        assert [float(r["time"]) for r in rows] == [0.0, 1.0]
+        if "remainder_L2" in columns:   # one soliton is its own resolution
+            assert all(float(r["remainder_L2"]) < 1e-13 for r in rows)
+
+    @pytest.mark.parametrize("observables", ("bogus", "poles,", "norms,J"))
+    def test_unknown_observable_exits_2(self, tmp_path, observables, capsys):
+        out = tmp_path / "run"
+        assert main(["evolve", "--symbol", SOLITON, "--times", "0",
+                     "--observables", observables, "--out", str(out)]) == 2
+        assert "error: unknown observable" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_lists_artifacts(self, tmp_path):
         out = tmp_path / "run"
         assert main(["evolve", "--symbol", SOLITON, "--times", "0,1",
@@ -158,6 +185,27 @@ class TestEvolveCommand:
         assert manifest["artifacts"] == files
         assert manifest["command"] == "evolve"
         assert "wall_time_s" in manifest
+
+
+@pytest.mark.parametrize("argv", (
+    ["spectrum", "--symbol", SOLITON],
+    ["evolve", "--symbol", SOLITON, "--times", "lin:0:1:3", "--hs", "1"],
+    ["solitons", "--symbol", SOLITON, "--times", "log:1:10:6"],
+    ["growth", "--symbol", SOLITON, "--times", "log:1e2:1e4:5", "--s", "1"],
+    ["actionangle", "--symbol", SOLITON],
+    ["roundtrip", "--n", "1", "--count", "1"],
+    ["validate", "--symbol", SOLITON, "--t", "0.01", "--L", "100",
+     "--M", "4096", "--dt", "1e-2", "--tol", "1"],
+))
+def test_manifest_config_is_the_parsed_options(tmp_path, argv):
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 0
+    parsed = vars(_build_parser().parse_args(argv))
+    want = {k: v for k, v in parsed.items() if k not in ("func", "command", "out")}
+    manifest = read_json(out / "manifest.json")
+    assert manifest["command"] == argv[0]
+    assert manifest["config"] == want
+    assert "symbol" in want or argv[0] == "roundtrip"
 
 
 class TestSolitonsCommand:

@@ -246,6 +246,16 @@ class TestEigendecompose:
         assert abs(J2 - l2_norm(u) ** 2) <= 1e-9 * J2
         assert len(recover_rational(dec, 0.0).terms) == 8
 
+    @pytest.mark.parametrize("amplitude", (1e-6, 10.0, 1e6))
+    def test_close_small_pair_at_any_amplitude(self, amplitude):
+        # the cluster's residual is half its lambda spread, which the cluster
+        # rule bounds by lambda_max; against 1e-7 max(1, lambda) it failed from 10 on
+        u = as_hardy(amplitude * hardy_from_terms(CLOSE_SMALL_PAIR))
+        dec = eigendecompose(u)
+        J2 = float(np.sum(dec.lambdas**2 * dec.nus**2))
+        assert abs(J2 - l2_norm(u) ** 2) <= 1e-9 * J2
+        assert dec.clusters[0] == (0, 1)
+
     @pytest.mark.parametrize("amplitude", (1.0, 1e-9))
     def test_perturbed_blaschke_coordinates_rejected(self, monkeypatch, generic_m2, amplitude):
         # H_u g is linear in u and g does not depend on the amplitude, so the
@@ -253,6 +263,23 @@ class TestEigendecompose:
         exact = hankel._g_coeffs
         monkeypatch.setattr(hankel, "_g_coeffs", lambda u: exact(u) + 1e-6)
         with pytest.raises(NumericalError, match="Blaschke postcondition"):
+            eigendecompose(as_hardy(amplitude * generic_m2))
+
+    @pytest.mark.parametrize("amplitude", (1.0, 1e-9))
+    def test_rotated_singular_vectors_rejected(self, monkeypatch, generic_m2, amplitude):
+        # K is linear in u, so the Takagi residual scales with lambda; an
+        # absolute floor would let every unit vector pass at small amplitude
+        exact = np.linalg.svd
+
+        def rotated(a, *args, **kwargs):
+            U, s, Vh = exact(a, *args, **kwargs)
+            c, t = math.cos(0.1), math.sin(0.1)
+            U = U.copy()
+            U[..., :2] = U[..., :2] @ np.array([[c, -t], [t, c]])
+            return U, s, Vh
+
+        monkeypatch.setattr(np.linalg, "svd", rotated)
+        with pytest.raises(NumericalError):
             eigendecompose(as_hardy(amplitude * generic_m2))
 
     def test_no_residue_arithmetic_on_hot_path(self, monkeypatch, eight_poles, mixed_mult):

@@ -142,6 +142,28 @@ class TestPfFromRatio:
         with pytest.raises(InputError):
             pf_from_ratio([1.0, 2.0], [1j, 1.0])
 
+    @staticmethod
+    def random_ratio(degree):
+        """Roots uniform in [-3, 3] x [-3, -0.5]i and a random numerator."""
+        rng = np.random.default_rng(0)
+        roots = rng.uniform(-3, 3, degree) + 1j * rng.uniform(-3, -0.5, degree)
+        num = rng.normal(size=degree) + 1j * rng.normal(size=degree)
+        return num, np.polynomial.polynomial.polyfromroots(roots)
+
+    def test_degree_16_kept_whole(self):
+        num, den = self.random_ratio(16)
+        r = pf_from_ratio(num, den)
+        xs = np.linspace(-5.0, 5.0, 41)
+        want = (np.polynomial.polynomial.polyval(xs, num)
+                / np.polynomial.polynomial.polyval(xs, den))
+        assert r.degree == 16
+        assert np.max(np.abs(r.evaluate(xs) - want)) < 1e-8 * np.max(np.abs(want))
+
+    def test_degree_40_fails_closed(self):
+        # unchecked, poles were trimmed and A/B missed by 7e-7 with no error
+        with pytest.raises(NumericalError, match="inaccurate at degree 40"):
+            pf_from_ratio(*self.random_ratio(40))
+
 
 NON_FINITE = (math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(math.inf, -1.0))
 
