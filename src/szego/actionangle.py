@@ -110,10 +110,16 @@ def chi(dec: SpectralDecomposition) -> ActionAngleCoords:
 
 def chi_inverse(coords: ActionAngleCoords) -> HardyRational:
     """Reconstruct the unique generic symbol with the given coordinates."""
+    return _chi_inverse(coords)[0]
+
+
+def _chi_inverse(coords: ActionAngleCoords) -> tuple[HardyRational, ActionAngleCoords]:
+    """The symbol of `chi_inverse` and chi of its decomposition, which the round trip checks."""
     if not all(map(math.isfinite, coords.actions_i + coords.actions_lambda
                    + coords.angles + coords.gammas)):
         raise InputError("coordinates must be finite")
-    lam, nu = coords.lambdas(), coords.nus()
+    lam2 = np.array(coords.actions_lambda) / (4.0 * math.pi)   # each tuple converted once
+    lam, nu = np.sqrt(lam2), np.sqrt(np.array(coords.actions_i) / (2.0 * lam2))
     beta = nu * np.exp(0.5j * np.array(coords.angles))
     diag = np.diag(np.array(coords.gammas) + 1j * nu**2 / (4.0 * math.pi))
     S0 = _assemble_s(lam, beta, np.eye(coords.size, dtype=bool), diag, 0.0)
@@ -134,7 +140,7 @@ def chi_inverse(coords: ActionAngleCoords) -> HardyRational:
         raise NumericalError(
             f"inverse spectral round trip off by {err:.3e} (> {ROUNDTRIP_TOL})"
         )
-    return u
+    return u, back
 
 
 def _coords_distance(a: ActionAngleCoords, b: ActionAngleCoords) -> float:

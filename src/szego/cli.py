@@ -38,6 +38,7 @@ from .actionangle import (
     chi_inverse,
     coords_from_json,
     coords_to_json,
+    _chi_inverse,
     _coords_distance,
 )
 from .asymptotics import growth_fit, nongeneric_analysis, remainder_norms
@@ -62,7 +63,9 @@ def _parse_times(spec: str) -> list[float]:
             raise InputError("log spacing needs nonzero endpoints of one sign")
         sgn = 1.0 if a > 0 else -1.0
         return [float(sgn * v) for v in np.geomspace(abs(a), abs(b), n)]
-    return _parse_list(spec, "times spec")
+    if not (times := _parse_list(spec, "times spec")):
+        raise InputError("times spec needs at least one point")
+    return times
 
 
 def _parse_list(spec: str, what: str = "list") -> list[float]:
@@ -201,9 +204,7 @@ def _cmd_evolve(args) -> int:
     run = _Run(args)
     n = max((len(r[key]) for r in rows for key in _SLOT_NAMES if key in r), default=0)
     cells = [_evolve_cells(r, n) for r in rows]
-    # with no times, the header is a one-time table's without its pole slots
-    header = list(cells[0] if rows else
-                  _evolve_cells(trajectory(u, [0.0], observables, hs)[0], 0))
+    header = list(cells[0])
     table = [list(c.values()) for c in cells]
     if args.format == "csv":
         run.write_csv("trajectory.csv", header, table)
@@ -278,8 +279,7 @@ def _cmd_actionangle(args) -> int:
             coords = coords_from_json(json.loads(_read_arg(args.coords)))
         except json.JSONDecodeError as e:
             raise InputError(f"invalid JSON: {e}") from e
-        u = chi_inverse(coords)
-        back = chi(eigendecompose(u))
+        u, back = _chi_inverse(coords)
         doc = {
             "input_coords": coords_to_json(coords),
             "symbol": to_json_dict(u),
@@ -304,8 +304,7 @@ def _cmd_roundtrip(args) -> int:
     worst_coords = worst_symbol = 0.0
     for _ in range(args.count):
         c = random_coords(args.n, rng)
-        back = chi(eigendecompose(chi_inverse(c)))
-        worst_coords = max(worst_coords, _coords_distance(c, back))
+        worst_coords = max(worst_coords, _coords_distance(c, _chi_inverse(c)[1]))
         v = random_generic(args.n, rng)
         v2 = chi_inverse(chi(eigendecompose(v)))
         diff = v2 - v

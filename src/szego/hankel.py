@@ -5,12 +5,13 @@ partial-fraction basis 1/(x-p_j)^l.  On this basis the Gram matrix G and the
 matrix M = C G / (-2 pi i) of the Hankel action are closed-form Cauchy
 matrices (confluent ones for multiple poles); G and the shift T_f are each
 one broadcast over the basis, and the block-diagonal coefficient matrix C
-one scatter of the coefficients.  `_range_stack` assembles G, its
-conditioning test, L and K below for a stack of symbols of one pole
-layout, one symbol being a stack of one.  We orthonormalize through the
-Cholesky factor conj(G) = L L^H, where
-the antilinear Hankel action becomes d -> K conj(d) with K complex
-symmetric.  K = L^H C conj(L) / (-2 pi i) needs no L^-1: G L^-T = conj(L).
+one scatter of the coefficients.  What they read of the pole layout alone
+is one read-only plan per layout, built once (`_plan`).  `_range_stack`
+assembles G, its conditioning test, L and K below for a stack of symbols
+of one pole layout, one symbol being a stack of one.  We orthonormalize
+through the Cholesky factor conj(G) = L L^H, where the antilinear Hankel
+action becomes d -> K conj(d) with K complex symmetric.
+K = L^H C conj(L) / (-2 pi i) needs no L^-1: G L^-T = conj(L).
 The antilinear eigenrelation H e_j = lambda_j e_j with lambda_j > 0 is then
 the Takagi factorization K = W diag(lambda) W^T, read off one SVD
 K = U diag(lambda) V^H: conj(V) = U D with D unitary and symmetric, and
@@ -35,7 +36,9 @@ from there.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -150,12 +153,8 @@ def _range_stack(layout: tuple[int, ...], p: np.ndarray, c: np.ndarray):
     (see `_takagi_svd`).  Each LAPACK call is one stacked call, so a stack
     of one takes the path of every other stack size.
     """
-    k = np.array(layout)
-    kk = k[:, None] + k
-    # C(l+m-2, l-1) (-1)^(l-1) = (l+m-2)! * (-1)^(l-1) / (l-1)! * 1 / (m-1)!
-    fact = np.array([float(math.factorial(i)) for i in range(2 * max(layout) + 1)])
-    row = np.array([-2j * math.pi * (-1) ** l / math.factorial(l) for l in layout])
-    G = fact[kk] * row[:, None] / fact[k] / (p[..., :, None] - p[..., None, :].conj()) ** (kk + 1)
+    plan = _plan(layout)
+    G = plan.weight / (p[..., :, None] - p[..., None, :].conj()) ** plan.power
     G = 0.5 * (G + G.conj().swapaxes(-1, -2))
     evals = np.linalg.eigvalsh(G)
     ok = (evals[..., 0] > 0) & (evals[..., -1] <= GRAM_COND_LIMIT * evals[..., 0])
@@ -163,6 +162,29 @@ def _range_stack(layout: tuple[int, ...], p: np.ndarray, c: np.ndarray):
     Lbar = L.conj()
     K = Lbar.swapaxes(-1, -2) @ _coefficient_stack(layout, c[ok]) @ Lbar / (-2j * math.pi)
     return G, ok, L, K
+
+
+_Plan = namedtuple("_Plan", "weight power at src simple chained ls")
+
+
+@lru_cache(maxsize=64)
+def _plan(layout: tuple[int, ...]) -> _Plan:
+    """What the assemblies read of a pole layout alone, built once, arrays read-only: the
+    Gram weight and exponent, the scatter C.flat[at] = c[src], T_f's masks, l per entry."""
+    k, n = np.array(layout), len(layout)
+    kk = k[:, None] + k
+    # C(l+m-2, l-1) (-1)^(l-1) = (l+m-2)! * (-1)^(l-1) / (l-1)! * 1 / (m-1)!
+    fact = np.array([float(math.factorial(i)) for i in range(2 * max(layout) + 1)])
+    row = np.array([-2j * math.pi * (-1) ** l / math.factorial(l) for l in layout])
+    # a pole's entries run from f (l = 1) to e: C[f+i, f+j] = c[f+i+j] for i + j < e - f
+    starts = [a for a, l in enumerate(layout) if l == 0] + [n]
+    at, src = zip(*[((f + i) * n + f + j, f + i + j) for f, e in zip(starts, starts[1:])
+                    for i in range(e - f) for j in range(e - f - i)])
+    plan = _Plan(fact[kk] * row[:, None] / fact[k], kk + 1, np.array(at), np.array(src),
+                 k == 0, k[1:] > 0, tuple((k + 1).tolist()))
+    for a in plan[:-1]:
+        a.flags.writeable = False
+    return plan
 
 
 def _range_basis(u: HardyRational) -> tuple[RangeBasis, np.ndarray]:
@@ -173,8 +195,7 @@ def _range_basis(u: HardyRational) -> tuple[RangeBasis, np.ndarray]:
     G, ok, L, K = _range_stack(layout, p[None], c[None])
     if not ok[0]:
         raise NumericalError("ill-conditioned range basis")
-    index = tuple((q, l + 1) for q, l in zip(p.tolist(), layout))
-    return RangeBasis(index, G[0], L[0]), K[0]
+    return RangeBasis(tuple(zip(p.tolist(), _plan(layout).ls)), G[0], L[0]), K[0]
 
 
 def coords_to_function(c: np.ndarray, rb: RangeBasis) -> HardyRational:
@@ -183,21 +204,11 @@ def coords_to_function(c: np.ndarray, rb: RangeBasis) -> HardyRational:
 
 
 def _coefficient_stack(layout: tuple[int, ...], c: np.ndarray) -> np.ndarray:
-    """C[(p, l), (p, r)] = c_{p, l+r-1}, zero across poles and past the multiplicity.
-
-    `layout` and `c` (..., N) are those of `_range_stack`.  A pole's entries
-    run from f (l = 1) to e, so C[f+i, f+j] = c[f+i+j] for i + j < e - f.
-    """
-    n = len(layout)
-    starts = [a for a, l in enumerate(layout) if l == 0] + [n]
-    at, src = [], []
-    for f, e in zip(starts, starts[1:]):
-        for i in range(e - f):
-            for j in range(e - f - i):
-                at.append((f + i) * n + f + j)
-                src.append(f + i + j)
+    """C[(p, l), (p, r)] = c_{p, l+r-1}, zero across poles and past the multiplicity,
+    for the `layout` and `c` (..., N) of `_range_stack`; `_plan` holds the scatter."""
+    n, plan = len(layout), _plan(layout)
     C = np.zeros(c.shape[:-1] + (n * n,), dtype=complex)
-    C[..., at] = c[..., src]
+    C[..., plan.at] = c[..., plan.src]
     return C.reshape(c.shape[:-1] + (n, n))
 
 
@@ -207,6 +218,8 @@ def _coefficient_matrix(u: HardyRational, rb: RangeBasis) -> np.ndarray:
     Raises "range leakage" when an entry of u is not in rb.
     """
     layout, p, c = u._flat
+    if len(layout) == rb.size and rb.index == tuple(zip(p.tolist(), _plan(layout).ls)):
+        return _coefficient_stack(layout, c)
     try:
         at = [rb.index.index((q, k + 1)) for q, k in zip(p.tolist(), layout)]
     except ValueError:
@@ -264,19 +277,18 @@ def _concentrate_g(fixed: np.ndarray, d_g: np.ndarray) -> np.ndarray:
     return fixed @ Q
 
 
-def _t_matrix_f(rb: RangeBasis, g_coords: np.ndarray) -> np.ndarray:
-    """Infinitesimal shift in the partial-fraction basis.
+def _t_matrix_f(u: HardyRational, g_coords: np.ndarray) -> np.ndarray:
+    """Infinitesimal shift in the partial-fraction basis of u's range.
 
     T(1/(x-p)^l) = 1/(x-p)^(l-1) + p/(x-p)^l for l >= 2; for l = 1 the
     produced constant cancels against Lambda(f) b_u = Lambda(f)(1 - g),
     leaving p/(x-p) + g.
     """
-    p = np.array([q for q, _ in rb.index])
-    simple = np.array([l == 1 for _, l in rb.index])
-    T = g_coords[:, None] * simple
+    plan, p = _plan(u._flat[0]), u._flat[1]
+    T = g_coords[:, None] * plan.simple
     flat = T.reshape(-1)                          # a view: its diagonals are strided slices
     flat[:: len(p) + 1] += p
-    flat[1 :: len(p) + 1] += ~simple[1:]
+    flat[1 :: len(p) + 1] += plan.chained
     return T
 
 
@@ -292,9 +304,7 @@ class _TakagiSVD(NamedTuple):
 def _takagi_svd(u: HardyRational) -> _TakagiSVD:
     """Range basis, Hankel matrix M, K = L^H C conj(L) / (-2 pi i) and its SVD.
 
-    K is the antilinear action d -> K conj(d) in the orthonormal basis, the
-    L^H M L^-T of M = C G / (-2 pi i): conj(G) = L L^H gives G L^-T = conj(L),
-    so K is formed without inverting L, and is more accurate for it.  The
+    K is L^H M L^-T, formed more accurately without inverting L.  The
     singular values `sigma` (descending) are the lambda_j; the sampler
     takes the same ones for a block of draws from `_range_stack` and one
     stacked SVD, and rejects most draws on them alone.
@@ -360,7 +370,7 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
     )
 
     # (T e_j, e_k) = c_k^H conj(G) T_f c_j with c = L^-H w and conj(G) = L L^H
-    Te = (L @ evecs).conj().T @ _t_matrix_f(rb, g_coords_f) @ np.linalg.solve(Lh, evecs)
+    Te = (L @ evecs).conj().T @ _t_matrix_f(u, g_coords_f) @ np.linalg.solve(Lh, evecs)
     # columns of T stay inside the range basis by construction, so closure
     # is checked through the eigen-adjoint identity T - T^* = (i/2pi) beta beta^H
     gap = Te - Te.conj().T + betas[:, None] * betas.conj() / (2j * math.pi)

@@ -39,7 +39,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -120,11 +120,10 @@ class RationalFn:
         return sum(t.multiplicity for t in self.terms)
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        mx = self.max_coeff()
-        return mx <= tol
+        return self.max_coeff() <= tol
 
     def max_coeff(self) -> float:
-        return max((abs(c) for t in self.terms for c in t.coeffs), default=0.0)
+        return float(np.abs(self._flat[2]).max(initial=0.0))
 
     def poles(self) -> tuple[complex, ...]:
         return tuple(t.pole for t in self.terms)
@@ -477,6 +476,18 @@ class BlaschkeData:
         return out
 
 
+@lru_cache(maxsize=64)
+def _g_gather(layout: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Per layout, read-only: each pole's first entry and multiplicity, and each
+    entry's pole j and flat index j * top + m_j - l into `_g_coeffs`' table."""
+    first = [a for a, l in enumerate(layout) if l == 0]
+    m, top = np.diff(first + [len(layout)]), max(layout) + 1
+    at = np.array([j * top + mj - l for j, mj in enumerate(m.tolist()) for l in range(1, mj + 1)])
+    for a in (arrays := (np.array(first), m, at // top, at)):
+        a.flags.writeable = False
+    return arrays
+
+
 def _g_coeffs(u: HardyRational) -> np.ndarray:
     """Coefficients of g = 1 - b_u on 1/(x-p)^l, in the flat layout.
 
@@ -488,21 +499,19 @@ def _g_coeffs(u: HardyRational) -> np.ndarray:
     by the exponential recursion n a_n = sum_k k s_k a_(n-k).  For a simple
     pole the coefficient is -(p - conj p) prod_{q != p} (p - conj q)/(p - q).
     """
-    p = np.array([t.pole for t in u.terms])
-    m = np.array([t.multiplicity for t in u.terms])
+    layout, poles, _ = u._flat
+    first, m, pole_of, at = _g_gather(layout)
+    p, top = poles[first], max(layout) + 1
     Dbar = p[:, None] - p.conj()   # p_j - conj p_k, never zero
     D = p[:, None] - p
     D.reshape(-1)[:: len(p) + 1] = 1.0   # so D^-n - I is (p_j - p_k)^-n off the diagonal
     h0 = ((Dbar / D) ** m).prod(axis=1)
-    top = max(t.multiplicity for t in u.terms)
     s = [None] + [(-1) ** (n + 1) / n * ((Dbar ** -n - D ** -n) @ m + m) for n in range(1, top)]
     a = np.ones((len(p), top), dtype=complex)   # a[j, n]: Taylor coefficients of h/h(p_j)
     for n in range(1, top):
         a[:, n] = sum(k * s[k] * a[:, n - k] for k in range(1, n + 1)) / n
-    # entry (p_j, l) of the range basis is -h0_j a[j, m_j - l], at flat index `at`
-    at = np.array([j * top + t.multiplicity - l for j, t in enumerate(u.terms)
-                   for l in range(1, t.multiplicity + 1)])
-    return -h0.take(at // top) * a.take(at)
+    # entry (p_j, l) of the range basis is -h0_j a[j, m_j - l]
+    return -h0.take(pole_of) * a.take(at)
 
 
 def blaschke(u: HardyRational) -> BlaschkeData:

@@ -206,6 +206,40 @@ class TestChiInverse:
         assert coords_gap(c, back) == 0.0
 
 
+class TestCoordsDistance:
+    def test_angles_wrap_across_zero(self):
+        a = ActionAngleCoords((1.0, 2.0), (1.0, 3.0), (0.01, math.pi), (0.5, -0.5))
+        b = ActionAngleCoords((1.0, 2.0), (1.0, 3.0), (2 * math.pi - 0.02, math.pi), (0.5, -0.5))
+        assert _coords_distance(a, b) == pytest.approx(0.03, abs=1e-14)
+        assert _coords_distance(b, a) == pytest.approx(0.03, abs=1e-14)
+
+    def test_actions_and_gammas_are_relative_to_max_one_and_the_largest(self):
+        small = ActionAngleCoords((0.1,), (0.2,), (1.0,), (0.3,))
+        assert _coords_distance(small, ActionAngleCoords((0.1,), (0.2,), (1.0,), (0.35,))) \
+            == pytest.approx(0.05, abs=1e-15)   # scale max(1, 0.3) = 1: an absolute gap
+        large = ActionAngleCoords((4.0,), (10.0,), (1.0,), (-20.0,))
+        # the scale is the first argument's largest magnitude, here |gamma| = 20
+        assert _coords_distance(large, ActionAngleCoords((4.0,), (11.0,), (1.0,), (-20.0,))) \
+            == pytest.approx(1.0 / 20.0, rel=1e-15)
+
+    def test_size_mismatch_is_infinite(self):
+        one = ActionAngleCoords((1.0,), (1.0,), (0.0,), (0.0,))
+        two = ActionAngleCoords((1.0, 1.0), (1.0, 2.0), (0.0, 0.0), (0.0, 0.0))
+        assert _coords_distance(one, two) == math.inf
+
+    def test_matches_a_loop_on_random_pairs(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 3, 8):
+            a, b = random_coords(n, rng), random_coords(n, rng)
+            scale = max(1.0, *map(abs, a.actions_i + a.actions_lambda + a.gammas))
+            want = max(abs(x - y) / scale for x, y in zip(a.actions_i + a.actions_lambda + a.gammas,
+                                                          b.actions_i + b.actions_lambda + b.gammas))
+            for x, y in zip(a.angles, b.angles):
+                d = abs(x - y) % (2 * math.pi)
+                want = max(want, min(d, 2 * math.pi - d))
+            assert _coords_distance(a, b) == want
+
+
 class TestFlowsInCoordinates:
     def test_zero_time_identity(self):
         rng = np.random.default_rng(10)

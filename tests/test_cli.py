@@ -208,6 +208,15 @@ def test_manifest_config_is_the_parsed_options(tmp_path, argv):
     assert "symbol" in want or argv[0] == "roundtrip"
 
 
+@pytest.mark.parametrize("spec", ("", ","))
+@pytest.mark.parametrize("command", ("evolve", "solitons", "growth"))
+def test_empty_times_exit_2(tmp_path, command, spec, capsys):
+    out = tmp_path / "run"
+    assert main([command, "--symbol", SOLITON, "--times", spec, "--out", str(out)]) == 2
+    assert "times spec needs at least one point" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSolitonsCommand:
     def test_report(self, tmp_path):
         rng = np.random.default_rng(31)

@@ -377,7 +377,7 @@ class TestBroadcastAssemblies:
     def test_t_matrix_f(self, symbol):
         rb = build_range_basis(symbol)
         g = rational._g_coeffs(symbol)
-        assert rel_gap(hankel._t_matrix_f(rb, g), loop_t_matrix_f(rb, g)) <= 1e-13
+        assert rel_gap(hankel._t_matrix_f(symbol, g), loop_t_matrix_f(rb, g)) <= 1e-13
 
     @pytest.mark.parametrize("n", (1, 2, 3, 4))
     def test_inverse_free_k(self, n):
@@ -399,6 +399,42 @@ class TestBroadcastAssemblies:
         assert worst <= 1e-8
 
 
+# Two symbols per pole layout, with the same layout and other poles.
+PLAN_LAYOUTS = {
+    (0, 0, 0): ([(-1 - 1j, [1.0]), (0.3 - 0.6j, [0.5j]), (1.4 - 1.2j, [-0.7])],
+                [(-1.2 - 0.7j, [1.0]), (0.5 - 1.1j, [0.5j]), (1.1 - 0.9j, [-0.7])]),
+    (0, 1, 0, 1, 2): ([(-1.0 - 1.0j, [0.5, 1.0]), (1.2 - 0.8j, [0.3, 0.2, 1.0])],
+                      [(-0.6 - 1.3j, [0.5, 1.0]), (1.5 - 0.7j, [0.3, 0.2, 1.0])]),
+}
+DEC_ARRAYS = ("lambdas", "evecs", "betas", "nus", "two_phis", "gammas", "shift")
+
+
+class TestLayoutPlan:
+    @pytest.mark.parametrize("layout", PLAN_LAYOUTS)
+    def test_plan_arrays_are_read_only(self, layout):
+        arrays = [a for a in hankel._plan(layout) if isinstance(a, np.ndarray)]
+        arrays += [a for a in rational._g_gather(layout) if isinstance(a, np.ndarray)]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = a
+
+    @pytest.mark.parametrize("layout", PLAN_LAYOUTS)
+    def test_no_state_leaks_between_symbols_of_one_layout(self, layout):
+        terms_a, terms_b = PLAN_LAYOUTS[layout]
+        hankel._plan.cache_clear()
+        first = eigendecompose(hardy_from_terms(terms_a))
+        other = eigendecompose(hardy_from_terms(terms_b))
+        again = eigendecompose(hardy_from_terms(terms_a))
+        assert first.u._flat[0] == other.u._flat[0] == layout
+        assert hankel._plan.cache_info().currsize == 1   # keyed by the layout alone
+        assert not np.array_equal(first.lambdas, other.lambdas)
+        for name in DEC_ARRAYS:
+            assert np.array_equal(getattr(first, name), getattr(again, name)), name
+        assert np.array_equal(first.rb.gram, again.rb.gram)
+        assert np.array_equal(first.rb.chol, again.rb.chol)
+        assert (first.clusters, first.genericity) == (again.clusters, again.genericity)
+
+
 class TestTMatrix:
     @pytest.mark.parametrize("name", CROSS_CHECKED)
     def test_is_stored_shift(self, name, request):
@@ -410,8 +446,8 @@ class TestTMatrix:
     def test_corrupted_shift_rejected(self, monkeypatch, generic_m2):
         exact = hankel._t_matrix_f
 
-        def corrupted(rb, g_coords):
-            T = exact(rb, g_coords)
+        def corrupted(u, g_coords):
+            T = exact(u, g_coords)
             T[0, 1] += 1e-6 * np.max(np.abs(T))
             return T
 
