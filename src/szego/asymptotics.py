@@ -32,9 +32,9 @@ from .hankel import SpectralDecomposition, eigendecompose
 from .flow import _recover_many, _s_stack
 from .rational import (
     HardyRational,
+    _from_flat,
     _sobolev_norms,
     h_half_norm,
-    hardy_from_terms,
     simple_pole,
 )
 
@@ -111,8 +111,9 @@ def soliton_term(sp: SolitonParams, t: float) -> HardyRational:
 
 def _minus_solitons(ut: HardyRational, sols, t: float) -> HardyRational:
     """u(t) minus every soliton at time t, in one merge of both sets of entries."""
-    return hardy_from_terms([(term.pole, term.coeffs) for term in ut.terms]
-                            + [(p, [-c]) for c, p in (_soliton_at(sp, t) for sp in sols)])
+    (layout, poles, coeffs), sol = ut._flat, [_soliton_at(sp, t) for sp in sols]
+    return _from_flat(layout + (0,) * len(sol), poles.tolist() + [p for _, p in sol],
+                      coeffs.tolist() + [-c for c, _ in sol])
 
 
 def fit_power_law(times, values) -> tuple[float, float]:

@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .rational import HardyRational, _from_flat, _g_coeffs, hardy_from_terms
+from .rational import HardyRational, _from_flat, _g_coeffs, _starts, hardy_from_terms
 
 GRAM_COND_LIMIT = 1e12
 CLUSTER_RTOL = 1e-8       # relative gap that groups eigenvalues of H^2
@@ -177,7 +177,7 @@ def _plan(layout: tuple[int, ...]) -> _Plan:
     fact = np.array([float(math.factorial(i)) for i in range(2 * max(layout) + 1)])
     row = np.array([-2j * math.pi * (-1) ** l / math.factorial(l) for l in layout])
     # a pole's entries run from f (l = 1) to e: C[f+i, f+j] = c[f+i+j] for i + j < e - f
-    starts = [a for a, l in enumerate(layout) if l == 0] + [n]
+    starts = _starts(layout)
     at, src = zip(*[((f + i) * n + f + j, f + i + j) for f, e in zip(starts, starts[1:])
                     for i in range(e - f) for j in range(e - f - i)])
     plan = _Plan(fact[kk] * row[:, None] / fact[k], kk + 1, np.array(at), np.array(src),

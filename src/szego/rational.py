@@ -17,11 +17,11 @@ axis)``.  Products are exact, without root finding: on the flat view below
 each pair of entries c/(x-p)^l, d/(x-q)^k has a closed-form product with
 poles at p and q only (`_product`).
 
-The other modules read a function in one flat layout, its `_flat` view:
-one entry per 1/(x - p_j)^l, a pole's entries consecutive for l = 1..m_j
-and the poles in `terms` order, given as the tuple of l - 1 per entry (the
-layout) and the arrays of the entries' poles and coefficients.  The view
-is built once per object; `_from_flat` is the one way back.
+A function is stored as its flat view `_flat` and nothing else: one entry
+per 1/(x - p_j)^l, a pole's entries consecutive for l = 1..m_j and the
+poles sorted by (Re, Im), as the tuple of l - 1 per entry (the layout) and
+read-only arrays of the entries' poles and coefficients.  One canonicalizer,
+`_canonical`, builds every function from a flat view; `terms` is derived.
 
 Root finding enters only `pf_from_ratio`: `_cluster_poles` groups its roots
 into multiple poles by the rule the flow layer applies to eigenvalues, and
@@ -106,18 +106,37 @@ class PoleTerm:
             raise InputError("top coefficient of a pole term must be nonzero")
 
 
-@dataclass(frozen=True)
 class RationalFn:
-    """Canonical partial-fraction form; immutable value object."""
+    """Canonical partial-fraction form; an immutable value object stored as its flat view."""
 
-    terms: tuple[PoleTerm, ...] = ()
+    def __new__(cls, terms: tuple[PoleTerm, ...] = ()):
+        return _canonical(cls, *_flatten((t.pole, t.coeffs) for t in terms))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(self.terms)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(terms={self.terms!r})"
 
     # -- structure ------------------------------------------------------
+
+    @cached_property
+    def terms(self) -> tuple[PoleTerm, ...]:
+        """One `PoleTerm` per pole, derived from the flat view."""
+        layout, poles, coeffs = self._flat
+        starts, poles, coeffs = _starts(layout), poles.tolist(), coeffs.tolist()
+        return tuple(PoleTerm(poles[f], tuple(coeffs[f:e])) for f, e in zip(starts, starts[1:]))
 
     @property
     def degree(self) -> int:
         """Total pole multiplicity (rank bookkeeping for Hardy symbols)."""
-        return sum(t.multiplicity for t in self.terms)
+        return len(self._flat[0])
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return self.max_coeff() <= tol
@@ -126,24 +145,14 @@ class RationalFn:
         return float(np.abs(self._flat[2]).max(initial=0.0))
 
     def poles(self) -> tuple[complex, ...]:
-        return tuple(t.pole for t in self.terms)
-
-    @cached_property
-    def _flat(self) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-        """(layout, poles, coefficients) in the flat layout; built once, read-only."""
-        terms = self.terms
-        layout = _layout([len(t.coeffs) for t in terms])
-        poles = np.array([t.pole for t in terms for _ in t.coeffs], dtype=complex)
-        coeffs = np.array([c for t in terms for c in t.coeffs], dtype=complex)
-        poles.flags.writeable = coeffs.flags.writeable = False
-        return layout, poles, coeffs
+        layout, poles, _ = self._flat
+        return tuple(poles[list(_starts(layout)[:-1])].tolist())
 
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other: "RationalFn") -> "RationalFn":
-        pairs = [(t.pole, list(t.coeffs)) for t in self.terms]
-        pairs += [(t.pole, list(t.coeffs)) for t in other.terms]
-        return from_terms(pairs)
+        (lf, p, c), (lg, q, d) = self._flat, other._flat
+        return _canonical(RationalFn, lf + lg, p.tolist() + q.tolist(), c.tolist() + d.tolist())
 
     def __sub__(self, other: "RationalFn") -> "RationalFn":
         return self + (-other)
@@ -154,30 +163,22 @@ class RationalFn:
     def scale(self, a: complex) -> "RationalFn":
         if a == 0:
             return RationalFn()
-        terms = tuple(
-            PoleTerm(t.pole, tuple(a * c for c in t.coeffs)) for t in self.terms
-        )
-        return RationalFn(terms)
-
-    def __rmul__(self, a):
-        if isinstance(a, (int, float, complex)):
-            return self.scale(a)
-        return NotImplemented
+        layout, poles, coeffs = self._flat
+        return _wrap(RationalFn, (layout, poles, a * coeffs))
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
             return self.scale(other)
         if isinstance(other, RationalFn):
-            return from_terms(_pairs(*_product(self._flat, other._flat)))
+            return _canonical(RationalFn, *_product(self._flat, other._flat))
         return NotImplemented
+
+    __rmul__ = __mul__   # a scalar on the left scales as on the right
 
     def conj_reflect(self) -> "RationalFn":
         """x -> conj(f(conj(x))); mirrors poles across the real axis."""
-        terms = [
-            (t.pole.conjugate(), [c.conjugate() for c in t.coeffs])
-            for t in self.terms
-        ]
-        return from_terms(terms)
+        layout, poles, coeffs = self._flat
+        return _canonical(RationalFn, layout, poles.conj(), coeffs.conj())
 
     # -- evaluation -----------------------------------------------------
 
@@ -197,50 +198,67 @@ class RationalFn:
         return out
 
 
-@dataclass(frozen=True)
 class HardyRational(RationalFn):
     """Rational element of the Hardy space: decaying, poles strictly below R."""
 
-    def __post_init__(self):
-        for t in self.terms:
-            if t.pole.imag >= -1e-12:
-                raise InputError("pole on or above real line")
 
+def _canonical(cls, layout, poles, coeffs) -> RationalFn:
+    """The cls symbol of the flat view (layout, poles, coeffs): merged, trimmed, sorted, checked.
 
-def from_terms(pairs) -> RationalFn:
-    """Canonicalize (pole, coeffs) pairs: merge, trim, sort."""
+    A pole joins the first kept pole within POLE_MERGE_RTOL * max(1, |p|), which keeps its
+    value, coefficients summing in input order; coefficients up to COEFF_TRIM_RTOL of the
+    largest are dropped at a pole's top and zeroed below it; poles sort by (Re, Im).
+    """
+    starts = _starts(tuple(layout))
     merged: list[tuple[complex, list[complex]]] = []
-    for pole, coeffs in pairs:
-        pole = complex(pole)
-        coeffs = [complex(c) for c in coeffs]
-        if not (cmath.isfinite(pole) and all(map(cmath.isfinite, coeffs))):
+    for f, e in zip(starts, starts[1:]):
+        pole, cs = complex(poles[f]), [complex(c) for c in coeffs[f:e]]
+        if not (cmath.isfinite(pole) and all(map(cmath.isfinite, cs))):
             raise InputError("poles and coefficients must be finite")
         tol = POLE_MERGE_RTOL * max(1.0, abs(pole))
         for mp, mc in merged:
             if abs(mp - pole) <= tol:
-                while len(mc) < len(coeffs):
-                    mc.append(0.0j)
-                for i, c in enumerate(coeffs):
+                mc += [0.0j] * (len(cs) - len(mc))
+                for i, c in enumerate(cs):
                     mc[i] += c
                 break
         else:
-            merged.append((pole, coeffs))
-    scale = max((abs(c) for _, cs in merged for c in cs), default=0.0)
-    floor = COEFF_TRIM_RTOL * scale
-    out = []
-    for pole, coeffs in merged:
-        while coeffs and abs(coeffs[-1]) <= floor:
-            coeffs.pop()
-        coeffs = [0.0j if abs(c) <= floor else c for c in coeffs]
-        if coeffs:
-            out.append(PoleTerm(pole, tuple(coeffs)))
-    out.sort(key=lambda t: (t.pole.real, t.pole.imag))
-    return RationalFn(tuple(out))
+            merged.append((pole, cs))
+    floor = COEFF_TRIM_RTOL * max((abs(c) for _, cs in merged for c in cs), default=0.0)
+    kept = []
+    for pole, cs in sorted(merged, key=lambda pc: (pc[0].real, pc[0].imag)):
+        while cs and abs(cs[-1]) <= floor:
+            cs.pop()
+        if cs:
+            kept.append((pole, [0.0j if abs(c) <= floor else c for c in cs]))
+    layout, poles, coeffs = _flatten(kept)
+    return _wrap(cls, (layout, np.array(poles, dtype=complex), np.array(coeffs, dtype=complex)))
+
+
+def _wrap(cls, flat) -> RationalFn:
+    """The cls symbol stored as the canonical flat view `flat`, its arrays made read-only."""
+    if issubclass(cls, HardyRational) and any(p.imag >= -1e-12 for p in flat[1].tolist()):
+        raise InputError("pole on or above real line")
+    flat[1].flags.writeable = flat[2].flags.writeable = False
+    u = object.__new__(cls)
+    u.__dict__["_flat"] = flat
+    return u
+
+
+def _flatten(pairs) -> tuple[tuple[int, ...], list, list]:
+    """The flat view of (pole, coeffs) pairs, poles and coefficients as lists."""
+    pairs = list(pairs)
+    return (_layout([len(cs) for _, cs in pairs]), [p for p, cs in pairs for _ in cs],
+            [c for _, cs in pairs for c in cs])
+
+
+def from_terms(pairs) -> RationalFn:
+    """Canonicalize (pole, coeffs) pairs: merge, trim, sort."""
+    return _canonical(RationalFn, *_flatten(pairs))
 
 
 def hardy_from_terms(pairs) -> HardyRational:
-    f = from_terms(pairs)
-    return HardyRational(f.terms)
+    return _canonical(HardyRational, *_flatten(pairs))
 
 
 def _layout(mults) -> tuple[int, ...]:
@@ -248,20 +266,19 @@ def _layout(mults) -> tuple[int, ...]:
     return tuple([l for m in mults for l in range(m)])
 
 
-def _pairs(layout, poles, coeffs) -> list:
-    """The (pole, coeffs) pairs of a flat view; a pole starts at each 0 of the layout."""
-    starts = [a for a, l in enumerate(layout) if l == 0] + [len(layout)]
-    poles, coeffs = np.asarray(poles).tolist(), np.asarray(coeffs).tolist()
-    return [(poles[f], coeffs[f:e]) for f, e in zip(starts, starts[1:])]
+@lru_cache(maxsize=256)
+def _starts(layout: tuple[int, ...]) -> tuple[int, ...]:
+    """Each pole's first entry in a flat layout, then the layout's length."""
+    return tuple([a for a, l in enumerate(layout) if l == 0] + [len(layout)])
 
 
 def _from_flat(layout, poles, coeffs) -> HardyRational:
-    """The Hardy element whose flat view is (layout, poles, coeffs)."""
-    return hardy_from_terms(_pairs(layout, poles, coeffs))
+    """The Hardy element whose flat view is (layout, poles, coeffs), canonicalized."""
+    return _canonical(HardyRational, layout, poles, coeffs)
 
 
 def as_hardy(f: RationalFn) -> HardyRational:
-    return HardyRational(f.terms)
+    return _wrap(HardyRational, f._flat)
 
 
 def simple_pole(coeff: complex, pole: complex) -> HardyRational:
@@ -330,11 +347,11 @@ def _onto_entries(layout, w) -> np.ndarray:
 def _cluster_poles(vals: np.ndarray) -> list[tuple[complex, int]]:
     """Group computed roots or eigenvalues into (center, multiplicity).
 
-    Values within EIG_SEP_RTOL * max(1, max |v|) of a cluster's running
+    Values within EIG_SEP_RTOL * max |v| of a cluster's running
     mean join it; the mean cancels the leading, symmetric part of the
     eps^(1/m) scatter of a multiple root.
     """
-    tol = EIG_SEP_RTOL * max(1.0, float(np.max(np.abs(vals))))
+    tol = EIG_SEP_RTOL * float(np.max(np.abs(vals)))
     groups: list[tuple[complex, int]] = []
     for v in sorted(vals, key=lambda z: (z.real, z.imag)):
         for i, (c, m) in enumerate(groups):
@@ -480,10 +497,10 @@ class BlaschkeData:
 def _g_gather(layout: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Per layout, read-only: each pole's first entry and multiplicity, and each
     entry's pole j and flat index j * top + m_j - l into `_g_coeffs`' table."""
-    first = [a for a, l in enumerate(layout) if l == 0]
-    m, top = np.diff(first + [len(layout)]), max(layout) + 1
+    starts = _starts(layout)
+    m, top = np.diff(starts), max(layout) + 1
     at = np.array([j * top + mj - l for j, mj in enumerate(m.tolist()) for l in range(1, mj + 1)])
-    for a in (arrays := (np.array(first), m, at // top, at)):
+    for a in (arrays := (np.array(starts[:-1]), m, at // top, at)):
         a.flags.writeable = False
     return arrays
 

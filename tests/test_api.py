@@ -3,10 +3,14 @@
 `szego.__all__` is pinned as a sorted list of names, and every public
 function of `szego.rational`, `szego.hankel` and `szego.flow` (a function
 named in the module's `__all__`) by the text of its `inspect.signature`.
-A deliberate API change edits these tables in the same change.
+A deliberate API change edits these tables in the same change.  Only
+`szego.rational` reads a symbol's per-pole `terms` or builds `PoleTerm`s;
+every other module of the library works on the flat view.
 """
 
+import ast
 import inspect
+import pathlib
 
 import pytest
 
@@ -99,3 +103,16 @@ def test_public_functions_and_signatures_are_pinned(module):
     got = {name: str(inspect.signature(obj)) for name, obj in public.items()
            if inspect.isfunction(obj)}
     assert got == SIGNATURES[module]
+
+
+SRC = pathlib.Path(rational.__file__).parent
+NOT_RATIONAL = sorted(p.name for p in SRC.glob("*.py") if p.name != "rational.py")
+
+
+@pytest.mark.parametrize("path", NOT_RATIONAL)
+def test_only_rational_reads_terms(path):
+    tree = ast.parse((SRC / path).read_text())
+    uses = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("terms", "PoleTerm")
+            or isinstance(node, ast.Name) and node.id == "PoleTerm"]
+    assert uses == [], f"{path} reads .terms or uses PoleTerm at lines {uses}"

@@ -22,6 +22,8 @@ from szego.flow import (
 )
 from szego.hankel import eigendecompose
 from szego.rational import (
+    _from_flat,
+    as_hardy,
     h_half_norm,
     hardy_from_terms,
     inner_product,
@@ -344,12 +346,15 @@ class TestRecoverChecks:
         assert len(points) == 20
         assert u0.terms[0].multiplicity == 2
 
-    def test_perturbed_coefficients_fail_postcondition(self, monkeypatch, generic_m2):
-        dec = eigendecompose(generic_m2)
+    @pytest.mark.parametrize("mu", (1.0, 1e-6))
+    def test_perturbed_coefficients_fail_postcondition(self, monkeypatch, generic_m2, mu):
+        # the check is relative to the data's scale: at mu = 1e-6 the mismatch
+        # is about 1.6e-12, below an absolute 1e-9
+        dec = eigendecompose(as_hardy(mu * generic_m2))
         exact = flow.hardy_from_terms
 
         def perturbed(pairs):
-            return exact([(p, [c + 1e-6 for c in cs]) for p, cs in pairs])
+            return exact([(p, [c + 1e-6 * mu for c in cs]) for p, cs in pairs])
 
         monkeypatch.setattr(flow, "hardy_from_terms", perturbed)
         with pytest.raises(NumericalError,
@@ -362,10 +367,27 @@ class TestRecoverChecks:
             flow._from_pairing(np.array([A], dtype=complex), np.ones((1, 2)), np.ones((1, 2)))
 
     def test_cluster_is_checked_at_its_center(self):
-        # one eigenvalue of the cluster rounds onto the axis, their mean does not
-        A = np.array([np.diag([-1e-5j, -1e-13j])])
-        (u,) = flow._from_pairing(A, np.ones((1, 2)), np.ones((1, 2)))
-        assert abs(u.poles()[0] + 5.00000005e-6j) < 1e-18
+        # one eigenvalue of the cluster rounds onto the axis, their mean does not;
+        # the eigenvalue -1i sets the scale that makes the other two a cluster
+        A = np.array([np.diag([-1j, -1e-5j, -1e-13j])])
+        (u,) = flow._from_pairing(A, np.ones((1, 3)), np.ones((1, 3)))
+        (center,) = [t.pole for t in u.terms if t.multiplicity == 2]
+        assert abs(center + 5.00000005e-6j) < 1e-18
+
+    @pytest.mark.parametrize("t", (0.0, 2.0))
+    @pytest.mark.parametrize("lam", (1e-4, 1e-2, 1e2, 1e4, 1e5, 1e6))
+    def test_dilation_keeps_every_pole(self, t, lam):
+        # u(t, lam x) solves the equation with data u0(lam x); under an absolute
+        # merge floor the three poles came back as 2, 1 and 1 from lam = 1e4 on
+        u0 = random_strongly_generic(3, np.random.default_rng(5))
+        layout, poles, coeffs = u0._flat
+        scaled = _from_flat(layout, poles / lam, coeffs / lam ** np.add(layout, 1))
+        got = recover_rational(eigendecompose(scaled), t)
+        want = recover_rational(eigendecompose(u0), t)
+        assert got.degree == 3
+        xs = np.linspace(-3.0, 3.0, 41) * np.abs(want._flat[1]).max()
+        ref = want.evaluate(xs)
+        assert np.abs(got.evaluate(xs / lam) - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("t", (4e6, 5e6, 6e6, 8e6))
     def test_near_axis_pole_returns_or_raises_numerical_error(self, double_eig_symbol, t):

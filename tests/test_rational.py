@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -13,7 +14,9 @@ import szego
 from szego import rational
 from szego.errors import InputError, NumericalError, PreconditionError
 from szego.rational import (
+    COEFF_TRIM_RTOL,
     POLE_MERGE_RTOL,
+    PoleTerm,
     HardyRational,
     _sobolev_norms,
     RationalFn,
@@ -654,6 +657,110 @@ class TestFlatView:
         want = loop_evaluate(symbol, z)
         assert np.max(np.abs(symbol.evaluate(z) - want)) <= 1e-14 * np.max(np.abs(want))
         assert symbol.evaluate(0.3) == complex(symbol.evaluate(np.array([0.3]))[0])
+
+
+def loop_from_terms(pairs):
+    """Reference canonicalizer, one `PoleTerm` per pole: merge into the first kept
+    pole within the merge tolerance, trim, sort."""
+    merged = []
+    for pole, coeffs in pairs:
+        pole = complex(pole)
+        coeffs = [complex(c) for c in coeffs]
+        tol = POLE_MERGE_RTOL * max(1.0, abs(pole))
+        for mp, mc in merged:
+            if abs(mp - pole) <= tol:
+                while len(mc) < len(coeffs):
+                    mc.append(0.0j)
+                for i, c in enumerate(coeffs):
+                    mc[i] += c
+                break
+        else:
+            merged.append((pole, coeffs))
+    scale = max((abs(c) for _, cs in merged for c in cs), default=0.0)
+    floor = COEFF_TRIM_RTOL * scale
+    out = []
+    for pole, coeffs in merged:
+        while coeffs and abs(coeffs[-1]) <= floor:
+            coeffs.pop()
+        coeffs = [0.0j if abs(c) <= floor else c for c in coeffs]
+        if coeffs:
+            out.append(PoleTerm(pole, tuple(coeffs)))
+    out.sort(key=lambda t: (t.pole.real, t.pole.imag))
+    return SimpleNamespace(terms=tuple(out))
+
+
+def random_pairs(rng):
+    """(pole, coeffs) pairs below the axis: repeats at gaps on both sides of the merge
+    tolerance, |p| from 1e-3 to 1e3, multiplicities 1 to 3, zero or tiny top coefficients."""
+    pairs = []
+    for _ in range(rng.integers(1, 9)):
+        pole = complex(rng.uniform(-1, 1), -rng.uniform(0.1, 1)) * 10.0 ** rng.uniform(-3, 3)
+        coeffs = list(rng.normal(size=rng.integers(1, 4)) + 1j * rng.normal(size=1))
+        coeffs[-1] *= rng.choice([1.0, 0.0, 1e-15])
+        pairs.append((pole, coeffs))
+        if rng.random() < 0.6:
+            gap = rng.choice([0.3, 0.9, 1.1, 3.0]) * POLE_MERGE_RTOL * max(1.0, abs(pole))
+            near = pole + gap * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            pairs.append((near, list(rng.normal(size=rng.integers(1, 4)) + 0j)))
+    order = rng.permutation(len(pairs))
+    return [pairs[i] for i in order]
+
+
+class TestCanonicalizer:
+    """One canonicalizer builds every symbol from a flat view."""
+
+    def test_bitwise_the_per_term_merge(self):
+        for seed in range(300):
+            pairs = random_pairs(np.random.default_rng(seed))
+            layout, poles, coeffs = loop_flat(loop_from_terms(pairs))
+            for f in (from_terms(pairs), hardy_from_terms(pairs)):
+                got = f._flat
+                assert got[0] == layout
+                assert got[1].tobytes() == np.array(poles, dtype=complex).tobytes()
+                assert got[2].tobytes() == np.array(coeffs, dtype=complex).tobytes()
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_flat_view(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            _from_flat((0, 1), [-1j, -1j], [1.0, bad])
+        with pytest.raises(InputError, match="finite"):
+            from_terms([(bad, [1.0])])
+
+    @pytest.mark.parametrize("im", (-1e-12, 0.0, 1.0))
+    def test_every_hardy_construction_checks_the_poles(self, im):
+        pole = complex(0.5, im)
+        with pytest.raises(InputError, match="pole on or above"):
+            HardyRational((PoleTerm(pole, (1.0,)),))
+        with pytest.raises(InputError, match="pole on or above"):
+            hardy_from_terms([(pole, [1.0])])
+        with pytest.raises(InputError, match="pole on or above"):
+            _from_flat((0,), [pole], [1.0])
+        with pytest.raises(InputError, match="pole on or above"):
+            as_hardy(from_terms([(pole, [1.0])]))
+
+    def test_terms_cached_and_round_trip(self, mixed_mult, eight_poles):
+        for u in (mixed_mult, eight_poles, zero()):
+            assert u.terms is u.terms
+            back = HardyRational(u.terms)
+            assert back.terms == u.terms
+            assert back._flat[0] == u._flat[0]
+            assert back._flat[1].tobytes() == u._flat[1].tobytes()
+            assert back._flat[2].tobytes() == u._flat[2].tobytes()
+            assert back == u and hash(back) == hash(u)
+            assert back is not u and back != u.scale(2.0)
+
+    def test_equality_by_value(self, generic_m2, mixed_mult):
+        assert generic_m2 != mixed_mult
+        assert len({generic_m2, hardy_from_terms([(t.pole, t.coeffs) for t in generic_m2.terms]),
+                    mixed_mult}) == 2
+        assert repr(simple_pole(1.0, 0.5 - 1j)) == (
+            "HardyRational(terms=(PoleTerm(pole=(0.5-1j), coeffs=((1+0j),)),))")
+
+    def test_immutable(self, generic_m2):
+        with pytest.raises(AttributeError):
+            generic_m2.terms = ()
+        with pytest.raises(AttributeError):
+            generic_m2._flat = generic_m2._flat
 
 
 def test_import_leaves_quadrature_out():
