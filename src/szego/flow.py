@@ -282,10 +282,11 @@ def _from_pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray,
     pairing.  Its poles are the eigenvalues of A.  Separated eigenvalues
     give the residues (i/2pi)(a^T V)_k (V^{-1} b)_k of the bilinear
     expansion, from one stacked solve; clustered ones are merged into
-    multiple poles and the coefficients fitted at 4N Chebyshev points,
-    evaluated by one stacked `_pairing`.  `eig` is `_eigenpairs(A)`, for
-    a caller that has already factored A.  A pole that rounding puts on
-    or above the real axis is a `NumericalError`.
+    multiple poles and the coefficients fitted at 4N Chebyshev points on
+    +-3 max|E|, the data's own scale, evaluated by one stacked `_pairing`.
+    `eig` is `_eigenpairs(A)`, for a caller that has already factored A.
+    A pole that rounding puts on or above the real axis is a
+    `NumericalError`.
     """
     E, V = _eigenpairs(A) if eig is None else eig
     n = E.shape[-1]
@@ -308,7 +309,7 @@ def _from_pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray,
            for i, (e, c) in enumerate(zip(E.tolist(), coeffs.tolist()))]
     if fit:
         k = np.arange(4 * n)
-        xs = (2.0 * scale[fit][:, None] + 1.0) * np.cos((2 * k + 1) * math.pi / (2 * len(k)))
+        xs = 3.0 * scale[fit][:, None] * np.cos((2 * k + 1) * math.pi / (2 * len(k)))
         values = _pairing(A[fit], a[fit], b[fit], xs)
         for i, grp, x, v in zip(fit, clusters, xs, values):
             out[i] = fit_partial_fractions(grp, x, v)

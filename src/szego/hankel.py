@@ -25,9 +25,11 @@ angle gamma_j = Re (T e_j, e_j), where T f = x f - Lambda(f) b_u is the
 infinitesimal shift on the range.
 
 `eigendecompose` is the one place where g, T and the cluster basis are
-made and checked.  The coordinates of g = 1 - b_u come in closed form from
-`rational._g_coeffs` and pass the Blaschke postcondition H_u g = u as
-M conj(c_g) = c_u with the Hankel matrix M.  Each eigenvalue cluster is
+made and checked, all on K and its one SVD.  The coordinates of g = 1 - b_u
+come in closed form from `rational._g_coeffs` and pass the Blaschke
+postcondition H_u g = u on K: with d = L^H c, K conj(d_g) - d_u is
+L^H (M conj(c_g) - c_u), whose 2-norm is the L^2 norm of H_u g - u, so the
+check is relative to ||u|| and never forms M.  Each eigenvalue cluster is
 rotated once, so that g lies on its first vector.  T is stored in the
 eigenbasis as `shift` after its closure check; the flow layer reads it
 from there.
@@ -39,7 +41,6 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -149,9 +150,9 @@ def _range_stack(layout: tuple[int, ...], p: np.ndarray, c: np.ndarray):
     `build_range_basis`; the mask `ok` of the symbols whose G passes the
     conditioning test, 0 < e_min and e_max <= GRAM_COND_LIMIT * e_min for
     its eigenvalues; and, for those only and stacked along one axis, the
-    lower Cholesky factor L of conj(G) and K = L^H C conj(L) / (-2 pi i)
-    (see `_takagi_svd`).  Each LAPACK call is one stacked call, so a stack
-    of one takes the path of every other stack size.
+    lower Cholesky factor L of conj(G) and K = L^H C conj(L) / (-2 pi i),
+    which is L^H M L^-T without inverting L.  Each LAPACK call is one
+    stacked call, so a stack of one takes the path of every other stack size.
     """
     plan = _plan(layout)
     G = plan.weight / (p[..., :, None] - p[..., None, :].conj()) ** plan.power
@@ -218,8 +219,6 @@ def _coefficient_matrix(u: HardyRational, rb: RangeBasis) -> np.ndarray:
     Raises "range leakage" when an entry of u is not in rb.
     """
     layout, p, c = u._flat
-    if len(layout) == rb.size and rb.index == tuple(zip(p.tolist(), _plan(layout).ls)):
-        return _coefficient_stack(layout, c)
     try:
         at = [rb.index.index((q, k + 1)) for q, k in zip(p.tolist(), layout)]
     except ValueError:
@@ -292,28 +291,6 @@ def _t_matrix_f(u: HardyRational, g_coords: np.ndarray) -> np.ndarray:
     return T
 
 
-class _TakagiSVD(NamedTuple):
-    rb: RangeBasis
-    M: np.ndarray
-    K: np.ndarray
-    U: np.ndarray
-    sigma: np.ndarray
-    Vh: np.ndarray
-
-
-def _takagi_svd(u: HardyRational) -> _TakagiSVD:
-    """Range basis, Hankel matrix M, K = L^H C conj(L) / (-2 pi i) and its SVD.
-
-    K is L^H M L^-T, formed more accurately without inverting L.  The
-    singular values `sigma` (descending) are the lambda_j; the sampler
-    takes the same ones for a block of draws from `_range_stack` and one
-    stacked SVD, and rejects most draws on them alone.
-    """
-    rb, K = _range_basis(u)
-    M = hankel_matrix(u, rb)
-    return _TakagiSVD(rb, M, K, *np.linalg.svd(K))
-
-
 def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDecomposition:
     """Full spectral data of the squared Hankel operator of u.
 
@@ -323,7 +300,8 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
     diagnostics use this to discard the O(h^2)-sized spurious channels of
     u + h * (tangent field).
     """
-    rb, M, K, U, sigma, Vh = _takagi_svd(u)
+    rb, K = _range_basis(u)
+    U, sigma, Vh = np.linalg.svd(K)     # the sampler's stacked SVD gives bitwise these lambdas
     L = rb.chol
     Lh = L.conj().T
     lambdas = sigma[::-1]
@@ -336,11 +314,11 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
         lambdas, U, Vbar = lambdas[keep], U[:, keep], Vbar[:, keep]
     clusters = _cluster_indices(lambdas**2)
 
-    # Blaschke postcondition H_u g = u, in partial-fraction coordinates
+    # Blaschke postcondition H_u g = u on K, as an L^2 norm relative to ||u||
     g_coords_f = _g_coeffs(u)
-    if abs(M @ g_coords_f.conj() - u._flat[2]).max() > 1e-10 * u.max_coeff():
+    d_g, d_u = Lh @ g_coords_f, Lh @ u._flat[2]
+    if np.linalg.norm(K @ d_g.conj() - d_u) > 1e-10 * np.linalg.norm(d_u):
         raise NumericalError("Blaschke postcondition H_u(g) = u failed")
-    d_g = Lh @ g_coords_f
 
     # Takagi: conj(V) = U D with D unitary and symmetric, so W = U sqrt(D)
     # gives K = W diag(lambda) W^T, i.e. K conj(w_j) = lambda_j w_j

@@ -46,7 +46,7 @@ import numpy as np
 from .errors import InputError, NumericalError, PreconditionError
 
 # Tolerances of the representation layer.
-POLE_MERGE_RTOL = 1e-12      # arithmetic: poles this close are the same pole
+POLE_MERGE_RTOL = 1e-12      # arithmetic: poles this close (vs. |p|) are the same pole
 COEFF_TRIM_RTOL = 5e-14      # coefficients this small (vs. the largest) are dropped
 DEGREE_CAP = 64              # denominator degree cap of pf_from_ratio
 # Relative separation below which computed roots or eigenvalues are one
@@ -205,7 +205,7 @@ class HardyRational(RationalFn):
 def _canonical(cls, layout, poles, coeffs) -> RationalFn:
     """The cls symbol of the flat view (layout, poles, coeffs): merged, trimmed, sorted, checked.
 
-    A pole joins the first kept pole within POLE_MERGE_RTOL * max(1, |p|), which keeps its
+    A pole joins the first kept pole within POLE_MERGE_RTOL * |p|, which keeps its
     value, coefficients summing in input order; coefficients up to COEFF_TRIM_RTOL of the
     largest are dropped at a pole's top and zeroed below it; poles sort by (Re, Im).
     """
@@ -215,7 +215,7 @@ def _canonical(cls, layout, poles, coeffs) -> RationalFn:
         pole, cs = complex(poles[f]), [complex(c) for c in coeffs[f:e]]
         if not (cmath.isfinite(pole) and all(map(cmath.isfinite, cs))):
             raise InputError("poles and coefficients must be finite")
-        tol = POLE_MERGE_RTOL * max(1.0, abs(pole))
+        tol = POLE_MERGE_RTOL * abs(pole)
         for mp, mc in merged:
             if abs(mp - pole) <= tol:
                 mc += [0.0j] * (len(cs) - len(mc))
@@ -308,7 +308,7 @@ def _product(f, g) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
         return (), p[:0], c[:0]
     cd = c[:, None] * d
     delta = p[:, None] - q
-    same = np.abs(delta) <= POLE_MERGE_RTOL * np.maximum(1.0, np.abs(p))[:, None]
+    same = np.abs(delta) <= POLE_MERGE_RTOL * np.abs(p)[:, None]
     inv = np.where(same, 0.0, 1.0 / np.where(same, 1.0, delta))   # a shared pair adds nothing here
 
     def side(lx, ly, inv, cd):

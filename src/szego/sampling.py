@@ -10,13 +10,14 @@ the comparison in curvature error.
 A draw is tested in two steps.  First the eigenvalue ratio: the lambda_j
 are the singular values of the closed-form matrix K, the same SVD
 `eigendecompose` takes, and most draws fail here.  Only a draw that
-passes is decomposed in full and put to the genericity and speed-gap
-tests.  The symbol returned (rescaled or not) is not decomposed again,
-since every caller decomposes it.
+passes is decomposed in full, its postconditions (the Blaschke check
+H_u g = u among them) read on that same K, and put to the genericity
+and speed-gap tests.  The symbol returned (rescaled or not) is not
+decomposed again, since every caller decomposes it.
 
 The ratio test runs on blocks of `_BLOCK` draws: one stacked pass of
 `hankel._range_stack` (Gram matrices, conditioning, Cholesky factors, K)
-and one stacked SVD, the LAPACK calls `_takagi_svd` makes one draw at a
+and one stacked SVD, the LAPACK calls `eigendecompose` makes one draw at a
 time, on the same matrices, so the singular values are bitwise the same.
 The generator's state is recorded after every draw.  The draws of a block
 are then tested in draw order, and on acceptance the generator is set back

@@ -389,6 +389,19 @@ class TestRecoverChecks:
         ref = want.evaluate(xs)
         assert np.abs(got.evaluate(xs / lam) - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("lam", (1e2, 1e4))
+    def test_cluster_fit_at_the_data_scale(self, lam):
+        # a double pole takes the cluster route, whose fit points spanned
+        # +-(2 max|E| + 1): at lam = 1e4 the unit floor cost four digits
+        u0 = hardy_from_terms([(-1j, [0.3, 1.0]), (0.7 - 0.6j, [0.5])])
+        layout, poles, coeffs = u0._flat
+        scaled = _from_flat(layout, poles / lam, coeffs / lam ** np.add(layout, 1))
+        got = recover_rational(eigendecompose(scaled), 0.0)
+        assert got._flat[0] == scaled._flat[0]
+        xs = np.linspace(-3.0, 3.0, 41) * np.abs(poles).max() / lam
+        ref = scaled.evaluate(xs)
+        assert np.abs(got.evaluate(xs) - ref).max() <= 1e-13 * np.abs(ref).max()
+
     @pytest.mark.parametrize("t", (4e6, 5e6, 6e6, 8e6))
     def test_near_axis_pole_returns_or_raises_numerical_error(self, double_eig_symbol, t):
         # the second pole nears the axis like -13.5/t^2, below what eig of

@@ -18,6 +18,7 @@ from szego.hankel import (
 from szego.flow import recover_rational
 from szego.rational import (
     RationalFn,
+    _from_flat,
     as_hardy,
     blaschke,
     hankel_apply,
@@ -265,6 +266,24 @@ class TestEigendecompose:
         with pytest.raises(NumericalError, match="Blaschke postcondition"):
             eigendecompose(as_hardy(amplitude * generic_m2))
 
+    @pytest.mark.parametrize("lam", (1e-3, 1e3))
+    def test_perturbed_blaschke_coordinates_rejected_under_dilation(self, monkeypatch,
+                                                                    generic_m2, lam):
+        # u0(lam x): the check on K is an L^2 norm relative to ||u||, so a
+        # perturbation relative to g keeps failing it at any scale of the poles
+        layout, poles, coeffs = generic_m2._flat
+        u = _from_flat(layout, poles / lam, coeffs / lam ** np.add(layout, 1))
+        eigendecompose(u)
+        exact = hankel._g_coeffs
+
+        def perturbed(u):
+            g = exact(u)
+            return g + 1e-6 * np.abs(g).max()
+
+        monkeypatch.setattr(hankel, "_g_coeffs", perturbed)
+        with pytest.raises(NumericalError, match="Blaschke postcondition"):
+            eigendecompose(u)
+
     @pytest.mark.parametrize("amplitude", (1.0, 1e-9))
     def test_rotated_singular_vectors_rejected(self, monkeypatch, generic_m2, amplitude):
         # K is linear in u, so the Takagi residual scales with lambda; an
@@ -295,9 +314,10 @@ class TestEigendecompose:
 
         monkeypatch.setattr(RationalFn, "__mul__", counted(mul))
         monkeypatch.setattr(rational, "hankel_apply", counted(apply))
+        monkeypatch.setattr(hankel, "hankel_matrix", counted(hankel_matrix))
         for u in (eight_poles, mixed_mult):
             eigendecompose(u)
-        assert calls == []
+        assert calls == []     # nor is the partial-fraction Hankel matrix formed
         # the counters do see the generic route
         blaschke(mixed_mult)
         assert mul in calls and apply in calls
@@ -383,10 +403,10 @@ class TestBroadcastAssemblies:
     def test_inverse_free_k(self, n):
         for seed in range(5):
             u = random_symbol(n, np.random.default_rng(seed))
-            svd = hankel._takagi_svd(u)
-            L = svd.rb.chol
-            want = L.conj().T @ svd.M @ np.linalg.inv(L).T
-            assert rel_gap(svd.K, want) <= 1e-13, seed
+            rb, K = hankel._range_basis(u)
+            L = rb.chol
+            want = L.conj().T @ hankel_matrix(u, rb) @ np.linalg.inv(L).T
+            assert rel_gap(K, want) <= 1e-13, seed
 
     def test_lambda2_against_mpmath_n8(self):
         # K formed without inverting the Cholesky factor of the Gram matrix

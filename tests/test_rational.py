@@ -666,7 +666,7 @@ def loop_from_terms(pairs):
     for pole, coeffs in pairs:
         pole = complex(pole)
         coeffs = [complex(c) for c in coeffs]
-        tol = POLE_MERGE_RTOL * max(1.0, abs(pole))
+        tol = POLE_MERGE_RTOL * abs(pole)
         for mp, mc in merged:
             if abs(mp - pole) <= tol:
                 while len(mc) < len(coeffs):
@@ -699,7 +699,7 @@ def random_pairs(rng):
         coeffs[-1] *= rng.choice([1.0, 0.0, 1e-15])
         pairs.append((pole, coeffs))
         if rng.random() < 0.6:
-            gap = rng.choice([0.3, 0.9, 1.1, 3.0]) * POLE_MERGE_RTOL * max(1.0, abs(pole))
+            gap = rng.choice([0.3, 0.9, 1.1, 3.0]) * POLE_MERGE_RTOL * abs(pole)
             near = pole + gap * np.exp(1j * rng.uniform(0, 2 * np.pi))
             pairs.append((near, list(rng.normal(size=rng.integers(1, 4)) + 0j)))
     order = rng.permutation(len(pairs))
@@ -718,6 +718,14 @@ class TestCanonicalizer:
                 assert got[0] == layout
                 assert got[1].tobytes() == np.array(poles, dtype=complex).tobytes()
                 assert got[2].tobytes() == np.array(coeffs, dtype=complex).tobytes()
+
+    def test_merge_rule_is_relative_below_unit_scale(self):
+        # 1% apart relative to |p|: two poles at any scale, in a sum and in a product
+        p, q = 1e-12 - 5e-11j, 1.5e-12 - 5e-11j
+        u = hardy_from_terms([(p, [1]), (q, [1])])
+        assert u._flat[0] == (0, 0) and u._flat[1].tolist() == [p, q]
+        assert u._flat[2].tolist() == [1, 1]
+        assert (simple_pole(1.0, p) * simple_pole(1.0, q))._flat[0] == (0, 0)
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_non_finite_flat_view(self, bad):

@@ -199,11 +199,11 @@ def test_unscaled_draw_is_the_raw_symbol(decomposed):
 
 
 def test_unexpected_errors_in_the_lambda_step_propagate(monkeypatch):
-    def broken(u, rb):
-        raise TypeError("broken Hankel matrix")
+    def broken(u):
+        raise TypeError("broken range basis")
 
-    monkeypatch.setattr(hankel, "hankel_matrix", broken)
-    with pytest.raises(TypeError, match="broken Hankel matrix"):
+    monkeypatch.setattr(hankel, "_range_basis", broken)
+    with pytest.raises(TypeError, match="broken range basis"):
         sampling.random_generic(2, np.random.default_rng(0))
 
 
@@ -212,7 +212,7 @@ def test_ill_conditioned_draw_is_rejected_by_the_lambda_step(monkeypatch, decomp
     # to working precision, and the draw must be skipped, not raised
     bad = hardy_from_terms([(-1j, [1.0]), (-1j + 1e-6, [1.0])])
     with pytest.raises(NumericalError, match="ill-conditioned range basis"):
-        hankel._takagi_svd(bad)
+        hankel._range_basis(bad)
     real_symbol = sampling.random_symbol
     queue = [bad]
 
@@ -297,9 +297,10 @@ def test_stacked_pass_is_bitwise_the_single_draw_pass(n):
     for u, sigma in zip(draws, sampling._block_sigmas(draws)):
         if sigma is None:
             with pytest.raises((NumericalError, PreconditionError)):
-                hankel._takagi_svd(u)
+                hankel._range_basis(u)
             continue
-        assert np.array_equal(sigma, hankel._takagi_svd(u).sigma)
+        # the full SVD `eigendecompose` takes: compute_uv=False is another LAPACK path
+        assert np.array_equal(sigma, np.linalg.svd(hankel._range_basis(u)[1])[1])
         accepted += 1
     assert accepted >= 190
     simple = draws[:3] + draws[6:]
