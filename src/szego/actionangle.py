@@ -46,6 +46,7 @@ from .rational import (
 from .flow import _assemble_s, _eigenpairs, _from_pairing
 
 ROUNDTRIP_TOL = 1e-8
+CYLINDER_RTOL = 1e-8      # relative match of lambda and nu on one toroidal cylinder
 
 __all__ = [
     "ActionAngleCoords",
@@ -204,18 +205,17 @@ def hierarchy_vector_field(u: HardyRational, n: int) -> HardyRational:
 
 
 def toroidal_cylinder_check(dec_a: SpectralDecomposition,
-                            dec_b: SpectralDecomposition,
-                            rtol: float = 1e-8) -> bool:
-    """True iff both decompositions share eigenvalues and nu lists."""
+                            dec_b: SpectralDecomposition) -> bool:
+    """True iff both decompositions share eigenvalues and nu lists, to CYLINDER_RTOL."""
     for dec in (dec_a, dec_b):
         if dec.genericity not in ("generic", "strongly_generic"):
             raise PreconditionError("toroidal cylinders are defined for generic data")
     if dec_a.size != dec_b.size:
         return False
-    lam_ok = np.allclose(dec_a.lambdas, dec_b.lambdas,
-                         rtol=rtol, atol=rtol * float(dec_a.lambdas[-1]))
-    nu_scale = float(np.max(dec_a.nus))
-    nu_ok = np.allclose(dec_a.nus, dec_b.nus, rtol=rtol, atol=rtol * nu_scale)
+    lam_ok = np.allclose(dec_a.lambdas, dec_b.lambdas, rtol=CYLINDER_RTOL,
+                         atol=CYLINDER_RTOL * float(dec_a.lambdas[-1]))
+    nu_ok = np.allclose(dec_a.nus, dec_b.nus, rtol=CYLINDER_RTOL,
+                        atol=CYLINDER_RTOL * float(np.max(dec_a.nus)))
     return bool(lam_ok and nu_ok)
 
 

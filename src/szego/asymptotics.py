@@ -38,6 +38,8 @@ from .rational import (
     simple_pole,
 )
 
+MIN_FIT_POINTS = 5        # fewest samples a remainder decay fit accepts
+
 __all__ = [
     "SolitonParams",
     "ResolutionReport",
@@ -126,8 +128,8 @@ def fit_power_law(times, values) -> tuple[float, float]:
     return slope, float(vbar - slope * tbar)
 
 
-def _fit_decay(times, values, min_points: int = 5):
-    """Power-law fit over all provided samples.
+def _fit_decay(times, values):
+    """Power-law fit over all provided samples, at least MIN_FIT_POINTS of them.
 
     The 1/t remainder carries bounded prefactors oscillating on the O(1)
     timescale 4 pi / (lambda gaps); log-spaced samples alias them, so the
@@ -135,7 +137,7 @@ def _fit_decay(times, values, min_points: int = 5):
     out.  An identically-zero remainder (exact soliton) reports -inf.
     """
     t = np.abs(np.asarray(times, dtype=float))
-    if len(t) < min_points:
+    if len(t) < MIN_FIT_POINTS:
         raise PreconditionError("insufficient samples")
     vals = np.asarray(values, dtype=float)
     if np.max(vals) < 1e-13:

@@ -4,9 +4,9 @@ With spectral data (lambda_j, beta_j) and the shift matrix T = `dec.shift`
 of the initial symbol, S(t) is assembled by broadcasting over a cluster
 mask: oscillatory off the eigenvalue cluster, linear drift
 (lambda_j^2/2pi) conj(beta_j) beta_k t + (T e_j, e_k) inside it.  S(t)
-depends on t only, so it is built once per time (or once for a stack of
-times) and every point is evaluated from it by a resolvent solve.  The
-solution is the resolvent pairing
+depends on t only, so it is built once for a stack of times (`_s_stack`;
+`s_matrix` is its stack of one) and every point is evaluated from it by a
+resolvent solve.  The solution is the resolvent pairing
 
     u(t, x) = -(i/2pi) * (u0, W(t) (S(t) - x I)^{-1} W(t) g0),
     W(t) = diag exp(i t lambda_j^2 / 2),
@@ -48,6 +48,11 @@ route only because the benchmark's tracer counts public calls
 (`flow.recover_rational.calls`, 20 `evolve_eval` calls per recovery);
 ROADMAP item 6, the next change to the benchmark, removes that pin.
 
+The conservation laws need no decomposition: by H_u g = u, J_2k =
+sum_j lambda_j^2k nu_j^2 = ||H_u^(k-1) u||^2, and H_u is d -> K conj(d) on
+the orthonormal range coordinates d = L^H c_u (`hankel._range_basis`).
+So `conserved_quantities` reads J_2k off K and a `trajectory` decomposes once.
+
 Reachable horizon, on t = geomspace(1, 1e9, 17): strongly generic data
 (the soliton 1/(x+i), 1/(x+i) + (0.5+0.3i)/(x-0.8+0.7i) and
 `random_strongly_generic(3, default_rng(1))`) recovers at every t.  On the
@@ -65,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError, PreconditionError
-from .hankel import SpectralDecomposition, eigendecompose
+from .hankel import SpectralDecomposition, _range_basis, eigendecompose
 from .rational import (
     EIG_SEP_RTOL,
     HardyRational,
@@ -103,10 +108,7 @@ class FlowMatrix:
 
 def s_matrix(dec: SpectralDecomposition, t: float) -> FlowMatrix:
     """Assemble S(t) in the eigenbasis; S(0) is the shift matrix itself."""
-    if not math.isfinite(t):
-        raise InputError(f"time must be finite, got {t}")
-    s = _assemble_s(dec.lambdas, dec.betas, _cluster_mask(dec), dec.shift, t)
-    return FlowMatrix(s, np.exp(0.5j * t * dec.lambdas**2), float(t))
+    return FlowMatrix(_s_stack(dec, [t])[0], np.exp(0.5j * t * dec.lambdas**2), float(t))
 
 
 def _s_stack(dec: SpectralDecomposition, times) -> np.ndarray:
@@ -115,15 +117,10 @@ def _s_stack(dec: SpectralDecomposition, times) -> np.ndarray:
     bad = ts[~np.isfinite(ts)]
     if bad.size:
         raise InputError(f"time must be finite, got {bad[0]}")
-    return _assemble_s(dec.lambdas, dec.betas, _cluster_mask(dec), dec.shift,
-                       ts[:, None, None])
-
-
-def _cluster_mask(dec: SpectralDecomposition) -> np.ndarray:
-    """[k, j] is True where channels k and j share an eigenvalue cluster."""
-    # clusters are consecutive runs of the ascending eigenvalues
+    # channels k and j share a cluster, a run of the ascending eigenvalues
     label = np.array([c for c, grp in enumerate(dec.clusters) for _ in grp])
-    return label[:, None] == label
+    return _assemble_s(dec.lambdas, dec.betas, label[:, None] == label, dec.shift,
+                       ts[:, None, None])
 
 
 def _assemble_s(lam, beta, same, shift, t) -> np.ndarray:
@@ -206,9 +203,8 @@ def _flow_at(dec: SpectralDecomposition, t: float) -> tuple:
     last_dec, last_t, pairing = _last_flow
     if last_dec is dec and last_t == t:
         return pairing
-    pairing = _flow_pairing(dec, s_matrix(dec, t))
-    _last_flow = (dec, t, pairing)
-    return pairing
+    _last_flow = (dec, t, _flow_pairing(dec, s_matrix(dec, t)))
+    return _last_flow[2]
 
 
 def evolve_eval(dec: SpectralDecomposition, t: float, x) -> complex:
@@ -230,9 +226,8 @@ def fit_partial_fractions(poles_mults, xs, values) -> HardyRational:
     resid = np.linalg.norm(A @ sol - values)
     scale = float(np.linalg.norm(values))
     if resid > FIT_TOL * scale:
-        raise NumericalError(
-            f"defective recovery: fit residual {resid:.3e} on scale {scale:.3e}"
-        )
+        raise NumericalError(f"defective recovery: fit residual {resid:.3e} "
+                             f"on scale {scale:.3e}")
     return _from_flat(layout, poles, sol)
 
 
@@ -326,9 +321,7 @@ def _checked(u: HardyRational, xs, ref, t: float) -> HardyRational:
     """u, if it matches the resolvent values ref at xs to RECOVER_TOL."""
     err = float(np.max(np.abs(u.evaluate(xs) - ref)))
     if err > RECOVER_TOL * float(np.max(np.abs(ref))):
-        raise NumericalError(
-            f"defective recovery: pointwise mismatch {err:.3e} at t={t}"
-        )
+        raise NumericalError(f"defective recovery: pointwise mismatch {err:.3e} at t={t}")
     return u
 
 
@@ -367,12 +360,18 @@ def spectral_conserved(dec: SpectralDecomposition, kmax: int) -> list[float]:
 
 
 def conserved_quantities(u: HardyRational, kmax: int) -> list[float]:
-    """J_{2k}(u) = sum_j lambda_j^{2k} nu_j^2 for k = 1..kmax."""
+    """J_2k(u) = ||H_u^(k-1) u||^2 = sum_j lambda_j^2k nu_j^2 for k = 1..kmax, on K:
+    ||d||^2, ||K conj(d)||^2, ... with d = L^H c_u, and no decomposition of u."""
     if kmax < 1:
         raise PreconditionError("kmax must be >= 1")
     if u.is_zero():
         return [0.0] * kmax
-    return spectral_conserved(eigendecompose(u), kmax)
+    rb, K = _range_basis(u)
+    d, out = rb.chol.conj().T @ u._flat[2], []
+    for _ in range(kmax):
+        out.append(float(np.vdot(d, d).real))
+        d = K @ d.conj()
+    return out
 
 
 # every observable `trajectory` tabulates; the first four are its default
@@ -387,16 +386,15 @@ def trajectory(
 ) -> list[dict]:
     """Evolve u0 and tabulate observables at each requested time.
 
-    Conserved quantities and norms are recomputed from the recovered
-    rational at each time (not copied from t=0), so the table doubles as a
-    conservation regression.  `hs` adds homogeneous Sobolev norms; the
-    norms of all times come from one `_sobolev_norms` call.
+    Only u0 is decomposed.  Conserved quantities (on each u(t)'s own K) and
+    norms are recomputed from the recovered rational at each time, so the
+    table doubles as a conservation regression.  `hs` adds homogeneous
+    Sobolev norms; the norms of all times come from one `_sobolev_norms` call.
     """
     for ob in observables:
         if ob not in _OBSERVABLES:
             raise PreconditionError(f"unknown observable {ob!r}")
     dec = eigendecompose(u0)
-    params = None
     if "solitons" in observables:
         from .asymptotics import _minus_solitons, soliton_params_from_spectrum
 
@@ -412,8 +410,7 @@ def trajectory(
         if "coefficients" in observables:
             row["coefficients"] = ut._flat[2].tolist()
         if "conserved" in observables:
-            dect = eigendecompose(ut)
-            row["J"] = spectral_conserved(dect, 4)
+            row["J"] = conserved_quantities(ut, 4)
         if "norms" in observables:
             l2, half, *hdots = norms[i]
             row["L2"] = l2

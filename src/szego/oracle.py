@@ -60,6 +60,8 @@ from .errors import InputError, NumericalError, PreconditionError
 from .hankel import eigendecompose
 from .rational import HardyRational, l2_norm, spectral_density
 
+TAIL_TOL = 2e-2           # largest |u(+-L)| of a box that contains the poles comfortably
+
 __all__ = [
     "GridState",
     "sample_to_grid",
@@ -101,12 +103,11 @@ def grid_frequencies(L: float, M: int) -> np.ndarray:
     return (np.arange(M // 2 + 1) + 0.5) * math.pi / L
 
 
-def sample_to_grid(u: HardyRational, L: float, M: int,
-                   tail_tol: float = 2e-2) -> GridState:
+def sample_to_grid(u: HardyRational, L: float, M: int) -> GridState:
     """Fill amplitudes from the closed-form transform of u.
 
     Checks that the spectral tail at xi_max is negligible and that the
-    physical box contains the poles comfortably (|u(+-L)| <= tail_tol).
+    physical box contains the poles comfortably (|u(+-L)| <= TAIL_TOL).
     """
     try:
         M = operator.index(M)
@@ -128,9 +129,9 @@ def sample_to_grid(u: HardyRational, L: float, M: int,
         )
     if u.degree:
         edge = max(abs(u.evaluate(1.0 * L)), abs(u.evaluate(-1.0 * L)))
-        if edge > tail_tol:
+        if edge > TAIL_TOL:
             raise InputError(
-                f"box too small: |u(+-L)| = {edge:.2e} exceeds {tail_tol:.2e}; "
+                f"box too small: |u(+-L)| = {edge:.2e} exceeds {TAIL_TOL:.2e}; "
                 f"increase L"
             )
     return GridState(float(L), int(M), amps.astype(complex), 0.0)

@@ -445,7 +445,7 @@ def fn_integral(f: RationalFn) -> complex:
     scale = f.max_coeff()
     if scale == 0.0:
         return 0.0j
-    if abs(lambda_functional(f)) > 1e-8 * max(1.0, scale):
+    if abs(lambda_functional(f)) > 1e-8 * scale:
         raise PreconditionError("non-integrable")
     total = 0.0j
     for t in f.terms:

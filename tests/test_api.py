@@ -1,8 +1,9 @@
 """The public API, pinned: a refactor that drops or changes a public name fails here.
 
 `szego.__all__` is pinned as a sorted list of names, and every public
-function of `szego.rational`, `szego.hankel` and `szego.flow` (a function
-named in the module's `__all__`) by the text of its `inspect.signature`.
+function of `szego.rational`, `szego.hankel`, `szego.flow`, `szego.oracle`,
+`szego.actionangle` and `szego.asymptotics` (a function named in the
+module's `__all__`) by the text of its `inspect.signature`.
 A deliberate API change edits these tables in the same change.  Only
 `szego.rational` reads a symbol's per-pole `terms` or builds `PoleTerm`s;
 every other module of the library works on the flat view.
@@ -15,7 +16,7 @@ import pathlib
 import pytest
 
 import szego
-from szego import flow, hankel, rational
+from szego import actionangle, asymptotics, flow, hankel, oracle, rational
 
 PACKAGE_ALL = [
     "ActionAngleCoords", "BlaschkeData", "FlowMatrix", "FourierTerm",
@@ -87,9 +88,45 @@ SIGNATURES = {
             "hs: 'tuple[float, ...]' = ()) -> 'list[dict]'"),
         "fit_partial_fractions": "(poles_mults, xs, values) -> 'HardyRational'",
     },
+    "oracle": {
+        "sample_to_grid": "(u: 'HardyRational', L: 'float', M: 'int') -> 'GridState'",
+        "grid_physical": "(state: 'GridState') -> 'np.ndarray'",
+        "grid_points": "(L: 'float', M: 'int') -> 'np.ndarray'",
+        "grid_frequencies": "(L: 'float', M: 'int') -> 'np.ndarray'",
+        "step": "(state: 'GridState', dt: 'float') -> 'GridState'",
+        "integrate": "(state: 'GridState', t_final: 'float', dt: 'float') -> 'GridState'",
+        "mass": "(state: 'GridState') -> 'float'",
+        "edge_mass_fraction": "(state: 'GridState', frac: 'float' = 0.05) -> 'float'",
+        "compare":
+            "(u0: 'HardyRational', t: 'float', L: 'float', M: 'int', dt: 'float') -> 'dict'",
+        "self_convergence":
+            "(u0: 'HardyRational', t: 'float', L: 'float', M: 'int', dt: 'float') -> 'dict'",
+    },
+    "actionangle": {
+        "chi": "(dec: 'SpectralDecomposition') -> 'ActionAngleCoords'",
+        "chi_inverse": "(coords: 'ActionAngleCoords') -> 'HardyRational'",
+        "hierarchy_flow":
+            "(coords: 'ActionAngleCoords', n: 'int', t: 'float') -> 'ActionAngleCoords'",
+        "szego_flow": "(coords: 'ActionAngleCoords', t: 'float') -> 'ActionAngleCoords'",
+        "hierarchy_vector_field": "(u: 'HardyRational', n: 'int') -> 'HardyRational'",
+        "toroidal_cylinder_check":
+            "(dec_a: 'SpectralDecomposition', dec_b: 'SpectralDecomposition') -> 'bool'",
+        "coords_to_json": "(coords: 'ActionAngleCoords') -> 'dict'",
+        "coords_from_json": "(d: 'dict') -> 'ActionAngleCoords'",
+    },
+    "asymptotics": {
+        "soliton_params_from_spectrum":
+            "(dec: 'SpectralDecomposition') -> 'tuple[SolitonParams, ...]'",
+        "soliton_term": "(sp: 'SolitonParams', t: 'float') -> 'HardyRational'",
+        "remainder_norms": "(u0: 'HardyRational', times, s_values) -> 'ResolutionReport'",
+        "nongeneric_analysis": "(u0: 'HardyRational', times=None) -> 'NonGenericReport'",
+        "growth_fit": "(u0: 'HardyRational', s: 'float', times) -> 'dict'",
+        "fit_power_law": "(times, values) -> 'tuple[float, float]'",
+    },
 }
 
-MODULES = {"rational": rational, "hankel": hankel, "flow": flow}
+MODULES = {"rational": rational, "hankel": hankel, "flow": flow, "oracle": oracle,
+           "actionangle": actionangle, "asymptotics": asymptotics}
 
 
 def test_package_all_is_pinned():

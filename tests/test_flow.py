@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import pole_flow
 from szego import flow
+from szego.actionangle import chi_inverse
 from szego.asymptotics import growth_fit, soliton_params_from_spectrum, soliton_term
 from szego.errors import InputError, NumericalError, PreconditionError
 from szego.flow import (
@@ -31,7 +33,7 @@ from szego.rational import (
     simple_pole,
     zero,
 )
-from szego.sampling import random_strongly_generic
+from szego.sampling import random_coords, random_strongly_generic, random_symbol
 
 S_CHECKED = ("soliton_symbol", "generic_m2", "double_eig_symbol", "mixed_mult",
              "eight_poles")
@@ -527,6 +529,36 @@ class TestConservedQuantities:
         with pytest.raises(PreconditionError):
             conserved_quantities(soliton_symbol, 0)
 
+    @staticmethod
+    def assert_quadratic_form_is_spectral(u, dec):
+        J = conserved_quantities(u, 4)
+        want = spectral_conserved(dec, 4)
+        assert max(abs(a - b) / b for a, b in zip(J, want)) <= 1e-11
+        assert abs(J[0] - l2_norm(u) ** 2) <= 1e-14 * J[0]
+
+    @pytest.mark.parametrize("name", S_CHECKED)
+    def test_quadratic_form_on_fixed_symbols(self, name, request):
+        u = request.getfixturevalue(name)
+        self.assert_quadratic_form_is_spectral(u, eigendecompose(u))
+
+    @pytest.mark.parametrize("n", (2, 4, 8))
+    def test_quadratic_form_on_draws(self, n):
+        decomposed = 0
+        for seed in range(10):
+            u = random_symbol(n, np.random.default_rng(seed))
+            try:
+                dec = eigendecompose(u)
+            except (NumericalError, PreconditionError):
+                continue                          # only decomposed draws compare
+            self.assert_quadratic_form_is_spectral(u, dec)
+            decomposed += 1
+        assert decomposed
+
+    def test_no_decomposition(self, monkeypatch, eight_poles):
+        calls = counting(monkeypatch, "eigendecompose")
+        conserved_quantities(eight_poles, 4)
+        assert not calls
+
 
 class TestTrajectory:
     def test_single_time_zero(self, generic_m2):
@@ -555,3 +587,29 @@ class TestTrajectory:
     def test_unknown_observable(self, soliton_symbol):
         with pytest.raises(PreconditionError, match="unknown observable"):
             trajectory(soliton_symbol, [0.0], observables=("bogus",))
+
+    def test_one_decomposition(self, monkeypatch, generic_m2):
+        calls = counting(monkeypatch, "eigendecompose")
+        rows = trajectory(generic_m2, np.linspace(-5, 5, 11))
+        assert [args[0] for args in calls] == [generic_m2]
+        assert all(len(row["J"]) == 4 for row in rows)
+
+
+POLE_ODE_SYMBOLS = {
+    "generic_m2": lambda request: request.getfixturevalue("generic_m2"),
+    "strongly_generic_3": lambda _: random_strongly_generic(3, np.random.default_rng(1)),
+    "coords_8": lambda _: chi_inverse(random_coords(8, np.random.default_rng(0))),
+    "coords_16": lambda _: chi_inverse(random_coords(16, np.random.default_rng(0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLE_ODE_SYMBOLS))
+def test_flow_matches_pole_dynamics(name, request):
+    # the closed-form flow against the pole ODE, which shares none of its machinery
+    u0 = POLE_ODE_SYMBOLS[name](request)
+    dec = eigendecompose(u0)
+    xs = np.linspace(-4, 4, 81)
+    for t in (1.0, -2.0, 5.0):
+        want = pole_flow(u0, t).evaluate(xs)
+        err = np.max(np.abs(recover_rational(dec, t).evaluate(xs) - want))
+        assert err <= 1e-10 * np.max(np.abs(want)), (t, err)

@@ -320,6 +320,17 @@ class TestInnerProduct:
         with pytest.raises(PreconditionError, match="non-integrable"):
             fn_integral(bad * bad)
 
+    @pytest.mark.parametrize("amp", [10.0**k for k in range(-9, 10, 3)])
+    def test_integrability_at_every_amplitude(self, generic_m2, amp):
+        # the 1/x tail is judged against f's own coefficients, so a small
+        # non-integrable f raises as a unit one does
+        with pytest.raises(PreconditionError, match="non-integrable"):
+            fn_integral(simple_pole(amp, -1j))
+        h = simple_pole(0.4 + 0.9j, 1.0 - 0.8j)
+        want = amp * fn_integral(generic_m2 * h.conj_reflect())
+        got = fn_integral(amp * generic_m2 * h.conj_reflect())
+        assert abs(got - want) <= 1e-14 * abs(want)
+
 
 class TestBlaschke:
     def test_rank_one(self, soliton_symbol):
