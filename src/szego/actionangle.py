@@ -7,7 +7,8 @@ The forward map packages the spectral data of a generic symbol as
 with angles stored as 2 phi_j because phi_j itself is only defined modulo pi
 (the eigenvectors carry a sign ambiguity).  The inverse assembles the shift
 matrix from coordinates alone: with beta_j = nu_j e^{i phi_j} it is the flow
-matrix S(0) of `flow`, built by the assembly of `s_matrix`,
+matrix S(0), built by `hankel._assemble_s`, the assembly of `s_matrix` and of
+the `shift` that `eigendecompose` stores,
 
     S[k, j] = (lambda_j / 2 pi i)
               * (lambda_j beta_k conj(beta_j) - lambda_k conj(beta_k) beta_j)
@@ -37,13 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError, PreconditionError
-from .hankel import SpectralDecomposition, eigendecompose
+from .hankel import SpectralDecomposition, _assemble_s, eigendecompose
 from .rational import (
     HardyRational,
     blaschke,
     hankel_apply,
 )
-from .flow import _assemble_s, _eigenpairs, _from_pairing
+from .flow import _eigenpairs, _from_pairing
 
 ROUNDTRIP_TOL = 1e-8
 CYLINDER_RTOL = 1e-8      # relative match of lambda and nu on one toroidal cylinder

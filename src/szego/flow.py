@@ -1,12 +1,12 @@
 """Closed-form time evolution through the flow matrix S(t).
 
 With spectral data (lambda_j, beta_j) and the shift matrix T = `dec.shift`
-of the initial symbol, S(t) is assembled by broadcasting over a cluster
-mask: oscillatory off the eigenvalue cluster, linear drift
-(lambda_j^2/2pi) conj(beta_j) beta_k t + (T e_j, e_k) inside it.  S(t)
-depends on t only, so it is built once for a stack of times (`_s_stack`;
-`s_matrix` is its stack of one) and every point is evaluated from it by a
-resolvent solve.  The solution is the resolvent pairing
+of the initial symbol, S(t) is assembled by `hankel._assemble_s` over a
+cluster mask: oscillatory off the eigenvalue clusters, linear drift
+(lambda_j^2/2pi) conj(beta_j) beta_k t + (T e_j, e_k) inside them; `dec.shift`
+is S(0) of that one assembly.  S(t) is built once for a stack of times
+(`_s_stack`; `s_matrix` is its stack of one) and every point is evaluated
+from it by a resolvent solve.  The solution is the resolvent pairing
 
     u(t, x) = -(i/2pi) * (u0, W(t) (S(t) - x I)^{-1} W(t) g0),
     W(t) = diag exp(i t lambda_j^2 / 2),
@@ -21,7 +21,7 @@ is pinned here by the exact single-soliton solution and is consistent with
 the soliton-resolution amplitudes C_j = i lambda_j conj(beta_j)^2 / (2 pi).
 
 The inverse spectral map of `actionangle` builds S(0) from coordinates by
-the same `_assemble_s` and pairs it the same way.  The poles of a pairing
+the same assembly and pairs it the same way.  The poles of a pairing
 -(i/2pi) a^T (A - z I)^{-1} b are the eigenvalues of A.  `_from_pairing`
 takes a stack of pairings: one stacked `eig` (`_eig2x2` per matrix at
 N = 2) and one stacked solve give every pairing's residues, and where
@@ -70,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError, PreconditionError
-from .hankel import SpectralDecomposition, _range_basis, eigendecompose
+from .hankel import SpectralDecomposition, _assemble_s, _cluster_mask, _range_basis, eigendecompose
 from .rational import (
     EIG_SEP_RTOL,
     HardyRational,
@@ -117,34 +117,15 @@ def _s_stack(dec: SpectralDecomposition, times) -> np.ndarray:
     bad = ts[~np.isfinite(ts)]
     if bad.size:
         raise InputError(f"time must be finite, got {bad[0]}")
-    # channels k and j share a cluster, a run of the ascending eigenvalues
-    label = np.array([c for c, grp in enumerate(dec.clusters) for _ in grp])
-    return _assemble_s(dec.lambdas, dec.betas, label[:, None] == label, dec.shift,
+    return _assemble_s(dec.lambdas, dec.betas, _cluster_mask(dec.clusters), dec.shift,
                        ts[:, None, None])
-
-
-def _assemble_s(lam, beta, same, shift, t) -> np.ndarray:
-    """S(t) from (lambda, beta): drift from `shift` where `same`, oscillatory elsewhere.
-
-    `s_matrix` passes the eigenbasis shift and its cluster mask; the inverse
-    spectral map passes t = 0, the identity mask and diag(gamma + i nu^2/4pi).
-    A t of shape (T, 1, 1) gives the (T, N, N) stack of S at those times.
-    """
-    lam2 = lam**2
-    d = lam2[:, None] - lam2                      # lambda_k^2 - lambda_j^2
-    bb = beta[:, None] * beta.conj()              # beta_k conj(beta_j)
-    drift = lam2 / (2.0 * math.pi) * bb * t + shift
-    Y = lam * np.exp(0.5j * t * d) * bb           # lambda_j osc bb; Y^T is lambda_k conj(osc bb)
-    Yt = Y.swapaxes(-1, -2)
-    wave = lam / (2j * math.pi * (d + same)) * (Y - Yt)    # + same: finite where masked
-    return np.where(same, drift, wave)
 
 
 def _resolvent(A: np.ndarray, a: np.ndarray, b: np.ndarray, x) -> complex:
     """-(i/2pi) a^T (A - x I)^{-1} b at one point x.
 
-    The solve's residual must be within 1e-10 max(1, |b|); the check fails
-    closed, so a NaN residual raises as well.
+    The solve's residual must be within 1e-10 |b|, at b's own scale; the
+    check fails closed, so a NaN residual raises as well.
     """
     M = A.astype(complex)
     M.flat[:: len(b) + 1] -= x
@@ -153,7 +134,7 @@ def _resolvent(A: np.ndarray, a: np.ndarray, b: np.ndarray, x) -> complex:
     except np.linalg.LinAlgError as e:
         raise NumericalError("resolvent solve failed") from e
     r = M @ y - b
-    if not (np.vdot(r, r).real <= 1e-20 * max(1.0, np.vdot(b, b).real)):
+    if not (np.vdot(r, r).real <= 1e-20 * np.vdot(b, b).real):
         raise NumericalError("resolvent solve failed")
     return -0.5j / math.pi * (y @ a)
 
@@ -164,7 +145,7 @@ def _pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray, xs) -> np.ndarray:
     A is (..., N, N), a and b are (..., N) and xs is (..., P), with the
     leading axes broadcast; the result is (..., P).  Each point's matrix is
     A with x taken off the diagonal, as in `_resolvent`, and each point's
-    residual must be within 1e-10 max(1, |b|).  The check fails closed, and
+    residual must be within 1e-10 |b|.  The check fails closed, and
     one failed point fails the whole stack.
     """
     xs = np.asarray(xs, dtype=complex)
@@ -178,8 +159,7 @@ def _pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray, xs) -> np.ndarray:
     except np.linalg.LinAlgError as e:
         raise NumericalError("resolvent solve failed") from e
     r = (M @ y - B)[..., 0]
-    bound = 1e-20 * np.maximum(1.0, np.vecdot(b, b).real)[..., None]
-    if not (np.vecdot(r, r).real <= bound).all():
+    if not (np.vecdot(r, r).real <= 1e-20 * np.vecdot(b, b).real[..., None]).all():
         raise NumericalError("resolvent solve failed")
     # vecdot of conj(a) sums as `_resolvent`'s y @ a does, so the values agree bitwise
     return -0.5j / math.pi * np.vecdot(a.conj()[..., None, :], y[..., 0])

@@ -30,9 +30,12 @@ come in closed form from `rational._g_coeffs` and pass the Blaschke
 postcondition H_u g = u on K: with d = L^H c, K conj(d_g) - d_u is
 L^H (M conj(c_g) - c_u), whose 2-norm is the L^2 norm of H_u g - u, so the
 check is relative to ||u|| and never forms M.  Each eigenvalue cluster is
-rotated once, so that g lies on its first vector.  T is stored in the
-eigenbasis as `shift` after its closure check; the flow layer reads it
-from there.
+rotated once, so that g lies on its first vector.  `shift` is S(0) of
+`_assemble_s`, the one assembly of the flow matrix S(t), which `flow` and
+`actionangle` import: the closed form in (lambda, beta) off the clusters,
+and on the cluster blocks T as computed in the basis, which is a check:
+off the blocks it must match the closed form, on them meet the closure
+T - T^* = (i/2pi) beta beta^H.
 """
 
 from __future__ import annotations
@@ -106,8 +109,8 @@ class SpectralDecomposition:
     `evecs` columns are the phase-fixed eigenvectors in the orthonormalized
     range basis; `clusters` groups indices of (numerically) equal
     eigenvalues; `two_phis` stores 2*phi_j in [0, 2pi), the quantity that is
-    insensitive to the residual e_j -> -e_j ambiguity; `shift` holds the
-    entries (T e_j, e_k) of the infinitesimal shift in the eigenbasis.
+    insensitive to the residual e_j -> -e_j ambiguity; `shift` holds S(0),
+    the entries (T e_j, e_k) of the infinitesimal shift in the eigenbasis.
     """
 
     u: HardyRational
@@ -190,9 +193,9 @@ def _plan(layout: tuple[int, ...]) -> _Plan:
 
 def _range_basis(u: HardyRational) -> tuple[RangeBasis, np.ndarray]:
     """The range basis of u and its K, as a stack of one."""
-    if u.is_zero():
-        raise PreconditionError("undefined for zero symbol")
     layout, p, c = u._flat
+    if not c.any():
+        raise PreconditionError("undefined for zero symbol")
     G, ok, L, K = _range_stack(layout, p[None], c[None])
     if not ok[0]:
         raise NumericalError("ill-conditioned range basis")
@@ -241,14 +244,43 @@ def hankel_matrix(u: HardyRational, rb: RangeBasis) -> np.ndarray:
 
 
 def _cluster_indices(vals: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Clusters of the ascending vals, as index runs: the one rule, relative with no floor.
+    vals[i] joins the run before it when within CLUSTER_RTOL * vals[i] of the run's first."""
     vals = vals.tolist()
     groups = [[0]]
     for i in range(1, len(vals)):
-        if vals[i] - vals[groups[-1][0]] <= CLUSTER_RTOL * max(vals[i], vals[-1] * 1e-6):
+        if vals[i] - vals[groups[-1][0]] <= CLUSTER_RTOL * vals[i]:
             groups[-1].append(i)
         else:
             groups.append([i])
     return tuple(tuple(g) for g in groups)
+
+
+@lru_cache(maxsize=64)
+def _cluster_mask(clusters: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """same[k, j]: channels k and j share a cluster, built once per cluster layout, read-only."""
+    label = np.array([c for c, grp in enumerate(clusters) for _ in grp])
+    same = label[:, None] == label
+    same.flags.writeable = False
+    return same
+
+
+def _assemble_s(lam, beta, same, shift, t) -> np.ndarray:
+    """S(t) from (lambda, beta): drift from `shift` where `same`, oscillatory elsewhere.
+
+    `eigendecompose` passes the basis T and its cluster mask at t = 0, and
+    `s_matrix` the stored S(0) with the same mask; the inverse spectral map
+    passes t = 0, the identity mask and diag(gamma + i nu^2/4pi).  A t of
+    shape (T, 1, 1) gives the (T, N, N) stack of S at those times.
+    """
+    lam2 = lam**2
+    d = lam2[:, None] - lam2                      # lambda_k^2 - lambda_j^2
+    bb = beta[:, None] * beta.conj()              # beta_k conj(beta_j)
+    drift = lam2 / (2.0 * math.pi) * bb * t + shift
+    Y = lam * np.exp(0.5j * t * d) * bb           # lambda_j osc bb; Y^T is lambda_k conj(osc bb)
+    wave = lam / (2j * math.pi * (d + same)) * (Y - Y.swapaxes(-1, -2))   # + same: finite
+    np.copyto(wave, drift, where=same)
+    return wave
 
 
 def _concentrate_g(fixed: np.ndarray, d_g: np.ndarray) -> np.ndarray:
@@ -302,11 +334,8 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
     """
     rb, K = _range_basis(u)
     U, sigma, Vh = np.linalg.svd(K)     # the sampler's stacked SVD gives bitwise these lambdas
-    L = rb.chol
-    Lh = L.conj().T
-    lambdas = sigma[::-1]
-    U = U[:, ::-1]
-    Vbar = Vh[::-1].T  # columns conj(v_j)
+    L, Lh = rb.chol, rb.chol.conj().T
+    lambdas, U, Vbar = sigma[::-1], U[:, ::-1], Vh[::-1].T     # Vbar: columns conj(v_j)
     if lambdas[0] < rank_tol * lambdas[-1]:
         if rank_tol <= RANK_RTOL:
             raise PreconditionError("numerically rank-deficient symbol")
@@ -317,7 +346,8 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
     # Blaschke postcondition H_u g = u on K, as an L^2 norm relative to ||u||
     g_coords_f = _g_coeffs(u)
     d_g, d_u = Lh @ g_coords_f, Lh @ u._flat[2]
-    if np.linalg.norm(K @ d_g.conj() - d_u) > 1e-10 * np.linalg.norm(d_u):
+    r = K @ d_g.conj() - d_u
+    if np.vdot(r, r).real > 1e-20 * np.vdot(d_u, d_u).real:
         raise NumericalError("Blaschke postcondition H_u(g) = u failed")
 
     # Takagi: conj(V) = U D with D unitary and symmetric, so W = U sqrt(D)
@@ -331,9 +361,7 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
             w, X = np.linalg.eig(U[:, c].conj().T @ Vbar[:, c])
             root = (X * np.sqrt(w)) @ np.linalg.inv(X)
             evecs[:, c] = _concentrate_g(U[:, c] @ root, d_g)
-            lam = float(np.mean(lambdas[c]))
-            ref[c] = lam
-            tol[c] = 1e-7 * lambdas[-1]
+            ref[c], tol[c] = np.mean(lambdas[c]), 1e-7 * lambdas[-1]
     resid2 = (abs(K @ evecs.conj() - evecs * ref) ** 2).sum(axis=0)   # squared column norms
     if (resid2 > tol**2).any():
         raise NumericalError("Takagi eigenvector residual too large")
@@ -341,17 +369,15 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
     betas = evecs.conj().T @ d_g
     nus = np.abs(betas)
     gnorm = math.sqrt(np.vdot(d_g, d_g).real)
-    two_phis = np.where(
-        nus > NU_RTOL * max(gnorm, 1e-300),
-        2.0 * np.angle(betas) % (2.0 * math.pi),
-        0.0,
-    )
+    angle = np.arctan2(betas.imag, betas.real)          # np.angle without its wrapper
+    two_phis = np.where(nus > NU_RTOL * max(gnorm, 1e-300), 2.0 * angle % (2.0 * math.pi), 0.0)
 
     # (T e_j, e_k) = c_k^H conj(G) T_f c_j with c = L^-H w and conj(G) = L L^H
     Te = (L @ evecs).conj().T @ _t_matrix_f(u, g_coords_f) @ np.linalg.solve(Lh, evecs)
-    # columns of T stay inside the range basis by construction, so closure
-    # is checked through the eigen-adjoint identity T - T^* = (i/2pi) beta beta^H
-    gap = Te - Te.conj().T + betas[:, None] * betas.conj() / (2j * math.pi)
+    shift = _assemble_s(lambdas, betas, _cluster_mask(clusters), Te, 0.0)
+    # on the cluster blocks shift is Te, and this is the closure T - T^* = (i/2pi) beta beta^H;
+    # off them the closed form meets that identity, so this is Te - shift up to rounding
+    gap = Te - shift.conj().T + betas[:, None] * betas.conj() / (2j * math.pi)
     if abs(gap).max() > 1e-8 * abs(Te).max():
         raise NumericalError("shift closure violated")
 
@@ -363,8 +389,8 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
         betas=betas,
         nus=nus,
         two_phis=two_phis,
-        gammas=Te.diagonal().real,
-        shift=Te,
+        gammas=shift.diagonal().real,
+        shift=shift,
         clusters=clusters,
         genericity="",
     )
@@ -379,17 +405,12 @@ def t_matrix(u: HardyRational, dec: SpectralDecomposition) -> TMatrix:
 
 
 def classify_genericity(dec: SpectralDecomposition) -> str:
-    """strongly_generic / generic / non_generic per eigenvalue and nu gaps."""
-    if len(dec.clusters) < dec.size:
+    """non_generic when two lambda^2 share a cluster or a nu_j vanishes, generic when
+    two soliton speeds lambda^2 nu^2 share one by the same rule, `_cluster_indices`."""
+    nus = dec.nus
+    if len(dec.clusters) < dec.size or nus.min() <= NU_RTOL * max(math.sqrt(nus @ nus), 1e-300):
         return "non_generic"
-    lam2 = dec.lambdas**2
-    if (lam2[1:] - lam2[:-1] <= CLUSTER_RTOL * lam2[-1]).any():
-        return "non_generic"
-    gnorm = math.sqrt(dec.nus @ dec.nus)
-    if (dec.nus <= NU_RTOL * max(gnorm, 1e-300)).any():
-        return "non_generic"
-    speeds = np.sort(lam2 * dec.nus**2)
-    if (speeds[1:] - speeds[:-1] <= CLUSTER_RTOL * speeds[-1]).any():
+    if len(_cluster_indices(np.sort(dec.lambdas**2 * nus**2))) < dec.size:
         return "generic"
     return "strongly_generic"
 

@@ -6,7 +6,9 @@ function of `szego.rational`, `szego.hankel`, `szego.flow`, `szego.oracle`,
 module's `__all__`) by the text of its `inspect.signature`.
 A deliberate API change edits these tables in the same change.  Only
 `szego.rational` reads a symbol's per-pole `terms` or builds `PoleTerm`s;
-every other module of the library works on the flat view.
+every other module of the library works on the flat view.  Eigenvalues are
+clustered by one rule, `hankel._cluster_indices`, the only reader of
+`CLUSTER_RTOL`, and S(t) has one assembly, `hankel._assemble_s`.
 """
 
 import ast
@@ -153,3 +155,21 @@ def test_only_rational_reads_terms(path):
             if isinstance(node, ast.Attribute) and node.attr in ("terms", "PoleTerm")
             or isinstance(node, ast.Name) and node.id == "PoleTerm"]
     assert uses == [], f"{path} reads .terms or uses PoleTerm at lines {uses}"
+
+
+def test_one_cluster_rule_and_one_s_assembly():
+    reads, defs = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn.name == "_assemble_s":
+                defs.append(path.name)
+        rule = [fn for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef) and fn.name == "_cluster_indices"]
+        inside = {id(node) for fn in rule for node in ast.walk(fn)}
+        reads += [(path.name, node.lineno, id(node) in inside) for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "CLUSTER_RTOL"
+                  and isinstance(node.ctx, ast.Load)
+                  or isinstance(node, ast.Attribute) and node.attr == "CLUSTER_RTOL"]
+    assert [(name, ok) for name, _, ok in reads] == [("hankel.py", True)], reads
+    assert defs == ["hankel.py"]

@@ -16,6 +16,7 @@ from szego.errors import PreconditionError
 from szego.flow import recover_rational
 from szego.hankel import eigendecompose
 from szego.rational import (
+    _from_flat,
     homogeneous_sobolev_norm,
     l2_norm,
     simple_pole,
@@ -136,19 +137,25 @@ class TestNonGenericAnalysis:
             nongeneric_analysis(generic_m2)
 
     def test_track_checked_against_every_flow_matrix(self, monkeypatch, double_eig_symbol):
-        # one S(t) of the stack moved off the closed-form track fails the analysis
+        # one S(t) of the stack moved off the closed-form track fails the
+        # analysis, also under x -> 1e4 x: there the track lies at |e1| <= 0.7,
+        # where a floor at |e1| = 1 let a move of 5e-6 max|S| (7e-7) pass
+        layout, poles, coeffs = double_eig_symbol._flat
         exact = asymptotics._s_stack
         times = np.geomspace(1e2, 1e4, 7)
+        for lam, size in ((1.0, 1e-3), (1e4, 5e-6)):
+            u = _from_flat(layout, poles / lam, coeffs / lam ** np.add(layout, 1))
 
-        def moved(dec, ts):
-            S = exact(dec, ts)
-            S[4] += 1e-3 * abs(S[4]).max() * np.eye(2)
-            return S
+            def moved(dec, ts, size=size):
+                S = exact(dec, ts)
+                S[4] += size * abs(S[4]).max() * np.eye(2)
+                return S
 
-        nongeneric_analysis(double_eig_symbol, times)
-        monkeypatch.setattr(asymptotics, "_s_stack", moved)
-        with pytest.raises(PreconditionError, match="disagrees with S"):
-            nongeneric_analysis(double_eig_symbol, times)
+            nongeneric_analysis(u, times)
+            with monkeypatch.context() as m:
+                m.setattr(asymptotics, "_s_stack", moved)
+                with pytest.raises(PreconditionError, match="disagrees with S"):
+                    nongeneric_analysis(u, times)
 
 
 class TestGrowthFit:

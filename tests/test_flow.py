@@ -83,6 +83,18 @@ class TestSMatrix:
         assert np.max(np.abs(fm.s - dec.shift)) < 1e-12
         assert np.allclose(fm.w_diag, 1.0)
 
+    @pytest.mark.parametrize("name", S_CHECKED)
+    def test_zero_time_is_stored_shift_bitwise(self, name, request):
+        dec = eigendecompose(request.getfixturevalue(name))
+        assert s_matrix(dec, 0.0).s.tobytes() == dec.shift.tobytes()
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 4, 6, 8))
+    def test_zero_time_is_stored_shift_bitwise_on_draws(self, n):
+        # eigendecompose stores S(0) of the one assembly s_matrix runs
+        for seed in range(10):
+            dec = eigendecompose(random_symbol(n, np.random.default_rng(seed)))
+            assert s_matrix(dec, 0.0).s.tobytes() == dec.shift.tobytes(), seed
+
     def test_rank_one_track(self, soliton_symbol):
         dec = eigendecompose(soliton_symbol)
         fm = s_matrix(dec, 3.0)
@@ -184,6 +196,21 @@ class TestResolventBatch:
             _pairing(A, a, b, [0.1, complex(math.nan, 0.0)])
         A = A.copy()
         A[0, 1] = math.nan
+        with pytest.raises(NumericalError, match="resolvent solve failed"):
+            _pairing(A, a, b, [0.1])
+
+    def test_perturbed_solve_rejected_at_small_b(self, monkeypatch, generic_m2):
+        # the residual bound is relative to |b|: a solve off by 1e-8 of itself
+        # fails at |b| = 1e-6, where a floor at |b| = 1 let it pass
+        dec = eigendecompose(generic_m2)
+        A, a, b = _flow_pairing(dec, s_matrix(dec, 0.7))
+        b = 1e-6 * b / np.linalg.norm(b)
+        _resolvent(A, a, b, 0.1)
+        _pairing(A, a, b, [0.1])
+        exact = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda M, B: exact(M, B) * (1.0 + 1e-8))
+        with pytest.raises(NumericalError, match="resolvent solve failed"):
+            _resolvent(A, a, b, 0.1)
         with pytest.raises(NumericalError, match="resolvent solve failed"):
             _pairing(A, a, b, [0.1])
 

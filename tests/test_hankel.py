@@ -37,7 +37,7 @@ XS = np.linspace(-3.7, 4.1, 11)
 CROSS_CHECKED = ("soliton_symbol", "double_eig_symbol", "generic_m2", "mixed_mult")
 
 # Simple 8-pole symbol whose two smallest lambda^2 (about 1.8e-14 and 7.1e-14)
-# fall within one CLUSTER_RTOL * lambda_max^2 band.
+# fall within one CLUSTER_RTOL * lambda_max^2 band, though they differ 4x.
 CLOSE_SMALL_PAIR = [
     (0.93269 - 0.55958j, [-1.55955 + 1.68307j]),
     (0.39448 - 0.83194j, [-0.34251 - 0.41007j]),
@@ -247,15 +247,32 @@ class TestEigendecompose:
         assert abs(J2 - l2_norm(u) ** 2) <= 1e-9 * J2
         assert len(recover_rational(dec, 0.0).terms) == 8
 
-    @pytest.mark.parametrize("amplitude", (1e-6, 10.0, 1e6))
+    @pytest.mark.parametrize("amplitude", (1e-6, 1.0, 10.0, 1e6))
     def test_close_small_pair_at_any_amplitude(self, amplitude):
-        # the cluster's residual is half its lambda spread, which the cluster
-        # rule bounds by lambda_max; against 1e-7 max(1, lambda) it failed from 10 on
+        # the cluster rule is relative to the eigenvalues themselves, so the
+        # small pair stays apart at every amplitude; a floor at lambda_max^2
+        # grouped it and recovery at t = 0 moved two poles by 0.068
         u = as_hardy(amplitude * hardy_from_terms(CLOSE_SMALL_PAIR))
         dec = eigendecompose(u)
         J2 = float(np.sum(dec.lambdas**2 * dec.nus**2))
         assert abs(J2 - l2_norm(u) ** 2) <= 1e-9 * J2
-        assert dec.clusters[0] == (0, 1)
+        assert dec.clusters == tuple((j,) for j in range(8))
+        back = recover_rational(dec, 0.0)
+        poles = np.array(back.poles())
+        assert len(poles) == 8
+        assert max(np.min(abs(poles - p)) for p in u.poles()) <= 1e-8
+        want = u.evaluate(XS)
+        assert np.max(abs(back.evaluate(XS) - want)) <= 1e-10 * np.max(abs(want))
+
+    @pytest.mark.parametrize("amplitude", (1e-6, 10.0, 1e6))
+    def test_double_eigenvalue_at_any_amplitude(self, amplitude, double_eig_symbol):
+        # the cluster's Takagi residual is half its lambda spread, which the
+        # cluster tolerance bounds relative to lambda_max at every amplitude
+        u = as_hardy(amplitude * double_eig_symbol)
+        dec = eigendecompose(u)
+        J2 = float(np.sum(dec.lambdas**2 * dec.nus**2))
+        assert abs(J2 - l2_norm(u) ** 2) <= 1e-9 * J2
+        assert dec.clusters == ((0, 1),)
 
     @pytest.mark.parametrize("amplitude", (1.0, 1e-9))
     def test_perturbed_blaschke_coordinates_rejected(self, monkeypatch, generic_m2, amplitude):
@@ -552,6 +569,19 @@ class TestGenericity:
             if dec.genericity != "non_generic":
                 assert classify_genericity(dec) == dec.genericity
                 break
+
+    def test_eight_pole_draws_are_generic(self):
+        # every lambda^2 gap of these draws is 0.44 of the larger value or
+        # more; the stored shift's eigenvalues are the conjugated poles, off
+        # the clusters in closed form
+        for seed in range(30):
+            u = random_symbol(8, np.random.default_rng(seed))
+            dec = eigendecompose(u)
+            assert dec.genericity in ("generic", "strongly_generic"), seed
+            want = np.conj(u.poles())
+            ev = np.linalg.eigvals(dec.shift)
+            err = max(np.min(abs(ev - w)) for w in want)
+            assert err <= 1e-8 * max(1.0, np.max(abs(want))), seed
 
     def test_json_schema(self, double_eig_symbol):
         doc = decomposition_to_json(eigendecompose(double_eig_symbol))
