@@ -161,10 +161,16 @@ class RationalFn:
         return self.scale(-1.0)
 
     def scale(self, a: complex) -> "RationalFn":
+        if not cmath.isfinite(a):
+            raise InputError(f"scale factor must be finite, got {a}")
         if a == 0:
             return RationalFn()
         layout, poles, coeffs = self._flat
-        return _wrap(RationalFn, (layout, poles, a * coeffs))
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = a * coeffs
+        if not np.isfinite(coeffs).all():
+            raise InputError(f"coefficients scaled by {a} are not finite")
+        return _wrap(RationalFn, (layout, poles, coeffs))
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):

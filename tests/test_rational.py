@@ -193,6 +193,20 @@ class TestNonFinite:
         with pytest.raises(InputError, match="finite"):
             simple_pole(1.0, -1j + bad)
 
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_scale(self, bad):
+        # unchecked, a * u re-wraps a * coeffs: a NaN or infinite coefficient
+        u = simple_pole(1.0, -1j)
+        for scaled in (lambda: bad * u, lambda: u * bad, lambda: u.scale(bad)):
+            with pytest.raises(InputError, match="finite"):
+                scaled()
+
+    @pytest.mark.parametrize("a", (1e308, -1e308, complex(1e308, 1e308)))
+    def test_scale_overflow(self, a):
+        # the product overflows to inf without a RuntimeWarning, which pytest raises
+        with pytest.raises(InputError, match="finite"):
+            a * simple_pole(10.0, -1j)
+
     @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
     def test_from_json_dict(self, bad):
         with pytest.raises(InputError, match="finite"):

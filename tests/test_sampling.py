@@ -55,14 +55,18 @@ def _uncapped_random_symbol(n, rng, min_sep=0.5):
         return poles, coeffs
 
 
-@pytest.mark.parametrize("n", (1, 3, 6))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_random_symbol_draws_unchanged_by_the_cap(n):
-    for seed in range(5):
+    # wider than the default below n = 5, so that pole placements are rejected there too
+    min_sep = 0.8 if n < 5 else 0.5
+    for seed in range(20):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        u = sampling.random_symbol(n, rng)
-        poles, coeffs = _uncapped_random_symbol(n, ref)
-        assert {t.pole: t.coeffs[0] for t in u.terms} == dict(zip(poles, coeffs))
-        assert rng.uniform() == ref.uniform()
+        layout, p, c = sampling.random_symbol(n, rng, min_sep)._flat
+        pairs = sorted(zip(*_uncapped_random_symbol(n, ref, min_sep)),
+                       key=lambda pc: (pc[0].real, pc[0].imag))
+        assert layout == (0,) * n
+        assert p.tolist() == [q for q, _ in pairs] and c.tolist() == [d for _, d in pairs]
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_random_symbol_impossible_separation_is_typed():
@@ -74,9 +78,10 @@ def test_random_symbol_impossible_separation_is_typed():
 
 
 def _reference_conditioned(n, rng, want, lam_ratio, scale_to):
-    """The sampler's rule with every draw decomposed in full, then tested."""
+    """The sampler's rule with every draw decomposed in full, then tested,
+    on the scalar-call draws of `_uncapped_random_symbol`."""
     for _ in range(sampling._MAX_TRIES):
-        u = sampling.random_symbol(n, rng)
+        u = _symbol(zip(*_uncapped_random_symbol(n, rng)))
         try:
             dec = eigendecompose(u)
         except (NumericalError, PreconditionError, np.linalg.LinAlgError):
@@ -95,6 +100,20 @@ def _reference_conditioned(n, rng, want, lam_ratio, scale_to):
             u = as_hardy((scale_to / dec.lambdas[-1]) * u)
         return u
     raise NumericalError("rejection sampling failed; loosen the constraints")
+
+
+def _symbol(pairs):
+    """The symbol of (pole, coefficient) pairs, as the sampler builds it."""
+    return hardy_from_terms([(p, [c]) for p, c in pairs])
+
+
+def _pairs(u):
+    """The (pole, coefficient) pairs of a symbol with simple poles, as `_draw` gives them."""
+    return [(t.pole, t.coeffs[0]) for t in u.terms]
+
+
+# two poles 1e-6 apart: the Gram matrix of the range basis is singular to working precision
+ILL_CONDITIONED = [(-1j, 1.0 + 0j), (-1j + 1e-6, 1.0 + 0j)]
 
 
 def _same_draw(u, v):
@@ -208,18 +227,16 @@ def test_unexpected_errors_in_the_lambda_step_propagate(monkeypatch):
 
 
 def test_ill_conditioned_draw_is_rejected_by_the_lambda_step(monkeypatch, decomposed):
-    # two poles 1e-6 apart: the Gram matrix of the range basis is singular
-    # to working precision, and the draw must be skipped, not raised
-    bad = hardy_from_terms([(-1j, [1.0]), (-1j + 1e-6, [1.0])])
+    # the draw must be skipped, not raised
     with pytest.raises(NumericalError, match="ill-conditioned range basis"):
-        hankel._range_basis(bad)
-    real_symbol = sampling.random_symbol
-    queue = [bad]
+        hankel._range_basis(_symbol(ILL_CONDITIONED))
+    real_draw = sampling._draw
+    queue = [ILL_CONDITIONED]
 
     def with_bad_first(n, rng, min_sep=0.5):
-        return queue.pop() if queue else real_symbol(n, rng, min_sep)
+        return queue.pop() if queue else real_draw(n, rng, min_sep)
 
-    monkeypatch.setattr(sampling, "random_symbol", with_bad_first)
+    monkeypatch.setattr(sampling, "_draw", with_bad_first)
     u = sampling.random_generic(2, np.random.default_rng(3), scale_to=None)
     assert not queue and decomposed == [u]
     monkeypatch.undo()
@@ -256,7 +273,7 @@ def test_lapack_failure_on_a_block_falls_back_to_one_pass_per_draw(monkeypatch):
 
 
 def _raising_after(draws):
-    """A `random_symbol` double: the given draws, then a RuntimeError."""
+    """A `_draw` double: the given draws, then a RuntimeError."""
     queue = list(draws)
 
     def double(n, rng, min_sep=0.5):
@@ -271,16 +288,15 @@ def _raising_after(draws):
 def test_draws_before_a_failing_draw_are_tested_first(monkeypatch, block):
     good = sampling.random_generic(2, np.random.default_rng(4), scale_to=None)
     monkeypatch.setattr(sampling, "_BLOCK", block)
-    monkeypatch.setattr(sampling, "random_symbol", _raising_after([good]))
-    assert sampling.random_generic(2, np.random.default_rng(0), scale_to=None) is good
+    monkeypatch.setattr(sampling, "_draw", _raising_after([_pairs(good)]))
+    assert _same_draw(sampling.random_generic(2, np.random.default_rng(0), scale_to=None), good)
 
 
 @pytest.mark.parametrize("block", (1, 3, 8))
 def test_a_failing_draw_propagates_when_no_draw_before_it_passes(monkeypatch, block):
-    bad = hardy_from_terms([(-1j, [1.0]), (-1j + 1e-6, [1.0])])   # ill-conditioned
     monkeypatch.setattr(sampling, "_BLOCK", block)
-    for draws in ([], [bad]):
-        monkeypatch.setattr(sampling, "random_symbol", _raising_after(draws))
+    for draws in ([], [ILL_CONDITIONED]):
+        monkeypatch.setattr(sampling, "_draw", _raising_after(draws))
         with pytest.raises(RuntimeError, match="no more draws"):
             sampling.random_generic(2, np.random.default_rng(0))
 
@@ -288,13 +304,13 @@ def test_a_failing_draw_propagates_when_no_draw_before_it_passes(monkeypatch, bl
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
 def test_stacked_pass_is_bitwise_the_single_draw_pass(n):
     rng = np.random.default_rng(40 + n)
-    draws = [sampling.random_symbol(n, rng) for _ in range(200)]
-    # a double pole, an ill-conditioned pair and a zero symbol in the block
-    draws[3:3] = [hardy_from_terms([(0.2 - 1.1j, [0.4, 1.0])]),
-                  hardy_from_terms([(-1j, [1.0]), (-1j + 1e-6, [1.0])]),
-                  hardy_from_terms([])]
+    draws = [sampling._draw(n, rng) for _ in range(200)]
+    # an ill-conditioned pair of poles in the block
+    draws[3:3] = [_pairs(_symbol(ILL_CONDITIONED + draws[3][2:]))] if n > 1 else []
+    symbols = [_symbol(d) for d in draws]
     accepted = 0
-    for u, sigma in zip(draws, sampling._block_sigmas(draws)):
+    for d, u, sigma in zip(draws, symbols, sampling._sigmas(draws)):
+        assert u.poles() == tuple(p for p, _ in d)      # the draw is in canonical order
         if sigma is None:
             with pytest.raises((NumericalError, PreconditionError)):
                 hankel._range_basis(u)
@@ -303,10 +319,9 @@ def test_stacked_pass_is_bitwise_the_single_draw_pass(n):
         assert np.array_equal(sigma, np.linalg.svd(hankel._range_basis(u)[1])[1])
         accepted += 1
     assert accepted >= 190
-    simple = draws[:3] + draws[6:]
-    k, p, c = zip(*(u._flat for u in simple))
-    G, ok, _, _ = hankel._range_stack(k[0], np.array(p), np.array(c))
-    for u, gram, good in zip(simple, G, ok):
+    p, c = np.array(draws).transpose(2, 0, 1).copy()
+    G, ok, _, _ = hankel._range_stack((0,) * n, p, c)
+    for u, gram, good in zip(symbols, G, ok):
         if good:
             assert np.array_equal(gram, hankel.build_range_basis(u).gram)
 
@@ -324,6 +339,45 @@ def test_non_finite_lambda_ratio_is_an_input_error(lam_ratio):
     # a NaN ratio would turn the test sigma_min < nan * sigma_max off
     with pytest.raises(InputError, match="lam_ratio"):
         sampling.random_generic(2, np.random.default_rng(0), lam_ratio=lam_ratio)
+
+
+@pytest.mark.parametrize("scale_to", (math.nan, math.inf, -math.inf, 0.0, -0.8))
+def test_scale_to_must_be_finite_and_positive(scale_to):
+    # unchecked, NaN and inf scaled a draw to a non-finite symbol, 0 to the zero
+    # symbol, and a negative value by a negative factor
+    for draw in (sampling.random_generic, sampling.random_strongly_generic):
+        with pytest.raises(InputError, match="scale_to"):
+            draw(2, np.random.default_rng(0), scale_to=scale_to)
+
+
+@pytest.mark.parametrize("min_sep", (math.nan, math.inf, -math.inf))
+def test_non_finite_min_sep_is_an_input_error(min_sep):
+    # a NaN separation failed every pole test and burned `_MAX_TRIES` tries
+    with pytest.raises(InputError, match="min_sep"):
+        sampling.random_symbol(2, np.random.default_rng(0), min_sep=min_sep)
+
+
+def test_one_symbol_built_per_decomposed_draw(monkeypatch, decomposed):
+    # the ratio test reads raw draws; only a draw that passes it is built as a symbol
+    built = []
+
+    def counting(pairs):
+        built.append(hardy_from_terms(pairs))
+        return built[-1]
+
+    monkeypatch.setattr(sampling, "hardy_from_terms", counting)
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        sampling.random_generic(3, rng)
+        sampling.random_strongly_generic(2, rng)
+    assert len(built) == len(decomposed) == 16
+    assert all(u is v for u, v in zip(built, decomposed))
+
+
+def test_degree_four_draw_can_exhaust_the_cap():
+    # seeds 24, 39, 40, 61 and 99 of 0-99 find no draw in `_MAX_TRIES`
+    with pytest.raises(NumericalError, match="rejection sampling failed"):
+        sampling.random_generic(4, np.random.default_rng(24))
 
 
 def test_one_pole_strongly_generic_draw():
