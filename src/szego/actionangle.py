@@ -15,10 +15,10 @@ the `shift` that `eigendecompose` stores,
               / (lambda_k^2 - lambda_j^2),            k != j,
     S[j, j] = gamma_j + i nu_j^2 / (4 pi),
 
-and u is the flow's resolvent pairing (conj S, lambda conj(beta), conj(beta)),
-whose poles are the eigenvalues of conj S.  Both are quadratic in beta, so
-only 2 phi_j enters.  `flow._from_pairing` reads the partial fractions off
-one eigendecomposition, fitting only when poles cluster into multiple poles.
+and u is the flow's recovery at t = 0, where W(0) = I: the pairing
+(conj S, lambda conj(beta), conj(beta)) of `flow._flow_pairing`, whose poles
+are the eigenvalues of conj S.  Both are quadratic in beta, so only 2 phi_j
+enters.  `flow._from_pairing` factors it, fitting only multiple poles.
 The phase/sign convention matches the forward pipeline (it is pinned by the
 rank-one case, where the reconstruction must return C e^{i a}/(x-p) with
 2 phi = pi/2 - a, not its conjugate).
@@ -44,7 +44,7 @@ from .rational import (
     blaschke,
     hankel_apply,
 )
-from .flow import _eigenpairs, _from_pairing
+from .flow import _flow_pairing, _from_pairing
 
 ROUNDTRIP_TOL = 1e-8
 CYLINDER_RTOL = 1e-8      # relative match of lambda and nu on one toroidal cylinder
@@ -111,12 +111,16 @@ def chi(dec: SpectralDecomposition) -> ActionAngleCoords:
 
 
 def chi_inverse(coords: ActionAngleCoords) -> HardyRational:
-    """Reconstruct the unique generic symbol with the given coordinates."""
+    """Reconstruct the unique generic symbol with the given coordinates.
+
+    The map is onto the coordinate domain, so a pole on or above the real
+    line (a `NumericalError`) means numerical trouble, not a bad input.
+    """
     return _chi_inverse(coords)[0]
 
 
-def _chi_inverse(coords: ActionAngleCoords) -> tuple[HardyRational, ActionAngleCoords]:
-    """The symbol of `chi_inverse` and chi of its decomposition, which the round trip checks."""
+def _chi_inverse(coords: ActionAngleCoords) -> tuple[HardyRational, ActionAngleCoords, float]:
+    """The symbol of `chi_inverse`, chi of its decomposition, and their `_coords_distance`."""
     if not all(map(math.isfinite, coords.actions_i + coords.actions_lambda
                    + coords.angles + coords.gammas)):
         raise InputError("coordinates must be finite")
@@ -125,24 +129,12 @@ def _chi_inverse(coords: ActionAngleCoords) -> tuple[HardyRational, ActionAngleC
     beta = nu * np.exp(0.5j * np.array(coords.angles))
     diag = np.diag(np.array(coords.gammas) + 1j * nu**2 / (4.0 * math.pi))
     S0 = _assemble_s(lam, beta, np.eye(coords.size, dtype=bool), diag, 0.0)
-    # the poles of u are the eigenvalues of conj(S0): Im >= 0 there is Im <= 0 for S0
-    A = S0.conj()[None]
-    eig = _eigenpairs(A)
-    if (eig[0].imag >= 0).any():
-        raise NumericalError(
-            "coordinates outside the admissible image: the assembled shift "
-            "matrix has an eigenvalue with nonpositive imaginary part; the "
-            "map is onto the coordinate domain, so this indicates numerical "
-            "trouble (extreme coordinates) rather than an inadmissible input"
-        )
-    u = _from_pairing(A, (lam * beta.conj())[None], beta.conj()[None], eig)[0]
+    u = _from_pairing(*_flow_pairing(S0[None], lam, beta[None]))[0]   # W(0) = I
     back = chi(eigendecompose(u))
     err = _coords_distance(coords, back)
     if err > ROUNDTRIP_TOL:
-        raise NumericalError(
-            f"inverse spectral round trip off by {err:.3e} (> {ROUNDTRIP_TOL})"
-        )
-    return u, back
+        raise NumericalError(f"inverse spectral round trip off by {err:.3e} (> {ROUNDTRIP_TOL})")
+    return u, back, err
 
 
 def _coords_distance(a: ActionAngleCoords, b: ActionAngleCoords) -> float:

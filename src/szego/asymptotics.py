@@ -227,7 +227,7 @@ def growth_fit(u0: HardyRational, s: float, times) -> dict:
     of all times come from one `_sobolev_norms` call.
     """
     times = tuple(float(t) for t in times)
-    if len(times) < 5:
+    if len(times) < MIN_FIT_POINTS:
         raise PreconditionError("insufficient samples")
     dec = eigendecompose(u0)
     l2, half, hdot = _sobolev_norms(_recover_many(dec, times), (0.0, 0.5, s)).T

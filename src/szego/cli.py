@@ -39,7 +39,6 @@ from .actionangle import (
     coords_from_json,
     coords_to_json,
     _chi_inverse,
-    _coords_distance,
 )
 from .asymptotics import growth_fit, nongeneric_analysis, remainder_norms
 from .oracle import compare, self_convergence
@@ -279,12 +278,12 @@ def _cmd_actionangle(args) -> int:
             coords = coords_from_json(json.loads(_read_arg(args.coords)))
         except json.JSONDecodeError as e:
             raise InputError(f"invalid JSON: {e}") from e
-        u, back = _chi_inverse(coords)
+        u, back, err = _chi_inverse(coords)
         doc = {
             "input_coords": coords_to_json(coords),
             "symbol": to_json_dict(u),
             "forward_coords": coords_to_json(back),
-            "max_error": _coords_distance(coords, back),
+            "max_error": err,
         }
         run.write_json("actionangle.json", doc)
         print(f"reconstructed symbol; round-trip error {doc['max_error']:.3e}")
@@ -304,7 +303,7 @@ def _cmd_roundtrip(args) -> int:
     worst_coords = worst_symbol = 0.0
     for _ in range(args.count):
         c = random_coords(args.n, rng)
-        worst_coords = max(worst_coords, _coords_distance(c, _chi_inverse(c)[1]))
+        worst_coords = max(worst_coords, _chi_inverse(c)[2])
         v = random_generic(args.n, rng)
         v2 = chi_inverse(chi(eigendecompose(v)))
         diff = v2 - v

@@ -20,14 +20,15 @@ The sign differs from some statements of the pairing in the literature; it
 is pinned here by the exact single-soliton solution and is consistent with
 the soliton-resolution amplitudes C_j = i lambda_j conj(beta_j)^2 / (2 pi).
 
-The inverse spectral map of `actionangle` builds S(0) from coordinates by
-the same assembly and pairs it the same way.  The poles of a pairing
--(i/2pi) a^T (A - z I)^{-1} b are the eigenvalues of A.  `_from_pairing`
-takes a stack of pairings: one stacked `eig` (`_eig2x2` per matrix at
-N = 2) and one stacked solve give every pairing's residues, and where
-eigenvalues cluster into a multiple pole the coefficients are fitted to
-the pairing at Chebyshev points.  `_pairing` evaluates a stack of
-pairings at a stack of points by one stacked solve.
+The inverse spectral map of `actionangle` is this recovery at t = 0 on an
+S(0) assembled from coordinates: it, `_flow_at` and `_recover_many` build
+the pairing (conj S, Lam conj w, conj w) by one `_flow_pairing`.  The poles
+of a pairing -(i/2pi) a^T (A - z I)^{-1} b are the eigenvalues of A, and
+`_from_pairing` alone factors pairings and rejects a pole on or above the
+real line: over a stack, one stacked `eig` (`_eig2x2` per matrix at N = 2)
+and one stacked solve give the residues, and the coefficients of clustered
+eigenvalues are fitted to the pairing at Chebyshev points.  `_pairing`
+evaluates a stack of pairings at a stack of points by one stacked solve.
 
 u(t) is recovered as a rational function on one of two routes.  Each
 checks its result at 20 points spanning +-3.3 max|p|, to RECOVER_TOL of the
@@ -165,10 +166,10 @@ def _pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray, xs) -> np.ndarray:
     return -0.5j / math.pi * np.vecdot(a.conj()[..., None, :], y[..., 0])
 
 
-def _flow_pairing(dec: SpectralDecomposition, fm: FlowMatrix):
-    """(A, a, b) of u(t) = -(i/2pi) a^T (A - x)^{-1} b: (conj S, Lam conj w, conj w)."""
-    b = np.conj(fm.w_diag * dec.betas)
-    return np.conj(fm.s), dec.lambdas * b, b
+def _flow_pairing(S: np.ndarray, lambdas: np.ndarray, w: np.ndarray):
+    """(A, a, b) = (conj S, Lam conj w, conj w) of S (..., N, N) and w = W(t) beta (..., N)."""
+    b = np.conj(w)
+    return np.conj(S), lambdas * b, b
 
 
 # (dec, t, (A, a, b)) of the last pairing built by _flow_at.  The
@@ -183,7 +184,8 @@ def _flow_at(dec: SpectralDecomposition, t: float) -> tuple:
     last_dec, last_t, pairing = _last_flow
     if last_dec is dec and last_t == t:
         return pairing
-    _last_flow = (dec, t, _flow_pairing(dec, s_matrix(dec, t)))
+    fm = s_matrix(dec, t)
+    _last_flow = (dec, t, _flow_pairing(fm.s, dec.lambdas, fm.w_diag * dec.betas))
     return _last_flow[2]
 
 
@@ -249,8 +251,7 @@ def _eigenpairs(A: np.ndarray):
     return np.array(E), np.array(V)
 
 
-def _from_pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray,
-                  eig=None) -> list[HardyRational]:
+def _from_pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[HardyRational]:
     """Partial fractions of x -> -(i/2pi) a^T (A - x I)^{-1} b for a stack of pairings.
 
     A is (T, N, N) and a, b are (T, N); the result holds one function per
@@ -259,11 +260,9 @@ def _from_pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray,
     expansion, from one stacked solve; clustered ones are merged into
     multiple poles and the coefficients fitted at 4N Chebyshev points on
     +-3 max|E|, the data's own scale, evaluated by one stacked `_pairing`.
-    `eig` is `_eigenpairs(A)`, for a caller that has already factored A.
-    A pole that rounding puts on or above the real axis is a
-    `NumericalError`.
+    The one code that factors a pairing: a pole on or above the real axis is a `NumericalError`.
     """
-    E, V = _eigenpairs(A) if eig is None else eig
+    E, V = _eigenpairs(A)
     n = E.shape[-1]
     scale = abs(E).max(axis=-1, initial=0.0)
     seps = abs(E[:, :, None] - E[:, None, :]).reshape(len(E), -1)
@@ -323,9 +322,8 @@ def _recover_many(dec: SpectralDecomposition, times) -> list[HardyRational]:
     ts = np.asarray(times, dtype=float)
     if not ts.size:
         return []
-    S = _s_stack(dec, ts)
-    b = np.conj(np.exp(0.5j * ts[:, None] * dec.lambdas**2) * dec.betas)
-    A, a = np.conj(S), dec.lambdas * b
+    A, a, b = _flow_pairing(_s_stack(dec, ts), dec.lambdas,   # _s_stack checks ts first
+                            np.exp(0.5j * ts[:, None] * dec.lambdas**2) * dec.betas)
     outs = _from_pairing(A, a, b)
     check_x = np.array([_check_points(u) for u in outs])
     ref = _pairing(A, a, b, check_x)

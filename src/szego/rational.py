@@ -138,8 +138,8 @@ class RationalFn:
         """Total pole multiplicity (rank bookkeeping for Hardy symbols)."""
         return len(self._flat[0])
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.max_coeff() <= tol
+    def is_zero(self) -> bool:
+        return self.max_coeff() == 0.0
 
     def max_coeff(self) -> float:
         return float(np.abs(self._flat[2]).max(initial=0.0))

@@ -159,12 +159,18 @@ class TestBroadcastSMatrix:
         assert [len(c) for c in eigendecompose(eight_poles).clusters] == [1] * 8
 
 
+def pairing_at(dec, t):
+    """(A, a, b) of u(t), from S(t) and W(t) beta."""
+    fm = s_matrix(dec, t)
+    return _flow_pairing(fm.s, dec.lambdas, fm.w_diag * dec.betas)
+
+
 class TestResolventBatch:
     def test_batch_equals_scalar_calls(self, eight_poles):
         dec = eigendecompose(eight_poles)
         xs = np.concatenate([np.linspace(-6.0, 6.0, 18), [0.3 + 0.5j, -1.0 + 2.0j]])
         for t in (0.0, 2.5):
-            batch = _pairing(*_flow_pairing(dec, s_matrix(dec, t)), xs)
+            batch = _pairing(*pairing_at(dec, t), xs)
             one = np.array([evolve_eval(dec, t, x) for x in xs])
             assert batch.shape == (20,)
             assert np.max(np.abs(batch - one)) <= 1e-13 * np.max(np.abs(one))
@@ -175,7 +181,7 @@ class TestResolventBatch:
         for u in (generic_m2, eight_poles):
             dec = eigendecompose(u)
             for t in (0.7, 0.7, 2.5, 0.7):
-                want = _pairing(*_flow_pairing(dec, s_matrix(dec, t)), [x])[0]
+                want = _pairing(*pairing_at(dec, t), [x])[0]
                 assert evolve_eval(dec, t, x) == want
 
     def test_one_bad_point_fails_the_batch(self, generic_m2):
@@ -183,15 +189,15 @@ class TestResolventBatch:
         dec = eigendecompose(generic_m2)
         fm = s_matrix(dec, 0.7)
         xs = np.linspace(-3.0, 3.0, 19)
-        _pairing(*_flow_pairing(dec, fm), xs)
+        _pairing(*pairing_at(dec, 0.7), xs)
         pole = np.linalg.eigvals(np.conj(fm.s))[0]
         with pytest.raises(NumericalError, match="resolvent solve failed"):
-            _pairing(*_flow_pairing(dec, fm), np.concatenate([xs[:9], [pole], xs[9:]]))
+            _pairing(*pairing_at(dec, 0.7), np.concatenate([xs[:9], [pole], xs[9:]]))
 
     def test_nan_matrix_fails_closed(self, generic_m2):
         # a NaN residual is not within the bound, so the solve fails closed
         dec = eigendecompose(generic_m2)
-        A, a, b = _flow_pairing(dec, s_matrix(dec, 0.7))
+        A, a, b = pairing_at(dec, 0.7)
         with pytest.raises(NumericalError, match="resolvent solve failed"):
             _pairing(A, a, b, [0.1, complex(math.nan, 0.0)])
         A = A.copy()
@@ -203,7 +209,7 @@ class TestResolventBatch:
         # the residual bound is relative to |b|: a solve off by 1e-8 of itself
         # fails at |b| = 1e-6, where a floor at |b| = 1 let it pass
         dec = eigendecompose(generic_m2)
-        A, a, b = _flow_pairing(dec, s_matrix(dec, 0.7))
+        A, a, b = pairing_at(dec, 0.7)
         b = 1e-6 * b / np.linalg.norm(b)
         _resolvent(A, a, b, 0.1)
         _pairing(A, a, b, [0.1])
@@ -217,7 +223,7 @@ class TestResolventBatch:
 
 def stacked_pairings(dec, times):
     """(A, a, b) of every t, stacked along a leading axis, from one-time pairings."""
-    return tuple(map(np.array, zip(*(_flow_pairing(dec, s_matrix(dec, t)) for t in times))))
+    return tuple(map(np.array, zip(*(pairing_at(dec, t) for t in times))))
 
 
 class TestStackedPairing:
@@ -354,6 +360,24 @@ class TestNonFiniteInput:
             evolve_eval(eigendecompose(generic_m2), 1.0, x)
 
 
+def draw_near_multiple(rng, order):
+    """One simple pole and one of the given order, as the benchmark draws them:
+    poles uniform in [-1.5, 1.5] x [-1.6, -0.5]i and >= 0.5 apart, coefficients
+    complex normal with |c| >= 0.2."""
+    while True:
+        p = [complex(rng.uniform(-1.5, 1.5), -rng.uniform(0.5, 1.6)) for _ in range(2)]
+        if abs(p[0] - p[1]) >= 0.5:
+            break
+
+    def coeff():
+        while True:
+            c = complex(rng.normal(), rng.normal())
+            if abs(c) >= 0.2:
+                return c
+
+    return hardy_from_terms([(p[0], [coeff()]), (p[1], [coeff() for _ in range(order)])])
+
+
 class TestRecoverChecks:
     def test_one_s_matrix_on_direct_route(self, monkeypatch, eight_poles):
         dec = eigendecompose(eight_poles)
@@ -441,6 +465,27 @@ class TestRecoverChecks:
             recover_rational(dec, t)
         except NumericalError:
             pass
+
+    @pytest.mark.parametrize("order", (2, 3))
+    def test_near_multiple_pole_is_right_or_typed(self, order):
+        # near t = 0 a multiple pole of u0 sits among nearby eigenvalues of S(t)
+        # that the cluster rule may or may not merge; either route must raise
+        # NumericalError or match the pairing it recovers.  Over seeds 0-19,
+        # 5 double-pole draws raise at t = 1e-9 and 9 triple-pole draws at 1e-12
+        returned = 0
+        for seed in range(20):
+            dec = eigendecompose(draw_near_multiple(np.random.default_rng(seed), order))
+            for t in (0.0, 1e-12, 1e-9, 1e-6):
+                try:
+                    u = recover_rational(dec, t)
+                except NumericalError:
+                    continue
+                scale = 10.0 * max(map(abs, u.poles()))
+                xs = np.linspace(-scale, scale, 401)
+                ref = _pairing(*flow._flow_at(dec, t), xs)
+                assert np.max(np.abs(u.evaluate(xs) - ref)) <= 1e-8 * np.max(np.abs(ref))
+                returned += 1
+        assert returned >= 40      # most recoveries return, so the check is not vacuous
 
 
 class TestL2Norm:
