@@ -18,7 +18,7 @@ the `shift` that `eigendecompose` stores,
 and u is the flow's recovery at t = 0, where W(0) = I: the pairing
 (conj S, lambda conj(beta), conj(beta)) of `flow._flow_pairing`, whose poles
 are the eigenvalues of conj S.  Both are quadratic in beta, so only 2 phi_j
-enters.  `flow._from_pairing` factors it, fitting only multiple poles.
+enters.  `flow._from_pairing` factors it, multiple poles from contour moments.
 The phase/sign convention matches the forward pipeline (it is pinned by the
 rank-one case, where the reconstruction must return C e^{i a}/(x-p) with
 2 phi = pi/2 - a, not its conjugate).

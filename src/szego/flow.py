@@ -23,12 +23,15 @@ the soliton-resolution amplitudes C_j = i lambda_j conj(beta_j)^2 / (2 pi).
 The inverse spectral map of `actionangle` is this recovery at t = 0 on an
 S(0) assembled from coordinates: it, `_flow_at` and `_recover_many` build
 the pairing (conj S, Lam conj w, conj w) by one `_flow_pairing`.  The poles
-of a pairing -(i/2pi) a^T (A - z I)^{-1} b are the eigenvalues of A, and
-`_from_pairing` alone factors pairings and rejects a pole on or above the
-real line: over a stack, one stacked `eig` (`_eig2x2` per matrix at N = 2)
-and one stacked solve give the residues, and the coefficients of clustered
-eigenvalues are fitted to the pairing at Chebyshev points.  `_pairing`
-evaluates a stack of pairings at a stack of points by one stacked solve.
+of a pairing -(i/2pi) a^T (A - z I)^{-1} b are the eigenvalues of A,
+multiple ones included, and `_from_pairing` alone factors pairings and
+rejects a pole on or above the real line: over a stack, one stacked `eig`
+(`_eig2x2` per matrix at N = 2) and one stacked solve give the residues.
+Where eigenvalues group and the eigenvectors are too ill-conditioned for
+those residues, the multiplicities are read off the data instead: contour
+moments of the pairing on one circle per group (`_from_moments`) give
+either one pole of order m or m simple poles.  `_pairing` evaluates a
+stack of pairings at a stack of points by one stacked solve.
 
 u(t) is recovered as a rational function on one of two routes.  Each
 checks its result at 20 points spanning +-3.3 max|p|, to RECOVER_TOL of the
@@ -72,19 +75,9 @@ import numpy as np
 
 from .errors import InputError, NumericalError, PreconditionError
 from .hankel import SpectralDecomposition, _assemble_s, _cluster_mask, _range_basis, eigendecompose
-from .rational import (
-    EIG_SEP_RTOL,
-    HardyRational,
-    _cluster_poles,
-    _from_flat,
-    _layout,
-    _sobolev_norms,
-    hardy_from_terms,
-    l2_norm,
-)
+from .rational import HardyRational, _sobolev_norms, hardy_from_terms, l2_norm
 
 RECOVER_TOL = 1e-9        # postcondition: recovered rational vs resolvent values
-FIT_TOL = 1e-7            # fallback least-squares residual bound
 
 __all__ = [
     "FlowMatrix",
@@ -94,7 +87,6 @@ __all__ = [
     "conserved_quantities",
     "spectral_conserved",
     "trajectory",
-    "fit_partial_fractions",
 ]
 
 
@@ -197,22 +189,6 @@ def evolve_eval(dec: SpectralDecomposition, t: float, x) -> complex:
     return complex(_resolvent(*_flow_at(dec, t), x))
 
 
-def fit_partial_fractions(poles_mults, xs, values) -> HardyRational:
-    """Least-squares partial fractions with prescribed poles/multiplicities."""
-    centers, mults = zip(*poles_mults)
-    layout = _layout(mults)
-    poles = np.repeat(centers, mults)
-    A = 1.0 / (np.asarray(xs, dtype=complex)[:, None] - poles) ** np.add(layout, 1)
-    sol, _res, _rk, _sv = np.linalg.lstsq(A, np.asarray(values, dtype=complex),
-                                          rcond=None)
-    resid = np.linalg.norm(A @ sol - values)
-    scale = float(np.linalg.norm(values))
-    if resid > FIT_TOL * scale:
-        raise NumericalError(f"defective recovery: fit residual {resid:.3e} "
-                             f"on scale {scale:.3e}")
-    return _from_flat(layout, poles, sol)
-
-
 def _eig2x2(A: np.ndarray):
     """Eigenpairs of a 2x2 matrix via the explicit quadratic formula.
 
@@ -255,39 +231,91 @@ def _from_pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[HardyRati
     """Partial fractions of x -> -(i/2pi) a^T (A - x I)^{-1} b for a stack of pairings.
 
     A is (T, N, N) and a, b are (T, N); the result holds one function per
-    pairing.  Its poles are the eigenvalues of A.  Separated eigenvalues
-    give the residues (i/2pi)(a^T V)_k (V^{-1} b)_k of the bilinear
-    expansion, from one stacked solve; clustered ones are merged into
-    multiple poles and the coefficients fitted at 4N Chebyshev points on
-    +-3 max|E|, the data's own scale, evaluated by one stacked `_pairing`.
-    The one code that factors a pairing: a pole on or above the real axis is a `NumericalError`.
+    pairing.  Its poles are the eigenvalues E of A, multiple ones included.
+    A pairing keeps the residues (i/2pi)(a^T V)_k (V^{-1} b)_k of the
+    bilinear expansion, from one stacked solve, unless E has a group (single
+    linkage within 1e-2 max|E|) and an eigenvalue on the real line or an
+    eigenvector matrix V too ill-conditioned for those residues
+    (eps cond V > RECOVER_TOL).  Then every principal part comes from
+    contour moments (`_from_moments`) on one circle per group: centered at
+    the group's mean, with radius half the distance to the nearest
+    eigenvalue outside it (max|E| / 2 if there is none).  The circles of
+    the whole stack are evaluated by one `_pairing` call.  A pairing keeps
+    the bilinear residues if a circle does not clear its group by twice the
+    group's spread or if its moments miss the values on its circles; the
+    whole stack does if a circle's solve or a moment pencil fails.  The one
+    code that factors a pairing: a pole on or above the real axis is a
+    `NumericalError`.
     """
     E, V = _eigenpairs(A)
     n = E.shape[-1]
     scale = abs(E).max(axis=-1, initial=0.0)
-    seps = abs(E[:, :, None] - E[:, None, :]).reshape(len(E), -1)
-    seps[:, :: n + 1] = math.inf
-    apart = (seps.min(axis=-1) > EIG_SEP_RTOL * scale).tolist()
-    fit = [i for i, sep in enumerate(apart) if not sep]
-    clusters = [_cluster_poles(E[i]) for i in fit]
     on_axis = E.imag >= -1e-12
-    if fit:                                       # a cluster's pole is its center
-        on_axis[fit] = False
-        V = V.copy()
-        V[fit] = np.eye(n)                        # a solvable stand-in; not read
-    if on_axis.any() or any(p.imag >= -1e-12 for grp in clusters for p, _ in grp):
+    near = abs(E[:, :, None] - E[:, None, :]) <= 1e-2 * scale[:, None, None]
+    circles = {}                                  # row -> [(center, radius, size)] per group
+    for i in np.flatnonzero(near.sum(axis=(-2, -1)) > n).tolist():   # rows with a near pair
+        if (err := np.finfo(float).eps * np.linalg.cond(V[i])) > RECOVER_TOL or on_axis[i].any():
+            if err == math.inf:               # a solvable stand-in; its residues fail the check
+                V[i] = np.eye(n)
+            reach = np.linalg.matrix_power(near[i], n)   # chains of near pairs: single linkage
+            circ = [(c := E[i, g].mean(), 0.5 * abs(E[i, ~g] - c).min(initial=scale[i]), g)
+                    for g in reach[reach.argmax(axis=-1) == np.arange(n)]]   # one row per group
+            if all(r > 2.0 * abs(E[i, g] - c).max() for c, r, g in circ):
+                circles[i] = [(c, r, int(g.sum())) for c, r, g in circ]
+    parts = {}                                    # row -> principal parts from moments
+    if circles:
+        rows = np.array([i for i, circ in circles.items() for _ in circ])
+        z = np.array([c + r * _NODES for circ in circles.values() for c, r, _ in circ])
+        try:
+            f = _pairing(A[rows], a[rows], b[rows], z)
+            parts = {i: pp for i in circles if (pp := _from_moments(f[rows == i], circles[i]))}
+        except (NumericalError, np.linalg.LinAlgError):
+            pass                                  # every row keeps its bilinear residues
+        on_axis[list(parts)] = False
+    if on_axis.any() or any(p.imag >= -1e-12 for pp in parts.values() for p, _ in pp):
         raise NumericalError("recovered pole on or above the real line")
     coeffs = (0.5j / math.pi * (a[:, None] @ V)[:, 0]
               * np.linalg.solve(V, b[..., None])[..., 0])
-    out = [None if i in fit else hardy_from_terms([(p, [k]) for p, k in zip(e, c)])
-           for i, (e, c) in enumerate(zip(E.tolist(), coeffs.tolist()))]
-    if fit:
-        k = np.arange(4 * n)
-        xs = 3.0 * scale[fit][:, None] * np.cos((2 * k + 1) * math.pi / (2 * len(k)))
-        values = _pairing(A[fit], a[fit], b[fit], xs)
-        for i, grp, x, v in zip(fit, clusters, xs, values):
-            out[i] = fit_partial_fractions(grp, x, v)
-    return out
+    return [hardy_from_terms(parts[i] if i in parts else [(p, [k]) for p, k in zip(e, cs)])
+            for i, (e, cs) in enumerate(zip(E.tolist(), coeffs.tolist()))]
+
+
+# nodes of the trapezoid rule on the unit circle
+_NODES = np.exp(2j * math.pi * np.arange(64) / 64)
+
+
+def _from_moments(values, circles) -> list[tuple[complex, list[complex]]] | None:
+    """Principal parts of a pairing u from its values on one circle per group.
+
+    On the circle of center c and radius r around a group of m eigenvalues,
+    the moments nu_k = (1/2pi i) oint u(z) ((z - p)/r)^k dz / r, k < 2m, are
+    the trapezoid rule at `_NODES`.  The center p = c is refined once by
+    p + r nu_m / (m nu_(m-1)) if that stays within r/2.  The group is one
+    pole of order m at p, with coefficients r^(k+1) nu_k, when nu_m ...
+    nu_(2m-1) are below RECOVER_TOL times the largest of nu_0 ... nu_(m-1);
+    otherwise its m simple poles are p + r s for the eigenvalues s of the
+    Hankel pencil (H_1, H_0) of the nu, with residues from one Vandermonde
+    solve (Kravanja and Van Barel, LNM 1727).  None if the parts miss the
+    values by more than RECOVER_TOL of the largest; a singular pencil raises
+    `np.linalg.LinAlgError`.
+    """
+    out = []
+    for u, (c, r, m) in zip(values, circles):
+        def moments(p):
+            return (u * _NODES) @ np.vander((c - p) / r + _NODES, 2 * m, increasing=True) / len(u)
+        p, nu = c, moments(c)
+        if abs(nu[m]) < 0.5 * m * abs(nu[m - 1]):
+            nu = moments(p := c + r * nu[m] / (m * nu[m - 1]))
+        if abs(nu[m:]).max() <= RECOVER_TOL * abs(nu[:m]).max():
+            out.append((p, (nu[:m] * r ** np.arange(1, m + 1)).tolist()))
+            continue
+        H = np.array([nu[k:k + m] for k in range(m + 1)])
+        s = np.linalg.eigvals(np.linalg.solve(H[:m], H[1:]))
+        res = np.linalg.solve(np.vander(s, m, increasing=True).T, nu[:m])
+        out += [(p + r * sk, [r * rk]) for sk, rk in zip(s.tolist(), res.tolist())]
+    z = np.array([c + r * _NODES for c, r, _ in circles])
+    got = sum(k / (z - p) ** (l + 1) for p, ks in out for l, k in enumerate(ks))
+    return out if abs(got - values).max() <= RECOVER_TOL * abs(values).max() else None
 
 
 def _check_points(u: HardyRational) -> np.ndarray:

@@ -24,8 +24,8 @@ read-only arrays of the entries' poles and coefficients.  One canonicalizer,
 `_canonical`, builds every function from a flat view; `terms` is derived.
 
 Root finding enters only `pf_from_ratio`: `_cluster_poles` groups its roots
-into multiple poles by the rule the flow layer applies to eigenvalues, and
-1/B is the same product folded over the factors 1/(x-p)^m.
+into multiple poles by a fixed relative radius, and 1/B is the same product
+folded over the factors 1/(x-p)^m.
 
 The coefficients of g = 1 - b_u, with b_u the Blaschke product of u, have a
 closed form in the poles alone (`_g_coeffs`); the spectral layer reads them
@@ -49,7 +49,7 @@ from .errors import InputError, NumericalError, PreconditionError
 POLE_MERGE_RTOL = 1e-12      # arithmetic: poles this close (vs. |p|) are the same pole
 COEFF_TRIM_RTOL = 5e-14      # coefficients this small (vs. the largest) are dropped
 DEGREE_CAP = 64              # denominator degree cap of pf_from_ratio
-# Relative separation below which computed roots or eigenvalues are one
+# Relative separation below which `pf_from_ratio`'s computed roots are one
 # multiple pole.  They scatter like eps^(1/m), about 2e-8 already for a
 # double pole, so the radius must sit well above that.
 EIG_SEP_RTOL = 20.0 * (2.3e-16) ** (1.0 / 3.0)
@@ -192,13 +192,16 @@ class RationalFn:
         return self.evaluate(z)
 
     def evaluate(self, z):
-        """Direct summation of the partial fractions at z (scalar or array)."""
+        """Direct summation of the partial fractions at z (scalar or array).
+
+        A point where the sum is not finite, a pole among them, is an `InputError`.
+        """
         layout, poles, coeffs = self._flat
         zarr = np.asarray(z, dtype=complex)
-        d = zarr[..., None] - poles
-        if d.size and np.min(np.abs(d)) < 1e-14:
+        with np.errstate(all="ignore"):
+            out = (coeffs / (zarr[..., None] - poles) ** np.add(layout, 1)).sum(axis=-1)
+        if not np.isfinite(out).all():
             raise InputError("evaluation at pole")
-        out = (coeffs / d ** np.add(layout, 1)).sum(axis=-1)
         if np.isscalar(z) or zarr.ndim == 0:
             return complex(out)
         return out

@@ -34,16 +34,16 @@ def l2_gap(a, b):
     return math.sqrt(abs(inner_product(d, d)))
 
 
-def counted_fits(monkeypatch):
-    """Count the calls of flow.fit_partial_fractions."""
+def counted_moments(monkeypatch):
+    """Count the calls of flow._from_moments, the recovery from contour moments."""
     calls = []
-    inner = flow.fit_partial_fractions
+    inner = flow._from_moments
 
     def wrapper(*args):
         calls.append(args)
         return inner(*args)
 
-    monkeypatch.setattr(flow, "fit_partial_fractions", wrapper)
+    monkeypatch.setattr(flow, "_from_moments", wrapper)
     return calls
 
 
@@ -168,25 +168,33 @@ class TestChiInverse:
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_random_coords_roundtrip_n8(self, monkeypatch):
-        # separated poles: residues from the eigendecomposition, no fit
-        fits = counted_fits(monkeypatch)
+        # separated poles: residues from the eigendecomposition, no moments
+        moments = counted_moments(monkeypatch)
         worst = 0.0
         for seed in range(20):
             c = random_coords(8, np.random.default_rng(seed))
             back = chi(eigendecompose(chi_inverse(c)))
             worst = max(worst, _coords_distance(c, back))
         assert worst <= 5e-12
-        assert not fits
+        assert not moments
 
     def test_double_pole_through_one_fit(self, monkeypatch):
         u = hardy_from_terms([(-1j, [1.0]), (0.5 - 1.2j, [0.2, 0.7])])
         dec = eigendecompose(u)
         assert dec.genericity == "strongly_generic"
-        fits = counted_fits(monkeypatch)
+        moments = counted_moments(monkeypatch)
         u2 = chi_inverse(chi(dec))
-        assert len(fits) == 1
+        assert len(moments) == 1
         assert [t.multiplicity for t in u2.terms] == [1, 2]
         assert l2_gap(u, u2) <= 1e-10
+
+    def test_mixed_multiplicity_roundtrip(self, mixed_mult):
+        # simple, double and triple pole: the inverse map recovers all three
+        # multiplicities from contour moments, so the range basis stays conditioned
+        u2 = chi_inverse(chi(eigendecompose(mixed_mult)))
+        assert [t.multiplicity for t in u2.terms] == [2, 3, 1]
+        norm = math.sqrt(inner_product(mixed_mult, mixed_mult).real)
+        assert l2_gap(mixed_mult, u2) <= 1e-10 * norm
 
     def test_coords_validation(self):
         with pytest.raises(InputError):

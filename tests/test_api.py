@@ -88,7 +88,6 @@ SIGNATURES = {
             "(u0: 'HardyRational', times, observables: 'tuple[str, ...]' = "
             "('poles', 'coefficients', 'conserved', 'norms'), "
             "hs: 'tuple[float, ...]' = ()) -> 'list[dict]'"),
-        "fit_partial_fractions": "(poles_mults, xs, values) -> 'HardyRational'",
     },
     "oracle": {
         "sample_to_grid": "(u: 'HardyRational', L: 'float', M: 'int') -> 'GridState'",

@@ -574,6 +574,17 @@ class TestEvaluate:
         with pytest.raises(InputError, match="evaluation at pole"):
             soliton_symbol.evaluate(-1j)
 
+    def test_near_a_dilated_pole(self):
+        # 5e-15 from a pole at -1e-10i is 5e-5 |p| away: a value, not an error
+        u = simple_pole(1.0, -1e-10j)
+        for dz in (5e-15, 2e-14):
+            z = -1e-10j + dz
+            want = 1.0 / (np.array([z, 0.0]) + 1e-10j)
+            assert abs(u.evaluate(z) - want[0]) <= 1e-15 * abs(want[0])
+            assert np.allclose(u.evaluate(np.array([z, 0.0])), want, rtol=1e-15, atol=0.0)
+        with pytest.raises(InputError, match="evaluation at pole"):
+            u.evaluate(np.array([0.0, -1e-10j]))
+
 
 class TestSymplecticForm:
     def test_self_zero(self, generic_m2):
