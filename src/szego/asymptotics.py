@@ -222,24 +222,35 @@ def growth_fit(u0: HardyRational, s: float, times) -> dict:
     Returns the fitted slope of log ||u(t)||_{Hdot^s} against log |t| plus
     the relative drift of the conserved H^(1/2) quantity over the same
     times.  For the double-eigenvalue class the slope approaches 2s-1 for
-    s > 1/2 and 0 at the conserved s = 1/2.  u(t) is recovered at every
-    time on the time-stacked route (`flow._recover_many`), and the norms
-    of all times come from one `_sobolev_norms` call.
+    s > 1/2 and 0 at the conserved s = 1/2.  The one-s case of `_growth_fits`.
+    """
+    return _growth_fits(u0, (s,), times)[0]
+
+
+def _growth_fits(u0: HardyRational, svals, times) -> list[dict]:
+    """`growth_fit` for every s of svals, from one recovery of u(t).
+
+    u(t) is recovered at every time on the time-stacked route
+    (`flow._recover_many`), and the norms of all times and all s come from
+    one `_sobolev_norms` call; each s's column is the one-s call's.
     """
     times = tuple(float(t) for t in times)
     if len(times) < MIN_FIT_POINTS:
         raise PreconditionError("insufficient samples")
     dec = eigendecompose(u0)
-    l2, half, hdot = _sobolev_norms(_recover_many(dec, times), (0.0, 0.5, s)).T
-    vals = hdot.tolist()
-    slope, intercept = fit_power_law(times, vals)
+    l2, half, *hdots = _sobolev_norms(_recover_many(dec, times), (0.0, 0.5, *svals)).T
     ref = h_half_norm(u0)
     drift = float(np.max(abs(np.sqrt(l2 * l2 + half * half) - ref))) / ref
-    return {
-        "s": float(s),
-        "slope": slope,
-        "intercept": intercept,
-        "h_half_drift": float(drift),
-        "norms": vals,
-        "times": times,
-    }
+    fits = []
+    for s, hdot in zip(svals, hdots):
+        vals = hdot.tolist()
+        slope, intercept = fit_power_law(times, vals)
+        fits.append({
+            "s": float(s),
+            "slope": slope,
+            "intercept": intercept,
+            "h_half_drift": float(drift),
+            "norms": vals,
+            "times": times,
+        })
+    return fits

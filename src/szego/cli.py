@@ -40,7 +40,7 @@ from .actionangle import (
     coords_to_json,
     _chi_inverse,
 )
-from .asymptotics import growth_fit, nongeneric_analysis, remainder_norms
+from .asymptotics import _growth_fits, nongeneric_analysis, remainder_norms
 from .oracle import compare, self_convergence
 from .sampling import random_coords, random_generic
 
@@ -252,8 +252,7 @@ def _cmd_growth(args) -> int:
     svals = _parse_list(args.s)
     run = _Run(args)
     out = []
-    for s in svals:
-        g = growth_fit(u, s, times)
+    for s, g in zip(svals, _growth_fits(u, svals, times)):
         out.append({k: g[k] for k in ("s", "slope", "intercept", "h_half_drift")})
         print(f"s={s:g}: slope {g['slope']:.4f}  (h_half drift {g['h_half_drift']:.2e})")
     doc = {"fits": out}

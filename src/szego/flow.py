@@ -29,9 +29,11 @@ rejects a pole on or above the real line: over a stack, one stacked `eig`
 (`_eig2x2` per matrix at N = 2) and one stacked solve give the residues.
 Where eigenvalues group and the eigenvectors are too ill-conditioned for
 those residues, the multiplicities are read off the data instead: contour
-moments of the pairing on one circle per group (`_from_moments`) give
-either one pole of order m or m simple poles.  `_pairing` evaluates a
-stack of pairings at a stack of points by one stacked solve.
+moments on one circle per group (`_circles`, `_from_moments`) give one
+pole of order m or m simple poles, for a pairing and for A/B around the
+computed roots of B in `rational.pf_from_ratio`: one multiplicity rule for
+every computed pole.  `_pairing` evaluates a stack of pairings at a stack
+of points by one stacked solve.
 
 u(t) is recovered as a rational function on one of two routes.  Each
 checks its result at 20 points spanning +-3.3 max|p|, to RECOVER_TOL of the
@@ -237,15 +239,12 @@ def _from_pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[HardyRati
     linkage within 1e-2 max|E|) and an eigenvalue on the real line or an
     eigenvector matrix V too ill-conditioned for those residues
     (eps cond V > RECOVER_TOL).  Then every principal part comes from
-    contour moments (`_from_moments`) on one circle per group: centered at
-    the group's mean, with radius half the distance to the nearest
-    eigenvalue outside it (max|E| / 2 if there is none).  The circles of
-    the whole stack are evaluated by one `_pairing` call.  A pairing keeps
-    the bilinear residues if a circle does not clear its group by twice the
-    group's spread or if its moments miss the values on its circles; the
-    whole stack does if a circle's solve or a moment pencil fails.  The one
-    code that factors a pairing: a pole on or above the real axis is a
-    `NumericalError`.
+    contour moments (`_from_moments`) on one circle per group (`_circles`).
+    The circles of the whole stack are evaluated by one `_pairing` call.  A
+    pairing keeps the bilinear residues if `_circles` draws none or if its
+    moments miss the values on its circles; the whole stack does if a
+    circle's solve or a moment pencil fails.  The one code that factors a
+    pairing: a pole on or above the real axis is a `NumericalError`.
     """
     E, V = _eigenpairs(A)
     n = E.shape[-1]
@@ -257,11 +256,8 @@ def _from_pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[HardyRati
         if (err := np.finfo(float).eps * np.linalg.cond(V[i])) > RECOVER_TOL or on_axis[i].any():
             if err == math.inf:               # a solvable stand-in; its residues fail the check
                 V[i] = np.eye(n)
-            reach = np.linalg.matrix_power(near[i], n)   # chains of near pairs: single linkage
-            circ = [(c := E[i, g].mean(), 0.5 * abs(E[i, ~g] - c).min(initial=scale[i]), g)
-                    for g in reach[reach.argmax(axis=-1) == np.arange(n)]]   # one row per group
-            if all(r > 2.0 * abs(E[i, g] - c).max() for c, r, g in circ):
-                circles[i] = [(c, r, int(g.sum())) for c, r, g in circ]
+            if circ := _circles(E[i]):
+                circles[i] = circ
     parts = {}                                    # row -> principal parts from moments
     if circles:
         rows = np.array([i for i, circ in circles.items() for _ in circ])
@@ -284,13 +280,31 @@ def _from_pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[HardyRati
 _NODES = np.exp(2j * math.pi * np.arange(64) / 64)
 
 
-def _from_moments(values, circles) -> list[tuple[complex, list[complex]]] | None:
-    """Principal parts of a pairing u from its values on one circle per group.
+def _circles(E: np.ndarray) -> list[tuple[complex, float, int]] | None:
+    """One contour (center, radius, size) per group of the computed poles E (N,).
 
-    On the circle of center c and radius r around a group of m eigenvalues,
-    the moments nu_k = (1/2pi i) oint u(z) ((z - p)/r)^k dz / r, k < 2m, are
-    the trapezoid rule at `_NODES`.  The center p = c is refined once by
-    p + r nu_m / (m nu_(m-1)) if that stays within r/2.  The group is one
+    Groups are single linkage within 1e-2 max|E|, singletons included.  A
+    group's circle is centered at its mean, with radius half the distance to
+    the nearest pole outside it (max|E| / 2 if there is none).  None if a
+    circle does not clear its group by twice the group's spread.
+    """
+    scale = abs(E).max(initial=0.0)
+    near = abs(E[:, None] - E) <= 1e-2 * scale
+    reach = np.linalg.matrix_power(near, len(E))      # chains of near pairs: single linkage
+    circ = [(c := E[g].mean(), 0.5 * abs(E[~g] - c).min(initial=scale), g)
+            for g in reach[reach.argmax(axis=-1) == np.arange(len(E))]]   # one row per group
+    clear = all(r > 2.0 * abs(E[g] - c).max() for c, r, g in circ)
+    return [(c, r, int(g.sum())) for c, r, g in circ] if clear else None
+
+
+def _from_moments(values, circles) -> list[tuple[complex, list[complex]]] | None:
+    """Principal parts of a function u from its values on one circle per group.
+
+    u is a pairing, or A/B in `rational.pf_from_ratio`.  On the circle of
+    center c and radius r around a group of m poles, the moments nu_k =
+    (1/2pi i) oint u(z) ((z - p)/r)^k dz / r, k < 2m, are the trapezoid rule
+    at `_NODES`.  The center p = c is refined once by p + r nu_m /
+    (m nu_(m-1)) if that stays within r/2.  The group is one
     pole of order m at p, with coefficients r^(k+1) nu_k, when nu_m ...
     nu_(2m-1) are below RECOVER_TOL times the largest of nu_0 ... nu_(m-1);
     otherwise its m simple poles are p + r s for the eigenvalues s of the

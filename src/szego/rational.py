@@ -23,9 +23,9 @@ poles sorted by (Re, Im), as the tuple of l - 1 per entry (the layout) and
 read-only arrays of the entries' poles and coefficients.  One canonicalizer,
 `_canonical`, builds every function from a flat view; `terms` is derived.
 
-Root finding enters only `pf_from_ratio`: `_cluster_poles` groups its roots
-into multiple poles by a fixed relative radius, and 1/B is the same product
-folded over the factors 1/(x-p)^m.
+Root finding enters only `pf_from_ratio`, which reads the multiplicities and
+principal parts of A/B off contour moments around the groups of roots of B,
+with the two functions of `flow` that recover u(t).
 
 The coefficients of g = 1 - b_u, with b_u the Blaschke product of u, have a
 closed form in the poles alone (`_g_coeffs`); the spectral layer reads them
@@ -39,7 +39,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -49,10 +49,6 @@ from .errors import InputError, NumericalError, PreconditionError
 POLE_MERGE_RTOL = 1e-12      # arithmetic: poles this close (vs. |p|) are the same pole
 COEFF_TRIM_RTOL = 5e-14      # coefficients this small (vs. the largest) are dropped
 DEGREE_CAP = 64              # denominator degree cap of pf_from_ratio
-# Relative separation below which `pf_from_ratio`'s computed roots are one
-# multiple pole.  They scatter like eps^(1/m), about 2e-8 already for a
-# double pole, so the radius must sit well above that.
-EIG_SEP_RTOL = 20.0 * (2.3e-16) ** (1.0 / 3.0)
 
 __all__ = [
     "PoleTerm",
@@ -353,40 +349,27 @@ def _onto_entries(layout, w) -> np.ndarray:
 # construction from a ratio of polynomials
 
 
-def _cluster_poles(vals: np.ndarray) -> list[tuple[complex, int]]:
-    """Group computed roots or eigenvalues into (center, multiplicity).
-
-    Values within EIG_SEP_RTOL * max |v| of a cluster's running
-    mean join it; the mean cancels the leading, symmetric part of the
-    eps^(1/m) scatter of a multiple root.
-    """
-    tol = EIG_SEP_RTOL * float(np.max(np.abs(vals)))
-    groups: list[tuple[complex, int]] = []
-    for v in sorted(vals, key=lambda z: (z.real, z.imag)):
-        for i, (c, m) in enumerate(groups):
-            if abs(v - c) <= tol:
-                groups[i] = ((c * m + v) / (m + 1), m + 1)
-                break
-        else:
-            groups.append((complex(v), 1))
-    return groups
-
-
 def pf_from_ratio(numerator, denominator) -> HardyRational:
     """Partial fractions of A/B for a Hardy-admissible denominator.
 
     `numerator`, `denominator`: ascending complex coefficients.  Requires
     deg A <= deg B - 1 and all roots of B strictly below the real axis.
-    1/B is `_product` folded over its factors 1/(x-p)^m.  With A(x) = sum_n
-    a_n (x-p)^n, its entry r/(x-p)^i gives r a_(i-j) on 1/(x-p)^j, j <= i.
+    Every principal part comes from contour moments of A/B, with B in
+    product form over its computed roots, on one circle per group of roots
+    (`flow._circles`, `flow._from_moments`): the rule that recovers u(t).
 
-    It fails closed, with a `NumericalError` if fewer than deg B pole entries
-    survive or A/B (Horner) is missed by over 1e-8 of max|A/B| at 2 deg B + 1
-    real points spanning the roots.  On roots uniform in [-3, 3] x [-3, -0.5]i
-    and random numerators (`default_rng` seeds 0-9), every draw passes up to
-    degree 16 (relative error <= 3e-10); 2 in 10 raise at degree 24, 8 at 32
-    and all from 40 on, where np.roots of the monomial coefficients loses poles.
+    It fails closed, with a `NumericalError` if no circles clear their groups,
+    the moments miss A/B on them, fewer than deg B pole entries survive or
+    A/B (Horner) is missed by over 1e-8 of max|A/B| at 2 deg B + 1 real
+    points spanning the roots.  A root of multiplicity up to 6 at -i, alone
+    or beside a simple or double root, is met to 2e-11.  On roots uniform in
+    [-3, 3] x [-3, -0.5]i and random numerators (`default_rng` seeds 0-9),
+    every draw passes up to degree 20 (relative error <= 1.5e-9); 2 in 10
+    raise at degree 24, 5 at 28, 8 at 32 and all at 40, where np.roots of
+    the monomial coefficients loses poles.
     """
+    from .flow import _NODES, _circles, _from_moments
+
     num = np.trim_zeros(np.array(numerator, dtype=complex), "b")
     den = np.trim_zeros(np.array(denominator, dtype=complex), "b")
     if not (np.isfinite(num).all() and np.isfinite(den).all()):
@@ -397,35 +380,35 @@ def pf_from_ratio(numerator, denominator) -> HardyRational:
         raise InputError("numerator degree must be below denominator degree")
     if len(den) > DEGREE_CAP + 1:
         raise InputError(f"polynomial degree exceeds cap {DEGREE_CAP}")
-    clusters = _cluster_poles(np.roots(den[::-1]))
-    for p, _m in clusters:
-        if p.imag >= -1e-12:
-            raise InputError("pole on or above real line")
+    roots = np.roots(den[::-1])
+    circles = _circles(roots)
+    centers = roots if circles is None else np.array([c for c, _, _ in circles])
+    if (centers.imag >= -1e-12).any():
+        raise InputError("pole on or above real line")
     if not len(num):
         return zero()
-    # Leja order (Reichel, BIT 30, 1990): each factor's pole maximizes the product
-    # of its distances to the poles before it.  A new pole's coefficient is a
-    # sum over the earlier ones, which in sorted order loses 5 digits at degree 16.
-    order = [max(clusters, key=lambda c: abs(c[0]))]
-    while len(order) < len(clusters):
-        order.append(max((c for c in clusters if c not in order),
-                         key=lambda c: sum(math.log(abs(c[0] - q)) for q, _ in order)))
-    layout, poles, r = reduce(_product, [_run(p, m, 1.0) for p, m in order])
-    # a[e, n] = A^(n)(p_e) / n!: the Taylor coefficients of A at each entry's pole
     num = num[::-1] / den[-1]      # highest power first, as np.polyval takes it
-    a = np.array([np.polyval(np.polyder(num, n), poles) / math.factorial(n)
-                  for n in range(max(layout) + 1)]).T
-    if np.any(np.abs(a[:, 0]) <= 1e-8 * np.polyval(np.abs(num), np.maximum(1.0, np.abs(poles)))):
+    if np.any(np.abs(np.polyval(num, centers))
+              <= 1e-8 * np.polyval(np.abs(num), np.maximum(1.0, np.abs(centers)))):
         raise InputError("non-reduced fraction")
-    out = _from_flat(layout, poles, _onto_entries(layout, r[:, None] * a))
-    pad = np.abs(poles.imag).max()
-    xs = np.linspace(poles.real.min() - pad, poles.real.max() + pad, 2 * len(den) - 1)
+    degree = len(den) - 1
+    fail = f"partial fractions of A/B inaccurate at degree {degree}"
+    if circles is None:
+        raise NumericalError(f"{fail}: no circle clears its group of roots")
+    z = np.array([c + r * _NODES for c, r, _ in circles])
+    try:
+        parts = _from_moments(np.polyval(num, z) / np.prod(z[..., None] - roots, axis=-1), circles)
+    except np.linalg.LinAlgError:
+        parts = None
+    if parts is None:
+        raise NumericalError(f"{fail}: contour moments miss A/B")
+    out = hardy_from_terms(parts)
+    pad = np.abs(roots.imag).max()
+    xs = np.linspace(roots.real.min() - pad, roots.real.max() + pad, 2 * len(den) - 1)
     want = np.polyval(num, xs) / np.polyval(den[::-1] / den[-1], xs)
     err = np.abs(out.evaluate(xs) - want).max() / np.abs(want).max()
-    kept, degree = len(out._flat[0]), len(den) - 1
-    if kept < degree or err > 1e-8:
-        raise NumericalError(f"partial fractions of A/B inaccurate at degree {degree}: "
-                             f"relative error {err:.1e}, {kept} of {degree} poles kept")
+    if (kept := len(out._flat[0])) < degree or err > 1e-8:
+        raise NumericalError(f"{fail}: relative error {err:.1e}, {kept} of {degree} poles kept")
     return out
 
 

@@ -186,3 +186,20 @@ def test_one_place_factors_a_pairing():
                   and "_eigenpairs" in (getattr(node.func, "id", None),
                                         getattr(node.func, "attr", None))]
     assert calls == [("flow.py", "_from_pairing")]
+
+
+def test_one_multiplicity_rule_for_every_computed_pole():
+    # np.roots runs in pf_from_ratio alone, and the roots it finds are grouped
+    # by the same helper as the eigenvalues of a pairing
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(node): fn.name for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        calls += [(name, path.name, owner.get(id(node))) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and (name := getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+                  in ("roots", "_circles")]
+    assert sorted(calls) == [("_circles", "flow.py", "_from_pairing"),
+                             ("_circles", "rational.py", "pf_from_ratio"),
+                             ("roots", "rational.py", "pf_from_ratio")]

@@ -173,6 +173,13 @@ class TestGrowthFit:
         with pytest.raises(PreconditionError, match="insufficient"):
             growth_fit(double_eig_symbol, 1.0, [1.0, 2.0])
 
+    def test_many_s_are_the_one_s_fits(self, double_eig_symbol, mixed_mult):
+        # one recovery and one norm call for every s; each fit is the one-s call's, bitwise
+        times = np.geomspace(1e2, 1e4, 9)
+        for u in (double_eig_symbol, mixed_mult):
+            fits = asymptotics._growth_fits(u, (0.75, 1.0, 2.0), times)
+            assert fits == [growth_fit(u, s, times) for s in (0.75, 1.0, 2.0)]
+
     def test_fit_power_law_exact_line(self):
         ts = np.geomspace(1, 100, 20)
         slope, intercept = fit_power_law(ts, 3.0 * ts**-1.7)

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from szego import asymptotics
 from szego.cli import _apply_config, _build_parser, main
 
 
@@ -246,6 +247,20 @@ class TestGrowthCommand:
         doc = read_json(out / "growth.json")
         assert abs(doc["fits"][0]["slope"] - 1.0) < 0.05
         assert doc["double_eigenvalue"]["lambda_sq"] == pytest.approx(1 / 9, abs=1e-12)
+
+    def test_one_recovery_for_every_s(self, tmp_path, monkeypatch):
+        calls = []
+        inner = asymptotics._recover_many
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(asymptotics, "_recover_many", counted)
+        code = main(["growth", "--symbol", U5, "--s", "0.75,1,2", "--out", str(tmp_path / "run")])
+        assert code == 0
+        assert len(read_json(tmp_path / "run" / "growth.json")["fits"]) == 3
+        assert len(calls) == 1
 
 
 class TestActionAngleCommand:

@@ -109,10 +109,13 @@ class TestPfFromRatio:
         t = r.terms[0]
         assert t.multiplicity == 2
         assert abs(t.coeffs[0]) < 1e-9 and abs(t.coeffs[1] - 1.0) < 1e-7
-        # 1/(x+i)^3 and 1/((x+i)^2 (x+2i)^3): every multiple root is one pole
+        # 1/(x+i)^3 and 1/((x+i)^2 (x+2i)^3): every multiple root is one pole;
+        # so is (x+i)^m for m = 4, 5, 6, alone and beside (x+2i)^2
         xs = np.linspace(-5.0, 5.0, 21)
+        high = [case for m in (4, 5, 6)
+                for case in (([-1j] * m, [m]), ([-1j] * m + [-2j] * 2, [m, 2]))]
         # with a constant numerator and with one of full degree deg B - 1
-        for roots, mults in (([-1j] * 3, [3]), ([-1j] * 2 + [-2j] * 3, [2, 3])):
+        for roots, mults in (([-1j] * 3, [3]), ([-1j] * 2 + [-2j] * 3, [2, 3]), *high):
             den = np.polynomial.polynomial.polyfromroots(roots)
             for num in ([1.0], np.linspace(1.0, 2.0, len(roots)) + 0.5j):
                 r = pf_from_ratio(num, den)
@@ -140,6 +143,30 @@ class TestPfFromRatio:
     def test_common_factor_rejected(self):
         with pytest.raises(InputError, match="non-reduced fraction"):
             pf_from_ratio([1j, 1.0], [-2.0, 3j, 1.0])
+
+    def test_common_factor_of_a_triple_root_rejected(self):
+        # (x+i)/(x+i)^3: tested at the group's center, where the raw roots'
+        # scatter of about 1e-5 would hide the common factor
+        with pytest.raises(InputError, match="non-reduced fraction"):
+            pf_from_ratio([1j, 1.0], np.polynomial.polynomial.polyfromroots([-1j] * 3))
+
+    @pytest.mark.parametrize("name", ("soliton_symbol", "generic_m2",
+                                      "double_eig_symbol", "mixed_mult"))
+    def test_symbol_roundtrip(self, name, request):
+        u = request.getfixturevalue(name)
+        P = np.polynomial.polynomial
+        roots = [t.pole for t in u.terms for _ in t.coeffs]
+        den = P.polyfromroots(roots)
+        num = np.zeros(1)        # A = sum c_(j,l) B / (x - p_j)^l
+        for t in u.terms:
+            others = [q for q in roots if q != t.pole]
+            for l, c in enumerate(t.coeffs, start=1):
+                num = P.polyadd(num, c * P.polyfromroots(others + [t.pole] * (t.multiplicity - l)))
+        r = pf_from_ratio(num, den)
+        assert [t.multiplicity for t in r.terms] == [t.multiplicity for t in u.terms]
+        xs = np.linspace(-5.0, 5.0, 41)
+        want = u.evaluate(xs)
+        assert np.max(np.abs(r.evaluate(xs) - want)) < 1e-10 * np.max(np.abs(want))
 
     def test_degree_rule(self):
         with pytest.raises(InputError):
