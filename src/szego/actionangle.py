@@ -7,8 +7,8 @@ The forward map packages the spectral data of a generic symbol as
 with angles stored as 2 phi_j because phi_j itself is only defined modulo pi
 (the eigenvectors carry a sign ambiguity).  The inverse assembles the shift
 matrix from coordinates alone: with beta_j = nu_j e^{i phi_j} it is the flow
-matrix S(0), built by `hankel._assemble_s`, the assembly of `s_matrix` and of
-the `shift` that `eigendecompose` stores,
+matrix S(0), `hankel._assemble_s` at the angles beta with the diagonal below
+as its blocks, the assembly of the `shift` that `eigendecompose` stores,
 
     S[k, j] = (lambda_j / 2 pi i)
               * (lambda_j beta_k conj(beta_j) - lambda_k conj(beta_k) beta_j)
@@ -39,11 +39,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError, PreconditionError
 from .hankel import SpectralDecomposition, _assemble_s, eigendecompose
-from .rational import (
-    HardyRational,
-    blaschke,
-    hankel_apply,
-)
+from .rational import HardyRational, as_hardy, blaschke, hankel_apply
 from .flow import _flow_pairing, _from_pairing
 
 ROUNDTRIP_TOL = 1e-8
@@ -128,7 +124,7 @@ def _chi_inverse(coords: ActionAngleCoords) -> tuple[HardyRational, ActionAngleC
     lam, nu = np.sqrt(lam2), np.sqrt(np.array(coords.actions_i) / (2.0 * lam2))
     beta = nu * np.exp(0.5j * np.array(coords.angles))
     diag = np.diag(np.array(coords.gammas) + 1j * nu**2 / (4.0 * math.pi))
-    S0 = _assemble_s(lam, beta, np.eye(coords.size, dtype=bool), diag, 0.0)
+    S0 = _assemble_s(lam, beta, np.eye(coords.size, dtype=bool), diag)
     u = _from_pairing(*_flow_pairing(S0[None], lam, beta[None]))[0]   # W(0) = I
     back = chi(eigendecompose(u))
     err = _coords_distance(coords, back)
@@ -194,7 +190,7 @@ def hierarchy_vector_field(u: HardyRational, n: int) -> HardyRational:
     total = pows[2 * n - 1]
     for k in range(1, n):
         total = total + pows[2 * n - 2 * k - 1] * pows[2 * k]
-    return -0.5j * total
+    return as_hardy(-0.5j * total)
 
 
 def toroidal_cylinder_check(dec_a: SpectralDecomposition,

@@ -1,11 +1,11 @@
 """Closed-form time evolution through the flow matrix S(t).
 
 With spectral data (lambda_j, beta_j) and the shift matrix T = `dec.shift`
-of the initial symbol, S(t) is assembled by `hankel._assemble_s` over a
-cluster mask: oscillatory off the eigenvalue clusters, linear drift
-(lambda_j^2/2pi) conj(beta_j) beta_k t + (T e_j, e_k) inside them; `dec.shift`
-is S(0) of that one assembly.  S(t) is built once for a stack of times
-(`_s_stack`; `s_matrix` is its stack of one) and every point is evaluated
+of the initial symbol, the flow advances the angles, beta -> W(t) beta, and
+drifts the eigenvalue-cluster blocks of T by (lambda_j^2/2pi) conj(beta_j)
+beta_k t.  So S(t) is S(0)'s closed form (`hankel._assemble_s`) at the
+angles W(t) beta with the drifted blocks, built by `_s_stack` alone for a
+stack of times (`s_matrix` is its stack of one); every point is evaluated
 from it by a resolvent solve.  The solution is the resolvent pairing
 
     u(t, x) = -(i/2pi) * (u0, W(t) (S(t) - x I)^{-1} W(t) g0),
@@ -28,19 +28,17 @@ multiple ones included, and `_from_pairing` alone factors pairings and
 rejects a pole on or above the real line: over a stack, one stacked `eig`
 (`_eig2x2` per matrix at N = 2) and one stacked solve give the residues.
 Where eigenvalues group and the eigenvectors are too ill-conditioned for
-those residues, the multiplicities are read off the data instead: contour
-moments on one circle per group (`_circles`, `_from_moments`) give one
-pole of order m or m simple poles, for a pairing and for A/B around the
-computed roots of B in `rational.pf_from_ratio`: one multiplicity rule for
-every computed pole.  `_pairing` evaluates a stack of pairings at a stack
-of points by one stacked solve.
+those residues, the multiplicities are read off the pairing's values on
+one circle per group instead, by the contour moments of `rational`, the
+rule `pf_from_ratio` applies to the roots of B.  `_pairing` evaluates a
+stack of pairings at a stack of points by one stacked solve.
 
 u(t) is recovered as a rational function on one of two routes.  Each
 checks its result at 20 points spanning +-3.3 max|p|, to RECOVER_TOL of the
 largest value, against resolvent solves, which do not depend on the
 eigendecomposition they check.
 - `_recover_many(dec, times)`, for `remainder_norms` and `growth_fit`:
-  S(t) for all times is one broadcast of `_assemble_s` over a time axis,
+  S(t) for all times is one `_s_stack`,
   the partial fractions are one `_from_pairing` call, and the 20-point
   checks of all times are one (T, 20, N, N) `_pairing` solve.
 - `recover_rational(dec, t)`, one time, for `trajectory` (a loop over its
@@ -77,9 +75,8 @@ import numpy as np
 
 from .errors import InputError, NumericalError, PreconditionError
 from .hankel import SpectralDecomposition, _assemble_s, _cluster_mask, _range_basis, eigendecompose
-from .rational import HardyRational, _sobolev_norms, hardy_from_terms, l2_norm
-
-RECOVER_TOL = 1e-9        # postcondition: recovered rational vs resolvent values
+from .rational import (RECOVER_TOL, HardyRational, _circles, _from_moments, _NODES,
+                       _on_or_above_axis, _sobolev_norms, hardy_from_terms)
 
 __all__ = [
     "FlowMatrix",
@@ -107,13 +104,16 @@ def s_matrix(dec: SpectralDecomposition, t: float) -> FlowMatrix:
 
 
 def _s_stack(dec: SpectralDecomposition, times) -> np.ndarray:
-    """S(t) for every t of times: one (T, N, N) broadcast of `_assemble_s`."""
+    """S(t) for every t of times, (T, N, N), the one place time enters S: the angles
+    advance, w = W(t) beta, and the cluster blocks drift by t (lambda^2/2pi) beta beta^H."""
     ts = np.asarray(times, dtype=float)
     bad = ts[~np.isfinite(ts)]
     if bad.size:
         raise InputError(f"time must be finite, got {bad[0]}")
-    return _assemble_s(dec.lambdas, dec.betas, _cluster_mask(dec.clusters), dec.shift,
-                       ts[:, None, None])
+    lam2, beta = dec.lambdas**2, dec.betas
+    blocks = lam2 / (2.0 * math.pi) * (beta[:, None] * beta.conj()) * ts[:, None, None] + dec.shift
+    w = np.exp(0.5j * ts[:, None] * lam2) * beta
+    return _assemble_s(dec.lambdas, w, _cluster_mask(dec.clusters), blocks)
 
 
 def _resolvent(A: np.ndarray, a: np.ndarray, b: np.ndarray, x) -> complex:
@@ -249,7 +249,7 @@ def _from_pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[HardyRati
     E, V = _eigenpairs(A)
     n = E.shape[-1]
     scale = abs(E).max(axis=-1, initial=0.0)
-    on_axis = E.imag >= -1e-12
+    on_axis = _on_or_above_axis(E)
     near = abs(E[:, :, None] - E[:, None, :]) <= 1e-2 * scale[:, None, None]
     circles = {}                                  # row -> [(center, radius, size)] per group
     for i in np.flatnonzero(near.sum(axis=(-2, -1)) > n).tolist():   # rows with a near pair
@@ -268,68 +268,12 @@ def _from_pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[HardyRati
         except (NumericalError, np.linalg.LinAlgError):
             pass                                  # every row keeps its bilinear residues
         on_axis[list(parts)] = False
-    if on_axis.any() or any(p.imag >= -1e-12 for pp in parts.values() for p, _ in pp):
+    if on_axis.any() or any(_on_or_above_axis(p) for pp in parts.values() for p, _ in pp):
         raise NumericalError("recovered pole on or above the real line")
     coeffs = (0.5j / math.pi * (a[:, None] @ V)[:, 0]
               * np.linalg.solve(V, b[..., None])[..., 0])
     return [hardy_from_terms(parts[i] if i in parts else [(p, [k]) for p, k in zip(e, cs)])
             for i, (e, cs) in enumerate(zip(E.tolist(), coeffs.tolist()))]
-
-
-# nodes of the trapezoid rule on the unit circle
-_NODES = np.exp(2j * math.pi * np.arange(64) / 64)
-
-
-def _circles(E: np.ndarray) -> list[tuple[complex, float, int]] | None:
-    """One contour (center, radius, size) per group of the computed poles E (N,).
-
-    Groups are single linkage within 1e-2 max|E|, singletons included.  A
-    group's circle is centered at its mean, with radius half the distance to
-    the nearest pole outside it (max|E| / 2 if there is none).  None if a
-    circle does not clear its group by twice the group's spread.
-    """
-    scale = abs(E).max(initial=0.0)
-    near = abs(E[:, None] - E) <= 1e-2 * scale
-    reach = np.linalg.matrix_power(near, len(E))      # chains of near pairs: single linkage
-    circ = [(c := E[g].mean(), 0.5 * abs(E[~g] - c).min(initial=scale), g)
-            for g in reach[reach.argmax(axis=-1) == np.arange(len(E))]]   # one row per group
-    clear = all(r > 2.0 * abs(E[g] - c).max() for c, r, g in circ)
-    return [(c, r, int(g.sum())) for c, r, g in circ] if clear else None
-
-
-def _from_moments(values, circles) -> list[tuple[complex, list[complex]]] | None:
-    """Principal parts of a function u from its values on one circle per group.
-
-    u is a pairing, or A/B in `rational.pf_from_ratio`.  On the circle of
-    center c and radius r around a group of m poles, the moments nu_k =
-    (1/2pi i) oint u(z) ((z - p)/r)^k dz / r, k < 2m, are the trapezoid rule
-    at `_NODES`.  The center p = c is refined once by p + r nu_m /
-    (m nu_(m-1)) if that stays within r/2.  The group is one
-    pole of order m at p, with coefficients r^(k+1) nu_k, when nu_m ...
-    nu_(2m-1) are below RECOVER_TOL times the largest of nu_0 ... nu_(m-1);
-    otherwise its m simple poles are p + r s for the eigenvalues s of the
-    Hankel pencil (H_1, H_0) of the nu, with residues from one Vandermonde
-    solve (Kravanja and Van Barel, LNM 1727).  None if the parts miss the
-    values by more than RECOVER_TOL of the largest; a singular pencil raises
-    `np.linalg.LinAlgError`.
-    """
-    out = []
-    for u, (c, r, m) in zip(values, circles):
-        def moments(p):
-            return (u * _NODES) @ np.vander((c - p) / r + _NODES, 2 * m, increasing=True) / len(u)
-        p, nu = c, moments(c)
-        if abs(nu[m]) < 0.5 * m * abs(nu[m - 1]):
-            nu = moments(p := c + r * nu[m] / (m * nu[m - 1]))
-        if abs(nu[m:]).max() <= RECOVER_TOL * abs(nu[:m]).max():
-            out.append((p, (nu[:m] * r ** np.arange(1, m + 1)).tolist()))
-            continue
-        H = np.array([nu[k:k + m] for k in range(m + 1)])
-        s = np.linalg.eigvals(np.linalg.solve(H[:m], H[1:]))
-        res = np.linalg.solve(np.vander(s, m, increasing=True).T, nu[:m])
-        out += [(p + r * sk, [r * rk]) for sk, rk in zip(s.tolist(), res.tolist())]
-    z = np.array([c + r * _NODES for c, r, _ in circles])
-    got = sum(k / (z - p) ** (l + 1) for p, ks in out for l, k in enumerate(ks))
-    return out if abs(got - values).max() <= RECOVER_TOL * abs(values).max() else None
 
 
 def _check_points(u: HardyRational) -> np.ndarray:
@@ -408,18 +352,21 @@ def trajectory(
 
     Only u0 is decomposed.  Conserved quantities (on each u(t)'s own K) and
     norms are recomputed from the recovered rational at each time, so the
-    table doubles as a conservation regression.  `hs` adds homogeneous
-    Sobolev norms; the norms of all times come from one `_sobolev_norms` call.
+    table doubles as a conservation regression.  `hs` adds homogeneous Sobolev
+    norms; the norms of all times, and the soliton remainders', take one
+    `_sobolev_norms` call each.
     """
     for ob in observables:
         if ob not in _OBSERVABLES:
             raise PreconditionError(f"unknown observable {ob!r}")
     dec = eigendecompose(u0)
+    uts = [recover_rational(dec, float(t)) for t in times]
     if "solitons" in observables:
         from .asymptotics import _minus_solitons, soliton_params_from_spectrum
 
-        params = soliton_params_from_spectrum(dec)
-    uts = [recover_rational(dec, float(t)) for t in times]
+        sols = soliton_params_from_spectrum(dec)
+        remainder = _sobolev_norms([_minus_solitons(ut, sols, float(t))
+                                    for t, ut in zip(times, uts)], (0.0,))[:, 0].tolist()
     if "norms" in observables:
         norms = _sobolev_norms(uts, (0.0, 0.5, *hs)).tolist()
     rows = []
@@ -438,6 +385,6 @@ def trajectory(
             for s, v in zip(hs, hdots):
                 row[f"Hdot{s:g}"] = v
         if "solitons" in observables:
-            row["remainder_L2"] = l2_norm(_minus_solitons(ut, params, float(t)))
+            row["remainder_L2"] = remainder[i]
         rows.append(row)
     return rows

@@ -30,11 +30,11 @@ come in closed form from `rational._g_coeffs` and pass the Blaschke
 postcondition H_u g = u on K: with d = L^H c, K conj(d_g) - d_u is
 L^H (M conj(c_g) - c_u), whose 2-norm is the L^2 norm of H_u g - u, so the
 check is relative to ||u|| and never forms M.  Each eigenvalue cluster is
-rotated once, so that g lies on its first vector.  `shift` is S(0) of
-`_assemble_s`, the one assembly of the flow matrix S(t), which `flow` and
-`actionangle` import: the closed form in (lambda, beta) off the clusters,
-and on the cluster blocks T as computed in the basis, which is a check:
-off the blocks it must match the closed form, on them meet the closure
+rotated once, so that g lies on its first vector.  `shift` is S(0) from
+`_assemble_s`, which knows no time (`flow` passes it the angles and blocks
+of S(t)): the closed form in (lambda, beta) off the clusters, and on the
+cluster blocks T as computed in the basis, which is a check: off the
+blocks it must match the closed form, on them meet the closure
 T - T^* = (i/2pi) beta beta^H.
 """
 
@@ -265,21 +265,17 @@ def _cluster_mask(clusters: tuple[tuple[int, ...], ...]) -> np.ndarray:
     return same
 
 
-def _assemble_s(lam, beta, same, shift, t) -> np.ndarray:
-    """S(t) from (lambda, beta): drift from `shift` where `same`, oscillatory elsewhere.
+def _assemble_s(lam, w, same, blocks) -> np.ndarray:
+    """S(0)'s closed form at the angles w, and `blocks` where `same`; it knows no time.
 
-    `eigendecompose` passes the basis T and its cluster mask at t = 0, and
-    `s_matrix` the stored S(0) with the same mask; the inverse spectral map
-    passes t = 0, the identity mask and diag(gamma + i nu^2/4pi).  A t of
-    shape (T, 1, 1) gives the (T, N, N) stack of S at those times.
-    """
+    `eigendecompose` passes w = beta, its cluster mask and the basis T; the inverse
+    spectral map w = beta, the identity mask and diag(gamma + i nu^2/4pi); and
+    `flow._s_stack` (T, N) angles w = W(t) beta and the drifted (T, N, N) blocks."""
     lam2 = lam**2
-    d = lam2[:, None] - lam2                      # lambda_k^2 - lambda_j^2
-    bb = beta[:, None] * beta.conj()              # beta_k conj(beta_j)
-    drift = lam2 / (2.0 * math.pi) * bb * t + shift
-    Y = lam * np.exp(0.5j * t * d) * bb           # lambda_j osc bb; Y^T is lambda_k conj(osc bb)
-    wave = lam / (2j * math.pi * (d + same)) * (Y - Y.swapaxes(-1, -2))   # + same: finite
-    np.copyto(wave, drift, where=same)
+    Y = lam * (w[..., :, None] * w.conj()[..., None, :])   # Y[k, j] = lambda_j w_k conj(w_j)
+    d = lam2[:, None] - lam2 + same         # lambda_k^2 - lambda_j^2; + same keeps it finite
+    wave = lam / (2j * math.pi * d) * (Y - Y.swapaxes(-1, -2))
+    np.copyto(wave, blocks, where=same)
     return wave
 
 
@@ -374,7 +370,7 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
 
     # (T e_j, e_k) = c_k^H conj(G) T_f c_j with c = L^-H w and conj(G) = L L^H
     Te = (L @ evecs).conj().T @ _t_matrix_f(u, g_coords_f) @ np.linalg.solve(Lh, evecs)
-    shift = _assemble_s(lambdas, betas, _cluster_mask(clusters), Te, 0.0)
+    shift = _assemble_s(lambdas, betas, _cluster_mask(clusters), Te)
     # on the cluster blocks shift is Te, and this is the closure T - T^* = (i/2pi) beta beta^H;
     # off them the closed form meets that identity, so this is Te - shift up to rounding
     gap = Te - shift.conj().T + betas[:, None] * betas.conj() / (2j * math.pi)

@@ -58,6 +58,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError, PreconditionError
 from .hankel import eigendecompose
+from .flow import recover_rational
 from .rational import HardyRational, l2_norm, spectral_density
 
 TAIL_TOL = 2e-2           # largest |u(+-L)| of a box that contains the poles comfortably
@@ -297,10 +298,7 @@ def compare(u0: HardyRational, t: float, L: float, M: int, dt: float) -> dict:
     m0 = mass(g0)
     gt = integrate(g0, t, dt)
 
-    dec = eigendecompose(u0)
-    from .flow import recover_rational
-
-    ut = recover_rational(dec, t)
+    ut = recover_rational(eigendecompose(u0), t)
     gex = sample_to_grid(ut, L, M)
 
     diff = gt.amps - gex.amps

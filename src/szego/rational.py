@@ -23,9 +23,9 @@ poles sorted by (Re, Im), as the tuple of l - 1 per entry (the layout) and
 read-only arrays of the entries' poles and coefficients.  One canonicalizer,
 `_canonical`, builds every function from a flat view; `terms` is derived.
 
-Root finding enters only `pf_from_ratio`, which reads the multiplicities and
-principal parts of A/B off contour moments around the groups of roots of B,
-with the two functions of `flow` that recover u(t).
+Contour moments (`_circles`, `_from_moments`, to `RECOVER_TOL`) give the principal
+parts near computed poles: a pairing's eigenvalues in `flow`, the roots of B in
+`pf_from_ratio`.  `_on_or_above_axis` alone decides a pole on or above the real line.
 
 The coefficients of g = 1 - b_u, with b_u the Blaschke product of u, have a
 closed form in the poles alone (`_g_coeffs`); the spectral layer reads them
@@ -49,6 +49,7 @@ from .errors import InputError, NumericalError, PreconditionError
 POLE_MERGE_RTOL = 1e-12      # arithmetic: poles this close (vs. |p|) are the same pole
 COEFF_TRIM_RTOL = 5e-14      # coefficients this small (vs. the largest) are dropped
 DEGREE_CAP = 64              # denominator degree cap of pf_from_ratio
+RECOVER_TOL = 1e-9           # partial fractions from computed poles vs the values they fit
 
 __all__ = [
     "PoleTerm",
@@ -242,12 +243,19 @@ def _canonical(cls, layout, poles, coeffs) -> RationalFn:
 
 def _wrap(cls, flat) -> RationalFn:
     """The cls symbol stored as the canonical flat view `flat`, its arrays made read-only."""
-    if issubclass(cls, HardyRational) and any(p.imag >= -1e-12 for p in flat[1].tolist()):
+    if issubclass(cls, HardyRational) and any(map(_on_or_above_axis, flat[1].tolist())):
         raise InputError("pole on or above real line")
     flat[1].flags.writeable = flat[2].flags.writeable = False
     u = object.__new__(cls)
     u.__dict__["_flat"] = flat
     return u
+
+
+def _on_or_above_axis(p):
+    """Im p >= -1e-12, for one pole or an array: the one test of a pole on or above the axis.
+    The floor is absolute (ROADMAP item 3); it stays because with Im p >= 0, recovery of
+    2/(x+i) - 4/(x+2i) at t >= 1e7 silently drops its pole near the axis (ROADMAP item 8)."""
+    return p.imag >= -1e-12
 
 
 def _flatten(pairs) -> tuple[tuple[int, ...], list, list]:
@@ -346,7 +354,63 @@ def _onto_entries(layout, w) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# construction from a ratio of polynomials
+# partial fractions from computed poles: contour moments, and A/B
+
+
+# nodes of the trapezoid rule on the unit circle
+_NODES = np.exp(2j * math.pi * np.arange(64) / 64)
+
+
+def _circles(E: np.ndarray) -> list[tuple[complex, float, int]] | None:
+    """One contour (center, radius, size) per group of the computed poles E (N,).
+
+    Groups are single linkage within 1e-2 max|E|, singletons included.  A
+    group's circle is centered at its mean, with radius half the distance to
+    the nearest pole outside it (max|E| / 2 if there is none).  None if a
+    circle does not clear its group by twice the group's spread.
+    """
+    scale = abs(E).max(initial=0.0)
+    near = abs(E[:, None] - E) <= 1e-2 * scale
+    reach = np.linalg.matrix_power(near, len(E))      # chains of near pairs: single linkage
+    circ = [(c := E[g].mean(), 0.5 * abs(E[~g] - c).min(initial=scale), g)
+            for g in reach[reach.argmax(axis=-1) == np.arange(len(E))]]   # one row per group
+    clear = all(r > 2.0 * abs(E[g] - c).max() for c, r, g in circ)
+    return [(c, r, int(g.sum())) for c, r, g in circ] if clear else None
+
+
+def _from_moments(values, circles) -> list[tuple[complex, list[complex]]] | None:
+    """Principal parts of a function u from its values on one circle per group.
+
+    u is a pairing of `flow`, or A/B in `pf_from_ratio`.  On the circle of
+    center c and radius r around a group of m poles, the moments nu_k =
+    (1/2pi i) oint u(z) ((z - p)/r)^k dz / r, k < 2m, are the trapezoid rule
+    at `_NODES`.  The center p = c is refined once by p + r nu_m /
+    (m nu_(m-1)) if that stays within r/2.  The group is one
+    pole of order m at p, with coefficients r^(k+1) nu_k, when nu_m ...
+    nu_(2m-1) are below RECOVER_TOL times the largest of nu_0 ... nu_(m-1);
+    otherwise its m simple poles are p + r s for the eigenvalues s of the
+    Hankel pencil (H_1, H_0) of the nu, with residues from one Vandermonde
+    solve (Kravanja and Van Barel, LNM 1727).  None if the parts miss the
+    values by more than RECOVER_TOL of the largest; a singular pencil raises
+    `np.linalg.LinAlgError`.
+    """
+    out = []
+    for u, (c, r, m) in zip(values, circles):
+        def moments(p):
+            return (u * _NODES) @ np.vander((c - p) / r + _NODES, 2 * m, increasing=True) / len(u)
+        p, nu = c, moments(c)
+        if abs(nu[m]) < 0.5 * m * abs(nu[m - 1]):
+            nu = moments(p := c + r * nu[m] / (m * nu[m - 1]))
+        if abs(nu[m:]).max() <= RECOVER_TOL * abs(nu[:m]).max():
+            out.append((p, (nu[:m] * r ** np.arange(1, m + 1)).tolist()))
+            continue
+        H = np.array([nu[k:k + m] for k in range(m + 1)])
+        s = np.linalg.eigvals(np.linalg.solve(H[:m], H[1:]))
+        res = np.linalg.solve(np.vander(s, m, increasing=True).T, nu[:m])
+        out += [(p + r * sk, [r * rk]) for sk, rk in zip(s.tolist(), res.tolist())]
+    z = np.array([c + r * _NODES for c, r, _ in circles])
+    got = sum(k / (z - p) ** (l + 1) for p, ks in out for l, k in enumerate(ks))
+    return out if abs(got - values).max() <= RECOVER_TOL * abs(values).max() else None
 
 
 def pf_from_ratio(numerator, denominator) -> HardyRational:
@@ -356,7 +420,7 @@ def pf_from_ratio(numerator, denominator) -> HardyRational:
     deg A <= deg B - 1 and all roots of B strictly below the real axis.
     Every principal part comes from contour moments of A/B, with B in
     product form over its computed roots, on one circle per group of roots
-    (`flow._circles`, `flow._from_moments`): the rule that recovers u(t).
+    (`_circles`, `_from_moments`): the rule that recovers u(t) in `flow`.
 
     It fails closed, with a `NumericalError` if no circles clear their groups,
     the moments miss A/B on them, fewer than deg B pole entries survive or
@@ -368,8 +432,6 @@ def pf_from_ratio(numerator, denominator) -> HardyRational:
     raise at degree 24, 5 at 28, 8 at 32 and all at 40, where np.roots of
     the monomial coefficients loses poles.
     """
-    from .flow import _NODES, _circles, _from_moments
-
     num = np.trim_zeros(np.array(numerator, dtype=complex), "b")
     den = np.trim_zeros(np.array(denominator, dtype=complex), "b")
     if not (np.isfinite(num).all() and np.isfinite(den).all()):
@@ -383,7 +445,7 @@ def pf_from_ratio(numerator, denominator) -> HardyRational:
     roots = np.roots(den[::-1])
     circles = _circles(roots)
     centers = roots if circles is None else np.array([c for c, _, _ in circles])
-    if (centers.imag >= -1e-12).any():
+    if _on_or_above_axis(centers).any():
         raise InputError("pole on or above real line")
     if not len(num):
         return zero()
@@ -441,8 +503,8 @@ def fn_integral(f: RationalFn) -> complex:
         raise PreconditionError("non-integrable")
     total = 0.0j
     for t in f.terms:
-        if abs(t.pole.imag) <= 1e-12:
-            raise PreconditionError("non-integrable")
+        if _on_or_above_axis(t.pole) and _on_or_above_axis(t.pole.conjugate()):
+            raise PreconditionError("non-integrable")   # on the axis
         if t.pole.imag < 0:
             total += t.coeffs[0]
     return -2j * math.pi * total

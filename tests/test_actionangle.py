@@ -20,6 +20,7 @@ from szego.errors import InputError, NumericalError, PreconditionError
 from szego.flow import recover_rational
 from szego.hankel import eigendecompose
 from szego.rational import (
+    HardyRational,
     as_hardy,
     hardy_from_terms,
     inner_product,
@@ -331,6 +332,12 @@ class TestHierarchyVectorField:
         Xs = hierarchy_vector_field(as_hardy(s * soliton_symbol), 2)
         xs = np.linspace(-3, 3, 9)
         assert np.max(np.abs(Xs.evaluate(xs) - s**3 * X1.evaluate(xs))) < 1e-14
+
+    @pytest.mark.parametrize("name", ["generic_m2", "mixed_mult"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_returns_a_hardy_element(self, name, n, request):
+        u = request.getfixturevalue(name)
+        assert type(hierarchy_vector_field(u, n)) is HardyRational
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_euler_step_rates(self, n):

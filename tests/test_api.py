@@ -8,7 +8,10 @@ A deliberate API change edits these tables in the same change.  Only
 `szego.rational` reads a symbol's per-pole `terms` or builds `PoleTerm`s;
 every other module of the library works on the flat view.  Eigenvalues are
 clustered by one rule, `hankel._cluster_indices`, the only reader of
-`CLUSTER_RTOL`, and S(t) has one assembly, `hankel._assemble_s`.
+`CLUSTER_RTOL`, and S(t) has one assembly, `hankel._assemble_s`.  The
+layers below the flow, `rational` and `hankel`, import nothing above them,
+and one helper, `rational._on_or_above_axis`, holds the floor that decides a
+pole on or above the real line.
 """
 
 import ast
@@ -203,3 +206,52 @@ def test_one_multiplicity_rule_for_every_computed_pole():
     assert sorted(calls) == [("_circles", "flow.py", "_from_pairing"),
                              ("_circles", "rational.py", "pf_from_ratio"),
                              ("roots", "rational.py", "pf_from_ratio")]
+
+
+ABOVE_HANKEL = ("flow", "actionangle", "asymptotics", "oracle", "sampling", "cli")
+
+
+def imported_modules(node):
+    """The szego modules an import statement names, by their last component."""
+    if isinstance(node, ast.Import):
+        return [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+    if node.module in (None, "szego"):                # from . import flow
+        return [alias.name for alias in node.names]
+    return [node.module.rsplit(".", 1)[-1]]
+
+
+@pytest.mark.parametrize("path", ["hankel.py", "rational.py"])
+def test_lower_layers_import_nothing_above_them(path):
+    tree = ast.parse((SRC / path).read_text())
+    above = [(node.lineno, name) for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for name in imported_modules(node) if name in ABOVE_HANKEL]
+    assert above == [], f"{path} imports from above it: {above}"
+
+
+def test_one_call_time_import():
+    # the one import inside a function is a true cycle: asymptotics imports flow
+    inside = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(node): fn.name for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        inside += [(path.name, owner[id(node)], name) for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) in owner
+                   for name in imported_modules(node)]
+    assert inside == [("flow.py", "trajectory", "asymptotics")]
+
+
+def test_one_place_decides_a_pole_on_or_above_the_axis():
+    # the absolute 1e-12 floor lives in one helper; POLE_MERGE_RTOL shares its value only
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(node): fn.name for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        owner.update({id(node.value): node.targets[0].id for node in tree.body
+                      if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)})
+        found += [(path.name, owner.get(id(node))) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and type(node.value) is float
+                  and node.value == 1e-12]
+    assert found == [("rational.py", "POLE_MERGE_RTOL"), ("rational.py", "_on_or_above_axis")]

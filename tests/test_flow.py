@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import pole_flow
-from szego import flow
+from szego import flow, rational
 from szego.actionangle import chi_inverse
 from szego.asymptotics import growth_fit, soliton_params_from_spectrum, soliton_term
 from szego.errors import InputError, NumericalError, PreconditionError
@@ -336,6 +336,31 @@ class TestRecoverMany:
         # at t = 1e8 the second pole (about -13.5/t^2) rounds onto the axis
         with pytest.raises(NumericalError):
             growth_fit(double_eig_symbol, 1.0, np.geomspace(1e5, 1e8, 8))
+
+
+HORIZON_TIMES = np.geomspace(1.0, 1e9, 17)
+
+
+class TestReachableHorizon:
+    """The horizon the `flow` docstring and the README state, on t = geomspace(1, 1e9, 17)."""
+
+    @pytest.mark.parametrize("name", ("soliton_symbol", "generic_m2", "strongly_generic_3"))
+    def test_strongly_generic_recovers_at_every_time(self, name, request):
+        u0 = (random_strongly_generic(3, np.random.default_rng(1)) if name == "strongly_generic_3"
+              else request.getfixturevalue(name))
+        uts = _recover_many(eigendecompose(u0), HORIZON_TIMES)
+        h0 = h_half_norm(u0)
+        assert len(uts) == len(HORIZON_TIMES)
+        assert max(abs(h_half_norm(u) - h0) for u in uts) <= 1e-6 * h0
+
+    @pytest.mark.parametrize("recover", ("recover_rational", "_recover_many"))
+    def test_non_generic_returns_to_3p5e6_and_raises_at_4e6(self, double_eig_symbol, recover):
+        dec = eigendecompose(double_eig_symbol)
+        one = {"recover_rational": lambda t: recover_rational(dec, t),
+               "_recover_many": lambda t: _recover_many(dec, [t])[0]}[recover]
+        assert one(3.5e6).degree == 2
+        with pytest.raises(NumericalError, match="pole on or above the real line"):
+            one(4e6)
 
 
 class TestNonFiniteInput:
@@ -702,6 +727,20 @@ class TestTrajectory:
         rows = trajectory(generic_m2, np.linspace(-5, 5, 11))
         assert [args[0] for args in calls] == [generic_m2]
         assert all(len(row["J"]) == 4 for row in rows)
+
+    @pytest.mark.parametrize("count", (1, 4, 11))
+    def test_norms_of_all_rows_in_two_passes(self, monkeypatch, generic_m2, count):
+        # one pass for the norms and one for the soliton remainders, whatever
+        # the number of times; `l2_norm` per row would reach rational's own binding
+        calls = []
+        for mod in (flow, rational):
+            inner = mod._sobolev_norms
+            monkeypatch.setattr(mod, "_sobolev_norms",
+                                lambda fs, ss, inner=inner: calls.append(ss) or inner(fs, ss))
+        rows = trajectory(generic_m2, np.linspace(1.0, 5.0, count),
+                          observables=("norms", "solitons"))
+        assert len(calls) <= 2 and len(rows) == count
+        assert all(row["remainder_L2"] > 0 for row in rows)
 
 
 POLE_ODE_SYMBOLS = {
