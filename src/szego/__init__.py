@@ -12,15 +12,11 @@ __version__ = "0.1.0"
 from .errors import InputError, NumericalError, PreconditionError, ToleranceExceeded
 from .rational import *  # noqa: F403 -- the names of rational.__all__
 from .hankel import (
-    RangeBasis,
     SpectralDecomposition,
     TMatrix,
-    build_range_basis,
     classify_genericity,
     decomposition_to_json,
     eigendecompose,
-    eigenfunction,
-    hankel_matrix,
     t_matrix,
 )
 from .flow import (

@@ -75,7 +75,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError, PreconditionError
 from .hankel import SpectralDecomposition, _assemble_s, _cluster_mask, _range_basis, eigendecompose
-from .rational import (RECOVER_TOL, HardyRational, _circles, _from_moments, _NODES,
+from .rational import (LINK_RTOL, RECOVER_TOL, HardyRational, _circles, _from_moments, _NODES,
                        _on_or_above_axis, _sobolev_norms, hardy_from_terms)
 
 __all__ = [
@@ -236,7 +236,7 @@ def _from_pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[HardyRati
     pairing.  Its poles are the eigenvalues E of A, multiple ones included.
     A pairing keeps the residues (i/2pi)(a^T V)_k (V^{-1} b)_k of the
     bilinear expansion, from one stacked solve, unless E has a group (single
-    linkage within 1e-2 max|E|) and an eigenvalue on the real line or an
+    linkage within LINK_RTOL max|E|) and an eigenvalue on the real line or an
     eigenvector matrix V too ill-conditioned for those residues
     (eps cond V > RECOVER_TOL).  Then every principal part comes from
     contour moments (`_from_moments`) on one circle per group (`_circles`).
@@ -250,7 +250,7 @@ def _from_pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[HardyRati
     n = E.shape[-1]
     scale = abs(E).max(axis=-1, initial=0.0)
     on_axis = _on_or_above_axis(E)
-    near = abs(E[:, :, None] - E[:, None, :]) <= 1e-2 * scale[:, None, None]
+    near = abs(E[:, :, None] - E[:, None, :]) <= LINK_RTOL * scale[:, None, None]
     circles = {}                                  # row -> [(center, radius, size)] per group
     for i in np.flatnonzero(near.sum(axis=(-2, -1)) > n).tolist():   # rows with a near pair
         if (err := np.finfo(float).eps * np.linalg.cond(V[i])) > RECOVER_TOL or on_axis[i].any():
@@ -330,8 +330,8 @@ def conserved_quantities(u: HardyRational, kmax: int) -> list[float]:
         raise PreconditionError("kmax must be >= 1")
     if u.is_zero():
         return [0.0] * kmax
-    rb, K = _range_basis(u)
-    d, out = rb.chol.conj().T @ u._flat[2], []
+    L, K = _range_basis(u)
+    d, out = L.conj().T @ u._flat[2], []
     for _ in range(kmax):
         out.append(float(np.vdot(d, d).real))
         d = K @ d.conj()

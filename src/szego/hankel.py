@@ -5,13 +5,15 @@ partial-fraction basis 1/(x-p_j)^l.  On this basis the Gram matrix G and the
 matrix M = C G / (-2 pi i) of the Hankel action are closed-form Cauchy
 matrices (confluent ones for multiple poles); G and the shift T_f are each
 one broadcast over the basis, and the block-diagonal coefficient matrix C
-one scatter of the coefficients.  What they read of the pole layout alone
-is one read-only plan per layout, built once (`_plan`).  `_range_stack`
-assembles G, its conditioning test, L and K below for a stack of symbols
-of one pole layout, one symbol being a stack of one.  We orthonormalize
-through the Cholesky factor conj(G) = L L^H, where the antilinear Hankel
-action becomes d -> K conj(d) with K complex symmetric.
-K = L^H C conj(L) / (-2 pi i) needs no L^-1: G L^-T = conj(L).
+one scatter of the coefficients.  The basis is private to this module: a
+`SpectralDecomposition` holds eigenvector coordinates only.  What the
+assemblies read of the pole layout alone is one read-only plan per layout,
+built once (`_plan`).  `_range_stack` assembles G, its conditioning test,
+L and K below for a stack of symbols of one pole layout, one symbol being
+a stack of one.  We orthonormalize through the Cholesky factor
+conj(G) = L L^H, where the antilinear Hankel action becomes d -> K conj(d)
+with K complex symmetric.  K = L^H C conj(L) / (-2 pi i) needs no L^-1:
+G L^-T = conj(L).
 The antilinear eigenrelation H e_j = lambda_j e_j with lambda_j > 0 is then
 the Takagi factorization K = W diag(lambda) W^T, read off one SVD
 K = U diag(lambda) V^H: conj(V) = U D with D unitary and symmetric, and
@@ -48,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .rational import HardyRational, _from_flat, _g_coeffs, _starts, hardy_from_terms
+from .rational import HardyRational, _g_coeffs, _starts
 
 GRAM_COND_LIMIT = 1e12
 CLUSTER_RTOL = 1e-8       # relative gap that groups eigenvalues of H^2
@@ -56,42 +58,13 @@ RANK_RTOL = 1e-10         # lambda below this (vs. lambda_max) means rank-defici
 NU_RTOL = 1e-8            # nu below this (vs. ||g||) counts as a vanishing coordinate
 
 __all__ = [
-    "RangeBasis",
     "SpectralDecomposition",
     "TMatrix",
-    "build_range_basis",
-    "hankel_matrix",
     "eigendecompose",
     "t_matrix",
     "classify_genericity",
-    "eigenfunction",
-    "coords_to_function",
     "decomposition_to_json",
 ]
-
-
-@dataclass(frozen=True)
-class RangeBasis:
-    """Partial-fraction basis of Ran(H_u) with its Gram geometry.
-
-    `index` enumerates the basis: entry a is (pole, l) meaning 1/(x-pole)^l.
-    `gram` is the Hermitian positive-definite matrix G[a, b] = (f_a, f_b).
-    Coordinate vectors pair as (h1, h2) = c2^H conj(G) c1, so `chol` holds
-    the lower Cholesky factor L of conj(G) and orthonormalized coordinates
-    are d = L^H c.
-    """
-
-    index: tuple[tuple[complex, int], ...]
-    gram: np.ndarray
-    chol: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.index)
-
-    def basis_fn(self, a: int) -> HardyRational:
-        pole, l = self.index[a]
-        return hardy_from_terms([(pole, [0.0j] * (l - 1) + [1.0 + 0.0j])])
 
 
 @dataclass(frozen=True)
@@ -114,7 +87,6 @@ class SpectralDecomposition:
     """
 
     u: HardyRational
-    rb: RangeBasis
     lambdas: np.ndarray
     evecs: np.ndarray
     betas: np.ndarray
@@ -130,32 +102,32 @@ class SpectralDecomposition:
         return len(self.lambdas)
 
 
-def build_range_basis(u: HardyRational) -> RangeBasis:
-    """Enumerate 1/(x-p_j)^l and assemble the Gram matrix in closed form.
-
-    For f_a = 1/(x-p)^l and f_b = 1/(x-q)^m the integral of f_a conj(f_b)
-    is -2 pi i times the residue at p of (x-p)^-l (x-conj q)^-m:
-
-        G[a, b] = -2 pi i C(l+m-2, l-1) (-1)^(l-1) (p - conj q)^-(l+m-1),
-
-    a Cauchy matrix for simple poles and a confluent one otherwise.
-    """
-    return _range_basis(u)[0]
-
-
 def _range_stack(layout: tuple[int, ...], p: np.ndarray, c: np.ndarray):
     """Gram matrices, conditioning test, Cholesky factors and K for a stack of symbols.
 
     The symbols share one flat layout (see `rational`): `layout` holds
     l - 1 for each basis entry 1/(x-p)^l, and `p` and `c`, shaped (..., N),
     the pole and the coefficient c_{p, l} of each entry, with leading axes
-    for the stack.  Returns G (..., N, N) by the formula of
-    `build_range_basis`; the mask `ok` of the symbols whose G passes the
+    for the stack.  For entries f_a = 1/(x-p)^l and f_b = 1/(x-q)^m the
+    integral of f_a conj(f_b) is -2 pi i times the residue at p of
+    (x-p)^-l (x-conj q)^-m, so the Gram matrix G[a, b] = (f_a, f_b) is
+
+        G[a, b] = -2 pi i C(l+m-2, l-1) (-1)^(l-1) (p - conj q)^-(l+m-1),
+
+    a Cauchy matrix for simple poles and a confluent one otherwise.
+    Coordinate vectors pair as (h1, h2) = c2^H conj(G) c1, so with the lower
+    Cholesky factor L of conj(G) the orthonormal coordinates are d = L^H c.
+    The Hankel action is h -> M conj(h) with M = C G / (-2 pi i), C the
+    block-diagonal `_coefficient_stack`: the principal part of u conj(f_a)
+    at a pole p pairs u's coefficients with the Taylor coefficients of
+    conj(f_a) at p, which are G[(p, r), a] / (-2 pi i).
+
+    Returns G (..., N, N); the mask `ok` of the symbols whose G passes the
     conditioning test, 0 < e_min and e_max <= GRAM_COND_LIMIT * e_min for
-    its eigenvalues; and, for those only and stacked along one axis, the
-    lower Cholesky factor L of conj(G) and K = L^H C conj(L) / (-2 pi i),
-    which is L^H M L^-T without inverting L.  Each LAPACK call is one
-    stacked call, so a stack of one takes the path of every other stack size.
+    its eigenvalues; and, for those only and stacked along one axis, L and
+    K = L^H C conj(L) / (-2 pi i), which is L^H M L^-T without inverting L.
+    Each LAPACK call is one stacked call, so a stack of one takes the path
+    of every other stack size.
     """
     plan = _plan(layout)
     G = plan.weight / (p[..., :, None] - p[..., None, :].conj()) ** plan.power
@@ -168,13 +140,13 @@ def _range_stack(layout: tuple[int, ...], p: np.ndarray, c: np.ndarray):
     return G, ok, L, K
 
 
-_Plan = namedtuple("_Plan", "weight power at src simple chained ls")
+_Plan = namedtuple("_Plan", "weight power at src simple chained")
 
 
 @lru_cache(maxsize=64)
 def _plan(layout: tuple[int, ...]) -> _Plan:
     """What the assemblies read of a pole layout alone, built once, arrays read-only: the
-    Gram weight and exponent, the scatter C.flat[at] = c[src], T_f's masks, l per entry."""
+    Gram weight and exponent, the scatter C.flat[at] = c[src] and T_f's masks."""
     k, n = np.array(layout), len(layout)
     kk = k[:, None] + k
     # C(l+m-2, l-1) (-1)^(l-1) = (l+m-2)! * (-1)^(l-1) / (l-1)! * 1 / (m-1)!
@@ -185,26 +157,21 @@ def _plan(layout: tuple[int, ...]) -> _Plan:
     at, src = zip(*[((f + i) * n + f + j, f + i + j) for f, e in zip(starts, starts[1:])
                     for i in range(e - f) for j in range(e - f - i)])
     plan = _Plan(fact[kk] * row[:, None] / fact[k], kk + 1, np.array(at), np.array(src),
-                 k == 0, k[1:] > 0, tuple((k + 1).tolist()))
-    for a in plan[:-1]:
+                 k == 0, k[1:] > 0)
+    for a in plan:
         a.flags.writeable = False
     return plan
 
 
-def _range_basis(u: HardyRational) -> tuple[RangeBasis, np.ndarray]:
-    """The range basis of u and its K, as a stack of one."""
+def _range_basis(u: HardyRational) -> tuple[np.ndarray, np.ndarray]:
+    """L and K of `_range_stack` for u, as a stack of one."""
     layout, p, c = u._flat
     if not c.any():
         raise PreconditionError("undefined for zero symbol")
-    G, ok, L, K = _range_stack(layout, p[None], c[None])
+    _, ok, L, K = _range_stack(layout, p[None], c[None])
     if not ok[0]:
         raise NumericalError("ill-conditioned range basis")
-    return RangeBasis(tuple(zip(p.tolist(), _plan(layout).ls)), G[0], L[0]), K[0]
-
-
-def coords_to_function(c: np.ndarray, rb: RangeBasis) -> HardyRational:
-    poles, ls = zip(*rb.index)
-    return _from_flat([l - 1 for l in ls], poles, c)
+    return L[0], K[0]
 
 
 def _coefficient_stack(layout: tuple[int, ...], c: np.ndarray) -> np.ndarray:
@@ -214,33 +181,6 @@ def _coefficient_stack(layout: tuple[int, ...], c: np.ndarray) -> np.ndarray:
     C = np.zeros(c.shape[:-1] + (n * n,), dtype=complex)
     C[..., plan.at] = c[..., plan.src]
     return C.reshape(c.shape[:-1] + (n, n))
-
-
-def _coefficient_matrix(u: HardyRational, rb: RangeBasis) -> np.ndarray:
-    """C of `_coefficient_stack` for u on the basis rb, which may hold more poles.
-
-    Raises "range leakage" when an entry of u is not in rb.
-    """
-    layout, p, c = u._flat
-    try:
-        at = [rb.index.index((q, k + 1)) for q, k in zip(p.tolist(), layout)]
-    except ValueError:
-        raise NumericalError("range leakage") from None
-    cb = np.zeros(rb.size, dtype=complex)
-    cb[at] = c
-    return _coefficient_stack(tuple(l - 1 for _, l in rb.index), cb)
-
-
-def hankel_matrix(u: HardyRational, rb: RangeBasis) -> np.ndarray:
-    """M with H_u f_a = sum_b M[b, a] f_b; the map itself is h -> M conj(h).
-
-    The principal part of u conj(f_a) at a pole p of u pairs the coefficients
-    c_{p,k} of u with the Taylor coefficients of conj(f_a) at p, which are
-    the Gram entries G[(p, r), a] / (-2 pi i).  Hence M = C G / (-2 pi i)
-    with C block-diagonal per pole, C[(p, l), (p, r)] = c_{p, l+r-1} (zero
-    past the multiplicity); for simple poles M[j, b] = c_j / (p_j - conj p_b).
-    """
-    return _coefficient_matrix(u, rb) @ rb.gram / (-2j * math.pi)
 
 
 def _cluster_indices(vals: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -328,9 +268,9 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
     diagnostics use this to discard the O(h^2)-sized spurious channels of
     u + h * (tangent field).
     """
-    rb, K = _range_basis(u)
+    L, K = _range_basis(u)
     U, sigma, Vh = np.linalg.svd(K)     # the sampler's stacked SVD gives bitwise these lambdas
-    L, Lh = rb.chol, rb.chol.conj().T
+    Lh = L.conj().T
     lambdas, U, Vbar = sigma[::-1], U[:, ::-1], Vh[::-1].T     # Vbar: columns conj(v_j)
     if lambdas[0] < rank_tol * lambdas[-1]:
         if rank_tol <= RANK_RTOL:
@@ -379,7 +319,6 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
 
     dec = SpectralDecomposition(
         u=u,
-        rb=rb,
         lambdas=lambdas,
         evecs=evecs,
         betas=betas,
@@ -409,13 +348,6 @@ def classify_genericity(dec: SpectralDecomposition) -> str:
     if len(_cluster_indices(np.sort(dec.lambdas**2 * nus**2))) < dec.size:
         return "generic"
     return "strongly_generic"
-
-
-def eigenfunction(dec: SpectralDecomposition, j: int) -> HardyRational:
-    """The eigenvector e_j as an actual rational function."""
-    d = dec.evecs[:, j]
-    c = np.linalg.solve(dec.rb.chol.conj().T, d)
-    return coords_to_function(c, dec.rb)
 
 
 def decomposition_to_json(dec: SpectralDecomposition) -> dict:

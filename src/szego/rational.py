@@ -23,9 +23,10 @@ poles sorted by (Re, Im), as the tuple of l - 1 per entry (the layout) and
 read-only arrays of the entries' poles and coefficients.  One canonicalizer,
 `_canonical`, builds every function from a flat view; `terms` is derived.
 
-Contour moments (`_circles`, `_from_moments`, to `RECOVER_TOL`) give the principal
-parts near computed poles: a pairing's eigenvalues in `flow`, the roots of B in
-`pf_from_ratio`.  `_on_or_above_axis` alone decides a pole on or above the real line.
+Contour moments (`_circles` around groups of `LINK_RTOL`, `_from_moments` to
+`RECOVER_TOL`) give the principal parts near computed poles: a pairing's
+eigenvalues in `flow`, the roots of B in `pf_from_ratio`.  `_on_or_above_axis`
+alone decides a pole on or above the real line.
 
 The coefficients of g = 1 - b_u, with b_u the Blaschke product of u, have a
 closed form in the poles alone (`_g_coeffs`); the spectral layer reads them
@@ -50,13 +51,13 @@ POLE_MERGE_RTOL = 1e-12      # arithmetic: poles this close (vs. |p|) are the sa
 COEFF_TRIM_RTOL = 5e-14      # coefficients this small (vs. the largest) are dropped
 DEGREE_CAP = 64              # denominator degree cap of pf_from_ratio
 RECOVER_TOL = 1e-9           # partial fractions from computed poles vs the values they fit
+LINK_RTOL = 1e-2             # computed poles this close (vs. the largest |pole|) are one group
 
 __all__ = [
     "PoleTerm",
     "RationalFn",
     "HardyRational",
     "BlaschkeData",
-    "FourierTerm",
     "from_terms",
     "hardy_from_terms",
     "simple_pole",
@@ -70,7 +71,6 @@ __all__ = [
     "inner_product",
     "symplectic_form",
     "blaschke",
-    "fourier_transform",
     "spectral_density",
     "homogeneous_sobolev_norm",
     "l2_norm",
@@ -364,13 +364,13 @@ _NODES = np.exp(2j * math.pi * np.arange(64) / 64)
 def _circles(E: np.ndarray) -> list[tuple[complex, float, int]] | None:
     """One contour (center, radius, size) per group of the computed poles E (N,).
 
-    Groups are single linkage within 1e-2 max|E|, singletons included.  A
+    Groups are single linkage within LINK_RTOL max|E|, singletons included.  A
     group's circle is centered at its mean, with radius half the distance to
     the nearest pole outside it (max|E| / 2 if there is none).  None if a
     circle does not clear its group by twice the group's spread.
     """
     scale = abs(E).max(initial=0.0)
-    near = abs(E[:, None] - E) <= 1e-2 * scale
+    near = abs(E[:, None] - E) <= LINK_RTOL * scale
     reach = np.linalg.matrix_power(near, len(E))      # chains of near pairs: single linkage
     circ = [(c := E[g].mean(), 0.5 * abs(E[~g] - c).min(initial=scale), g)
             for g in reach[reach.argmax(axis=-1) == np.arange(len(E))]]   # one row per group
@@ -605,15 +605,6 @@ def blaschke(u: HardyRational) -> BlaschkeData:
 # Fourier side
 
 
-@dataclass(frozen=True)
-class FourierTerm:
-    """One term amplitude * xi^power * exp(-i*pole*xi) of a spectral density."""
-
-    amplitude: complex
-    pole: complex
-    power: int
-
-
 def _fourier_arrays(f: HardyRational) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Amplitudes, poles and powers of the transform's terms, one per nonzero entry."""
     layout, poles, coeffs = f._flat
@@ -622,11 +613,6 @@ def _fourier_arrays(f: HardyRational) -> tuple[np.ndarray, np.ndarray, np.ndarra
     amp = [c * 2.0 * math.pi * (-1j) ** (k + 1) / math.factorial(k)
            for k, c in zip(power.tolist(), coeffs[keep].tolist())]
     return np.array(amp, dtype=complex), poles[keep], power
-
-
-def fourier_transform(f: HardyRational) -> tuple[FourierTerm, ...]:
-    """Closed-form Fourier transform on xi > 0; zero on xi < 0."""
-    return tuple(map(FourierTerm, *(a.tolist() for a in _fourier_arrays(f))))
 
 
 def spectral_density(f: HardyRational, xi):

@@ -3,7 +3,8 @@
 `szego.__all__` is pinned as a sorted list of names, and every public
 function of `szego.rational`, `szego.hankel`, `szego.flow`, `szego.oracle`,
 `szego.actionangle` and `szego.asymptotics` (a function named in the
-module's `__all__`) by the text of its `inspect.signature`.
+module's `__all__`) by the text of its `inspect.signature`, and every
+public dataclass by its field names in order.
 A deliberate API change edits these tables in the same change.  Only
 `szego.rational` reads a symbol's per-pole `terms` or builds `PoleTerm`s;
 every other module of the library works on the flat view.  Eigenvalues are
@@ -15,6 +16,7 @@ pole on or above the real line.
 """
 
 import ast
+import dataclasses
 import inspect
 import pathlib
 
@@ -24,26 +26,24 @@ import szego
 from szego import actionangle, asymptotics, flow, hankel, oracle, rational
 
 PACKAGE_ALL = [
-    "ActionAngleCoords", "BlaschkeData", "FlowMatrix", "FourierTerm",
-    "GridState", "HardyRational", "InputError", "NonGenericReport",
-    "NumericalError", "PoleTerm", "PreconditionError", "RangeBasis",
-    "RationalFn", "ResolutionReport", "SolitonParams", "SpectralDecomposition",
-    "TMatrix", "ToleranceExceeded", "actionangle", "as_hardy", "asymptotics",
-    "blaschke", "build_range_basis", "chi", "chi_inverse",
-    "classify_genericity", "compare", "conserved_quantities",
-    "decomposition_to_json", "eigendecompose", "eigenfunction", "errors",
-    "evolve_eval", "flow", "fn_integral", "fourier_transform",
-    "from_json_dict", "from_terms", "grid_physical", "growth_fit",
-    "h_half_norm", "hankel", "hankel_apply", "hankel_matrix",
-    "hardy_from_terms", "hierarchy_flow", "hierarchy_vector_field",
-    "homogeneous_sobolev_norm", "inner_product", "integrate", "l2_norm",
-    "lambda_functional", "load_symbol", "mass", "nongeneric_analysis",
-    "oracle", "pf_from_ratio", "rational", "recover_rational",
-    "remainder_norms", "s_matrix", "sample_to_grid", "self_convergence",
-    "simple_pole", "soliton_params_from_spectrum", "soliton_term",
-    "spectral_conserved", "spectral_density", "step", "symplectic_form",
-    "szego_flow", "szego_project", "t_matrix", "to_json_dict",
-    "toroidal_cylinder_check", "trajectory", "zero",
+    "ActionAngleCoords", "BlaschkeData", "FlowMatrix", "GridState",
+    "HardyRational", "InputError", "NonGenericReport", "NumericalError",
+    "PoleTerm", "PreconditionError", "RationalFn", "ResolutionReport",
+    "SolitonParams", "SpectralDecomposition", "TMatrix", "ToleranceExceeded",
+    "actionangle", "as_hardy", "asymptotics", "blaschke", "chi",
+    "chi_inverse", "classify_genericity", "compare", "conserved_quantities",
+    "decomposition_to_json", "eigendecompose", "errors", "evolve_eval",
+    "flow", "fn_integral", "from_json_dict", "from_terms", "grid_physical",
+    "growth_fit", "h_half_norm", "hankel", "hankel_apply", "hardy_from_terms",
+    "hierarchy_flow", "hierarchy_vector_field", "homogeneous_sobolev_norm",
+    "inner_product", "integrate", "l2_norm", "lambda_functional",
+    "load_symbol", "mass", "nongeneric_analysis", "oracle", "pf_from_ratio",
+    "rational", "recover_rational", "remainder_norms", "s_matrix",
+    "sample_to_grid", "self_convergence", "simple_pole",
+    "soliton_params_from_spectrum", "soliton_term", "spectral_conserved",
+    "spectral_density", "step", "symplectic_form", "szego_flow",
+    "szego_project", "t_matrix", "to_json_dict", "toroidal_cylinder_check",
+    "trajectory", "zero",
 ]
 
 SIGNATURES = {
@@ -61,7 +61,6 @@ SIGNATURES = {
         "inner_product": "(f: 'RationalFn', h: 'RationalFn') -> 'complex'",
         "symplectic_form": "(u: 'RationalFn', v: 'RationalFn') -> 'float'",
         "blaschke": "(u: 'HardyRational') -> 'BlaschkeData'",
-        "fourier_transform": "(f: 'HardyRational') -> 'tuple[FourierTerm, ...]'",
         "spectral_density": "(f: 'HardyRational', xi)",
         "homogeneous_sobolev_norm": "(f: 'HardyRational', s: 'float') -> 'float'",
         "l2_norm": "(f: 'HardyRational') -> 'float'",
@@ -71,14 +70,10 @@ SIGNATURES = {
         "load_symbol": "(text_or_dict) -> 'HardyRational'",
     },
     "hankel": {
-        "build_range_basis": "(u: 'HardyRational') -> 'RangeBasis'",
-        "hankel_matrix": "(u: 'HardyRational', rb: 'RangeBasis') -> 'np.ndarray'",
         "eigendecompose":
             "(u: 'HardyRational', rank_tol: 'float' = 1e-10) -> 'SpectralDecomposition'",
         "t_matrix": "(u: 'HardyRational', dec: 'SpectralDecomposition') -> 'TMatrix'",
         "classify_genericity": "(dec: 'SpectralDecomposition') -> 'str'",
-        "eigenfunction": "(dec: 'SpectralDecomposition', j: 'int') -> 'HardyRational'",
-        "coords_to_function": "(c: 'np.ndarray', rb: 'RangeBasis') -> 'HardyRational'",
         "decomposition_to_json": "(dec: 'SpectralDecomposition') -> 'dict'",
     },
     "flow": {
@@ -129,6 +124,21 @@ SIGNATURES = {
     },
 }
 
+FIELDS = {
+    "ActionAngleCoords": ["actions_i", "actions_lambda", "angles", "gammas"],
+    "BlaschkeData": ["poles", "mults", "g"],
+    "FlowMatrix": ["s", "w_diag", "t"],
+    "GridState": ["L", "M", "amps", "time"],
+    "NonGenericReport": ["eigenvalue", "soliton", "drift_a", "disc_b", "disc_c", "times",
+                         "e1_track", "e2_track", "e2_imag_exponent"],
+    "PoleTerm": ["pole", "coeffs"],
+    "ResolutionReport": ["solitons", "times", "s_values", "norms", "exponents", "direction"],
+    "SolitonParams": ["amplitude", "pole", "speed", "frequency"],
+    "SpectralDecomposition": ["u", "lambdas", "evecs", "betas", "nus", "two_phis", "gammas",
+                              "shift", "clusters", "genericity"],
+    "TMatrix": ["t", "t_star"],
+}
+
 MODULES = {"rational": rational, "hankel": hankel, "flow": flow, "oracle": oracle,
            "actionangle": actionangle, "asymptotics": asymptotics}
 
@@ -144,6 +154,13 @@ def test_public_functions_and_signatures_are_pinned(module):
     got = {name: str(inspect.signature(obj)) for name, obj in public.items()
            if inspect.isfunction(obj)}
     assert got == SIGNATURES[module]
+
+
+def test_public_dataclass_fields_are_pinned():
+    public = {name: getattr(szego, name) for name in szego.__all__}
+    got = {name: [f.name for f in dataclasses.fields(obj)] for name, obj in public.items()
+           if dataclasses.is_dataclass(obj)}
+    assert got == FIELDS
 
 
 SRC = pathlib.Path(rational.__file__).parent

@@ -15,6 +15,7 @@ from szego import rational
 from szego.errors import InputError, NumericalError, PreconditionError
 from szego.rational import (
     COEFF_TRIM_RTOL,
+    DEGREE_CAP,
     POLE_MERGE_RTOL,
     PoleTerm,
     HardyRational,
@@ -26,7 +27,6 @@ from szego.rational import (
     as_hardy,
     blaschke,
     fn_integral,
-    fourier_transform,
     from_json_dict,
     from_terms,
     h_half_norm,
@@ -173,21 +173,41 @@ class TestPfFromRatio:
             pf_from_ratio([1.0, 2.0], [1j, 1.0])
 
     @staticmethod
-    def random_ratio(degree):
+    def random_ratio(degree, seed=0):
         """Roots uniform in [-3, 3] x [-3, -0.5]i and a random numerator."""
-        rng = np.random.default_rng(0)
+        rng = np.random.default_rng(seed)
         roots = rng.uniform(-3, 3, degree) + 1j * rng.uniform(-3, -0.5, degree)
         num = rng.normal(size=degree) + 1j * rng.normal(size=degree)
         return num, np.polynomial.polynomial.polyfromroots(roots)
 
-    def test_degree_16_kept_whole(self):
-        num, den = self.random_ratio(16)
-        r = pf_from_ratio(num, den)
+    @staticmethod
+    def assert_kept_whole(r, num, den):
+        """r keeps all deg B poles and meets A/B to 1e-8 of its largest value on [-5, 5]."""
         xs = np.linspace(-5.0, 5.0, 41)
         want = (np.polynomial.polynomial.polyval(xs, num)
                 / np.polynomial.polynomial.polyval(xs, den))
-        assert r.degree == 16
+        assert len(r.poles()) == r.degree == len(den) - 1
         assert np.max(np.abs(r.evaluate(xs) - want)) < 1e-8 * np.max(np.abs(want))
+
+    def test_degree_16_kept_whole(self):
+        num, den = self.random_ratio(16)
+        self.assert_kept_whole(pf_from_ratio(num, den), num, den)
+
+    def test_degree_20_kept_whole_on_every_seed(self):
+        for seed in range(10):
+            num, den = self.random_ratio(20, seed)
+            self.assert_kept_whole(pf_from_ratio(num, den), num, den)
+
+    @pytest.mark.parametrize("degree", (24, 32, 48, DEGREE_CAP))
+    def test_kept_whole_or_fails_closed_up_to_the_cap(self, degree):
+        for seed in range(10):
+            num, den = self.random_ratio(degree, seed)
+            try:
+                r = pf_from_ratio(num, den)
+            except NumericalError as err:
+                assert f"inaccurate at degree {degree}" in str(err), seed
+                continue
+            self.assert_kept_whole(r, num, den)
 
     def test_degree_40_fails_closed(self):
         # unchecked, poles were trimmed and A/B missed by 7e-7 with no error
@@ -466,17 +486,18 @@ class TestProduct:
 
 class TestFourier:
     def test_simple_pole_amplitude(self, soliton_symbol):
-        (ft,) = fourier_transform(soliton_symbol)
-        assert abs(ft.amplitude + 2j * np.pi) < 1e-14
-        assert ft.power == 0 and ft.pole == -1j
+        amp, pole, power = _fourier_arrays(soliton_symbol)
+        assert abs(amp[0] + 2j * np.pi) < 1e-14
+        assert power.tolist() == [0] and pole.tolist() == [-1j]
 
     def test_double_pole_amplitude(self):
-        (ft,) = fourier_transform(hardy_from_terms([(-1j, [0.0, 1.0])]))
-        assert abs(ft.amplitude + 2 * np.pi) < 1e-14
-        assert ft.power == 1
+        # the vanishing 1/(x+i) entry has no term
+        amp, _, power = _fourier_arrays(hardy_from_terms([(-1j, [0.0, 1.0])]))
+        assert abs(amp[0] + 2 * np.pi) < 1e-14
+        assert power.tolist() == [1]
 
     def test_zero(self):
-        assert fourier_transform(zero()) == ()
+        assert all(a.size == 0 for a in _fourier_arrays(zero()))
 
     def test_fft_consistency(self):
         # sampled midband transform of a 1/x^2-decaying combination
