@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError, PreconditionError
-from .hankel import SpectralDecomposition, _assemble_s, eigendecompose
+from .hankel import SpectralDecomposition, _assemble_s, _closure, eigendecompose
 from .rational import HardyRational, as_hardy, blaschke, hankel_apply
 from .flow import _flow_pairing, _from_pairing
 
@@ -123,8 +123,8 @@ def _chi_inverse(coords: ActionAngleCoords) -> tuple[HardyRational, ActionAngleC
     lam2 = np.array(coords.actions_lambda) / (4.0 * math.pi)   # each tuple converted once
     lam, nu = np.sqrt(lam2), np.sqrt(np.array(coords.actions_i) / (2.0 * lam2))
     beta = nu * np.exp(0.5j * np.array(coords.angles))
-    diag = np.diag(np.array(coords.gammas) + 1j * nu**2 / (4.0 * math.pi))
-    S0 = _assemble_s(lam, beta, np.eye(coords.size, dtype=bool), diag)
+    blocks = np.diag(coords.gammas) + _closure(beta, nu)     # only the diagonal is read
+    S0 = _assemble_s(lam, beta, np.eye(coords.size, dtype=bool), blocks)
     u = _from_pairing(*_flow_pairing(S0[None], lam, beta[None]))[0]   # W(0) = I
     back = chi(eigendecompose(u))
     err = _coords_distance(coords, back)

@@ -4,9 +4,9 @@ With spectral data (lambda_j, beta_j) and the shift matrix T = `dec.shift`
 of the initial symbol, the flow advances the angles, beta -> W(t) beta, and
 drifts the eigenvalue-cluster blocks of T by (lambda_j^2/2pi) conj(beta_j)
 beta_k t.  So S(t) is S(0)'s closed form (`hankel._assemble_s`) at the
-angles W(t) beta with the drifted blocks, built by `_s_stack` alone for a
-stack of times (`s_matrix` is its stack of one); every point is evaluated
-from it by a resolvent solve.  The solution is the resolvent pairing
+angles W(t) beta with the drifted blocks, built with W(t) by `_flow_stack`
+alone for a stack of times (`s_matrix` is its stack of one); every point is
+evaluated from it by a resolvent solve.  The solution is the resolvent pairing
 
     u(t, x) = -(i/2pi) * (u0, W(t) (S(t) - x I)^{-1} W(t) g0),
     W(t) = diag exp(i t lambda_j^2 / 2),
@@ -38,7 +38,7 @@ checks its result at 20 points spanning +-3.3 max|p|, to RECOVER_TOL of the
 largest value, against resolvent solves, which do not depend on the
 eigendecomposition they check.
 - `_recover_many(dec, times)`, for `remainder_norms` and `growth_fit`:
-  S(t) for all times is one `_s_stack`,
+  S(t) and W(t) for all times are one `_flow_stack`,
   the partial fractions are one `_from_pairing` call, and the 20-point
   checks of all times are one (T, 20, N, N) `_pairing` solve.
 - `recover_rational(dec, t)`, one time, for `trajectory` (a loop over its
@@ -62,6 +62,9 @@ Reachable horizon, on t = geomspace(1, 1e9, 17): strongly generic data
 `random_strongly_generic(3, default_rng(1))`) recovers at every t.  On the
 non-generic 2/(x+i) - 4/(x+2i) one pole nears the axis like -13.5i/t^2:
 recovery returns up to t = 3.5e6 and raises `NumericalError` from 4e6 on.
+Inside it, at 1e6 (3e6), the H^{1/2} drift is 6.4e-12 (1.9e-11), and
+||u(t)||_{Hdot^s} for s = 1/2, 1, 2 is within 2.5e-11 (7.6e-11) of a 60-digit
+S(t) of the same decomposition; both grow like t.
 """
 
 from __future__ import annotations
@@ -100,20 +103,26 @@ class FlowMatrix:
 
 def s_matrix(dec: SpectralDecomposition, t: float) -> FlowMatrix:
     """Assemble S(t) in the eigenbasis; S(0) is the shift matrix itself."""
-    return FlowMatrix(_s_stack(dec, [t])[0], np.exp(0.5j * t * dec.lambdas**2), float(t))
+    S, W = _flow_stack(dec, [t])
+    return FlowMatrix(S[0], W[0], float(t))
 
 
-def _s_stack(dec: SpectralDecomposition, times) -> np.ndarray:
-    """S(t) for every t of times, (T, N, N), the one place time enters S: the angles
-    advance, w = W(t) beta, and the cluster blocks drift by t (lambda^2/2pi) beta beta^H."""
+def _flow_stack(dec: SpectralDecomposition, times) -> tuple[np.ndarray, np.ndarray]:
+    """S(t), (T, N, N), and W(t)'s diagonal, (T, N), for every t of times, the one place time
+    enters S: w = W(t) beta, and the cluster blocks drift by t (lambda^2/2pi) beta beta^H."""
     ts = np.asarray(times, dtype=float)
     bad = ts[~np.isfinite(ts)]
     if bad.size:
         raise InputError(f"time must be finite, got {bad[0]}")
     lam2, beta = dec.lambdas**2, dec.betas
     blocks = lam2 / (2.0 * math.pi) * (beta[:, None] * beta.conj()) * ts[:, None, None] + dec.shift
-    w = np.exp(0.5j * ts[:, None] * lam2) * beta
-    return _assemble_s(dec.lambdas, w, _cluster_mask(dec.clusters), blocks)
+    W = np.exp(0.5j * ts[:, None] * lam2)
+    return _assemble_s(dec.lambdas, W * beta, _cluster_mask(dec.clusters), blocks), W
+
+
+def _s_stack(dec: SpectralDecomposition, times) -> np.ndarray:
+    """S(t) of `_flow_stack` alone, for readers of the matrices (`nongeneric_analysis`)."""
+    return _flow_stack(dec, times)[0]
 
 
 def _resolvent(A: np.ndarray, a: np.ndarray, b: np.ndarray, x) -> complex:
@@ -299,17 +308,13 @@ def recover_rational(dec: SpectralDecomposition, t: float) -> HardyRational:
 
 
 def _recover_many(dec: SpectralDecomposition, times) -> list[HardyRational]:
-    """`recover_rational` at every t of times, on stacks over the time axis.
-
-    S(t) for all times is one broadcast, the partial fractions come from
-    one `_from_pairing` call, and the 20-point postcondition is one
-    stacked `_pairing` of every time's resolvent.
-    """
+    """`recover_rational` at every t of times, on stacks over the time axis: the first route
+    of the module docstring."""
     ts = np.asarray(times, dtype=float)
     if not ts.size:
         return []
-    A, a, b = _flow_pairing(_s_stack(dec, ts), dec.lambdas,   # _s_stack checks ts first
-                            np.exp(0.5j * ts[:, None] * dec.lambdas**2) * dec.betas)
+    S, W = _flow_stack(dec, ts)
+    A, a, b = _flow_pairing(S, dec.lambdas, W * dec.betas)
     outs = _from_pairing(A, a, b)
     check_x = np.array([_check_points(u) for u in outs])
     ref = _pairing(A, a, b, check_x)

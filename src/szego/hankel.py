@@ -35,9 +35,9 @@ check is relative to ||u|| and never forms M.  Each eigenvalue cluster is
 rotated once, so that g lies on its first vector.  `shift` is S(0) from
 `_assemble_s`, which knows no time (`flow` passes it the angles and blocks
 of S(t)): the closed form in (lambda, beta) off the clusters, and on the
-cluster blocks T as computed in the basis, which is a check: off the
-blocks it must match the closed form, on them meet the closure
-T - T^* = (i/2pi) beta beta^H.
+cluster blocks the Hermitian part of the basis T plus `_closure`, so S(0)
+meets T - T^* = (i/2pi) beta beta^H exactly.  The basis T is a check: off
+the blocks it must match the closed form, on them meet that closure.
 """
 
 from __future__ import annotations
@@ -122,17 +122,18 @@ def _range_stack(layout: tuple[int, ...], p: np.ndarray, c: np.ndarray):
     at a pole p pairs u's coefficients with the Taylor coefficients of
     conj(f_a) at p, which are G[(p, r), a] / (-2 pi i).
 
-    Returns G (..., N, N); the mask `ok` of the symbols whose G passes the
-    conditioning test, 0 < e_min and e_max <= GRAM_COND_LIMIT * e_min for
-    its eigenvalues; and, for those only and stacked along one axis, L and
-    K = L^H C conj(L) / (-2 pi i), which is L^H M L^-T without inverting L.
+    Returns G (..., N, N); the mask `ok` of the symbols whose DGD, D = diag(G)^-1/2,
+    passes the conditioning test, 0 < e_min and e_max <= GRAM_COND_LIMIT * e_min
+    for its eigenvalues; and, for those only and stacked along one axis, G's own
+    L and K = L^H C conj(L) / (-2 pi i), which is L^H M L^-T without inverting L.
     Each LAPACK call is one stacked call, so a stack of one takes the path
     of every other stack size.
     """
     plan = _plan(layout)
     G = plan.weight / (p[..., :, None] - p[..., None, :].conj()) ** plan.power
     G = 0.5 * (G + G.conj().swapaxes(-1, -2))
-    evals = np.linalg.eigvalsh(G)
+    d = G.diagonal(axis1=-2, axis2=-1).real ** -0.5
+    evals = np.linalg.eigvalsh(d[..., :, None] * G * d[..., None, :])
     ok = (evals[..., 0] > 0) & (evals[..., -1] <= GRAM_COND_LIMIT * evals[..., 0])
     L = np.linalg.cholesky(np.conj(G[ok]))
     Lbar = L.conj()
@@ -168,7 +169,10 @@ def _range_basis(u: HardyRational) -> tuple[np.ndarray, np.ndarray]:
     layout, p, c = u._flat
     if not c.any():
         raise PreconditionError("undefined for zero symbol")
-    _, ok, L, K = _range_stack(layout, p[None], c[None])
+    try:
+        _, ok, L, K = _range_stack(layout, p[None], c[None])
+    except np.linalg.LinAlgError:                  # G's Cholesky, on a DGD the test admitted
+        ok = [False]
     if not ok[0]:
         raise NumericalError("ill-conditioned range basis")
     return L[0], K[0]
@@ -205,12 +209,19 @@ def _cluster_mask(clusters: tuple[tuple[int, ...], ...]) -> np.ndarray:
     return same
 
 
-def _assemble_s(lam, w, same, blocks) -> np.ndarray:
-    """S(0)'s closed form at the angles w, and `blocks` where `same`; it knows no time.
+def _closure(beta: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """(i/4pi) beta beta^H, with its diagonal i nu^2/4pi exactly, not a rounded beta conj(beta)."""
+    closure = 0.25j / math.pi * (beta[:, None] * beta.conj())
+    np.fill_diagonal(closure, 1j * nu**2 / (4.0 * math.pi))
+    return closure
 
-    `eigendecompose` passes w = beta, its cluster mask and the basis T; the inverse
-    spectral map w = beta, the identity mask and diag(gamma + i nu^2/4pi); and
-    `flow._s_stack` (T, N) angles w = W(t) beta and the drifted (T, N, N) blocks."""
+
+def _assemble_s(lam, w, same, blocks) -> np.ndarray:
+    """S(0)'s closed form at the angles w, and `blocks` verbatim where `same`; it knows no time.
+
+    `eigendecompose` passes w = beta, its cluster mask and the basis T's Hermitian part plus
+    `_closure`; the inverse spectral map w = beta, the identity mask and diag(gamma) plus
+    `_closure`; `flow._flow_stack` (T, N) angles W(t) beta and the (T, N, N) drifted blocks."""
     lam2 = lam**2
     Y = lam * (w[..., :, None] * w.conj()[..., None, :])   # Y[k, j] = lambda_j w_k conj(w_j)
     d = lam2[:, None] - lam2 + same         # lambda_k^2 - lambda_j^2; + same keeps it finite
@@ -310,10 +321,10 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
 
     # (T e_j, e_k) = c_k^H conj(G) T_f c_j with c = L^-H w and conj(G) = L L^H
     Te = (L @ evecs).conj().T @ _t_matrix_f(u, g_coords_f) @ np.linalg.solve(Lh, evecs)
-    shift = _assemble_s(lambdas, betas, _cluster_mask(clusters), Te)
-    # on the cluster blocks shift is Te, and this is the closure T - T^* = (i/2pi) beta beta^H;
-    # off them the closed form meets that identity, so this is Te - shift up to rounding
-    gap = Te - shift.conj().T + betas[:, None] * betas.conj() / (2j * math.pi)
+    same, closure = _cluster_mask(clusters), _closure(betas, nus)
+    shift = _assemble_s(lambdas, betas, same, 0.5 * (Te + Te.conj().T) + closure)
+    # T - T^* = (i/2pi) beta beta^H on Te's blocks; off them shift's closed form meets it
+    gap = Te - np.where(same, Te, shift).conj().T - 2.0 * closure
     if abs(gap).max() > 1e-8 * abs(Te).max():
         raise NumericalError("shift closure violated")
 

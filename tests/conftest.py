@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
@@ -55,6 +56,50 @@ def pole_flow(u0, t):
     assert sol.success, sol.message
     p, c = sol.y[:n, -1], sol.y[n:, -1]
     return hardy_from_terms([(pj, [cj]) for pj, cj in zip(p, c)])
+
+
+def mp_sobolev_norms(dec, t, ss, dps=60):
+    """||u(t)||_{Hdot^s} for every s of ss from the stored decomposition dec, at dps digits.
+
+    S(t) is `flow`'s: the closed form at the angles w = W(t) beta off the
+    eigenvalue clusters, and on them the Hermitian part of `dec.shift` plus
+    (i/4pi + t lambda_j^2/2pi) beta_k conj(beta_j), so the closure
+    S - S^* = (i/2pi) w w^H holds exactly.  The poles of u(t) are the
+    eigenvalues E_k of A = conj(S) (`mp.eig`) and its residues
+    (i/2pi)(a^T V)_k (V^-1 b)_k with a = Lam conj(w), b = conj(w).  Each norm is
+    the Gamma formula of `rational._sobolev_norms` for simple poles:
+    2 pi Gamma(2s+1) sum c_k conj(c_j) / (i (E_k - conj E_j))^(2s+1).
+    """
+    with mp.workdps(dps):
+        lam = [mp.mpf(float(x)) for x in dec.lambdas]
+        beta = [mp.mpc(complex(b)) for b in dec.betas]
+        w = [mp.exp(0.5j * mp.mpf(t) * x**2) * b for x, b in zip(lam, beta)]
+        label = {k: c for c, grp in enumerate(dec.clusters) for k in grp}
+        n, two_pi = dec.size, 2 * mp.pi
+        S = mp.matrix(n, n)
+        for k in range(n):
+            for j in range(n):
+                if label[k] == label[j]:
+                    herm = (mp.mpc(complex(dec.shift[k, j]))
+                            + mp.conj(mp.mpc(complex(dec.shift[j, k])))) / 2
+                    S[k, j] = herm + (1j / (2 * two_pi) + t * lam[j]**2 / two_pi) \
+                        * beta[k] * mp.conj(beta[j])
+                else:
+                    S[k, j] = lam[j] / (1j * two_pi * (lam[k]**2 - lam[j]**2)) * (
+                        lam[j] * w[k] * mp.conj(w[j]) - lam[k] * w[j] * mp.conj(w[k]))
+        A = mp.matrix([[mp.conj(S[k, j]) for j in range(n)] for k in range(n)])
+        a = mp.matrix([lam[k] * mp.conj(w[k]) for k in range(n)])
+        b = mp.matrix([mp.conj(w[k]) for k in range(n)])
+        E, V = mp.eig(A)
+        aV, Vb = V.T * a, mp.lu_solve(V, b)
+        c = [1j / two_pi * aV[k] * Vb[k] for k in range(n)]
+        out = []
+        for s in ss:
+            q = 2 * mp.mpf(s) + 1
+            total = sum(c[k] * mp.conj(c[j]) / (1j * (E[k] - mp.conj(E[j]))) ** q
+                        for k in range(n) for j in range(n))
+            out.append(float(mp.sqrt(two_pi * mp.gamma(q) * mp.re(total))))
+        return out
 
 
 @pytest.fixture

@@ -12,7 +12,9 @@ clustered by one rule, `hankel._cluster_indices`, the only reader of
 `CLUSTER_RTOL`, and S(t) has one assembly, `hankel._assemble_s`.  The
 layers below the flow, `rational` and `hankel`, import nothing above them,
 and one helper, `rational._on_or_above_axis`, holds the floor that decides a
-pole on or above the real line.
+pole on or above the real line.  W(t) = diag exp(i t lambda^2/2) is formed
+once, with S(t), in `flow._flow_stack`, and the closure term (i/4pi) beta beta^H
+once, in `hankel._closure`.
 """
 
 import ast
@@ -272,3 +274,50 @@ def test_one_place_decides_a_pole_on_or_above_the_axis():
                   if isinstance(node, ast.Constant) and type(node.value) is float
                   and node.value == 1e-12]
     assert found == [("rational.py", "POLE_MERGE_RTOL"), ("rational.py", "_on_or_above_axis")]
+
+
+def _owners(tree):
+    """The function each node of tree sits in, innermost, by node id."""
+    # ast.walk is breadth first, so a nested function's nodes end up as its own
+    return {id(node): fn.name for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+
+
+def test_one_place_advances_the_angles():
+    # exp(0.5j t lambda^2), W(t), is formed once, with S(t), and every reader takes it there
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = _owners(tree)
+        found += [(path.name, owner.get(id(node))) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "exp"
+                  and any(isinstance(n, ast.Constant) and n.value == 0.5j for n in ast.walk(node))
+                  and any(isinstance(n, ast.Name) and n.id in ("t", "ts") for n in ast.walk(node))]
+    assert found == [("flow.py", "_flow_stack")]
+
+
+def test_one_source_for_the_closure_term():
+    # (i/4pi) beta beta^H, with its diagonal i nu^2/4pi: a statement holding an imaginary
+    # literal, math.pi and an outer product x[:, None] * y.conj() or a square nu**2
+    def outer_or_square(n):
+        return (isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+                and isinstance(n.left, ast.Subscript) and isinstance(n.right, ast.Call)
+                and getattr(n.right.func, "attr", None) == "conj"
+                or isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+                and isinstance(n.left, ast.Name) and getattr(n.right, "value", None) == 2)
+
+    found, calls = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = _owners(tree)
+        for stmt in ast.walk(tree):
+            if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.Return, ast.Expr)):
+                nodes = list(ast.walk(stmt))
+                if (any(isinstance(n, ast.Constant) and type(n.value) is complex for n in nodes)
+                        and any(isinstance(n, ast.Attribute) and n.attr == "pi" for n in nodes)
+                        and any(map(outer_or_square, nodes))):
+                    found.add((path.name, owner.get(id(stmt))))
+        calls += [(path.name, owner.get(id(node))) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_closure"]
+    assert found == {("hankel.py", "_closure")}
+    assert sorted(calls) == [("actionangle.py", "_chi_inverse"), ("hankel.py", "eigendecompose")]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import pole_flow
+from conftest import mp_sobolev_norms, pole_flow
 from szego import flow, rational
 from szego.actionangle import chi_inverse
 from szego.asymptotics import growth_fit, soliton_params_from_spectrum, soliton_term
@@ -361,6 +361,22 @@ class TestReachableHorizon:
         assert one(3.5e6).degree == 2
         with pytest.raises(NumericalError, match="pole on or above the real line"):
             one(4e6)
+
+
+class TestNonGenericAgainstTheReference:
+    """The non-generic flow of `double_eig_symbol` inside its horizon, against the 60-digit
+    S(t) of the same decomposition: with the cluster block meeting the closure exactly, the
+    error grows like t and not like t^2."""
+
+    @pytest.mark.parametrize("t", (1e4, 1e5, 1e6, 3e6))
+    def test_sobolev_norms_and_h_half_drift(self, double_eig_symbol, t):
+        dec = eigendecompose(double_eig_symbol)
+        ut = recover_rational(dec, t)
+        want = np.array(mp_sobolev_norms(dec, t, (0.5, 1.0, 2.0)))
+        got = rational._sobolev_norms([ut], (0.5, 1.0, 2.0))[0]
+        assert np.abs(got / want - 1.0).max() <= 1e-9
+        h0 = h_half_norm(double_eig_symbol)
+        assert abs(h_half_norm(ut) - h0) <= 1e-10 * h0
 
 
 class TestNonFiniteInput:

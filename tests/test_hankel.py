@@ -32,6 +32,7 @@ from conftest import EIGHT_POLES, quad_inner
 
 XS = np.linspace(-3.7, 4.1, 11)
 CROSS_CHECKED = ("soliton_symbol", "double_eig_symbol", "generic_m2", "mixed_mult")
+DRAWS = {f"random_symbol_{n}": n for n in range(1, 9)}
 
 # Simple 8-pole symbol whose two smallest lambda^2 (about 1.8e-14 and 7.1e-14)
 # fall within one CLUSTER_RTOL * lambda_max^2 band, though they differ 4x.
@@ -506,6 +507,20 @@ class TestTMatrix:
         with pytest.raises(NumericalError, match="shift closure"):
             eigendecompose(generic_m2)
 
+    @pytest.mark.parametrize("name", (*CROSS_CHECKED, "eight_poles", *DRAWS))
+    def test_shift_meets_the_closure_on_every_cluster_block(self, name, request):
+        # S(0) - S(0)^* = (i/2pi) beta beta^H on every cluster block to rounding, and
+        # Im S_jj is the closed form nu_j^2/4pi to the bit, as the inverse map writes it
+        us = ([random_symbol(DRAWS[name], np.random.default_rng(s)) for s in range(10)]
+              if name in DRAWS else [request.getfixturevalue(name)])
+        for u in us:
+            dec = eigendecompose(u)
+            S, b = dec.shift, dec.betas
+            gap = (S - S.conj().T - 1j / (2 * math.pi) * np.outer(b, b.conj()))[
+                hankel._cluster_mask(dec.clusters)]
+            assert np.abs(gap).max() <= 8 * np.finfo(float).eps * np.abs(S).max()
+            assert np.array_equal(S.diagonal().imag, (1j * dec.nus**2 / (4.0 * math.pi)).imag)
+
     def test_rank_one_entry(self, soliton_symbol):
         dec = eigendecompose(soliton_symbol)
         tm = t_matrix(soliton_symbol, dec)
@@ -557,6 +572,48 @@ class TestTMatrix:
         Lam = np.diag(dec.lambdas)
         gap = tm.t.conj().T @ Lam - Lam @ np.conj(tm.t)
         assert np.max(np.abs(gap)) < 1e-10
+
+
+DOUBLE_AND_SIMPLE = hardy_from_terms([(-1j, [0.3, 1]), (0.7 - 0.6j, [0.5])])
+DOUBLE_TRIPLE_SIMPLE = hardy_from_terms([(-1j, [0.3, 1]), (1 - 0.5j, [0.2, 0.1, 0.5]),
+                                         (-0.7 - 1.2j, [0.8])])
+
+
+def dilated(u, lam):
+    """u(lam x): poles p/lam and coefficients c_l lam^-l."""
+    layout, poles, coeffs = u._flat
+    return _from_flat(layout, poles / lam, coeffs / lam ** np.add(layout, 1))
+
+
+class TestJacobiScaledGram:
+    """The conditioning test reads DGD, D = diag(G)^-1/2, on A = DOUBLE_AND_SIMPLE and
+    B = DOUBLE_TRIPLE_SIMPLE: the lambda_j do not move under x -> lam x, though cond G grows
+    like a power of lam with the multiplicities."""
+
+    @pytest.mark.parametrize("u,lam", [(DOUBLE_AND_SIMPLE, 1e6), (DOUBLE_TRIPLE_SIMPLE, 1e3),
+                                       (DOUBLE_TRIPLE_SIMPLE, 1e6)],
+                             ids=("A-1e6", "B-1e3", "B-1e6"))
+    def test_dilation_keeps_the_eigenvalues(self, u, lam):
+        want = eigendecompose(u).lambdas
+        got = eigendecompose(dilated(u, lam)).lambdas
+        assert np.abs(got / want - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("u,lam", [(DOUBLE_AND_SIMPLE, 1e-6), (DOUBLE_TRIPLE_SIMPLE, 1e-3),
+                                       (DOUBLE_TRIPLE_SIMPLE, 1e-6)],
+                             ids=("A-1e-6", "B-1e-3", "B-1e-6"))
+    def test_large_poles_still_fail_typed(self, u, lam):
+        # the open case: poles and coefficients far above unit scale pass the test on DGD
+        # and fail the Blaschke postcondition
+        with pytest.raises(NumericalError, match="Blaschke postcondition"):
+            eigendecompose(dilated(u, lam))
+
+    def test_cholesky_failure_on_an_admitted_gram_is_typed(self, monkeypatch, generic_m2):
+        def failing(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(hankel.np.linalg, "cholesky", failing)
+        with pytest.raises(NumericalError, match="ill-conditioned range basis"):
+            eigendecompose(generic_m2)
 
 
 class TestGenericity:
