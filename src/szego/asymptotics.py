@@ -32,6 +32,7 @@ from .hankel import SpectralDecomposition, eigendecompose
 from .flow import _recover_many, _s_stack
 from .rational import (
     HardyRational,
+    _canonical_rows,
     _from_flat,
     _sobolev_norms,
     h_half_norm,
@@ -102,20 +103,48 @@ def _soliton(lam: float, beta: complex, nu: float, gamma: float) -> SolitonParam
     return SolitonParams(complex(C), p, lam**2 * nu**2 / (2.0 * math.pi), lam**2)
 
 
-def _soliton_at(sp: SolitonParams, t: float) -> tuple[complex, complex]:
-    """(coefficient, pole) of the soliton at time t, in `simple_pole`'s order."""
-    return complex(sp.amplitude * np.exp(-1j * sp.frequency * t)), sp.pole + sp.speed * t
+def _solitons_at(sols, times) -> tuple[np.ndarray, np.ndarray]:
+    """(coefficients, poles), (T, J), of every soliton of sols at every t of times.
+
+    The coefficient C e^{-i omega t} is formed with the rounding of Python's complex
+    product, which numpy's array product does not share: a remainder is a small difference
+    of these, and its norms would move by 1e-8 relative with the last bits.
+    """
+    ts = np.asarray(times, dtype=float)[:, None]
+    amp, pole, speed, freq = np.array([(sp.amplitude, sp.pole, sp.speed, sp.frequency)
+                                       for sp in sols]).T
+    w = np.exp(-1j * freq.real * ts)
+    coeffs = np.empty_like(w)
+    coeffs.real = amp.real * w.real - amp.imag * w.imag
+    coeffs.imag = amp.real * w.imag + amp.imag * w.real
+    return coeffs, pole + speed.real * ts
 
 
 def soliton_term(sp: SolitonParams, t: float) -> HardyRational:
-    return simple_pole(*_soliton_at(sp, t))
+    coeff, pole = _solitons_at([sp], [t])
+    return simple_pole(coeff[0, 0], pole[0, 0])
 
 
-def _minus_solitons(ut: HardyRational, sols, t: float) -> HardyRational:
-    """u(t) minus every soliton at time t, in one merge of both sets of entries."""
-    (layout, poles, coeffs), sol = ut._flat, [_soliton_at(sp, t) for sp in sols]
-    return _from_flat(layout + (0,) * len(sol), poles.tolist() + [p for _, p in sol],
-                      coeffs.tolist() + [-c for c, _ in sol])
+def _minus_solitons(uts, sols, times) -> list[HardyRational]:
+    """Each u(t) of uts minus every soliton at its time t, in one merge of both sets of entries.
+
+    The rows of N = len(sols) simple poles, those strongly generic data recover, are one
+    stacked concatenation through `_canonical_rows`; any other row is merged on its own.
+    """
+    coeffs, poles = _solitons_at(sols, times)
+    coeffs = -coeffs
+    n, layout = len(sols), (0,) * len(sols)
+    rows = [i for i, ut in enumerate(uts) if ut._flat[0] == layout]
+
+    def stacked(k, extra):
+        return np.hstack((np.array([uts[i]._flat[k] for i in rows]).reshape(len(rows), n),
+                          extra[rows]))
+
+    out = dict(zip(rows, _canonical_rows(HardyRational, stacked(1, poles), stacked(2, coeffs))))
+    return [out[i] if i in out else
+            _from_flat(ut._flat[0] + layout, np.hstack((ut._flat[1], poles[i])),
+                       np.hstack((ut._flat[2], coeffs[i])))
+            for i, ut in enumerate(uts)]
 
 
 def fit_power_law(times, values) -> tuple[float, float]:
@@ -128,19 +157,21 @@ def fit_power_law(times, values) -> tuple[float, float]:
     return slope, float(vbar - slope * tbar)
 
 
-def _fit_decay(times, values):
+def _fit_decay(times, values, scale: float):
     """Power-law fit over all provided samples, at least MIN_FIT_POINTS of them.
 
     The 1/t remainder carries bounded prefactors oscillating on the O(1)
     timescale 4 pi / (lambda gaps); log-spaced samples alias them, so the
     slope needs many samples (about a hundred over two decades) to average
-    out.  An identically-zero remainder (exact soliton) reports -inf.
+    out.  An identically-zero remainder (exact soliton) reports -inf: one
+    below 1e-13 of scale, u0's norm in the same H^s, at every time, so that
+    the answer does not change under the amplitude-time scaling mu u(mu^2 t).
     """
     t = np.abs(np.asarray(times, dtype=float))
     if len(t) < MIN_FIT_POINTS:
         raise PreconditionError("insufficient samples")
     vals = np.asarray(values, dtype=float)
-    if np.max(vals) < 1e-13:
+    if np.max(vals) < 1e-13 * scale:
         return float("-inf"), float("-inf")
     return fit_power_law(t, np.maximum(vals, 1e-300))
 
@@ -149,10 +180,12 @@ def remainder_norms(u0: HardyRational, times, s_values) -> ResolutionReport:
     """Track ||u(t) - sum of solitons||_{H^s} and fit the decay exponents.
 
     The norm is the inhomogeneous sqrt(L2^2 + Hdot_s^2), the L2 norm at
-    s = 0.  u(t) is recovered at every time on the time-stacked route
-    (`flow._recover_many`); all solitons at a time are subtracted in one
-    merge (`_minus_solitons`), and the norms of all remainders come from
-    one `_sobolev_norms` call.
+    s = 0.  u(t) is recovered at every time by `flow._recover_many`, stacked
+    over the time axis from the pairing to the returned symbols; the
+    solitons of every time are subtracted in one stacked concatenation
+    (`_minus_solitons`, built by `rational._canonical_rows`), and the norms
+    of all remainders, and u0's, come from one `_sobolev_norms` call.  A
+    remainder reads as zero against u0's norm in the same H^s.
     """
     times = tuple(float(t) for t in times)
     if any(t == 0 for t in times):
@@ -162,13 +195,14 @@ def remainder_norms(u0: HardyRational, times, s_values) -> ResolutionReport:
     dec = eigendecompose(u0)
     sols = soliton_params_from_spectrum(dec)
     s_values = tuple(float(s) for s in s_values)
-    eps = [_minus_solitons(ut, sols, t) for t, ut in zip(times, _recover_many(dec, times))]
-    l2, *hdots = _sobolev_norms(eps, (0.0, *s_values)).T
-    norms = np.empty((len(times), len(s_values)))
+    eps = _minus_solitons(_recover_many(dec, times), sols, times)
+    l2, *hdots = _sobolev_norms([u0, *eps], (0.0, *s_values)).T
+    norms = np.empty((len(times) + 1, len(s_values)))
     for k, (s, b) in enumerate(zip(s_values, hdots)):
         norms[:, k] = l2 if s == 0 else np.sqrt(l2 * l2 + b * b)
+    scales, norms = norms[0], norms[1:]
     exponents = tuple(
-        _fit_decay(times, norms[:, k])[0] for k in range(len(s_values))
+        _fit_decay(times, norms[:, k], scales[k])[0] for k in range(len(s_values))
     )
     direction = "forward" if times[0] > 0 else "backward"
     return ResolutionReport(sols, times, s_values, norms, exponents, direction)
@@ -230,9 +264,11 @@ def growth_fit(u0: HardyRational, s: float, times) -> dict:
 def _growth_fits(u0: HardyRational, svals, times) -> list[dict]:
     """`growth_fit` for every s of svals, from one recovery of u(t).
 
-    u(t) is recovered at every time on the time-stacked route
-    (`flow._recover_many`), and the norms of all times and all s come from
-    one `_sobolev_norms` call; each s's column is the one-s call's.
+    u(t) is recovered at every time by `flow._recover_many`, stacked over
+    the time axis from the pairing to the returned symbols (one build of
+    every row's symbol by `rational._canonical_rows`, one check), and the
+    norms of all times and all s come from one `_sobolev_norms` call; each
+    s's column is the one-s call's.
     """
     times = tuple(float(t) for t in times)
     if len(times) < MIN_FIT_POINTS:

@@ -34,19 +34,24 @@ rule `pf_from_ratio` applies to the roots of B.  `_pairing` evaluates a
 stack of pairings at a stack of points by one stacked solve.
 
 u(t) is recovered as a rational function on one of two routes.  Each
-checks its result at 20 points spanning +-3.3 max|p|, to RECOVER_TOL of the
-largest value, against resolvent solves, which do not depend on the
-eigendecomposition they check.
-- `_recover_many(dec, times)`, for `remainder_norms` and `growth_fit`:
-  S(t) and W(t) for all times are one `_flow_stack`,
-  the partial fractions are one `_from_pairing` call, and the 20-point
-  checks of all times are one (T, 20, N, N) `_pairing` solve.
+checks its result at 20 points spanning +-3.3 max|p| (one unit grid scaled
+per row), to RECOVER_TOL of the largest value, against resolvent solves,
+which do not depend on the eigendecomposition they check.  `_from_pairing`
+builds the symbols of all bilinear rows in one pass of `rational`'s
+stacked canonicalizer (`_canonical_rows`), and `_checked` evaluates all
+rows by one broadcast over their stacked flat views.
+- `_recover_many(dec, times)`, for `remainder_norms` and `growth_fit`,
+  is stacked over the time axis from the pairing to the returned symbols:
+  S(t) and W(t) for all times are one `_flow_stack`, the partial fractions
+  one `_from_pairing` call (one `eig`, one solve, one build), and the
+  checks of all times one (T, 20, N, N) `_pairing` solve.
 - `recover_rational(dec, t)`, one time, for `trajectory` (a loop over its
   times) and for public callers: a stack of one through `_from_pairing`,
-  checked by 20 `evolve_eval` calls.  `evolve_eval` is one `_resolvent`
-  solve against the pairing (A, a, b) that `_flow_at` keeps for the last
-  (decomposition, t) asked for; at one point this costs about a third of
-  a stack-of-one `_pairing`.
+  whose build takes `rational._canonical`'s per-pole loop, the cheaper for
+  one row, checked by 20 `evolve_eval` calls.  `evolve_eval` is one
+  `_resolvent` solve against the pairing (A, a, b) that `_flow_at` keeps
+  for the last (decomposition, t) asked for; at one point this costs about
+  a third of a stack-of-one `_pairing`.
 `trajectory` and the check of `recover_rational` stay on the one-time
 route only because the benchmark's tracer counts public calls
 (`flow.recover_rational.calls`, 20 `evolve_eval` calls per recovery);
@@ -78,8 +83,8 @@ import numpy as np
 
 from .errors import InputError, NumericalError, PreconditionError
 from .hankel import SpectralDecomposition, _assemble_s, _cluster_mask, _range_basis, eigendecompose
-from .rational import (LINK_RTOL, RECOVER_TOL, HardyRational, _circles, _from_moments, _NODES,
-                       _on_or_above_axis, _sobolev_norms, hardy_from_terms)
+from .rational import (LINK_RTOL, RECOVER_TOL, HardyRational, _canonical_rows, _circles,
+                       _from_moments, _NODES, _on_or_above_axis, _sobolev_norms, hardy_from_terms)
 
 __all__ = [
     "FlowMatrix",
@@ -252,8 +257,10 @@ def _from_pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[HardyRati
     The circles of the whole stack are evaluated by one `_pairing` call.  A
     pairing keeps the bilinear residues if `_circles` draws none or if its
     moments miss the values on its circles; the whole stack does if a
-    circle's solve or a moment pencil fails.  The one code that factors a
-    pairing: a pole on or above the real axis is a `NumericalError`.
+    circle's solve or a moment pencil fails.  The bilinear rows are built in
+    one `_canonical_rows` pass, a moment row by `hardy_from_terms`.  The one
+    code that factors a pairing: a pole on or above the real axis is a
+    `NumericalError`.
     """
     E, V = _eigenpairs(A)
     n = E.shape[-1]
@@ -281,30 +288,59 @@ def _from_pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[HardyRati
         raise NumericalError("recovered pole on or above the real line")
     coeffs = (0.5j / math.pi * (a[:, None] @ V)[:, 0]
               * np.linalg.solve(V, b[..., None])[..., 0])
-    return [hardy_from_terms(parts[i] if i in parts else [(p, [k]) for p, k in zip(e, cs)])
-            for i, (e, cs) in enumerate(zip(E.tolist(), coeffs.tolist()))]
+    bilinear = [i not in parts for i in range(len(E))]
+    built = iter(_canonical_rows(HardyRational, E[bilinear], coeffs[bilinear]))
+    return [next(built) if keep else hardy_from_terms(parts[i]) for i, keep in enumerate(bilinear)]
 
 
-def _check_points(u: HardyRational) -> np.ndarray:
-    """The 20 points of the recovery postcondition, spanning u's poles at their own scale."""
-    scale = 3.3 * max(map(abs, u.poles()), default=0.0)
-    return np.linspace(-scale, scale, 20)
+def _flat_stack(us, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flat views of us, each of at most n entries, as (T, n) poles, coefficients and
+    powers l + 1.  A shorter row is padded with 0/(x - p) at its first pole p (at -i if it
+    has none), which adds nothing on the real line and leaves max|p| as it is."""
+    def padded(layout, p, c):
+        k = n - len(layout)
+        return (layout + (0,) * k, np.concatenate((p, np.full(k, p[0] if len(p) else -1j))),
+                np.concatenate((c, np.zeros(k))))
+
+    layouts, poles, coeffs = zip(*(padded(*u._flat) if u.degree < n else u._flat for u in us))
+    return np.array(poles), np.array(coeffs), np.add(layouts, 1)
 
 
-def _checked(u: HardyRational, xs, ref, t: float) -> HardyRational:
-    """u, if it matches the resolvent values ref at xs to RECOVER_TOL."""
-    err = float(np.max(np.abs(u.evaluate(xs) - ref)))
-    if err > RECOVER_TOL * float(np.max(np.abs(ref))):
-        raise NumericalError(f"defective recovery: pointwise mismatch {err:.3e} at t={t}")
-    return u
+# the recovery postcondition's 20 points, before scaling to each row's poles
+_UNIT_POINTS = np.linspace(-1.0, 1.0, 20)
+
+
+def _check_points(poles: np.ndarray) -> np.ndarray:
+    """The 20 points of the recovery postcondition for each row of poles (T, n), (T, 20),
+    spanning the row's poles at their own scale: +-3.3 max|p|."""
+    return 3.3 * np.abs(poles).max(axis=-1, initial=0.0)[:, None] * _UNIT_POINTS
+
+
+def _checked(us: list[HardyRational], flat, xs, ref, ts) -> list[HardyRational]:
+    """us, recovered at the times ts, if each matches the resolvent values ref (T, 20) at its
+    check points xs to RECOVER_TOL of their largest.
+
+    All rows are one broadcast evaluation of their stacked flat views `flat` (`_flat_stack`).
+    The first failing time raises, and so does a value that is not finite.
+    """
+    poles, coeffs, powers = flat
+    with np.errstate(all="ignore"):
+        got = (coeffs[:, None] / (xs[..., None] - poles[:, None]) ** powers[:, None]).sum(axis=-1)
+        err = np.abs(got - ref).max(axis=-1)
+    bad = ~(err <= RECOVER_TOL * np.abs(ref).max(axis=-1))
+    if bad.any():
+        i = int(bad.argmax())
+        raise NumericalError(f"defective recovery: pointwise mismatch {err[i]:.3e} at t={ts[i]}")
+    return us
 
 
 def recover_rational(dec: SpectralDecomposition, t: float) -> HardyRational:
     """The solution at time t as an exact element of the rational class."""
     A, a, b = _flow_at(dec, t)
-    out = _from_pairing(A[None], a[None], b[None])[0]
-    check_x = _check_points(out)
-    return _checked(out, check_x, np.array([evolve_eval(dec, t, x) for x in check_x]), t)
+    out = _from_pairing(A[None], a[None], b[None])
+    flat = _flat_stack(out, dec.size)
+    xs = _check_points(flat[0])
+    return _checked(out, flat, xs, np.array([[evolve_eval(dec, t, x) for x in xs[0]]]), [t])[0]
 
 
 def _recover_many(dec: SpectralDecomposition, times) -> list[HardyRational]:
@@ -316,9 +352,9 @@ def _recover_many(dec: SpectralDecomposition, times) -> list[HardyRational]:
     S, W = _flow_stack(dec, ts)
     A, a, b = _flow_pairing(S, dec.lambdas, W * dec.betas)
     outs = _from_pairing(A, a, b)
-    check_x = np.array([_check_points(u) for u in outs])
-    ref = _pairing(A, a, b, check_x)
-    return [_checked(*args) for args in zip(outs, check_x, ref, ts.tolist())]
+    flat = _flat_stack(outs, dec.size)
+    xs = _check_points(flat[0])
+    return _checked(outs, flat, xs, _pairing(A, a, b, xs), ts.tolist())
 
 
 def spectral_conserved(dec: SpectralDecomposition, kmax: int) -> list[float]:
@@ -370,8 +406,7 @@ def trajectory(
         from .asymptotics import _minus_solitons, soliton_params_from_spectrum
 
         sols = soliton_params_from_spectrum(dec)
-        remainder = _sobolev_norms([_minus_solitons(ut, sols, float(t))
-                                    for t, ut in zip(times, uts)], (0.0,))[:, 0].tolist()
+        remainder = _sobolev_norms(_minus_solitons(uts, sols, times), (0.0,))[:, 0].tolist()
     if "norms" in observables:
         norms = _sobolev_norms(uts, (0.0, 0.5, *hs)).tolist()
     rows = []

@@ -241,10 +241,51 @@ def _canonical(cls, layout, poles, coeffs) -> RationalFn:
     return _wrap(cls, (layout, np.array(poles, dtype=complex), np.array(coeffs, dtype=complex)))
 
 
+def _canonical_rows(cls, poles: np.ndarray, coeffs: np.ndarray) -> list[RationalFn]:
+    """`_canonical` of every row of a (T, N) stack of simple-pole flat views, bitwise.
+
+    The finiteness, merge and trim tests run as array operations, each with a
+    factor 2 to spare, so that the rounding of an array `abs` cannot let
+    through a row the loop would change; a coefficient that is not finite
+    fails the trim test.  A row that passes them is only sorted by (Re, Im),
+    by `lexsort`, which is stable as `sorted` is.  Any other row, and a stack
+    of at most one, where the loop is the cheaper, takes `_canonical`.  Rows
+    are built, and raise, in order.
+    """
+    poles, coeffs = np.asarray(poles, dtype=complex), np.asarray(coeffs, dtype=complex)
+    n = poles.shape[-1]
+    if len(poles) <= 1:
+        return [_canonical(cls, (0,) * n, p.tolist(), c.tolist()) for p, c in zip(poles, coeffs)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        mag = np.abs(coeffs)
+        tol = 2.0 * POLE_MERGE_RTOL * np.abs(poles)   # pole j's merge radius, as in the loop
+        near = np.abs(poles[:, :, None] - poles[:, None, :]) <= tol[:, None, :]
+        fast = (np.isfinite(poles).all(axis=-1)
+                & (near.sum(axis=(-2, -1)) == n)         # the diagonal alone
+                & (mag > 2.0 * COEFF_TRIM_RTOL * mag.max(axis=-1, initial=0.0)[:, None]).all(-1))
+    order = np.lexsort((poles.imag, poles.real), axis=-1)
+    P, C = np.take_along_axis(poles, order, -1), np.take_along_axis(coeffs, order, -1)
+    up = issubclass(cls, HardyRational) & _on_or_above_axis(P).any(axis=-1)
+    out = []
+    for i, ok in enumerate(fast.tolist()):
+        if not ok:
+            out.append(_canonical(cls, (0,) * n, poles[i].tolist(), coeffs[i].tolist()))
+        elif up[i]:
+            raise InputError("pole on or above real line")
+        else:
+            out.append(_new(cls, ((0,) * n, P[i], C[i])))
+    return out
+
+
 def _wrap(cls, flat) -> RationalFn:
     """The cls symbol stored as the canonical flat view `flat`, its arrays made read-only."""
     if issubclass(cls, HardyRational) and any(map(_on_or_above_axis, flat[1].tolist())):
         raise InputError("pole on or above real line")
+    return _new(cls, flat)
+
+
+def _new(cls, flat) -> RationalFn:
+    """`_wrap` of a flat view already checked."""
     flat[1].flags.writeable = flat[2].flags.writeable = False
     u = object.__new__(cls)
     u.__dict__["_flat"] = flat

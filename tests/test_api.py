@@ -321,3 +321,22 @@ def test_one_source_for_the_closure_term():
                   if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_closure"]
     assert found == {("hankel.py", "_closure")}
     assert sorted(calls) == [("actionangle.py", "_chi_inverse"), ("hankel.py", "eigendecompose")]
+
+
+def test_stacked_recovery_builds_and_checks_no_row_alone():
+    # `_recover_many` and `remainder_norms` build, subtract and check every time in
+    # stacks: none of the one-row builds or checks is called from a loop or comprehension
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    one_row = ("hardy_from_terms", "_from_flat", "_checked", "_canonical", "_minus_solitons")
+    found, seen = [], []
+    for path, name in (("flow.py", "_recover_many"), ("asymptotics.py", "remainder_norms")):
+        tree = ast.parse((SRC / path).read_text())
+        (fn,) = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == name]
+        calls = {id(node): getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                 for node in ast.walk(fn) if isinstance(node, ast.Call)}
+        seen += [callee for callee in calls.values() if callee in one_row]
+        found += [(name, calls[id(node)]) for loop in ast.walk(fn) if isinstance(loop, loops)
+                  for node in ast.walk(loop) if calls.get(id(node)) in one_row]
+    assert found == []
+    assert sorted(seen) == ["_checked", "_minus_solitons"]   # once each, on the stack

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from szego import asymptotics
+from szego import asymptotics, rational
 from szego.asymptotics import (
     fit_power_law,
     growth_fit,
@@ -17,6 +17,7 @@ from szego.flow import recover_rational
 from szego.hankel import eigendecompose
 from szego.rational import (
     _from_flat,
+    hardy_from_terms,
     homogeneous_sobolev_norm,
     l2_norm,
     simple_pole,
@@ -77,6 +78,25 @@ class TestRemainderNorms:
         assert np.max(rep.norms) < 1e-13
         assert rep.exponents[0] == float("-inf")
 
+    @pytest.mark.parametrize("mu", (1e3, 1e6))
+    def test_scaled_single_soliton_zero_remainder(self, mu):
+        # mu u(mu^2 t): the remainder, 4.9e-13 at mu = 1e3 and 5.1e-10 at 1e6, is about
+        # 2.8e-16 of ||u0||, as at mu = 1; an absolute floor fitted it to -0.051 and +0.045
+        rep = remainder_norms(simple_pole(mu, -1j), np.geomspace(1, 50, 6) / mu**2, [0.0, 1.0])
+        assert rep.exponents == (float("-inf"), float("-inf"))
+
+    def test_small_amplitude_remainder_decays_as_at_amplitude_one(self):
+        # 1e-11 u(1e-22 t): every remainder is below 7.2e-14, yet the same share of u0 as
+        # at amplitude one, so it decays at the same rate; an absolute floor made it -inf
+        terms = [(-1j, [1.0]), (0.8 - 0.7j, [0.5 + 0.3j])]
+        small = hardy_from_terms([(p, [1e-11 * c for c in cs]) for p, cs in terms])
+        times = np.geomspace(1e2, 1e4, 41)
+        rep = remainder_norms(small, times * 1e22, [0.0])
+        assert np.max(rep.norms) < 7.2e-14
+        assert rep.exponents[0] == pytest.approx(-1.0003, abs=1e-4)
+        want = remainder_norms(hardy_from_terms(terms), times, [0.0]).exponents[0]
+        assert rep.exponents[0] == pytest.approx(want, rel=1e-6)
+
     def test_decay_exponents_two_channels(self):
         rng = np.random.default_rng(24)
         u = random_strongly_generic(2, rng)
@@ -110,6 +130,38 @@ class TestRemainderNorms:
             remainder_norms(soliton_symbol, [-1.0, 1.0, 2.0, 3.0, 4.0], [0.0])
         with pytest.raises(PreconditionError, match="insufficient"):
             remainder_norms(soliton_symbol, [1.0, 2.0], [0.0])
+
+
+class TestStackedOverTime:
+    """The remainder and growth routes build every time's symbol in stacks."""
+
+    @pytest.mark.parametrize("run", ("remainder_norms", "growth_fit"))
+    def test_no_per_time_canonical_call(self, monkeypatch, generic_m2, run):
+        # 41 and 17 times, as the benchmark asks them, on strongly generic data: every
+        # bilinear row, and every remainder, comes from `_canonical_rows`' array path
+        calls = []
+        inner = rational._canonical
+        monkeypatch.setattr(rational, "_canonical",
+                            lambda *args: calls.append(args) or inner(*args))
+        if run == "remainder_norms":
+            rep = remainder_norms(generic_m2, np.geomspace(1e2, 1e4, 41), [0.0, 0.5, 1.0])
+            assert rep.norms.shape == (41, 3)
+        else:
+            fit = growth_fit(generic_m2, 1.0, np.geomspace(1e2, 1e4, 17))
+            assert len(fit["norms"]) == 17
+        assert calls == []
+
+    def test_odd_rows_are_merged_on_their_own(self, generic_m2):
+        # a row without N simple poles (here the symbol itself, doubled at t = 0) still
+        # subtracts the solitons, by the one-row merge
+        sols = soliton_params_from_spectrum(eigendecompose(generic_m2))
+        odd = _from_flat((0, 1), [-1j, -1j], [1.0, 0.5])
+        got = asymptotics._minus_solitons([generic_m2, odd], sols, [0.0, 0.0])
+        each = [soliton_term(sp, 0.0) for sp in sols]
+        for u, g in zip((generic_m2, odd), got):
+            want = u - each[0] - each[1]
+            xs = np.linspace(-3, 3, 13)
+            assert np.abs(g.evaluate(xs) - want.evaluate(xs)).max() <= 1e-14
 
 
 class TestNonGenericAnalysis:

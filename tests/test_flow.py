@@ -310,16 +310,12 @@ class TestRecoverMany:
 
     def test_postcondition_covers_every_time(self, monkeypatch, generic_m2):
         dec = eigendecompose(generic_m2)
-        exact = flow.hardy_from_terms
-        made = []
+        exact = flow._canonical_rows
 
-        def perturb_third(pairs):
-            made.append(None)
-            if len(made) == 3:
-                pairs = [(p, [c + 1e-6 for c in cs]) for p, cs in pairs]
-            return exact(pairs)
+        def perturb_third(cls, poles, coeffs):
+            return exact(cls, poles, coeffs + 1e-6 * (np.arange(len(coeffs)) == 2)[:, None])
 
-        monkeypatch.setattr(flow, "hardy_from_terms", perturb_third)
+        monkeypatch.setattr(flow, "_canonical_rows", perturb_third)
         with pytest.raises(NumericalError,
                            match="defective recovery: pointwise mismatch .* at t=2.5"):
             _recover_many(dec, [0.7, 1.5, 2.5, 3.5])
@@ -445,12 +441,12 @@ class TestRecoverChecks:
         # the check is relative to the data's scale: at mu = 1e-6 the mismatch
         # is about 1.6e-12, below an absolute 1e-9
         dec = eigendecompose(as_hardy(mu * generic_m2))
-        exact = flow.hardy_from_terms
+        exact = flow._canonical_rows
 
-        def perturbed(pairs):
-            return exact([(p, [c + 1e-6 * mu for c in cs]) for p, cs in pairs])
+        def perturbed(cls, poles, coeffs):
+            return exact(cls, poles, coeffs + 1e-6 * mu)
 
-        monkeypatch.setattr(flow, "hardy_from_terms", perturbed)
+        monkeypatch.setattr(flow, "_canonical_rows", perturbed)
         with pytest.raises(NumericalError,
                            match="defective recovery: pointwise mismatch"):
             recover_rational(dec, 0.7)

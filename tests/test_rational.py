@@ -855,6 +855,113 @@ class TestCanonicalizer:
             generic_m2._flat = generic_m2._flat
 
 
+def seeded_rows(rng, T, n):
+    """A (T, n) stack of simple-pole flat views with poles in [-2, 2] x [-2, -0.1]i.
+
+    Among its rows: a pair within POLE_MERGE_RTOL, a pair between one and two
+    of it, a coefficient under the trim floor, one between one and two floors,
+    and equal real parts.  At T = 1 they all fall on the one row.
+    """
+    poles = rng.uniform(-2, 2, (T, n)) - 1j * rng.uniform(0.1, 2, (T, n))
+    coeffs = rng.normal(size=(T, n)) + 1j * rng.normal(size=(T, n))
+    floor = COEFF_TRIM_RTOL * np.abs(coeffs).max(axis=-1)
+    for row, gap in zip(rng.permutation(T)[:2], (0.5, 1.5)):
+        if n > 1:
+            poles[row, 1] = poles[row, 0] + gap * POLE_MERGE_RTOL * abs(poles[row, 0])
+    for row, under in zip(rng.permutation(T)[:2], (0.5, 1.5)):
+        coeffs[row, -1] = under * floor[row] * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    if n > 2:
+        poles[rng.integers(T), 2] = poles[rng.integers(T), 0].real - 1j * rng.uniform(0.1, 2)
+        row = rng.integers(T)
+        poles[row, 2] = poles[row, 1].real + 1j * poles[row, 2].imag
+    return poles, coeffs
+
+
+def canonical_each(cls, poles, coeffs):
+    """`_canonical` row by row, or the exception of the first row that raises."""
+    try:
+        layout = (0,) * poles.shape[1]
+        return [rational._canonical(cls, layout, p, c) for p, c in zip(poles, coeffs)]
+    except InputError as e:
+        return e
+
+
+class TestCanonicalRows:
+    """The stacked build of simple-pole rows is `_canonical` of each row, bitwise."""
+
+    def assert_same(self, cls, poles, coeffs):
+        want = canonical_each(cls, poles, coeffs)
+        if isinstance(want, InputError):
+            with pytest.raises(InputError) as got:
+                rational._canonical_rows(cls, poles, coeffs)
+            assert str(got.value) == str(want)
+            return
+        got = rational._canonical_rows(cls, poles, coeffs)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert type(g) is type(w) is cls
+            assert g._flat[0] == w._flat[0]
+            assert g._flat[1].tobytes() == w._flat[1].tobytes()
+            assert g._flat[2].tobytes() == w._flat[2].tobytes()
+            assert not (g._flat[1].flags.writeable or g._flat[2].flags.writeable)
+
+    @pytest.mark.parametrize("cls", (HardyRational, RationalFn))
+    @pytest.mark.parametrize("n", (1, 2, 4, 8))
+    @pytest.mark.parametrize("T", (1, 41))
+    def test_bitwise_the_canonicalizer(self, cls, n, T):
+        for seed in range(5):
+            self.assert_same(cls, *seeded_rows(np.random.default_rng(seed), T, n))
+
+    def test_merged_trimmed_and_tied_rows_take_the_loop(self, monkeypatch):
+        poles, coeffs = seeded_rows(np.random.default_rng(0), 41, 4)
+        looped = []
+        inner = rational._canonical
+        monkeypatch.setattr(rational, "_canonical",
+                            lambda *args: looped.append(args) or inner(*args))
+        got = rational._canonical_rows(HardyRational, poles, coeffs)
+        assert 2 <= len(looped) <= 4     # the two merge and the two trim candidates
+        assert sum(u.degree < 4 for u in got) == 2
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("where", ("pole", "coeff"))
+    @pytest.mark.parametrize("n", (2, 4))
+    @pytest.mark.parametrize("T", (1, 41))
+    def test_non_finite_entry(self, bad, where, n, T):
+        poles, coeffs = seeded_rows(np.random.default_rng(1), T, n)
+        (poles if where == "pole" else coeffs)[T // 2, 1] = bad
+        self.assert_same(HardyRational, poles, coeffs)
+
+    @pytest.mark.parametrize("im", (-1e-12, 0.0, 1.0))
+    @pytest.mark.parametrize("T", (1, 41))
+    def test_pole_on_the_axis(self, im, T):
+        poles, coeffs = seeded_rows(np.random.default_rng(2), T, 4)
+        poles[T // 2, 3] = complex(0.5, im)
+        self.assert_same(HardyRational, poles, coeffs)
+        self.assert_same(RationalFn, poles, coeffs)
+
+    def test_margins_cover_the_rounding_of_numpy_abs(self):
+        # Python's abs, which the loop uses, puts c on the trim floor COEFF_TRIM_RTOL * big
+        # and q - p on p's merge radius exactly; numpy's vectorized abs (x86-64, numpy 2.4)
+        # puts both one unit above.  The loop trims c and merges p into q
+        c, big = 0.0413259793472436 - 0.13616727303532677j, 2846005116993.7153
+        q, p = 1.0871303857129533e-12 - 1.4962530690805909j, -1.496253069081619j
+        assert abs(c) == COEFF_TRIM_RTOL * big and abs(q - p) == POLE_MERGE_RTOL * abs(p)
+        poles, coeffs = seeded_rows(np.random.default_rng(4), 41, 2)
+        coeffs[7] = big, c
+        poles[9] = q, p
+        self.assert_same(HardyRational, poles, coeffs)
+        got = rational._canonical_rows(HardyRational, poles, coeffs)
+        assert got[7].degree == got[9].degree == 1
+
+    @pytest.mark.parametrize("first", ("pole", "coeff"))
+    def test_the_first_failing_row_raises(self, first):
+        poles, coeffs = seeded_rows(np.random.default_rng(3), 41, 4)
+        rows = (5, 30) if first == "pole" else (30, 5)
+        poles[rows[0], 0] = 0.5
+        coeffs[rows[1], 0] = math.nan
+        self.assert_same(HardyRational, poles, coeffs)
+
+
 def test_import_leaves_quadrature_out():
     # the library runs on numpy alone: scipy is loaded neither by the
     # import nor by a recovery on the clustered-eigenvalue route
