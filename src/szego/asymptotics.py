@@ -9,15 +9,17 @@ with amplitude C_j = i lambda_j conj(beta_j)^2 / (2 pi), center
 p_j = Re (T e_j, e_j) - i nu_j^2 / (4 pi), speed c_j = lambda_j^2 nu_j^2
 / (2 pi) and frequency lambda_j^2; the remainder decays like 1/t in every
 Sobolev norm.  The overall amplitude sign is anchored by the rank-one case,
-where the decomposition must be exact with eps identically zero.
+where the decomposition must be exact with eps identically zero.  Solitons
+at a time, poles and coefficients, are formed only by `_solitons_at`.
 
 A degree-2 symbol whose squared Hankel operator has a double eigenvalue
 behaves differently: `eigendecompose` already rotates the cluster so that
 the second coordinate of g vanishes, so the flow matrix is 2x2 with a
-single linear-drift entry, its discriminant D(t) = A^2 t^2 + B t + C
-steers one eigenvalue to a finite limit and the other to the real axis at
-rate 1/t^2, and the Sobolev norms above the conserved 1/2 level grow like
-|t|^(2s-1).
+single linear-drift entry, S(t) = [[c1 + A t, d1], [c2, d2]].  Its
+discriminant D(t) = A^2 t^2 + B t + C steers E_1 = (tr + sqrt D)/2 to a
+finite limit and E_2 = det S(t) / E_1 (Vieta, exact to rounding up to
+t = 1e9, where (tr - sqrt D)/2 cancels) to the real axis at rate 1/t^2,
+and the Sobolev norms above the conserved 1/2 level grow like |t|^(2s-1).
 """
 
 from __future__ import annotations
@@ -104,20 +106,12 @@ def _soliton(lam: float, beta: complex, nu: float, gamma: float) -> SolitonParam
 
 
 def _solitons_at(sols, times) -> tuple[np.ndarray, np.ndarray]:
-    """(coefficients, poles), (T, J), of every soliton of sols at every t of times.
-
-    The coefficient C e^{-i omega t} is formed with the rounding of Python's complex
-    product, which numpy's array product does not share: a remainder is a small difference
-    of these, and its norms would move by 1e-8 relative with the last bits.
-    """
+    """(coefficients C e^{-i omega t}, poles p + c t), (T, J), of every soliton of sols at
+    every t of times: the one place a soliton is advanced in time."""
     ts = np.asarray(times, dtype=float)[:, None]
     amp, pole, speed, freq = np.array([(sp.amplitude, sp.pole, sp.speed, sp.frequency)
                                        for sp in sols]).T
-    w = np.exp(-1j * freq.real * ts)
-    coeffs = np.empty_like(w)
-    coeffs.real = amp.real * w.real - amp.imag * w.imag
-    coeffs.imag = amp.real * w.imag + amp.imag * w.real
-    return coeffs, pole + speed.real * ts
+    return amp * np.exp(-1j * freq.real * ts), pole + speed.real * ts
 
 
 def soliton_term(sp: SolitonParams, t: float) -> HardyRational:
@@ -209,7 +203,7 @@ def remainder_norms(u0: HardyRational, times, s_values) -> ResolutionReport:
 
 
 def nongeneric_analysis(u0: HardyRational, times=None) -> NonGenericReport:
-    """Pole-track analysis for a degree-2 symbol with a double eigenvalue."""
+    """Pole-track analysis for a degree-2 symbol with a double eigenvalue, in one broadcast."""
     dec = eigendecompose(u0)
     if dec.size != 2 or len(dec.clusters) != 1 or len(dec.clusters[0]) != 2:
         raise PreconditionError(
@@ -229,24 +223,21 @@ def nongeneric_analysis(u0: HardyRational, times=None) -> NonGenericReport:
     if times is None:
         times = tuple(float(v) for v in np.geomspace(1e2, 1e4, 17))
     times = tuple(float(t) for t in times)
-    e1s, e2s = [], []
-    for t in times:
-        disc = (A * t) ** 2 + B * t + Cc
-        root = np.sqrt(complex(disc))
-        if root.real * (A * t) < 0:
-            root = -root
-        tr = (A * t + c1 + d2)
-        e1s.append(complex((tr + root) / 2.0))
-        e2s.append(complex((tr - root) / 2.0))
-    # consistency with the assembled flow matrices: each has E_1 as an eigenvalue
-    e1 = np.array(e1s)
-    gap = abs(np.linalg.eigvals(_s_stack(dec, times)) - e1[:, None]).min(axis=-1)
-    if (gap > 1e-6 * abs(e1)).any():
+    ts = np.array(times)
+    At = A * ts
+    root = np.sqrt(At**2 + B * ts + Cc)
+    root = np.where(root.real * At < 0, -root, root)
+    e1 = (At + c1 + d2 + root) / 2.0
+    e2 = ((c1 + At) * d2 - d1 * c2) / e1          # det S(t) / E_1: no cancelling root
+    # consistency with the assembled flow matrices: each has E_1 and E_2 as eigenvalues
+    eig = np.linalg.eigvals(_s_stack(dec, times))
+    gap = abs(eig[:, None, :] - np.stack((e1, e2), axis=-1)[..., None]).min(axis=-1)
+    if (gap > 1e-6 * abs(e1)[:, None]).any():
         raise PreconditionError("closed-form eigenvalue track disagrees with S(t)")
-    exponent, _ = fit_power_law(times, [abs(z.imag) for z in e2s])
+    exponent, _ = fit_power_law(times, abs(e2.imag))
     return NonGenericReport(
         lam**2, sol, A, complex(B), complex(Cc),
-        times, tuple(e1s), tuple(e2s), float(exponent),
+        times, tuple(e1.tolist()), tuple(e2.tolist()), float(exponent),
     )
 
 

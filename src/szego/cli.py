@@ -40,7 +40,7 @@ from .actionangle import (
     coords_to_json,
     _chi_inverse,
 )
-from .asymptotics import _growth_fits, nongeneric_analysis, remainder_norms
+from .asymptotics import _growth_fits, _solitons_at, nongeneric_analysis, remainder_norms
 from .oracle import compare, self_convergence
 from .sampling import random_coords, random_generic
 
@@ -237,9 +237,9 @@ def _cmd_solitons(args) -> int:
     header = ["time"] + [f"remainder_H{s:g}" for s in rep.s_values]
     for k in range(1, len(rep.solitons) + 1):
         header += [f"soliton_{k}_pole_re", f"soliton_{k}_pole_im"]
-    tracks = [[sp.pole + sp.speed * t for sp in rep.solitons] for t in rep.times]
+    tracks = _solitons_at(rep.solitons, rep.times)[1]
     run.write_csv("remainder.csv", header, [
-        [t, *map(float, norms), *(v for z in zs for v in (z.real, z.imag))]
+        [t, *map(float, norms), *(v for z in zs.tolist() for v in (z.real, z.imag))]
         for t, norms, zs in zip(rep.times, rep.norms, tracks)])
     print("decay exponents:", " ".join(f"{e:.4f}" for e in rep.exponents))
     run.finish()

@@ -231,28 +231,26 @@ def _assemble_s(lam, w, same, blocks) -> np.ndarray:
 
 
 def _concentrate_g(fixed: np.ndarray, d_g: np.ndarray) -> np.ndarray:
-    """Real rotation making all but the first g-coordinate of a cluster zero.
+    """Real reflection making all but the first g-coordinate of a cluster zero.
 
     Inside a conjugation-fixed cluster the coordinates (g, e_k) share one
     phase (their pairwise conjugate products are real), so a real orthogonal
-    rotation can concentrate them on one basis vector.  This keeps the flow
+    map can concentrate them on one basis vector.  This keeps the flow
     matrix drift confined to a single entry of the cluster, which preserves
-    the precision of the near-real eigenvalue track for large times.
+    the precision of the near-real eigenvalue track for large times.  The
+    Householder reflection -s (I - v v^T / |v_0|), v = r/|r| + s e_1 with
+    s = sign r_0, sends e_1 to r/|r| without the cancelling r_0/|r| - 1.
     """
     b = fixed.conj().T @ d_g
     if np.max(np.abs(b)) == 0.0:
         return fixed
     k0 = int(np.argmax(np.abs(b)))
     phase = b[k0] / abs(b[k0])
-    r = (b / phase).real  # signed real coordinate vector
-    m = fixed.shape[1]
-    R = np.eye(m)
-    R[:, 0] = r / np.linalg.norm(r)
-    # complete to an orthonormal real basis
-    Q, _ = np.linalg.qr(R)
-    if np.dot(Q[:, 0], R[:, 0]) < 0:
-        Q = -Q
-    return fixed @ Q
+    v = (b / phase).real  # signed real coordinate vector r
+    v /= np.linalg.norm(v)
+    s = math.copysign(1.0, v[0])
+    v[0] += s
+    return -s * (fixed - np.outer(fixed @ v, v) / abs(v[0]))
 
 
 def _t_matrix_f(u: HardyRational, g_coords: np.ndarray) -> np.ndarray:

@@ -16,9 +16,10 @@ from szego.actionangle import (
     szego_flow,
     toroidal_cylinder_check,
 )
+from szego.asymptotics import soliton_params_from_spectrum
 from szego.errors import InputError, NumericalError, PreconditionError
 from szego.flow import recover_rational
-from szego.hankel import eigendecompose
+from szego.hankel import classify_genericity, eigendecompose
 from szego.rational import (
     HardyRational,
     as_hardy,
@@ -357,6 +358,20 @@ class TestHierarchyVectorField:
             dgam = d1.gammas[k] - c0.gammas[j]
             want_gam = h * (n - 1) * lam2[j] ** (n - 1) * dec.nus[j] ** 2 / (4 * math.pi)
             assert abs(dgam / want_gam - 1) < 1e-3
+
+
+class TestGenericClass:
+    def test_equal_speeds_are_generic_not_strongly(self):
+        # equal actions 2 lam^2 nu^2 give equal soliton speeds (test_acceptance's
+        # _generic_only_m2): chi is defined there, soliton resolution is not
+        coords = ActionAngleCoords((4.0, 4.0), (4 * math.pi * 0.25, 4 * math.pi * 0.49),
+                                   (0.3, 4.0), (0.1, -0.4))
+        dec = eigendecompose(chi_inverse(coords))
+        assert dec.genericity == classify_genericity(dec) == "generic"
+        assert _coords_distance(chi(dec), coords) <= 1e-14
+        with pytest.raises(PreconditionError, match="strongly generic"):
+            soliton_params_from_spectrum(dec)
+        assert toroidal_cylinder_check(dec, dec)
 
 
 class TestToroidalCylinder:

@@ -14,7 +14,8 @@ layers below the flow, `rational` and `hankel`, import nothing above them,
 and one helper, `rational._on_or_above_axis`, holds the floor that decides a
 pole on or above the real line.  W(t) = diag exp(i t lambda^2/2) is formed
 once, with S(t), in `flow._flow_stack`, and the closure term (i/4pi) beta beta^H
-once, in `hankel._closure`.
+once, in `hankel._closure`.  A soliton at a time, p + c t and C e^{-i omega t}, is
+formed once, in `asymptotics._solitons_at`.
 """
 
 import ast
@@ -294,6 +295,30 @@ def test_one_place_advances_the_angles():
                   and any(isinstance(n, ast.Constant) and n.value == 0.5j for n in ast.walk(node))
                   and any(isinstance(n, ast.Name) and n.id in ("t", "ts") for n in ast.walk(node))]
     assert found == [("flow.py", "_flow_stack")]
+
+
+def test_one_place_advances_the_solitons():
+    # a soliton at a time, pole p + c t and coefficient C e^{-i omega t}, is formed once: a
+    # product with a speed, or an exp of -1j times a time t or ts
+    def named(n, names):
+        return (isinstance(n, ast.Name) and n.id in names
+                or isinstance(n, ast.Attribute) and n.attr in names)
+
+    def minus_i(n):
+        return (isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.USub)
+                and getattr(n.operand, "value", None) == 1j)
+
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = _owners(tree)
+        found += [(path.name, owner.get(id(node))) for node in ast.walk(tree)
+                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                  and any(named(n, ("speed",)) for n in ast.walk(node))
+                  or isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "exp"
+                  and any(map(minus_i, ast.walk(node)))
+                  and any(named(n, ("t", "ts")) for n in ast.walk(node))]
+    assert found == [("asymptotics.py", "_solitons_at")] * 2
 
 
 def test_one_source_for_the_closure_term():

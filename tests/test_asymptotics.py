@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -183,6 +184,20 @@ class TestNonGenericAnalysis:
         rep = nongeneric_analysis(double_eig_symbol)
         assert abs(rep.e2_imag_exponent + 2.0) < 0.2
         assert abs(rep.e1_track[-1].imag - 3.0) < 1e-5
+
+    def test_track_exact_to_rounding_up_to_1e9(self, double_eig_symbol):
+        # Im E_2 ~ 13.5/t^2 against the 60-digit eigenvalue of the same stored
+        # S(t) = [[c1 + A t, d1], [c2, d2]], where (tr - root)/2 would cancel
+        rep = nongeneric_analysis(double_eig_symbol, times=np.geomspace(1e2, 1e9, 8))
+        (c1, d1), (c2, d2) = eigendecompose(double_eig_symbol).shift
+        with mp.workdps(60):
+            for t, e2 in zip(rep.times, rep.e2_track):
+                S = mp.matrix([[mp.mpc(c1) + mp.mpf(rep.drift_a) * mp.mpf(t), mp.mpc(d1)],
+                               [mp.mpc(c2), mp.mpc(d2)]])
+                want = min(mp.eig(S, left=False, right=False), key=lambda z: abs(z - e2))
+                assert abs(e2.imag - want.imag) <= 1e-13 * abs(want.imag)
+        rep = nongeneric_analysis(double_eig_symbol, times=np.geomspace(1e6, 1e8, 9))
+        assert abs(rep.e2_imag_exponent + 2.0) < 1e-6
 
     def test_generic_input_rejected(self, generic_m2):
         with pytest.raises(PreconditionError, match="double eigenvalue"):

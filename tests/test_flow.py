@@ -562,6 +562,25 @@ class TestRecoverChecks:
         assert returned >= 80      # every recovery returns, so the check is not vacuous
 
 
+class TestFlatStack:
+    def test_shorter_rows_are_padded(self):
+        # a 1-pole symbol and the zero symbol padded to n = 3 beside a 3-pole one: the
+        # padding adds nothing on the real line, leaves max|p| alone and passes the check
+        one = simple_pole(0.5 + 0.2j, 0.3 - 0.8j)
+        three = hardy_from_terms([(-1j, [1.0]), (0.8 - 0.7j, [0.5 + 0.3j]), (-0.6 - 1.2j, [0.4j])])
+        us = [one, three, zero()]
+        flat = flow._flat_stack(us, 3)
+        poles, coeffs, powers = flat
+        assert poles.shape == coeffs.shape == powers.shape == (3, 3)
+        assert abs(poles[0]).max() == abs(one._flat[1]).max()
+        assert (poles[2] == -1j).all()
+        xs = flow._check_points(poles)
+        got = (coeffs[:, None] / (xs[..., None] - poles[:, None]) ** powers[:, None]).sum(axis=-1)
+        ref = np.array([u.evaluate(x) for u, x in zip(us, xs)])
+        assert (got[0] == ref[0]).all() and (got[2] == 0).all()
+        assert flow._checked(us, flat, xs, ref, [0.0, 1.0, 2.0]) is us
+
+
 class TestL2Norm:
     @pytest.mark.parametrize("name", ("soliton_symbol", "generic_m2",
                                       "double_eig_symbol", "mixed_mult"))
