@@ -33,6 +33,7 @@ twice the rate.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,10 +148,20 @@ def _coords_distance(a: ActionAngleCoords, b: ActionAngleCoords) -> float:
     return worst
 
 
+def _order(n) -> int:
+    """The hierarchy order n as an integer (`operator.index`), at least 2."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InputError(f"hierarchy order must be an integer, got {n!r}") from None
+    if n < 2:
+        raise PreconditionError("the hierarchy starts at n = 2")
+    return n
+
+
 def hierarchy_flow(coords: ActionAngleCoords, n: int, t: float) -> ActionAngleCoords:
     """Flow of the n-th hierarchy Hamiltonian for time t, in coordinates."""
-    if n < 2:
-        raise PreconditionError("hierarchy flows start at n = 2")
+    n = _order(n)
     if not math.isfinite(t):
         raise InputError(f"time must be finite, got {t}")
     lam2 = np.array(coords.actions_lambda) / (4.0 * math.pi)
@@ -181,8 +192,7 @@ def hierarchy_vector_field(u: HardyRational, n: int) -> HardyRational:
     gives the sum above.  The bare-term form is pinned numerically by the
     time derivative of the exact soliton at t = 0 under E = 2 J_4.
     """
-    if n < 2:
-        raise PreconditionError("hierarchy fields start at n = 2")
+    n = _order(n)
     g = blaschke(u).g
     pows = [g]
     for _ in range(2 * n - 1):

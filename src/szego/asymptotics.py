@@ -142,9 +142,20 @@ def _minus_solitons(uts, sols, times) -> list[HardyRational]:
 
 
 def fit_power_law(times, values) -> tuple[float, float]:
-    """Slope and intercept of log |value| against log |t|."""
-    ts = np.log(np.abs(np.asarray(times, dtype=float)))
-    vs = np.log(np.asarray(values, dtype=float))
+    """Slope and intercept of log |value| against log |t|.
+
+    Fails closed: a time that is 0 or not finite, fewer than two distinct |t|, or a value
+    that is not positive and finite is a `PreconditionError`, never a NaN fit.
+    """
+    t = np.abs(np.asarray(times, dtype=float))
+    v = np.asarray(values, dtype=float)
+    if not (np.isfinite(t) & (t > 0)).all():
+        raise PreconditionError("a power-law fit needs finite nonzero times")
+    if len(np.unique(t)) < 2:
+        raise PreconditionError("a power-law fit needs at least two distinct |t|")
+    if not (np.isfinite(v) & (v > 0)).all():
+        raise PreconditionError("a power-law fit needs positive finite values")
+    ts, vs = np.log(t), np.log(v)
     tbar = ts.mean()
     vbar = vs.mean()
     slope = float(np.dot(ts - tbar, vs - vbar) / np.dot(ts - tbar, ts - tbar))

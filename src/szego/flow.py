@@ -25,8 +25,8 @@ S(0) assembled from coordinates: it, `_flow_at` and `_recover_many` build
 the pairing (conj S, Lam conj w, conj w) by one `_flow_pairing`.  The poles
 of a pairing -(i/2pi) a^T (A - z I)^{-1} b are the eigenvalues of A,
 multiple ones included, and `_from_pairing` alone factors pairings and
-rejects a pole on or above the real line: over a stack, one stacked `eig`
-(`_eig2x2` per matrix at N = 2) and one stacked solve give the residues.
+rejects a pole on or above the real line: over a stack, one stacked LAPACK
+`eig`, at every N, and one stacked solve give the residues.
 Where eigenvalues group and the eigenvectors are too ill-conditioned for
 those residues, the multiplicities are read off the pairing's values on
 one circle per group instead, by the contour moments of `rational`, the
@@ -205,51 +205,12 @@ def evolve_eval(dec: SpectralDecomposition, t: float, x) -> complex:
     return complex(_resolvent(*_flow_at(dec, t), x))
 
 
-def _eig2x2(A: np.ndarray):
-    """Eigenpairs of a 2x2 matrix via the explicit quadratic formula.
-
-    The discriminant is formed as (a-d)^2 + 4bc, avoiding tr^2 - 4 det.  It is
-    no more accurate than LAPACK `eig`: on 2/(x+i) - 4/(x+2i) both give the
-    same Hdot^s errors at t = 1e6 (3.6e-12 to 9.0e-12) and the same horizon.
-    It is faster on one matrix (7.5 against 10.5 us) and slower on stacks (90
-    against 54 us for 17, 220 against 116 us for 41; one BLAS thread, shared
-    2-vCPU x86-64 host).  Swapping it moves the last bits of N = 2 recovery.
-    """
-    (a, b), (c, d) = A.tolist()
-    root = cmath.sqrt((a - d) ** 2 + 4.0 * b * c)
-    if ((a - d).conjugate() * root).real < 0:
-        root = -root
-    denom = (a - d) + root
-    if abs(denom) > 1e-30:
-        delta = -2.0 * b * c / denom   # = (a-d)/2 - root/2, cancellation-free
-    else:
-        delta = 0.5 * (a - d) - 0.5 * root
-    e1 = a - delta
-    e2 = d + delta
-    vecs = []
-    for e in (e1, e2):
-        v1 = (b, e - a)
-        v2 = (e - d, c)
-        v = v1 if math.hypot(*map(abs, v1)) >= math.hypot(*map(abs, v2)) else v2
-        n = math.hypot(*map(abs, v))
-        vecs.append((v[0] / n, v[1] / n) if n > 0 else (1.0, 0.0))
-    return (e1, e2), tuple(zip(*vecs))            # eigenvectors as columns
-
-
-def _eigenpairs(A: np.ndarray):
-    """Eigenvalues E (T, N) and eigenvectors V (T, N, N) of a (T, N, N) stack of
-    pairing matrices, as `_from_pairing` factors them: `_eig2x2` per matrix at N = 2."""
-    if A.shape[-1] != 2:
-        return np.linalg.eig(A)
-    E, V = zip(*map(_eig2x2, A))
-    return np.array(E), np.array(V)
-
-
 def _from_pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[HardyRational]:
     """Partial fractions of x -> -(i/2pi) a^T (A - x I)^{-1} b for a stack of pairings.
 
     A is (T, N, N) and a, b are (T, N); the result holds one function per
-    pairing.  Its poles are the eigenvalues E of A, multiple ones included.
+    pairing.  Its poles are the eigenvalues E of A, multiple ones included,
+    from one stacked LAPACK `eig` whatever N is.
     A pairing keeps the residues (i/2pi)(a^T V)_k (V^{-1} b)_k of the
     bilinear expansion, from one stacked solve, unless E has a group (single
     linkage within LINK_RTOL max|E|) and an eigenvalue on the real line or an
@@ -264,7 +225,7 @@ def _from_pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[HardyRati
     code that factors a pairing: a pole on or above the real axis is a
     `NumericalError`.
     """
-    E, V = _eigenpairs(A)
+    E, V = np.linalg.eig(A)
     n = E.shape[-1]
     scale = abs(E).max(axis=-1, initial=0.0)
     on_axis = _on_or_above_axis(E)

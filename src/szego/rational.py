@@ -657,11 +657,17 @@ def _fourier_arrays(f: HardyRational) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def spectral_density(f: HardyRational, xi):
-    """Evaluate the closed-form transform at xi >= 0 (scalar or array)."""
+    """Evaluate the closed-form transform at xi (scalar or array); it is 0 at xi < 0.
+
+    The formula is evaluated at xi >= 0 alone: below, it grows like e^{|Im p| |xi|}.
+    """
     xarr = np.asarray(xi, dtype=float)
+    neg = xarr < 0
+    x = np.where(neg, 0.0, xarr)
     out = np.zeros(xarr.shape, dtype=complex)
     for amp, pole, power in zip(*(a.tolist() for a in _fourier_arrays(f))):
-        out += amp * xarr**power * np.exp(-1j * pole * xarr)
+        out += amp * x**power * np.exp(-1j * pole * x)
+    out[neg] = 0.0
     if np.isscalar(xi) or xarr.ndim == 0:
         return complex(out)
     return out
@@ -673,7 +679,9 @@ def _sobolev_norms(fs, ss) -> np.ndarray:
     ||f||_{Hdot^s}^2 = (1/2pi) int_0^oo xi^(2s) |fhat|^2, with every cross
     term integrating to Gamma(a+1)/c^(a+1) where c = i(p_a - conj(p_b)) has
     positive real part.  Each f's transform is built once, and the
-    functions whose transforms have the same powers are one broadcast.
+    functions whose transforms have the same powers are one broadcast.  A
+    pole on or above the real line has no such transform: a `PreconditionError`
+    (`inner_product` takes a general `RationalFn`).
     """
     ss = np.asarray(ss, dtype=float)
     if np.any(ss < 0):
@@ -690,6 +698,8 @@ def _sobolev_norms(fs, ss) -> np.ndarray:
             continue
         amp = np.array([terms[i][0] for i in idx])
         pol = np.array([terms[i][1] for i in idx])
+        if _on_or_above_axis(pol).any():
+            raise PreconditionError("Sobolev norms need every pole below the real line")
         pw = terms[idx[0]][2]
         A = amp[:, :, None] * np.conj(amp[:, None, :])
         k = pw[:, None] + pw[None, :]

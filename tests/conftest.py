@@ -58,6 +58,18 @@ def pole_flow(u0, t):
     return hardy_from_terms([(pj, [cj]) for pj, cj in zip(p, c)])
 
 
+def mp_l2_norm(f, dps=50):
+    """||f||_L2 of f = sum_j c_j/(x - p_j) at dps digits, from its own partial fractions:
+    ||f||^2 = sum_jk c_j conj(c_k) (-2 pi i)/(p_j - conj p_k).  Simple poles only."""
+    assert all(term.multiplicity == 1 for term in f.terms), "simple poles only"
+    with mp.workdps(dps):
+        p = [mp.mpc(complex(term.pole)) for term in f.terms]
+        c = [mp.mpc(complex(term.coeffs[0])) for term in f.terms]
+        total = sum(c[j] * mp.conj(c[k]) * (-2j * mp.pi) / (p[j] - mp.conj(p[k]))
+                    for j in range(len(p)) for k in range(len(p)))
+        return float(mp.sqrt(mp.re(total)))
+
+
 def mp_sobolev_norms(dec, t, ss, dps=60):
     """||u(t)||_{Hdot^s} for every s of ss from the stored decomposition dec, at dps digits.
 

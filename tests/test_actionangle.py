@@ -310,6 +310,17 @@ class TestFlowsInCoordinates:
         with pytest.raises(PreconditionError):
             hierarchy_flow(c, 1, 1.0)
 
+    @pytest.mark.parametrize("n", (2.5, 2.0, "2", None))
+    def test_order_must_be_an_integer(self, n, soliton_symbol):
+        # n = 2.5 flowed coordinates of a flow that does not exist, and the field raised a
+        # bare TypeError
+        c = random_coords(1, np.random.default_rng(13))
+        with pytest.raises(InputError, match="hierarchy order must be an integer"):
+            hierarchy_flow(c, n, 1.0)
+        with pytest.raises(InputError, match="hierarchy order must be an integer"):
+            hierarchy_vector_field(soliton_symbol, n)
+        assert hierarchy_flow(c, np.int64(2), 1.0) == hierarchy_flow(c, 2, 1.0)
+
 
 class TestHierarchyVectorField:
     def test_soliton_time_derivative_anchor(self, soliton_symbol):

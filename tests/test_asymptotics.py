@@ -132,6 +132,11 @@ class TestRemainderNorms:
         with pytest.raises(PreconditionError, match="insufficient"):
             remainder_norms(soliton_symbol, [1.0, 2.0], [0.0])
 
+    def test_one_repeated_time_fails_closed(self, generic_m2):
+        # six samples at one |t| fitted a NaN exponent
+        with pytest.raises(PreconditionError, match="two distinct"):
+            remainder_norms(generic_m2, [3.0] * 6, [0.0])
+
 
 class TestStackedOverTime:
     """The remainder and growth routes build every time's symbol in stacks."""
@@ -224,6 +229,12 @@ class TestNonGenericAnalysis:
                 with pytest.raises(PreconditionError, match="disagrees with S"):
                     nongeneric_analysis(u, times)
 
+    @pytest.mark.parametrize("times", ([], [5.0], [0.0, 1.0, 2.0, 3.0, 4.0]))
+    def test_degenerate_times_fail_closed(self, double_eig_symbol, times):
+        # no times, one time or a time at 0 fitted a NaN exponent
+        with pytest.raises(PreconditionError, match="power-law fit"):
+            nongeneric_analysis(double_eig_symbol, times=times)
+
 
 class TestGrowthFit:
     @pytest.mark.parametrize("s,want,tol", [
@@ -240,6 +251,12 @@ class TestGrowthFit:
         with pytest.raises(PreconditionError, match="insufficient"):
             growth_fit(double_eig_symbol, 1.0, [1.0, 2.0])
 
+    @pytest.mark.parametrize("times", ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [3.0] * 6))
+    def test_degenerate_times_fail_closed(self, double_eig_symbol, times):
+        # a time at 0, or one |t| for every sample, fitted a NaN slope
+        with pytest.raises(PreconditionError, match="power-law fit"):
+            growth_fit(double_eig_symbol, 1.0, times)
+
     def test_many_s_are_the_one_s_fits(self, double_eig_symbol, mixed_mult):
         # one recovery and one norm call for every s; each fit is the one-s call's, bitwise
         times = np.geomspace(1e2, 1e4, 9)
@@ -252,3 +269,13 @@ class TestGrowthFit:
         slope, intercept = fit_power_law(ts, 3.0 * ts**-1.7)
         assert abs(slope + 1.7) < 1e-12
         assert abs(intercept - math.log(3.0)) < 1e-12
+
+    @pytest.mark.parametrize("times,values", [
+        ([1.0, 2.0, math.inf], [1.0, 2.0, 3.0]),
+        ([1.0, -1.0, 1.0], [1.0, 2.0, 3.0]),
+        ([1.0, 2.0, 3.0], [1.0, 0.0, 3.0]),
+        ([1.0, 2.0, 3.0], [1.0, math.nan, 3.0]),
+    ])
+    def test_fit_power_law_fails_closed(self, times, values):
+        with pytest.raises(PreconditionError, match="power-law fit"):
+            fit_power_law(times, values)

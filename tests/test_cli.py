@@ -248,6 +248,14 @@ class TestGrowthCommand:
         assert abs(doc["fits"][0]["slope"] - 1.0) < 0.05
         assert doc["double_eigenvalue"]["lambda_sq"] == pytest.approx(1 / 9, abs=1e-12)
 
+    def test_time_zero_exits_3(self, tmp_path, capsys):
+        # a fit through t = 0 wrote "slope": NaN and exited 0
+        out = tmp_path / "run"
+        code = main(["growth", "--symbol", U5, "--times", "lin:0:10:11", "--out", str(out)])
+        assert code == 3
+        assert "power-law fit" in capsys.readouterr().err
+        assert not (out / "growth.json").exists()
+
     def test_one_recovery_for_every_s(self, tmp_path, monkeypatch):
         calls = []
         inner = asymptotics._recover_many

@@ -530,6 +530,16 @@ class TestFourier:
             got = spectral_density(generic_m2, lam)
             assert abs(got - want) / abs(got) < 1e-6
 
+    def test_zero_below_the_origin(self):
+        # the formula at xi < 0 grew like e^{|Im p| |xi|}: -46.43i at -2 for 1/(x + i)
+        f = simple_pole(1.0, -1j)
+        assert spectral_density(f, -2.0) == 0
+        xi = np.array([-3.0, -1e-300, -0.0, 0.0, 0.5, 2.0])
+        got = spectral_density(f, xi)
+        assert (got[:2] == 0).all()
+        assert (got[2:] == spectral_density(f, xi[2:])).all()
+        assert (got[2:] == -2j * math.pi * np.exp(-xi[2:])).all()
+
 
 class TestSobolev:
     def test_l2_matches(self, soliton_symbol):
@@ -553,6 +563,17 @@ class TestSobolev:
             )[0]
             got = homogeneous_sobolev_norm(f, s)
             assert abs(got - math.sqrt(want)) / got < 1e-9
+
+    @pytest.mark.parametrize("norm", (l2_norm, h_half_norm,
+                                      lambda f: homogeneous_sobolev_norm(f, 1.0)))
+    def test_pole_above_the_axis_rejected(self, norm):
+        # 1/(x - i) read as 0.0 in L2 and 1.2533 in H^(1/2), and inf with a pole at -i
+        # beside it; its L2 norm is sqrt(pi), by inner_product
+        above = from_terms([(1j, [1.0])])
+        assert inner_product(above, above).real == pytest.approx(math.pi)
+        for f in (above, from_terms([(1j, [1.0]), (-1j, [1.0])])):
+            with pytest.raises(PreconditionError, match="below the real line"):
+                norm(f)
 
     def test_negative_s_rejected(self, soliton_symbol):
         with pytest.raises(PreconditionError):
