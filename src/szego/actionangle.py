@@ -124,8 +124,9 @@ def _chi_inverse(coords: ActionAngleCoords) -> tuple[HardyRational, ActionAngleC
     lam2 = np.array(coords.actions_lambda) / (4.0 * math.pi)   # each tuple converted once
     lam, nu = np.sqrt(lam2), np.sqrt(np.array(coords.actions_i) / (2.0 * lam2))
     beta = nu * np.exp(0.5j * np.array(coords.angles))
-    blocks = np.diag(coords.gammas) + _closure(beta, nu)     # only the diagonal is read
-    S0 = _assemble_s(lam, beta, np.eye(coords.size, dtype=bool), blocks)
+    bb = beta[:, None] * beta.conj()
+    diagonal = np.array(coords.gammas) + _closure(bb, nu).diagonal()   # S0's blocks
+    S0 = _assemble_s(lam, bb, np.eye(coords.size, dtype=bool), diagonal)
     u = _from_pairing(*_flow_pairing(S0[None], lam, beta[None]))[0]   # W(0) = I
     back = chi(eigendecompose(u))
     err = _coords_distance(coords, back)
@@ -135,16 +136,16 @@ def _chi_inverse(coords: ActionAngleCoords) -> tuple[HardyRational, ActionAngleC
 
 
 def _coords_distance(a: ActionAngleCoords, b: ActionAngleCoords) -> float:
+    """The largest action or gamma gap over max(1, max |a|), or angle gap on the circle; one
+    division of the largest gap, as a rounded quotient by one scale keeps its dividends' order."""
     if a.size != b.size:
         return math.inf
-    scale = max(1.0, max(abs(v) for v in a.actions_i + a.actions_lambda + a.gammas))
-    worst = 0.0
-    for x, y in zip(a.actions_i + a.actions_lambda + a.gammas,
-                    b.actions_i + b.actions_lambda + b.gammas):
-        worst = max(worst, abs(x - y) / scale)
-    for x, y in zip(a.angles, b.angles):
-        d = abs(x - y) % (2.0 * math.pi)
-        worst = max(worst, min(d, 2.0 * math.pi - d))
+    xs, ys = a.actions_i + a.actions_lambda + a.gammas, b.actions_i + b.actions_lambda + b.gammas
+    worst = max(0.0, *map(abs, map(operator.sub, xs, ys))) / max(1.0, max(map(abs, xs)))
+    two_pi = 2.0 * math.pi
+    for d in map(abs, map(operator.sub, a.angles, b.angles)):
+        d %= two_pi
+        worst = max(worst, min(d, two_pi - d))
     return worst
 
 

@@ -122,7 +122,9 @@ def _flow_stack(dec: SpectralDecomposition, times) -> tuple[np.ndarray, np.ndarr
     lam2, beta = dec.lambdas**2, dec.betas
     blocks = lam2 / (2.0 * math.pi) * (beta[:, None] * beta.conj()) * ts[:, None, None] + dec.shift
     W = np.exp(0.5j * ts[:, None] * lam2)
-    return _assemble_s(dec.lambdas, W * beta, _cluster_mask(dec.clusters), blocks), W
+    w = W * beta
+    ww = w[..., :, None] * w.conj()[..., None, :]
+    return _assemble_s(dec.lambdas, ww, _cluster_mask(dec.clusters), blocks), W
 
 
 def _s_stack(dec: SpectralDecomposition, times) -> np.ndarray:
@@ -227,9 +229,10 @@ def _from_pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[HardyRati
     """
     E, V = np.linalg.eig(A)
     n = E.shape[-1]
-    scale = abs(E).max(axis=-1, initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):   # past the float range: no near pair
+        scale = abs(E).max(axis=-1, initial=0.0)
+        near = abs(E[:, :, None] - E[:, None, :]) <= LINK_RTOL * scale[:, None, None]
     on_axis = _on_or_above_axis(E)
-    near = abs(E[:, :, None] - E[:, None, :]) <= LINK_RTOL * scale[:, None, None]
     circles = {}                                  # row -> [(center, radius, size)] per group
     for i in np.flatnonzero(near.sum(axis=(-2, -1)) > n).tolist():   # rows with a near pair
         if (err := np.finfo(float).eps * np.linalg.cond(V[i])) > RECOVER_TOL or on_axis[i].any():
@@ -251,9 +254,11 @@ def _from_pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[HardyRati
         raise NumericalError("recovered pole on or above the real line")
     coeffs = (0.5j / math.pi * (a[:, None] @ V)[:, 0]
               * np.linalg.solve(V, b[..., None])[..., 0])
-    bilinear = [i not in parts for i in range(len(E))]
-    built = iter(_canonical_rows(HardyRational, E[bilinear], coeffs[bilinear]))
-    return [next(built) if keep else hardy_from_terms(parts[i]) for i, keep in enumerate(bilinear)]
+    if parts:
+        bilinear = [i not in parts for i in range(len(E))]
+        E, coeffs = E[bilinear], coeffs[bilinear]
+    built = iter(_canonical_rows(HardyRational, E, coeffs))
+    return [hardy_from_terms(parts[i]) if i in parts else next(built) for i in range(len(A))]
 
 
 def _flat_stack(us, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

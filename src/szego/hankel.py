@@ -9,8 +9,9 @@ one scatter of the coefficients.  The basis is private to this module: a
 `SpectralDecomposition` holds eigenvector coordinates only.  What the
 assemblies read of the pole layout alone is one read-only plan per layout,
 built once (`_plan`).  `_range_stack` assembles G, its conditioning test,
-L and K below for a stack of symbols of one pole layout, one symbol being
-a stack of one.  We orthonormalize through the Cholesky factor
+L and K below for a stack of symbols of one pole layout; a one-symbol call
+(`_range_basis`, so every `eigendecompose`) is its stack of one, on the same
+path as the sampler's stacks.  We orthonormalize through the Cholesky factor
 conj(G) = L L^H, where the antilinear Hankel action becomes d -> K conj(d)
 with K complex symmetric.  K = L^H C conj(L) / (-2 pi i) needs no L^-1:
 G L^-T = conj(L).
@@ -49,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericalError, PreconditionError
+from .errors import InputError, NumericalError, PreconditionError
 from .rational import HardyRational, _g_coeffs, _starts
 
 GRAM_COND_LIMIT = 1e12
@@ -124,20 +125,23 @@ def _range_stack(layout: tuple[int, ...], p: np.ndarray, c: np.ndarray):
 
     Returns G (..., N, N); the mask `ok` of the symbols whose DGD, D = diag(G)^-1/2,
     passes the conditioning test, 0 < e_min and e_max <= GRAM_COND_LIMIT * e_min
-    for its eigenvalues; and, for those only and stacked along one axis, G's own
-    L and K = L^H C conj(L) / (-2 pi i), which is L^H M L^-T without inverting L.
+    for its eigenvalues (the second asks both: DGD's diagonal is 1, so e_max > 0); and,
+    for those only and stacked along one axis, G's own L and
+    K = L^H C conj(L) / (-2 pi i), which is L^H M L^-T without inverting L.
     Each LAPACK call is one stacked call, so a stack of one takes the path
-    of every other stack size.
+    of every other stack size; a stack that passes whole is not copied by the mask.
     """
     plan = _plan(layout)
-    G = plan.weight / (p[..., :, None] - p[..., None, :].conj()) ** plan.power
+    D = p[..., :, None] - p[..., None, :].conj()
+    G = plan.weight / (D if plan.power is None else D ** plan.power)
     G = 0.5 * (G + G.conj().swapaxes(-1, -2))
     d = G.diagonal(axis1=-2, axis2=-1).real ** -0.5
     evals = np.linalg.eigvalsh(d[..., :, None] * G * d[..., None, :])
-    ok = (evals[..., 0] > 0) & (evals[..., -1] <= GRAM_COND_LIMIT * evals[..., 0])
-    L = np.linalg.cholesky(np.conj(G[ok]))
+    ok = evals[..., -1] <= GRAM_COND_LIMIT * evals[..., 0]
+    G_ok, c_ok = (G, c) if np.count_nonzero(ok) == ok.size else (G[ok], c[ok])
+    L = np.linalg.cholesky(np.conj(G_ok))
     Lbar = L.conj()
-    K = Lbar.swapaxes(-1, -2) @ _coefficient_stack(layout, c[ok]) @ Lbar / (-2j * math.pi)
+    K = Lbar.swapaxes(-1, -2) @ _coefficient_stack(layout, c_ok) @ Lbar / (-2j * math.pi)
     return G, ok, L, K
 
 
@@ -147,7 +151,8 @@ _Plan = namedtuple("_Plan", "weight power at src simple chained")
 @lru_cache(maxsize=64)
 def _plan(layout: tuple[int, ...]) -> _Plan:
     """What the assemblies read of a pole layout alone, built once, arrays read-only: the
-    Gram weight and exponent, the scatter C.flat[at] = c[src] and T_f's masks."""
+    Gram weight and exponent (None for simple poles, where the power is the identity),
+    the scatter C.flat[at] = c[src] and T_f's masks, as the complex 1s and 0s a bool casts to."""
     k, n = np.array(layout), len(layout)
     kk = k[:, None] + k
     # C(l+m-2, l-1) (-1)^(l-1) = (l+m-2)! * (-1)^(l-1) / (l-1)! * 1 / (m-1)!
@@ -157,17 +162,18 @@ def _plan(layout: tuple[int, ...]) -> _Plan:
     starts = _starts(layout)
     at, src = zip(*[((f + i) * n + f + j, f + i + j) for f, e in zip(starts, starts[1:])
                     for i in range(e - f) for j in range(e - f - i)])
-    plan = _Plan(fact[kk] * row[:, None] / fact[k], kk + 1, np.array(at), np.array(src),
-                 k == 0, k[1:] > 0)
+    plan = _Plan(fact[kk] * row[:, None] / fact[k], kk + 1 if kk.any() else None,
+                 np.array(at), np.array(src), (k == 0) + 0j, (k[1:] > 0) + 0j)
     for a in plan:
-        a.flags.writeable = False
+        if a is not None:
+            a.flags.writeable = False
     return plan
 
 
 def _range_basis(u: HardyRational) -> tuple[np.ndarray, np.ndarray]:
     """L and K of `_range_stack` for u, as a stack of one."""
     layout, p, c = u._flat
-    if not c.any():
+    if not np.count_nonzero(c):
         raise PreconditionError("undefined for zero symbol")
     try:
         _, ok, L, K = _range_stack(layout, p[None], c[None])
@@ -187,10 +193,9 @@ def _coefficient_stack(layout: tuple[int, ...], c: np.ndarray) -> np.ndarray:
     return C.reshape(c.shape[:-1] + (n, n))
 
 
-def _cluster_indices(vals: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Clusters of the ascending vals, as index runs: the one rule, relative with no floor.
+def _cluster_indices(vals: list[float]) -> tuple[tuple[int, ...], ...]:
+    """Clusters of the ascending list vals, as index runs: the one rule, relative with no floor.
     vals[i] joins the run before it when within CLUSTER_RTOL * vals[i] of the run's first."""
-    vals = vals.tolist()
     groups = [[0]]
     for i in range(1, len(vals)):
         if vals[i] - vals[groups[-1][0]] <= CLUSTER_RTOL * vals[i]:
@@ -209,21 +214,24 @@ def _cluster_mask(clusters: tuple[tuple[int, ...], ...]) -> np.ndarray:
     return same
 
 
-def _closure(beta: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """(i/4pi) beta beta^H, with its diagonal i nu^2/4pi exactly, not a rounded beta conj(beta)."""
-    closure = 0.25j / math.pi * (beta[:, None] * beta.conj())
-    np.fill_diagonal(closure, 1j * nu**2 / (4.0 * math.pi))
+def _closure(bb: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """(i/4pi) beta beta^H of the outer product bb = beta beta^H, with its diagonal
+    i nu^2/4pi exactly, not a rounded beta conj(beta)."""
+    closure = 0.25j / math.pi * bb
+    closure.reshape(-1)[:: len(nu) + 1] = 1j * nu**2 / (4.0 * math.pi)   # a view: the diagonal
     return closure
 
 
-def _assemble_s(lam, w, same, blocks) -> np.ndarray:
-    """S(0)'s closed form at the angles w, and `blocks` verbatim where `same`; it knows no time.
+def _assemble_s(lam, ww, same, blocks) -> np.ndarray:
+    """S(0)'s closed form at the angles w, given as ww = w w^H, and `blocks` verbatim where
+    `same`; it knows no time.
 
-    `eigendecompose` passes w = beta, its cluster mask and the basis T's Hermitian part plus
-    `_closure`; the inverse spectral map w = beta, the identity mask and diag(gamma) plus
-    `_closure`; `flow._flow_stack` (T, N) angles W(t) beta and the (T, N, N) drifted blocks."""
+    `eigendecompose` passes w = beta (the beta beta^H `_closure` reads), its cluster mask and
+    the basis T's Hermitian part plus `_closure`; the inverse spectral map w = beta, the
+    identity mask and gamma plus `_closure`'s diagonal, (N,) broadcast along the rows;
+    `flow._flow_stack` (T, N) angles W(t) beta and the (T, N, N) drifted blocks."""
     lam2 = lam**2
-    Y = lam * (w[..., :, None] * w.conj()[..., None, :])   # Y[k, j] = lambda_j w_k conj(w_j)
+    Y = lam * ww                            # Y[k, j] = lambda_j w_k conj(w_j)
     d = lam2[:, None] - lam2 + same         # lambda_k^2 - lambda_j^2; + same keeps it finite
     wave = lam / (2j * math.pi * d) * (Y - Y.swapaxes(-1, -2))
     np.copyto(wave, blocks, where=same)
@@ -275,21 +283,25 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
     rejected.  Passing a larger tolerance instead truncates the channels
     with lambda below rank_tol * lambda_max; tangent-perturbation
     diagnostics use this to discard the O(h^2)-sized spurious channels of
-    u + h * (tangent field).
+    u + h * (tangent field).  A `rank_tol` outside [RANK_RTOL, 1), NaN
+    included, is an `InputError`.
     """
+    if not RANK_RTOL <= rank_tol < 1.0:
+        raise InputError(f"rank_tol must lie in [{RANK_RTOL:g}, 1), got {rank_tol!r}")
     L, K = _range_basis(u)
     U, sigma, Vh = np.linalg.svd(K)     # the sampler's stacked SVD gives bitwise these lambdas
-    Lh = L.conj().T
     lambdas, U, Vbar = sigma[::-1], U[:, ::-1], Vh[::-1].T     # Vbar: columns conj(v_j)
     if lambdas[0] < rank_tol * lambdas[-1]:
         if rank_tol <= RANK_RTOL:
             raise PreconditionError("numerically rank-deficient symbol")
         keep = lambdas >= rank_tol * lambdas[-1]
         lambdas, U, Vbar = lambdas[keep], U[:, keep], Vbar[:, keep]
-    clusters = _cluster_indices(lambdas**2)
+    lam2 = lambdas**2
+    clusters = _cluster_indices(lam2.tolist())
 
     # Blaschke postcondition H_u g = u on K, as an L^2 norm relative to ||u||
     g_coords_f = _g_coeffs(u)
+    Lh = L.conj().T
     d_g, d_u = Lh @ g_coords_f, Lh @ u._flat[2]
     r = K @ d_g.conj() - d_u
     if np.vdot(r, r).real > 1e-20 * np.vdot(d_u, d_u).real:
@@ -298,20 +310,20 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
     # Takagi: conj(V) = U D with D unitary and symmetric, so W = U sqrt(D)
     # gives K = W diag(lambda) W^T, i.e. K conj(w_j) = lambda_j w_j
     evecs = U * np.sqrt((U.conj() * Vbar).sum(axis=0))
-    ref = lambdas.copy()
-    tol = np.full(len(lambdas), 1e-8 * lambdas[-1])
-    for grp in clusters:
-        if len(grp) > 1:
-            c = list(grp)
-            w, X = np.linalg.eig(U[:, c].conj().T @ Vbar[:, c])
-            root = (X * np.sqrt(w)) @ np.linalg.inv(X)
-            evecs[:, c] = _concentrate_g(U[:, c] @ root, d_g)
-            ref[c], tol[c] = np.mean(lambdas[c]), 1e-7 * lambdas[-1]
-    resid2 = (abs(K @ evecs.conj() - evecs * ref) ** 2).sum(axis=0)   # squared column norms
-    if (resid2 > tol**2).any():
+    ref, tol = lambdas, 1e-8 * lambdas[-1]       # a rotated cluster: its mean, to 1e-7
+    for c in [list(grp) for grp in clusters if len(grp) > 1]:
+        w, X = np.linalg.eig(U[:, c].conj().T @ Vbar[:, c])
+        root = (X * np.sqrt(w)) @ np.linalg.inv(X)
+        evecs[:, c] = _concentrate_g(U[:, c] @ root, d_g)
+        if ref is lambdas:
+            ref, tol = lambdas.copy(), np.full(len(lambdas), tol)
+        ref[c], tol[c] = np.mean(lambdas[c]), 1e-7 * lambdas[-1]
+    evecs_bar = evecs.conj()
+    resid2 = (abs(K @ evecs_bar - evecs * ref) ** 2).sum(axis=0)   # squared column norms
+    if np.count_nonzero(resid2 > tol**2):
         raise NumericalError("Takagi eigenvector residual too large")
 
-    betas = evecs.conj().T @ d_g
+    betas = evecs_bar.T @ d_g
     nus = np.abs(betas)
     gnorm = math.sqrt(np.vdot(d_g, d_g).real)
     angle = np.arctan2(betas.imag, betas.real)          # np.angle without its wrapper
@@ -319,28 +331,16 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
 
     # (T e_j, e_k) = c_k^H conj(G) T_f c_j with c = L^-H w and conj(G) = L L^H
     Te = (L @ evecs).conj().T @ _t_matrix_f(u, g_coords_f) @ np.linalg.solve(Lh, evecs)
-    same, closure = _cluster_mask(clusters), _closure(betas, nus)
-    shift = _assemble_s(lambdas, betas, same, 0.5 * (Te + Te.conj().T) + closure)
+    bb, same = betas[:, None] * betas.conj(), _cluster_mask(clusters)
+    closure = _closure(bb, nus)
+    shift = _assemble_s(lambdas, bb, same, 0.5 * (Te + Te.conj().T) + closure)
     # T - T^* = (i/2pi) beta beta^H on Te's blocks; off them shift's closed form meets it
     gap = Te - np.where(same, Te, shift).conj().T - 2.0 * closure
     if abs(gap).max() > 1e-8 * abs(Te).max():
         raise NumericalError("shift closure violated")
 
-    dec = SpectralDecomposition(
-        u=u,
-        lambdas=lambdas,
-        evecs=evecs,
-        betas=betas,
-        nus=nus,
-        two_phis=two_phis,
-        gammas=shift.diagonal().real,
-        shift=shift,
-        clusters=clusters,
-        genericity="",
-    )
-    genericity = classify_genericity(dec)
-    object.__setattr__(dec, "genericity", genericity)
-    return dec
+    return SpectralDecomposition(u, lambdas, evecs, betas, nus, two_phis, shift.diagonal().real,
+                                 shift, clusters, _genericity(lam2, nus, clusters))
 
 
 def t_matrix(u: HardyRational, dec: SpectralDecomposition) -> TMatrix:
@@ -351,10 +351,14 @@ def t_matrix(u: HardyRational, dec: SpectralDecomposition) -> TMatrix:
 def classify_genericity(dec: SpectralDecomposition) -> str:
     """non_generic when two lambda^2 share a cluster or a nu_j vanishes, generic when
     two soliton speeds lambda^2 nu^2 share one by the same rule, `_cluster_indices`."""
-    nus = dec.nus
-    if len(dec.clusters) < dec.size or nus.min() <= NU_RTOL * max(math.sqrt(nus @ nus), 1e-300):
+    return _genericity(dec.lambdas**2, dec.nus, dec.clusters)
+
+
+def _genericity(lam2: np.ndarray, nus: np.ndarray, clusters) -> str:
+    """`classify_genericity` of lambda^2, nu and the clusters, before a decomposition holds them."""
+    if len(clusters) < len(nus) or nus.min() <= NU_RTOL * max(math.sqrt(nus @ nus), 1e-300):
         return "non_generic"
-    if len(_cluster_indices(np.sort(dec.lambdas**2 * nus**2))) < dec.size:
+    if len(_cluster_indices(np.sort(lam2 * nus**2).tolist())) < len(nus):
         return "generic"
     return "strongly_generic"
 

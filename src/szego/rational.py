@@ -216,29 +216,33 @@ def _canonical(cls, layout, poles, coeffs) -> RationalFn:
     largest are dropped at a pole's top and zeroed below it; poles sort by (Re, Im).
     """
     starts = _starts(tuple(layout))
+    coeffs = list(map(complex, coeffs))
+    firsts = [complex(poles[f]) for f in starts[:-1]]
+    if not all(map(cmath.isfinite, firsts + coeffs)):
+        raise InputError("poles and coefficients must be finite")
     merged: list[tuple[complex, list[complex]]] = []
-    for f, e in zip(starts, starts[1:]):
-        pole, cs = complex(poles[f]), [complex(c) for c in coeffs[f:e]]
-        if not (cmath.isfinite(pole) and all(map(cmath.isfinite, cs))):
-            raise InputError("poles and coefficients must be finite")
+    for pole, f, e in zip(firsts, starts, starts[1:]):
         tol = POLE_MERGE_RTOL * abs(pole)
         for mp, mc in merged:
             if abs(mp - pole) <= tol:
-                mc += [0.0j] * (len(cs) - len(mc))
-                for i, c in enumerate(cs):
+                mc += [0.0j] * (e - f - len(mc))
+                for i, c in enumerate(coeffs[f:e]):
                     mc[i] += c
                 break
         else:
-            merged.append((pole, cs))
-    floor = COEFF_TRIM_RTOL * max((abs(c) for _, cs in merged for c in cs), default=0.0)
-    kept = []
+            merged.append((pole, coeffs[f:e]))
+    top = coeffs if len(merged) == len(firsts) else [c for _, cs in merged for c in cs]
+    floor = COEFF_TRIM_RTOL * max(map(abs, top), default=0.0)
+    mults, poles, coeffs = [], [], []
     for pole, cs in sorted(merged, key=lambda pc: (pc[0].real, pc[0].imag)):
         while cs and abs(cs[-1]) <= floor:
             cs.pop()
         if cs:
-            kept.append((pole, [0.0j if abs(c) <= floor else c for c in cs]))
-    layout, poles, coeffs = _flatten(kept)
-    return _wrap(cls, (layout, np.array(poles, dtype=complex), np.array(coeffs, dtype=complex)))
+            mults.append(len(cs))
+            poles += [pole] * len(cs)
+            coeffs += [0.0j if abs(c) <= floor else c for c in cs] if len(cs) > 1 else cs
+    return _wrap(cls, (_layout(mults), np.array(poles, dtype=complex),
+                       np.array(coeffs, dtype=complex)))
 
 
 def _canonical_rows(cls, poles: np.ndarray, coeffs: np.ndarray) -> list[RationalFn]:
@@ -295,7 +299,7 @@ def _new(cls, flat) -> RationalFn:
 def _on_or_above_axis(p):
     """Im p >= -1e-12, for one pole or an array: the one test of a pole on or above the axis.
     The floor is absolute (ROADMAP item 3); it stays because with Im p >= 0, recovery of
-    2/(x+i) - 4/(x+2i) at t >= 1e7 silently drops its pole near the axis (ROADMAP item 8)."""
+    2/(x+i) - 4/(x+2i) at t >= 1e7 silently drops its pole near the axis (ROADMAP item 19)."""
     return p.imag >= -1e-12
 
 
@@ -611,12 +615,16 @@ def _g_coeffs(u: HardyRational) -> np.ndarray:
     by the exponential recursion n a_n = sum_k k s_k a_(n-k).  For a simple
     pole the coefficient is -(p - conj p) prod_{q != p} (p - conj q)/(p - q).
     """
-    layout, poles, _ = u._flat
-    first, m, pole_of, at = _g_gather(layout)
-    p, top = poles[first], max(layout) + 1
+    layout, p, _ = u._flat
+    simple = not any(layout)
+    if not simple:
+        first, m, pole_of, at = _g_gather(layout)
+        p, top = p[first], max(layout) + 1
     Dbar = p[:, None] - p.conj()   # p_j - conj p_k, never zero
     D = p[:, None] - p
     D.reshape(-1)[:: len(p) + 1] = 1.0   # so D^-n - I is (p_j - p_k)^-n off the diagonal
+    if simple:   # m = 1 is an exact power; the Taylor factor 1 + 0j sets the signs of zeros
+        return -(Dbar / D).prod(axis=1) * (1.0 + 0j)
     h0 = ((Dbar / D) ** m).prod(axis=1)
     s = [None] + [(-1) ** (n + 1) / n * ((Dbar ** -n - D ** -n) @ m + m) for n in range(1, top)]
     a = np.ones((len(p), top), dtype=complex)   # a[j, n]: Taylor coefficients of h/h(p_j)

@@ -1,9 +1,27 @@
+import collections
+
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
 from szego.rational import hardy_from_terms, simple_pole
+
+
+def linalg_calls(monkeypatch) -> collections.Counter:
+    """Counts of the calls to every function of np.linalg from here on, by name."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in np.linalg.__all__:
+        if not isinstance(fn := getattr(np.linalg, name), type):   # LinAlgError
+            monkeypatch.setattr(np.linalg, name, counted(name, fn))
+    return calls
 
 
 def quad_line(fn, limit=400):

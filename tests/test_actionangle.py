@@ -30,6 +30,8 @@ from szego.rational import (
 )
 from szego.sampling import random_coords, random_generic, random_strongly_generic, random_symbol
 
+from conftest import linalg_calls
+
 
 def l2_gap(a, b):
     d = a - b
@@ -213,6 +215,20 @@ class TestChiInverse:
         parts[field] = (parts[field][0], value)
         with pytest.raises(InputError, match="coordinates must be finite"):
             chi_inverse(ActionAngleCoords(*parts))
+
+    def test_pairing_at_the_float_range_top_fails_typed(self):
+        # gammas at +-1e308: the eigenvalues' differences overflow in the near-pair scan,
+        # and under error::RuntimeWarning only the typed error may leave chi_inverse
+        c = ActionAngleCoords((1.0, 1.0), (1.0, 2.0), (0.3, 1.0), (1e308, -1e308))
+        with pytest.raises(NumericalError, match="on or above the real line"):
+            chi_inverse(c)
+
+    def test_lapack_budget(self, monkeypatch):
+        # the pairing's one eig and one residue solve, then the round trip's decomposition
+        c = random_coords(4, np.random.default_rng(0))
+        calls = linalg_calls(monkeypatch)
+        chi_inverse(c)
+        assert calls == {"eig": 1, "solve": 2, "eigvalsh": 1, "cholesky": 1, "svd": 1}
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_inadmissible_shift_matrix_raises(self, monkeypatch, n):

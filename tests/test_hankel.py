@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from szego import hankel, rational
-from szego.errors import NumericalError, PreconditionError
+from szego.errors import InputError, NumericalError, PreconditionError
 from szego.hankel import (
     classify_genericity,
     decomposition_to_json,
@@ -28,7 +28,7 @@ from szego.rational import (
 )
 from szego.sampling import random_symbol
 
-from conftest import EIGHT_POLES, quad_inner
+from conftest import EIGHT_POLES, linalg_calls, quad_inner
 
 XS = np.linspace(-3.7, 4.1, 11)
 CROSS_CHECKED = ("soliton_symbol", "double_eig_symbol", "generic_m2", "mixed_mult")
@@ -364,6 +364,31 @@ class TestEigendecompose:
         lowrank = hardy_from_terms([(-1j, [1.0]), (-2j, [1e-11])])
         with pytest.raises(PreconditionError, match="rank-deficient"):
             eigendecompose(lowrank)
+
+    @pytest.mark.parametrize("rank_tol", (math.nan, -1.0, 0.0, 1e-13, 1.0, 2.0, math.inf))
+    def test_rank_tol_outside_its_range_fails_closed(self, rank_tol):
+        # below RANK_RTOL (NaN too) the rank guard would be skipped and lambda = (3e-13, 0.5)
+        # come back strongly generic; from 1 on no channel would be kept (an IndexError)
+        lowrank = hardy_from_terms([(-1j, [1.0]), (1 - 1j, [3e-12])])
+        with pytest.raises(PreconditionError, match="rank-deficient"):
+            eigendecompose(lowrank)
+        with pytest.raises(InputError, match="rank_tol"):
+            eigendecompose(lowrank, rank_tol)
+
+    @pytest.mark.parametrize("rank_tol", (hankel.RANK_RTOL, 1e-4, 0.9))
+    def test_rank_tol_inside_its_range(self, rank_tol, generic_m2):
+        dec = eigendecompose(generic_m2, rank_tol)
+        assert dec.lambdas[0] >= rank_tol * dec.lambdas[-1]
+        assert dec.size == (1 if rank_tol == 0.9 else 2)
+
+    def test_lapack_budget(self, monkeypatch):
+        # one call each of eigvalsh (the Gram conditioning test), cholesky, svd (Takagi)
+        # and solve (the shift): no second factorization of a strongly generic symbol
+        u = random_symbol(4, np.random.default_rng(0))
+        calls = linalg_calls(monkeypatch)
+        dec = eigendecompose(u)
+        assert dec.genericity == "strongly_generic"
+        assert calls == {"eigvalsh": 1, "cholesky": 1, "svd": 1, "solve": 1}
 
 
 # Per-entry reference assemblies for the broadcasts of `hankel`.
