@@ -57,6 +57,7 @@ GRAM_COND_LIMIT = 1e12
 CLUSTER_RTOL = 1e-8       # relative gap that groups eigenvalues of H^2
 RANK_RTOL = 1e-10         # lambda below this (vs. lambda_max) means rank-deficient
 NU_RTOL = 1e-8            # nu below this (vs. ||g||) counts as a vanishing coordinate
+_LAMBDA_MAX = math.sqrt(np.finfo(float).max)   # above it lambda^2 overflows
 
 __all__ = [
     "SpectralDecomposition",
@@ -291,6 +292,8 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
     L, K = _range_basis(u)
     U, sigma, Vh = np.linalg.svd(K)     # the sampler's stacked SVD gives bitwise these lambdas
     lambdas, U, Vbar = sigma[::-1], U[:, ::-1], Vh[::-1].T     # Vbar: columns conj(v_j)
+    if not lambdas[-1] <= _LAMBDA_MAX:
+        raise NumericalError(f"eigenvalue {lambdas[-1]:.3e}: lambda^2 beyond the float range")
     if lambdas[0] < rank_tol * lambdas[-1]:
         if rank_tol <= RANK_RTOL:
             raise PreconditionError("numerically rank-deficient symbol")
@@ -304,7 +307,7 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
     Lh = L.conj().T
     d_g, d_u = Lh @ g_coords_f, Lh @ u._flat[2]
     r = K @ d_g.conj() - d_u
-    if np.vdot(r, r).real > 1e-20 * np.vdot(d_u, d_u).real:
+    if not np.vdot(r, r).real <= 1e-20 * np.vdot(d_u, d_u).real:   # NaN fails
         raise NumericalError("Blaschke postcondition H_u(g) = u failed")
 
     # Takagi: conj(V) = U D with D unitary and symmetric, so W = U sqrt(D)
@@ -320,7 +323,7 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
         ref[c], tol[c] = np.mean(lambdas[c]), 1e-7 * lambdas[-1]
     evecs_bar = evecs.conj()
     resid2 = (abs(K @ evecs_bar - evecs * ref) ** 2).sum(axis=0)   # squared column norms
-    if np.count_nonzero(resid2 > tol**2):
+    if np.count_nonzero(resid2 <= tol**2) < len(resid2):           # NaN fails
         raise NumericalError("Takagi eigenvector residual too large")
 
     betas = evecs_bar.T @ d_g
@@ -336,7 +339,7 @@ def eigendecompose(u: HardyRational, rank_tol: float = RANK_RTOL) -> SpectralDec
     shift = _assemble_s(lambdas, bb, same, 0.5 * (Te + Te.conj().T) + closure)
     # T - T^* = (i/2pi) beta beta^H on Te's blocks; off them shift's closed form meets it
     gap = Te - np.where(same, Te, shift).conj().T - 2.0 * closure
-    if abs(gap).max() > 1e-8 * abs(Te).max():
+    if not abs(gap).max() <= 1e-8 * abs(Te).max():                 # NaN fails
         raise NumericalError("shift closure violated")
 
     return SpectralDecomposition(u, lambdas, evecs, betas, nus, two_phis, shift.diagonal().real,

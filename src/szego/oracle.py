@@ -40,12 +40,18 @@ without any zero padding.  The half-shift modulation and the (-1)^k
 grid-offset sign cancel in |u|^2 u.
 
 `step` and `integrate` run one RK4 routine on one workspace, allocated per
-call: the (2, M/2) sample rows, the twiddles e^{2 pi i k/M} and their
-conjugates, and three K = M/2 + 1 stage buffers.  The cubic term runs in
-place in the sample rows: the inverse FFT is left unnormalized, the forward
-FFT overwrites its input, and a single folded constant -i/(M (2L)^2) scales
-the kept modes in a stage buffer.  The caller's amplitudes are only read,
-and every returned state holds a fresh array.
+call: the (2, M/2) sample rows and a (2, M/2) scratch for |u|^2, the
+twiddles e^{2 pi i k/M} and their conjugates, and a (4, K) block,
+K = M/2 + 1, of the four stage slopes.  Each stage input a + c k is built
+straight into the even sample row, with the top mode and y_0 carried as
+Python scalars.  The cubic term runs in place in the sample rows (the
+inverse FFT left unnormalized, the forward FFT overwriting its input) and
+leaves the kept modes unscaled: the constant -i/(M (2L)^2) is folded into
+the stage weights c and into the weights of the update a + sum_i w_i k_i,
+one matrix-vector product over the block and one sum.  The sum of |a_k|
+of each new state is taken once: it tests the state for finiteness and is
+carried to the next step's stability budget.  The caller's amplitudes are
+only read, and every returned state holds a fresh array.
 """
 
 from __future__ import annotations
@@ -145,45 +151,53 @@ def grid_physical(state: GridState) -> np.ndarray:
     i.e. (M/2L) (-i) e^{i pi j/M} ifft((-1)^k amps_k).
     """
     L, M = state.L, state.M
-    sign = (-1.0) ** np.arange(len(state.amps))
     mod = -1j * np.exp(1j * math.pi / M * np.arange(M))
-    return np.fft.ifft(state.amps * sign, M) * (mod * (M / (2.0 * L)))
+    return _unmodulated(state.amps, M) * (mod * (M / (2.0 * L)))
 
 
-def _workspace(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _unmodulated(amps: np.ndarray, M: int) -> np.ndarray:
+    """ifft((-1)^k amps_k) on M points: `grid_physical` less its factor of modulus M/2L."""
+    signed = amps.copy()
+    signed[1::2] *= -1.0
+    return np.fft.ifft(signed, M)
+
+
+def _workspace(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Buffers of the RK4 kernel on M modes, for one step or integrate call.
 
-    The (2, M/2) even and odd sample rows of the cubic term; its twiddles,
-    tau_k = e^{2 pi i k/M} in row 0 and their conjugates in row 1, for
-    k < M/2; and three stage buffers of K = M/2 + 1 modes: the stage
-    derivative, the stage input and the accumulated increment.
+    The (2, M/2) even and odd sample rows of the cubic term and a (2, M/2)
+    scratch for |u|^2; its twiddles, tau_k = e^{2 pi i k/M} in row 0 and
+    their conjugates in row 1, for k < M/2; and the (4, K) block,
+    K = M/2 + 1, of the unscaled stage slopes k_1..k_4.
     """
     h = M // 2
     tau = np.exp(2j * math.pi / M * np.arange(h))
-    return (np.empty((2, h), dtype=complex), np.stack([tau, tau.conj()]),
-            np.empty((3, h + 1), dtype=complex))
+    return (np.empty((2, h), dtype=complex), np.empty((2, h), dtype=complex),
+            np.stack([tau, tau.conj()]), np.empty((4, h + 1), dtype=complex))
 
 
-def _vector_field(y: np.ndarray, L: float, rows: np.ndarray, tw: np.ndarray,
-                  out: np.ndarray) -> np.ndarray:
-    """-i FT(|u|^2 u) at the kept frequencies of y, written into out.
+def _cubic(rows: np.ndarray, top: complex, sq: np.ndarray, tw: np.ndarray,
+           out: np.ndarray) -> np.ndarray:
+    """M (2L)^2 / -i times the vector field of y, written into out.
 
-    The M-point inverse transform of y, split into its even and odd samples
-    (the top mode y_{M/2} is +y_{M/2} on every even sample and -y_{M/2} on
-    every odd one), is left unnormalized, so the cube carries M^3.  The
-    forward transform recombines the two rows, the two triples that alias
-    onto kept modes are subtracted, and one constant -i / (M (2L)^2) folds
-    the 1/M of the inverse, the (M/2L)^2 of the sampled cube and the -i of
-    the equation.
+    On entry rows[0] holds the modes y_0..y_{M/2-1} and `top` is y_{M/2}.
+    The odd-sample row is rows[0] times the twiddles; the top mode is
+    +y_{M/2} on every even sample and -y_{M/2} on every odd one.  The
+    inverse transform is left unnormalized, so the cube carries M^3; the
+    forward transform recombines the two rows and the two triples that
+    alias onto kept modes are subtracted.  What is left is the kept modes
+    of FT(|u|^2 u) before the scale -i / (M (2L)^2), which the caller folds
+    into its stage weights.
     """
-    h = len(y) - 1
-    y0, top = complex(y[0]), complex(y[h])
-    rows[0] = y[:h]
-    np.multiply(y[:h], tw[0], out=rows[1])
+    h = rows.shape[1]
+    y0 = complex(rows[0, 0])
+    np.multiply(rows[0], tw[0], out=rows[1])
     rows[0, 0] += top
     rows[1, 0] -= top
     np.fft.ifft(rows, axis=1, norm="forward", out=rows)
-    rows *= rows.real**2 + rows.imag**2
+    np.conjugate(rows, out=sq)
+    sq *= rows
+    rows *= sq
     np.fft.fft(rows, axis=1, out=rows)
     np.multiply(rows[1], tw[1], out=out[:h])
     out[:h] += rows[0]
@@ -191,43 +205,58 @@ def _vector_field(y: np.ndarray, L: float, rows: np.ndarray, tw: np.ndarray,
     M = 2 * h
     out[0] -= M * top * top * y0.conjugate()    # triple (M/2, M/2, 0): k = M
     out[h] -= M * y0 * y0 * top.conjugate()     # triple (0, 0, M/2): k = -M/2
-    out *= -1j / (M * (2.0 * L) ** 2)
     return out
 
 
-def _rk4(a: np.ndarray, dt: float, L: float, dxi: float, rows: np.ndarray,
-         tw: np.ndarray, stages: np.ndarray, out: np.ndarray) -> None:
-    """One classical RK4 step from a into out; a is only read."""
-    sup = dxi / (2.0 * math.pi) * float(np.sum(np.abs(a)))
-    if sup > 0 and abs(dt) > 0.5 / sup**2:
+def _rk4(a: np.ndarray, dt: float, L: float, sup: float, rows: np.ndarray,
+         sq: np.ndarray, tw: np.ndarray, slopes: np.ndarray, out: np.ndarray) -> float:
+    """One classical RK4 step from a into out; a is only read.
+
+    `sup` = (dxi/2pi) sum |a_k| bounds |u|.  Returns sum |out_k|, the next
+    step's `sup` up to that factor.  The sum also tests out: only when it is
+    not finite are the entries read, so a sum that overflows on finite
+    entries is left to the next step's budget.
+    """
+    if abs(dt) * sup * sup > 0.5:
         raise PreconditionError(
-            f"dt {dt:.3e} above stability budget {0.5 / sup**2:.3e}"
+            f"dt {dt:.3e} above stability budget {0.5 / sup / sup:.3e}"
         )
-    k, y, acc = stages
-    _vector_field(a, L, rows, tw, acc)
-    np.multiply(acc, 0.5 * dt, out=y)
-    for c in (0.5 * dt, dt):   # k2 and k3: each feeds the next stage, weight 2
-        y += a
-        _vector_field(y, L, rows, tw, k)
-        np.multiply(k, c, out=y)
-        k *= 2.0
-        acc += k
-    y += a
-    _vector_field(y, L, rows, tw, k)
-    acc += k
-    np.multiply(acc, dt / 6.0, out=out)
+    h = rows.shape[1]
+    c = dt * -1j / (2 * h * (2.0 * L) ** 2)    # dt times the scale `_cubic` leaves out
+    rows[0] = a[:h]
+    _cubic(rows, complex(a[h]), sq, tw, slopes[0])
+    for k, nxt, ci in zip(slopes, slopes[1:], (0.5 * c, 0.5 * c, c)):   # input a + ci k
+        np.multiply(k[:h], ci, out=rows[0])
+        rows[0] += a[:h]
+        _cubic(rows, complex(a[h]) + ci * complex(k[h]), sq, tw, nxt)
+    np.dot(np.array([c / 6.0, c / 3.0, c / 3.0, c / 6.0]), slopes, out=out)
     out += a
-    if not np.all(np.isfinite(out)):
+    total = float(np.abs(out).sum())
+    if not math.isfinite(total) and not np.all(np.isfinite(out)):
         raise NumericalError("blow-up or instability")
+    return total
+
+
+def _advance(state: GridState, dt: float, n: int) -> GridState:
+    """n RK4 steps of dt from state, on one workspace; a fresh array holds the result."""
+    rows, sq, tw, slopes = _workspace(state.M)
+    a = np.array(state.amps, dtype=complex)
+    new = np.empty_like(a)
+    scale = state.dxi / (2.0 * math.pi)
+    total = float(np.abs(a).sum())
+    t = state.time
+    for _ in range(n):
+        total = _rk4(a, dt, state.L, scale * total, rows, sq, tw, slopes, new)
+        a, new = new, a
+        t += dt
+    return GridState(state.L, state.M, a, t)
 
 
 def step(state: GridState, dt: float) -> GridState:
     """One classical RK4 step; the Hardy constraint holds by construction."""
     if not math.isfinite(dt):
         raise InputError(f"time step must be finite, got {dt!r}")
-    new = np.empty(len(state.amps), dtype=complex)
-    _rk4(state.amps, dt, state.L, state.dxi, *_workspace(state.M), new)
-    return GridState(state.L, state.M, new, state.time + dt)
+    return _advance(state, dt, 1)
 
 
 def integrate(state: GridState, t_final: float, dt: float) -> GridState:
@@ -244,15 +273,7 @@ def integrate(state: GridState, t_final: float, dt: float) -> GridState:
     n = round(span / h)
     if abs(n * h - span) > 1e-9 * max(1.0, abs(span)):
         raise InputError("time span must be a whole number of steps")
-    rows, tw, stages = _workspace(state.M)
-    a = np.array(state.amps, dtype=complex)
-    new = np.empty_like(a)
-    t = state.time
-    for _ in range(n):
-        _rk4(a, h, state.L, state.dxi, rows, tw, stages, new)
-        a, new = new, a
-        t += h
-    return GridState(state.L, state.M, a, t)
+    return _advance(state, h, n)
 
 
 def mass(state: GridState) -> float:
@@ -268,7 +289,7 @@ def edge_mass_fraction(state: GridState, frac: float = 0.05) -> float:
 
 
 def _edge_fraction(u: np.ndarray, L: float, frac: float = 0.05) -> float:
-    """edge_mass_fraction of the physical grid values u on [-L, L)."""
+    """edge_mass_fraction of grid values u on [-L, L); it reads only |u|, and no constant scale."""
     sel = np.abs(grid_points(L, len(u))) >= (1.0 - frac) * L
     tot = float(np.sum(np.abs(u) ** 2))
     if tot == 0.0:
@@ -303,8 +324,8 @@ def compare(u0: HardyRational, t: float, L: float, M: int, dt: float) -> dict:
 
     diff = gt.amps - gex.amps
     l2 = _l2_of_modes(diff, g0.dxi)
-    ut_grid = grid_physical(gt)
-    linf = float(np.max(np.abs(ut_grid - grid_physical(gex))))
+    # |u(x_j)| is M/2L times |_unmodulated|, and the transform is linear in the modes
+    linf = g0.M / (2.0 * g0.L) * float(np.max(np.abs(_unmodulated(diff, g0.M))))
     per_mode = float(np.max(np.abs(diff)))
     j2_oracle = abs(mass(gt) - m0) / m0 if m0 > 0 else 0.0
     J0, Jt = l2_norm(u0) ** 2, l2_norm(ut) ** 2        # J_2 = ||u||^2
@@ -318,7 +339,7 @@ def compare(u0: HardyRational, t: float, L: float, M: int, dt: float) -> dict:
         "max_mode_error": per_mode,
         "j2_drift_oracle": float(j2_oracle),
         "j2_drift_explicit": abs(Jt - J0) / J0,
-        "edge_mass_fraction": _edge_fraction(ut_grid, gt.L),
+        "edge_mass_fraction": _edge_fraction(_unmodulated(gt.amps, g0.M), g0.L),
     }
 
 

@@ -8,8 +8,8 @@ from scipy.integrate import quad, solve_ivp
 from szego.rational import hardy_from_terms, simple_pole
 
 
-def linalg_calls(monkeypatch) -> collections.Counter:
-    """Counts of the calls to every function of np.linalg from here on, by name."""
+def _call_counter(monkeypatch, module, names) -> collections.Counter:
+    """Counts of the calls to the functions `names` of `module` from here on, by name."""
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -18,10 +18,20 @@ def linalg_calls(monkeypatch) -> collections.Counter:
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in np.linalg.__all__:
-        if not isinstance(fn := getattr(np.linalg, name), type):   # LinAlgError
-            monkeypatch.setattr(np.linalg, name, counted(name, fn))
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     return calls
+
+
+def linalg_calls(monkeypatch) -> collections.Counter:
+    """Counts of the calls to every function of np.linalg from here on, by name."""
+    return _call_counter(monkeypatch, np.linalg, [   # LinAlgError is a class, not a call
+        name for name in np.linalg.__all__ if not isinstance(getattr(np.linalg, name), type)])
+
+
+def fft_calls(monkeypatch) -> collections.Counter:
+    """Counts of the calls to every function of np.fft from here on, by name."""
+    return _call_counter(monkeypatch, np.fft, np.fft.__all__)
 
 
 def quad_line(fn, limit=400):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -389,6 +390,29 @@ class TestEigendecompose:
         dec = eigendecompose(u)
         assert dec.genericity == "strongly_generic"
         assert calls == {"eigvalsh": 1, "cholesky": 1, "svd": 1, "solve": 1}
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_lambda_squared_beyond_the_float_range_fails_typed(self, action):
+        # lambda = (5.8e298, 8.6e299): lambda^2 overflows, so no shift matrix exists; the
+        # failure is typed whether or not an overflow warning is an error
+        huge = hardy_from_terms([(-1j, [1e300]), (1 - 1j, [1e300])])
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(NumericalError, match="float range"):
+                eigendecompose(huge)
+        dec = eigendecompose(hardy_from_terms([(-1j, [1e150]), (1 - 1j, [1e150])]))
+        assert dec.genericity == "strongly_generic"
+        assert np.all(np.isfinite(dec.shift))
+
+    @pytest.mark.parametrize("patch, match", [
+        ("_g_coeffs", "Blaschke"), ("_concentrate_g", "Takagi"), ("_t_matrix_f", "closure"),
+    ])
+    def test_nan_fails_each_postcondition(self, monkeypatch, double_eig_symbol, patch, match):
+        # a NaN residual compares False with any tolerance: each check must read it as a failure
+        original = getattr(hankel, patch)
+        monkeypatch.setattr(hankel, patch, lambda *args: np.full_like(original(*args), np.nan))
+        with pytest.raises(NumericalError, match=match):
+            eigendecompose(double_eig_symbol)
 
 
 # Per-entry reference assemblies for the broadcasts of `hankel`.

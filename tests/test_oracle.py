@@ -6,13 +6,13 @@ import sys
 import numpy as np
 import pytest
 
-from szego.errors import InputError, PreconditionError
+from szego.errors import InputError, NumericalError, PreconditionError
 from szego.flow import recover_rational
 from szego.hankel import eigendecompose
 import szego
 from szego.oracle import (
     GridState,
-    _vector_field,
+    _cubic,
     _workspace,
     compare,
     edge_mass_fraction,
@@ -26,6 +26,8 @@ from szego.oracle import (
     step,
 )
 from szego.rational import simple_pole, spectral_density, zero
+
+from conftest import fft_calls
 
 
 class TestSampleToGrid:
@@ -76,6 +78,14 @@ class TestSampleToGrid:
         assert errs[1] < errs[0] / 6
 
 
+def _field(y, L):
+    """-i FT(|u|^2 u) at the kept frequencies of y: `_cubic` with its scale put back."""
+    M = 2 * (len(y) - 1)
+    rows, sq, tw, slopes = _workspace(M)
+    rows[0] = y[:-1]
+    return _cubic(rows, complex(y[-1]), sq, tw, slopes[0]) * (-1j / (M * (2 * L) ** 2))
+
+
 class TestNonlinearity:
     @pytest.mark.parametrize("M", [4, 8, 16, 32])
     def test_matches_triple_sum(self, M):
@@ -93,8 +103,7 @@ class TestNonlinearity:
                     if 0 <= k < K:
                         want[k] += a[k1] * a[k2] * np.conj(a[k3])
         want /= (2 * L) ** 2
-        rows, tw, stages = _workspace(M)
-        got = _vector_field(a, L, rows, tw, stages[0])
+        got = _field(a, L)
         assert np.max(np.abs(got + 1j * want)) < 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("M", [4, 8, 2**10])
@@ -110,8 +119,7 @@ class TestNonlinearity:
         want[0] = a * abs(a) ** 2 + 2 * a * abs(b) ** 2
         want[-1] = b * abs(b) ** 2 + 2 * b * abs(a) ** 2
         want *= -1j / (2 * L) ** 2
-        rows, tw, stages = _workspace(M)
-        got = _vector_field(y, L, rows, tw, stages[0])
+        got = _field(y, L)
         assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
@@ -156,12 +164,45 @@ class TestStep:
         with pytest.raises(PreconditionError, match="stability budget"):
             step(g, -1.0)
 
-
     @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_step(self, soliton_symbol, dt):
         g = sample_to_grid(soliton_symbol, 100.0, 2**12)
         with pytest.raises(InputError, match="time step must be finite"):
             step(g, dt)
+
+    @pytest.mark.parametrize("value, error", [
+        (float("nan"), NumericalError),      # no budget to test: the step's result is NaN
+        (float("inf"), PreconditionError),
+        (1e200, PreconditionError),          # sup^2 overflows: dt above a budget of 0
+    ])
+    def test_amplitude_guards(self, soliton_symbol, value, error):
+        amps = sample_to_grid(soliton_symbol, 100.0, 2**12).amps.copy()
+        amps[7] = value
+        g = GridState(100.0, 2**12, amps, 0.0)
+        with pytest.raises(error):
+            step(g, 1e-3)
+        with pytest.raises(error):
+            integrate(g, 0.002, 1e-3)
+
+    def test_budget_at_the_float_range_ends(self, soliton_symbol):
+        g = sample_to_grid(soliton_symbol, 100.0, 2**12)
+        # dt = 0 is within any budget and leaves the state as it is
+        assert step(g, 0.0).amps.tobytes() == g.amps.tobytes()
+        # sup^2 underflows to 0: the budget is no division by it
+        tiny = GridState(100.0, 2**12, np.full(2**11 + 1, 1e-170 + 0j), 0.0)
+        assert np.all(np.isfinite(step(tiny, 1e-3).amps))
+
+    @pytest.mark.parametrize("M", [2**8, 2**12])
+    def test_transform_budget(self, monkeypatch, soliton_symbol, M):
+        # four batched M/2-point inverse and forward transforms per step, nothing else
+        L = 30.0
+        g = GridState(L, M, spectral_density(soliton_symbol, grid_frequencies(L, M)), 0.0)
+        calls = fft_calls(monkeypatch)
+        step(g, 1e-3)
+        assert calls == {"ifft": 4, "fft": 4}
+        calls.clear()
+        integrate(g, 0.005, 1e-3)
+        assert calls == {"ifft": 20, "fft": 20}
 
 
 def _padded_rk4_step(a, dt, L):
