@@ -39,7 +39,8 @@ per row), to RECOVER_TOL of the largest value, against resolvent solves,
 which do not depend on the eigendecomposition they check.  `_from_pairing`
 builds the symbols of all bilinear rows in one pass of `rational`'s
 stacked canonicalizer (`_canonical_rows`), and `_checked` evaluates all
-rows by one broadcast over their stacked flat views.
+rows by one broadcast over their stacked flat views (`rational._flat_stack`,
+the stack the Sobolev norms are summed over).
 - `_recover_many(dec, times)`, for `remainder_norms` and `growth_fit`,
   is stacked over the time axis from the pairing to the returned symbols:
   S(t) and W(t) for all times are one `_flow_stack`, the partial fractions
@@ -76,6 +77,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 
 from dataclasses import dataclass
 
@@ -84,7 +86,8 @@ import numpy as np
 from .errors import InputError, NumericalError, PreconditionError
 from .hankel import SpectralDecomposition, _assemble_s, _cluster_mask, _range_basis, eigendecompose
 from .rational import (LINK_RTOL, RECOVER_TOL, HardyRational, _canonical_rows, _circles,
-                       _from_moments, _NODES, _on_or_above_axis, _sobolev_norms, hardy_from_terms)
+                       _flat_stack, _from_moments, _NODES, _on_or_above_axis, _sobolev_norms,
+                       hardy_from_terms)
 
 __all__ = [
     "FlowMatrix",
@@ -261,19 +264,6 @@ def _from_pairing(A: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[HardyRati
     return [hardy_from_terms(parts[i]) if i in parts else next(built) for i in range(len(A))]
 
 
-def _flat_stack(us, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The flat views of us, each of at most n entries, as (T, n) poles, coefficients and
-    powers l + 1.  A shorter row is padded with 0/(x - p) at its first pole p (at -i if it
-    has none), which adds nothing on the real line and leaves max|p| as it is."""
-    def padded(layout, p, c):
-        k = n - len(layout)
-        return (layout + (0,) * k, np.concatenate((p, np.full(k, p[0] if len(p) else -1j))),
-                np.concatenate((c, np.zeros(k))))
-
-    layouts, poles, coeffs = zip(*(padded(*u._flat) if u.degree < n else u._flat for u in us))
-    return np.array(poles), np.array(coeffs), np.add(layouts, 1)
-
-
 # the recovery postcondition's 20 points, before scaling to each row's poles
 _UNIT_POINTS = np.linspace(-1.0, 1.0, 20)
 
@@ -288,7 +278,8 @@ def _checked(us: list[HardyRational], flat, xs, ref, ts) -> list[HardyRational]:
     """us, recovered at the times ts, if each matches the resolvent values ref (T, 20) at its
     check points xs to RECOVER_TOL of their largest.
 
-    All rows are one broadcast evaluation of their stacked flat views `flat` (`_flat_stack`).
+    All rows are one broadcast evaluation of their stacked flat views `flat`, built by
+    `rational._flat_stack`.
     The first failing time raises, and so does a value that is not finite.
     """
     poles, coeffs, powers = flat
@@ -325,18 +316,27 @@ def _recover_many(dec: SpectralDecomposition, times) -> list[HardyRational]:
     return _checked(outs, flat, xs, _pairing(A, a, b, xs), ts.tolist())
 
 
-def spectral_conserved(dec: SpectralDecomposition, kmax: int) -> list[float]:
-    """[J_2, J_4, ..., J_{2 kmax}] from the spectral data."""
+def _kmax(kmax) -> int:
+    """The number of conserved quantities as an integer (`operator.index`), at least 1."""
+    try:
+        kmax = operator.index(kmax)
+    except TypeError:
+        raise InputError(f"kmax must be an integer, got {kmax!r}") from None
     if kmax < 1:
         raise PreconditionError("kmax must be >= 1")
+    return kmax
+
+
+def spectral_conserved(dec: SpectralDecomposition, kmax: int) -> list[float]:
+    """[J_2, J_4, ..., J_{2 kmax}] from the spectral data."""
+    kmax = _kmax(kmax)
     return [float(np.sum(dec.lambdas ** (2 * k) * dec.nus**2)) for k in range(1, kmax + 1)]
 
 
 def conserved_quantities(u: HardyRational, kmax: int) -> list[float]:
     """J_2k(u) = ||H_u^(k-1) u||^2 = sum_j lambda_j^2k nu_j^2 for k = 1..kmax, on K:
     ||d||^2, ||K conj(d)||^2, ... with d = L^H c_u, and no decomposition of u."""
-    if kmax < 1:
-        raise PreconditionError("kmax must be >= 1")
+    kmax = _kmax(kmax)
     if u.is_zero():
         return [0.0] * kmax
     L, K = _range_basis(u)

@@ -11,6 +11,12 @@ upper half-plane and their Fourier transform is supported on ``[0, oo)``:
 
     FT[1/(x-p)^l](xi) = 2*pi*(-i)^l / (l-1)! * xi^(l-1) * exp(-i*p*xi).
 
+Its amplitudes come from one table over the power l - 1 (`_AMPLITUDE`).  The
+Sobolev norms of any number of functions are one broadcast over their flat
+views stacked into (T, n) arrays, shorter rows padded with zero entries
+(`_flat_stack`, which `flow`'s recovery check reads too): every pair of
+entries integrates in closed form, and each function's n x n block is summed.
+
 Integrals of functions decaying like 1/x^2 are evaluated by residues:
 ``int f = -2*pi*i * (sum of first-order coefficients at poles below the
 axis)``.  Products are exact, without root finding: on the flat view below
@@ -335,6 +341,19 @@ def _from_flat(layout, poles, coeffs) -> HardyRational:
     return _canonical(HardyRational, layout, poles, coeffs)
 
 
+def _flat_stack(us, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flat views of us, each of at most n entries, as (T, n) poles, coefficients and
+    powers l + 1.  A shorter row is padded with 0/(x - p) at its first pole p (at -i if it
+    has none), which adds nothing on the real line and leaves max|p| as it is."""
+    def padded(layout, p, c):
+        k = n - len(layout)
+        return (layout + (0,) * k, np.concatenate((p, np.full(k, p[0] if len(p) else -1j))),
+                np.concatenate((c, np.zeros(k))))
+
+    layouts, poles, coeffs = zip(*(padded(*u._flat) if u.degree < n else u._flat for u in us))
+    return np.array(poles), np.array(coeffs), np.add(layouts, 1)
+
+
 def as_hardy(f: RationalFn) -> HardyRational:
     return _wrap(HardyRational, f._flat)
 
@@ -654,22 +673,33 @@ def blaschke(u: HardyRational) -> BlaschkeData:
 # Fourier side
 
 
+# the transform's amplitude 2 pi (-i)^(k+1) / k! on 1/(x - p)^(k+1), for every k whose k!
+# is a float
+_AMPLITUDE = np.array([2.0 * math.pi * (-1j) ** (k + 1) / math.factorial(k) for k in range(171)])
+
+
 def _fourier_arrays(f: HardyRational) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Amplitudes, poles and powers of the transform's terms, one per nonzero entry."""
+    """Amplitudes, poles and powers of the transform's terms, one per nonzero entry.
+
+    A power beyond `_AMPLITUDE`, whose k! is not a float, is a `NumericalError`.
+    """
     layout, poles, coeffs = f._flat
     keep = coeffs != 0
     power = np.array(layout, dtype=int)[keep]
-    amp = [c * 2.0 * math.pi * (-1j) ** (k + 1) / math.factorial(k)
-           for k, c in zip(power.tolist(), coeffs[keep].tolist())]
-    return np.array(amp, dtype=complex), poles[keep], power
+    if power.max(initial=0) >= len(_AMPLITUDE):
+        raise NumericalError(f"amplitude 2 pi / k! beyond the float range at k = {power.max()}")
+    return coeffs[keep] * _AMPLITUDE[power], poles[keep], power
 
 
 def spectral_density(f: HardyRational, xi):
     """Evaluate the closed-form transform at xi (scalar or array); it is 0 at xi < 0.
 
     The formula is evaluated at xi >= 0 alone: below, it grows like e^{|Im p| |xi|}.
+    A frequency that is not finite is an `InputError`.
     """
     xarr = np.asarray(xi, dtype=float)
+    if not np.isfinite(xarr).all():
+        raise InputError(f"frequency must be finite, got {xarr[~np.isfinite(xarr)][0]}")
     neg = xarr < 0
     x = np.where(neg, 0.0, xarr)
     out = np.zeros(xarr.shape, dtype=complex)
@@ -686,35 +716,41 @@ def _sobolev_norms(fs, ss) -> np.ndarray:
 
     ||f||_{Hdot^s}^2 = (1/2pi) int_0^oo xi^(2s) |fhat|^2, with every cross
     term integrating to Gamma(a+1)/c^(a+1) where c = i(p_a - conj(p_b)) has
-    positive real part.  Each f's transform is built once, and the
-    functions whose transforms have the same powers are one broadcast.  A
-    pole on or above the real line has no such transform: a `PreconditionError`
-    (`inner_product` takes a general `RationalFn`).
+    positive real part.  All functions are one broadcast over their padded
+    flat views (`_flat_stack`): the (T, S, n, n) terms of T functions, S
+    indices and n entries are summed over each function's n x n block.  A
+    pole on or above the real line has no such transform: a
+    `PreconditionError` (`inner_product` takes a general `RationalFn`).  An
+    index that is not finite is an `InputError`, and a Gamma factor or a norm
+    beyond the float range a `NumericalError`.
     """
     ss = np.asarray(ss, dtype=float)
+    if not np.isfinite(ss).all():
+        raise InputError(f"Sobolev index must be finite, got {ss[~np.isfinite(ss)][0]}")
     if np.any(ss < 0):
         raise PreconditionError("Sobolev index must be nonnegative")
-    terms = [_fourier_arrays(f) for f in fs]
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, (_amp, _pol, pw) in enumerate(terms):
-        groups.setdefault(tuple(pw.tolist()), []).append(i)
-    jmax = 2 * max((max(key) for key in groups if key), default=0)
-    gam = np.array([[math.gamma(2.0 * s + j + 1.0) for j in range(jmax + 1)] for s in ss])
-    out = np.zeros((len(terms), len(ss)))
-    for key, idx in groups.items():
-        if not key:
-            continue
-        amp = np.array([terms[i][0] for i in idx])
-        pol = np.array([terms[i][1] for i in idx])
-        if _on_or_above_axis(pol).any():
-            raise PreconditionError("Sobolev norms need every pole below the real line")
-        pw = terms[idx[0]][2]
+    n = max((f.degree for f in fs), default=0)
+    if not n:
+        return np.zeros((len(fs), len(ss)))
+    poles, coeffs, powers = _flat_stack(fs, n)
+    if _on_or_above_axis(poles).any():
+        raise PreconditionError("Sobolev norms need every pole below the real line")
+    k = powers - 1
+    kk = k[:, :, None] + k[:, None, :]
+    try:
+        gam = np.array([[math.gamma(2.0 * s + j + 1.0) for j in range(kk.max() + 1)] for s in ss])
+    except OverflowError:
+        raise NumericalError("Sobolev norm's Gamma factor beyond the float range") from None
+    G = gam[np.arange(len(ss))[:, None, None], kk[:, None]]
+    e = 2.0 * ss[:, None, None] + kk[:, None]
+    c = 1j * (poles[:, :, None] - np.conj(poles[:, None, :]))
+    with np.errstate(all="ignore"):
+        amp = coeffs * _AMPLITUDE[k]
         A = amp[:, :, None] * np.conj(amp[:, None, :])
-        k = pw[:, None] + pw[None, :]
-        n = 2.0 * ss[:, None, None] + k
-        c = 1j * (pol[:, :, None] - np.conj(pol[:, None, :]))
-        total = np.sum(A[:, None] * gam[:, k] / c[:, None] ** (n + 1.0), axis=(2, 3))
-        out[idx] = np.sqrt(np.maximum(total.real / (2.0 * math.pi), 0.0))
+        total = np.sum(A[:, None] * G / c[:, None] ** (e + 1.0), axis=(2, 3))
+        out = np.sqrt(np.maximum(total.real / (2.0 * math.pi), 0.0))
+    if not np.isfinite(out).all():
+        raise NumericalError("Sobolev norm beyond the float range")
     return out
 
 

@@ -362,3 +362,26 @@ def test_stacked_recovery_builds_and_checks_no_row_alone():
                   for node in ast.walk(loop) if calls.get(id(node)) in one_row]
     assert found == []
     assert sorted(seen) == ["_checked", "_minus_solitons"]   # once each, on the stack
+
+
+def test_sobolev_norms_are_one_pass_over_one_stack():
+    # `_sobolev_norms` reads every function through one `_flat_stack` call: no loop or
+    # comprehension of it calls a function of `rational`, only its Gamma table's builtins,
+    # and the stack is defined once, in `rational`, for `flow`'s check as well
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    defined = []
+    for path in sorted(SRC.glob("*.py")):
+        defined += [(path.name, node.name) for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.FunctionDef)]
+    assert [path for path, name in defined if name == "_flat_stack"] == ["rational.py"]
+    own = {name for path, name in defined if path == "rational.py"}
+    tree = ast.parse((SRC / "rational.py").read_text())
+    (fn,) = [node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name == "_sobolev_norms"]
+    names = [getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+             for node in ast.walk(fn) if isinstance(node, ast.Call)]
+    in_loops = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                for loop in ast.walk(fn) if isinstance(loop, loops)
+                for node in ast.walk(loop) if isinstance(node, ast.Call)}
+    assert in_loops <= {"gamma", "range", "max"} and not own & in_loops
+    assert names.count("_flat_stack") == 1 and "_fourier_arrays" not in names

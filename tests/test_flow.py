@@ -696,6 +696,15 @@ class TestConservedQuantities:
         with pytest.raises(PreconditionError):
             conserved_quantities(soliton_symbol, 0)
 
+    @pytest.mark.parametrize("kmax", (2.5, math.nan, "2", None))
+    def test_kmax_not_an_integer_rejected(self, soliton_symbol, kmax):
+        # these raised untyped TypeErrors; an integer of any type is read by operator.index
+        dec = eigendecompose(soliton_symbol)
+        for fn, arg in ((conserved_quantities, soliton_symbol), (spectral_conserved, dec)):
+            with pytest.raises(InputError, match="kmax must be an integer"):
+                fn(arg, kmax)
+            assert fn(arg, np.int64(2)) == fn(arg, 2)
+
     @staticmethod
     def assert_quadratic_form_is_spectral(u, dec):
         J = conserved_quantities(u, 4)

@@ -499,6 +499,13 @@ class TestFourier:
     def test_zero(self):
         assert all(a.size == 0 for a in _fourier_arrays(zero()))
 
+    def test_power_beyond_the_amplitude_table_fails_closed(self):
+        # 1/(x + i)^171 has 170! in floats; 1/(x + i)^172 overflowed math.factorial's float
+        top = hardy_from_terms([(-1j, [0.0] * 170 + [1.0])])
+        assert np.isfinite(_fourier_arrays(top)[0]).all()
+        with pytest.raises(NumericalError, match="beyond the float range"):
+            spectral_density(hardy_from_terms([(-1j, [0.0] * 171 + [1.0])]), 1.0)
+
     def test_fft_consistency(self):
         # sampled midband transform of a 1/x^2-decaying combination
         f = hardy_from_terms([(-1j, [1.0]), (-0.3 - 1.4j, [-1.0])])
@@ -529,6 +536,12 @@ class TestFourier:
             want -= qv[0] * np.exp(1j * lam * X) / (1j * lam)
             got = spectral_density(generic_m2, lam)
             assert abs(got - want) / abs(got) < 1e-6
+
+    @pytest.mark.parametrize("xi", (math.nan, math.inf, -math.inf, [0.5, math.nan]))
+    def test_frequency_not_finite_rejected(self, xi, soliton_symbol):
+        # nan read as nan+nanj, and inf warned "invalid value in multiply"
+        with pytest.raises(InputError, match="frequency must be finite"):
+            spectral_density(soliton_symbol, xi)
 
     def test_zero_below_the_origin(self):
         # the formula at xi < 0 grew like e^{|Im p| |xi|}: -46.43i at -2 for 1/(x + i)
@@ -631,6 +644,55 @@ class TestSobolevSequence:
     def test_negative_s_rejected(self, soliton_symbol):
         with pytest.raises(PreconditionError):
             _sobolev_norms([soliton_symbol], (0.0, -0.5))
+
+    @pytest.mark.parametrize("s, error", ((math.nan, InputError), (math.inf, InputError),
+                                          (-math.inf, InputError), (200.0, NumericalError)))
+    @pytest.mark.parametrize("route", ("norm", "trajectory", "remainder_norms", "growth_fit"))
+    def test_index_fails_closed(self, s, error, route, soliton_symbol, double_eig_symbol):
+        # nan and inf read as nan with a warning, and Gamma(401) overflowed untyped; the
+        # routes below reached `fit_power_law`'s error only after all their work
+        from szego.asymptotics import growth_fit, remainder_norms
+        from szego.flow import trajectory
+
+        times = np.geomspace(1e2, 1e3, 5)
+        call = {"norm": lambda: homogeneous_sobolev_norm(soliton_symbol, s),
+                "trajectory": lambda: trajectory(soliton_symbol, [0.0, 1.0], hs=(s,)),
+                "remainder_norms": lambda: remainder_norms(soliton_symbol, times, (s,)),
+                "growth_fit": lambda: growth_fit(double_eig_symbol, s, times)}[route]
+        with pytest.raises(error):
+            call()
+
+    def test_norm_beyond_the_float_range_fails_closed(self):
+        # Gamma(161) is a float, but 1/0.02^161 is not
+        with pytest.raises(NumericalError, match="beyond the float range"):
+            homogeneous_sobolev_norm(simple_pole(1.0, -0.01j), 80.0)
+        assert homogeneous_sobolev_norm(zero(), 200.0) == 0.0
+
+    def test_stack_rows_match_one_function_calls(self, soliton_symbol, generic_m2,
+                                                 double_eig_symbol, mixed_mult):
+        # one padded (T, n) stack: a row of the largest degree sums the one-function
+        # call's n x n block and is bitwise its value; a padded row sums zeros besides.
+        # The remainders are of the largest degree, as in `remainder_norms`: padded, their
+        # cancelling sums would be reordered and move at the cancellation's own scale
+        from szego.asymptotics import _minus_solitons, soliton_params_from_spectrum
+        from szego.flow import _recover_many
+        from szego.hankel import eigendecompose
+        from szego.sampling import random_strongly_generic
+
+        dec = eigendecompose(random_strongly_generic(3, np.random.default_rng(1)))
+        times = np.geomspace(1e2, 1e4, 7)
+        eps = _minus_solitons(_recover_many(dec, times), soliton_params_from_spectrum(dec), times)
+        fs = [soliton_symbol, generic_m2, zero(), double_eig_symbol, mixed_mult, *eps]
+        n = max(f.degree for f in fs)
+        got = _sobolev_norms(fs, self.SS)
+        full = [f.degree == n for f in fs]
+        assert 1 <= sum(full) < len(fs) - 1
+        for f, row, top in zip(fs, got, full):
+            want = _sobolev_norms([f], self.SS)[0]
+            if top:
+                assert row.tobytes() == want.tobytes()
+            else:
+                assert np.all(np.abs(row - want) <= 1e-15 * want)
 
 
 class TestEvaluate:
