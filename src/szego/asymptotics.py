@@ -36,6 +36,7 @@ from .rational import (
     HardyRational,
     _canonical_rows,
     _from_flat,
+    _sobolev_indices,
     _sobolev_norms,
     h_half_norm,
     simple_pole,
@@ -192,6 +193,7 @@ def remainder_norms(u0: HardyRational, times, s_values) -> ResolutionReport:
     of all remainders, and u0's, come from one `_sobolev_norms` call.  A
     remainder reads as zero against u0's norm in the same H^s.
     """
+    s_values = tuple(_sobolev_indices(s_values).tolist())
     times = tuple(float(t) for t in times)
     if any(t == 0 for t in times):
         raise PreconditionError("remainder decay is measured at nonzero times")
@@ -199,7 +201,6 @@ def remainder_norms(u0: HardyRational, times, s_values) -> ResolutionReport:
         raise PreconditionError("times must share one sign (one direction tag)")
     dec = eigendecompose(u0)
     sols = soliton_params_from_spectrum(dec)
-    s_values = tuple(float(s) for s in s_values)
     eps = _minus_solitons(_recover_many(dec, times), sols, times)
     l2, *hdots = _sobolev_norms([u0, *eps], (0.0, *s_values)).T
     norms = np.empty((len(times) + 1, len(s_values)))
@@ -272,6 +273,7 @@ def _growth_fits(u0: HardyRational, svals, times) -> list[dict]:
     norms of all times and all s come from one `_sobolev_norms` call; each
     s's column is the one-s call's.
     """
+    _sobolev_indices(svals)
     times = tuple(float(t) for t in times)
     if len(times) < MIN_FIT_POINTS:
         raise PreconditionError("insufficient samples")

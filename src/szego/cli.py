@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InputError, NumericalError, PreconditionError, ToleranceExceeded
-from .rational import inner_product, load_symbol, to_json_dict
+from .rational import as_hardy, l2_norm, load_symbol, to_json_dict
 from .hankel import decomposition_to_json, eigendecompose
 from .flow import _OBSERVABLES, trajectory
 from .actionangle import (
@@ -42,7 +42,7 @@ from .actionangle import (
 )
 from .asymptotics import _growth_fits, _solitons_at, nongeneric_analysis, remainder_norms
 from .oracle import compare, self_convergence
-from .sampling import random_coords, random_generic
+from .sampling import _conditioned, random_coords
 
 
 def _parse_times(spec: str) -> list[float]:
@@ -303,10 +303,8 @@ def _cmd_roundtrip(args) -> int:
     for _ in range(args.count):
         c = random_coords(args.n, rng)
         worst_coords = max(worst_coords, _chi_inverse(c)[2])
-        v = random_generic(args.n, rng)
-        v2 = chi_inverse(chi(eigendecompose(v)))
-        diff = v2 - v
-        worst_symbol = max(worst_symbol, float(np.sqrt(abs(inner_product(diff, diff)))))
+        v, dec = _conditioned(args.n, rng, "generic", 0.05, 0.8)   # random_generic's defaults
+        worst_symbol = max(worst_symbol, l2_norm(as_hardy(chi_inverse(chi(dec)) - v)))
     run.write_json("roundtrip.json", {
         "count": args.count,
         "n": args.n,

@@ -86,8 +86,8 @@ import numpy as np
 from .errors import InputError, NumericalError, PreconditionError
 from .hankel import SpectralDecomposition, _assemble_s, _cluster_mask, _range_basis, eigendecompose
 from .rational import (LINK_RTOL, RECOVER_TOL, HardyRational, _canonical_rows, _circles,
-                       _flat_stack, _from_moments, _NODES, _on_or_above_axis, _sobolev_norms,
-                       hardy_from_terms)
+                       _flat_stack, _from_moments, _NODES, _on_or_above_axis, _sobolev_indices,
+                       _sobolev_norms, hardy_from_terms)
 
 __all__ = [
     "FlowMatrix",
@@ -365,6 +365,7 @@ def trajectory(
     norms; the norms of all times, and the soliton remainders', take one
     `_sobolev_norms` call each.
     """
+    _sobolev_indices(hs)
     for ob in observables:
         if ob not in _OBSERVABLES:
             raise PreconditionError(f"unknown observable {ob!r}")

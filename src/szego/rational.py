@@ -197,10 +197,12 @@ class RationalFn:
     def evaluate(self, z):
         """Direct summation of the partial fractions at z (scalar or array).
 
-        A point where the sum is not finite, a pole among them, is an `InputError`.
+        A point that is not finite, or where the sum is not (a pole), is an `InputError`.
         """
         layout, poles, coeffs = self._flat
         zarr = np.asarray(z, dtype=complex)
+        if not np.isfinite(zarr).all():
+            raise InputError(f"point must be finite, got {complex(zarr[~np.isfinite(zarr)][0])}")
         with np.errstate(all="ignore"):
             out = (coeffs / (zarr[..., None] - poles) ** np.add(layout, 1)).sum(axis=-1)
         if not np.isfinite(out).all():
@@ -711,6 +713,16 @@ def spectral_density(f: HardyRational, xi):
     return out
 
 
+def _sobolev_indices(ss) -> np.ndarray:
+    """Sobolev indices as floats: not finite is an `InputError`, negative a `PreconditionError`."""
+    ss = np.asarray(ss, dtype=float)
+    if not np.isfinite(ss).all():
+        raise InputError(f"Sobolev index must be finite, got {ss[~np.isfinite(ss)][0]}")
+    if np.any(ss < 0):
+        raise PreconditionError("Sobolev index must be nonnegative")
+    return ss
+
+
 def _sobolev_norms(fs, ss) -> np.ndarray:
     """Homogeneous Sobolev norms of every f of fs for every s in ss, shape (len(fs), len(ss)).
 
@@ -724,11 +736,7 @@ def _sobolev_norms(fs, ss) -> np.ndarray:
     index that is not finite is an `InputError`, and a Gamma factor or a norm
     beyond the float range a `NumericalError`.
     """
-    ss = np.asarray(ss, dtype=float)
-    if not np.isfinite(ss).all():
-        raise InputError(f"Sobolev index must be finite, got {ss[~np.isfinite(ss)][0]}")
-    if np.any(ss < 0):
-        raise PreconditionError("Sobolev index must be nonnegative")
+    ss = _sobolev_indices(ss)
     n = max((f.degree for f in fs), default=0)
     if not n:
         return np.zeros((len(fs), len(ss)))

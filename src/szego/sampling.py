@@ -10,10 +10,11 @@ the comparison in curvature error.
 A draw stays raw (pole, coefficient) pairs, in a symbol's (Re, Im) order,
 until it passes the eigenvalue-ratio test: the lambda_j are the singular
 values of the closed-form matrix K, the SVD `eigendecompose` takes, and
-most draws fail here.  Only a draw that passes is built as a symbol,
-decomposed in full (its postconditions, the Blaschke check H_u g = u among
-them, read on that same K) and put to the genericity and speed-gap tests.
-The symbol returned (rescaled or not) is not decomposed again; callers do.
+most draws fail here.  Only a draw that passes is built as a symbol, scaled
+by scale_to / sigma_max (bitwise its lambda_max), decomposed in full (its
+postconditions, the Blaschke check H_u g = u among them, read on that K) and
+put to the genericity and speed-gap tests.  `_conditioned` returns that
+decomposition too, which `szego roundtrip` reuses; the public samplers do not.
 
 The ratio test runs on blocks of `_BLOCK` draws: one stacked pass of
 `hankel._range_stack` (Gram matrices, conditioning, Cholesky factors, K)
@@ -33,7 +34,7 @@ import math
 import numpy as np
 
 from .errors import InputError, NumericalError, PreconditionError
-from .hankel import _range_stack, eigendecompose
+from .hankel import SpectralDecomposition, _range_stack, eigendecompose
 from .rational import HardyRational, as_hardy, hardy_from_terms
 from .actionangle import ActionAngleCoords
 
@@ -103,7 +104,7 @@ def _sigmas(draws: list) -> list:
     return [next(sigma) if good else None for good in ok]
 
 
-def _conditioned(n, rng, want, lam_ratio, scale_to) -> HardyRational:
+def _conditioned(n, rng, want, lam_ratio, scale_to) -> tuple[HardyRational, SpectralDecomposition]:
     _check_degree(n)
     if not math.isfinite(lam_ratio):
         raise InputError(f"lam_ratio must be finite, got {lam_ratio}")
@@ -124,6 +125,8 @@ def _conditioned(n, rng, want, lam_ratio, scale_to) -> HardyRational:
             if sigma is None or sigma[-1] < lam_ratio * sigma[0]:
                 continue
             u = hardy_from_terms([(p, [c]) for p, c in pairs])
+            if scale_to is not None:
+                u = as_hardy((scale_to / sigma[0]) * u)
             try:
                 dec = eigendecompose(u)
             except (NumericalError, PreconditionError, np.linalg.LinAlgError):
@@ -137,9 +140,7 @@ def _conditioned(n, rng, want, lam_ratio, scale_to) -> HardyRational:
                 if np.any(np.diff(speeds) < 0.05 * speeds[-1]):
                     continue
             rng.bit_generator.state = state
-            if scale_to is not None:
-                u = as_hardy((scale_to / dec.lambdas[-1]) * u)
-            return u
+            return u, dec
         if error is not None:
             raise error
     raise NumericalError("rejection sampling failed; loosen the constraints")
@@ -158,7 +159,7 @@ def random_generic(n: int, rng: np.random.Generator, lam_ratio: float = 0.05,
     99 of 0 to 99; those, and n = 5 to 8 (seeds 0 to 4), raise NumericalError.
     `chi_inverse(random_coords(n, rng))` reaches higher degrees.
     """
-    return _conditioned(n, rng, "generic", lam_ratio, scale_to)
+    return _conditioned(n, rng, "generic", lam_ratio, scale_to)[0]
 
 
 def random_strongly_generic(n: int, rng: np.random.Generator,
@@ -169,7 +170,7 @@ def random_strongly_generic(n: int, rng: np.random.Generator,
     Reach at the defaults: n = 1 to 3.  At n = 4 to 6 (seeds 0 to 4) no draw
     of `_MAX_TRIES` passes and NumericalError is raised.
     """
-    return _conditioned(n, rng, "strongly_generic", lam_ratio, scale_to)
+    return _conditioned(n, rng, "strongly_generic", lam_ratio, scale_to)[0]
 
 
 def random_coords(n: int, rng: np.random.Generator) -> ActionAngleCoords:

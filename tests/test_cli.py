@@ -2,12 +2,14 @@ import csv
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 
-from szego import asymptotics
+from szego import asymptotics, hankel, rational
 from szego.cli import _apply_config, _build_parser, main
+from szego.sampling import random_coords, random_generic
 
 
 U5 = '{"terms":[{"pole":[0,-1],"coeffs":[[2,0]]},{"pole":[0,-2],"coeffs":[[-4,0]]}]}'
@@ -310,6 +312,31 @@ class TestRoundtripCommand:
         assert doc["max_coords_error"] < 1e-7
         assert doc["max_symbol_l2_error"] < 1e-7
         assert read_json(out / "manifest.json")["config"]["tol"] == 1e-7
+
+    def test_sampled_symbol_decomposed_once(self, monkeypatch, tmp_path):
+        # per round trip: chi_inverse of the coordinates, the sampler's decomposition
+        # of its accepted (scaled) draw, which chi reuses, and chi_inverse of chi's
+        # coordinates; the L2 error is the closed form, with no residue integral
+        rng, want = np.random.default_rng(0), []
+        for _ in range(2):
+            random_coords(3, rng)
+            want.append(random_generic(3, rng))
+        calls = {"eigendecompose": [], "inner_product": []}
+
+        def counting(fn, seen):
+            return lambda *a, **kw: seen.append(a[0]) or fn(*a, **kw)
+
+        originals = {"eigendecompose": hankel.eigendecompose,
+                     "inner_product": rational.inner_product}
+        for mod in [m for name, m in sys.modules.items() if name.startswith("szego")]:
+            for name, fn in originals.items():
+                if getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, counting(fn, calls[name]))
+        assert main(["roundtrip", "--n", "3", "--count", "2",
+                     "--out", str(tmp_path / "run")]) == 0
+        assert len(calls["eigendecompose"]) == 6 and calls["inner_product"] == []
+        # the sampler's draws are random_generic's at its defaults
+        assert all(w == v for w, v in zip(want, calls["eigendecompose"][1::3]))
 
     def test_non_numeric_config_value_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

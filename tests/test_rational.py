@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -662,6 +663,26 @@ class TestSobolevSequence:
         with pytest.raises(error):
             call()
 
+    @pytest.mark.parametrize("s, error", ((math.nan, InputError), (math.inf, InputError),
+                                          (-1.0, PreconditionError)))
+    @pytest.mark.parametrize("route", ("trajectory", "remainder_norms", "growth_fit"))
+    def test_index_checked_before_any_decomposition(self, monkeypatch, s, error, route,
+                                                    soliton_symbol, double_eig_symbol):
+        # the index is read before u0 is decomposed and u(t) recovered, not after
+        from szego import asymptotics, flow
+
+        decomposed = []
+        for mod in (flow, asymptotics):
+            monkeypatch.setattr(mod, "eigendecompose", decomposed.append)
+        times = np.geomspace(1e2, 1e3, 5)
+        call = {"trajectory": lambda: flow.trajectory(soliton_symbol, [0.0, 1.0], hs=(s,)),
+                "remainder_norms": lambda: asymptotics.remainder_norms(soliton_symbol,
+                                                                       times, (s,)),
+                "growth_fit": lambda: asymptotics.growth_fit(double_eig_symbol, s, times)}
+        with pytest.raises(error, match="Sobolev index"):
+            call[route]()
+        assert decomposed == []
+
     def test_norm_beyond_the_float_range_fails_closed(self):
         # Gamma(161) is a float, but 1/0.02^161 is not
         with pytest.raises(NumericalError, match="beyond the float range"):
@@ -704,6 +725,16 @@ class TestEvaluate:
     def test_pole_rejected(self, soliton_symbol):
         with pytest.raises(InputError, match="evaluation at pole"):
             soliton_symbol.evaluate(-1j)
+
+    @pytest.mark.parametrize("z", (math.inf, -math.inf, complex(0.0, math.inf),
+                                   complex(math.inf, math.inf), math.nan,
+                                   complex(0.0, math.nan)))
+    def test_point_not_finite_rejected(self, soliton_symbol, z):
+        # +-inf and i*inf read as 0j, and inf + i*inf and NaN as a pole
+        want = re.escape(f"point must be finite, got {complex(z)}")
+        for point in (z, np.array([0.0, z, math.nan])):
+            with pytest.raises(InputError, match=want):
+                soliton_symbol.evaluate(point)
 
     def test_near_a_dilated_pole(self):
         # 5e-15 from a pole at -1e-10i is 5e-5 |p| away: a value, not an error

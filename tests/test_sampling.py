@@ -359,7 +359,9 @@ def test_non_finite_min_sep_is_an_input_error(min_sep):
 
 
 def test_one_symbol_built_per_decomposed_draw(monkeypatch, decomposed):
-    # the ratio test reads raw draws; only a draw that passes it is built as a symbol
+    # the ratio test reads raw draws; only a draw that passes it is built as a symbol,
+    # scaled, and decomposed: the decomposed symbol is the one returned, and with
+    # scale_to=None it is the raw build
     built = []
 
     def counting(pairs):
@@ -367,12 +369,17 @@ def test_one_symbol_built_per_decomposed_draw(monkeypatch, decomposed):
         return built[-1]
 
     monkeypatch.setattr(sampling, "hardy_from_terms", counting)
+    draws = (functools.partial(sampling.random_generic, 3),
+             functools.partial(sampling.random_strongly_generic, 2),
+             functools.partial(sampling.random_generic, 3, scale_to=None))
     for seed in range(8):
         rng = np.random.default_rng(seed)
-        sampling.random_generic(3, rng)
-        sampling.random_strongly_generic(2, rng)
-    assert len(built) == len(decomposed) == 16
-    assert all(u is v for u, v in zip(built, decomposed))
+        for draw in draws:
+            u = draw(rng)
+            assert len(built) == len(decomposed)
+            assert u is decomposed[-1]
+            assert (u is built[-1]) == (draw is draws[2])
+    assert len(built) == 24
 
 
 def test_degree_four_draw_can_exhaust_the_cap():
