@@ -142,6 +142,32 @@ def mp_sobolev_norms(dec, t, ss, dps=60):
         return out
 
 
+def mp_square_and_cubic(u, xs, dps=50):
+    """u(x)^2 and Pi(|u|^2 u)(x) at the real points xs, at dps digits, from u's own poles
+    p_k and residues c_k.  u^2 conj(u) has its poles above the axis at conj p_k, simple,
+    with residues conj(c_k) u(conj p_k)^2, so
+
+        Pi(|u|^2 u) = u^2 conj(u) - sum_k conj(c_k) u(conj p_k)^2 / (x - conj p_k).
+
+    Simple poles only."""
+    assert all(term.multiplicity == 1 for term in u.terms), "simple poles only"
+    with mp.workdps(dps):
+        p = [mp.mpc(complex(term.pole)) for term in u.terms]
+        c = [mp.mpc(complex(term.coeffs[0])) for term in u.terms]
+
+        def at(z):
+            return sum(ck / (z - pk) for ck, pk in zip(c, p))
+
+        above = [mp.conj(ck) * at(mp.conj(pk)) ** 2 for ck, pk in zip(c, p)]
+        square, cubic = [], []
+        for x in map(mp.mpf, xs):
+            ux = at(x)
+            square.append(complex(ux**2))
+            cubic.append(complex(ux**2 * mp.conj(ux)
+                                 - sum(ak / (x - mp.conj(pk)) for ak, pk in zip(above, p))))
+        return np.array(square), np.array(cubic)
+
+
 @pytest.fixture
 def soliton_symbol():
     return simple_pole(1.0, -1j)

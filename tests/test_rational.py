@@ -12,10 +12,9 @@ import pytest
 from scipy.integrate import quad
 
 import szego
-from szego import rational
+from szego import eigendecompose, rational, recover_rational
 from szego.errors import InputError, NumericalError, PreconditionError
 from szego.rational import (
-    COEFF_TRIM_RTOL,
     DEGREE_CAP,
     POLE_MERGE_RTOL,
     PoleTerm,
@@ -47,7 +46,7 @@ from szego.rational import (
     zero,
 )
 
-from conftest import quad_inner, quad_line
+from conftest import mp_square_and_cubic, quad_inner, quad_line
 
 
 G_CHECKED = ("soliton_symbol", "generic_m2", "mixed_mult", "eight_poles", "triple_pole")
@@ -210,6 +209,12 @@ class TestPfFromRatio:
                 continue
             self.assert_kept_whole(r, num, den)
 
+    def test_rounding_between_the_points_fails_closed(self):
+        # A/B is met to 7.8e-9 at the check points, but the terms of the sum reach 4e7 |A/B|,
+        # and its rounding peaks between the points at 1.1e-8 of max|A/B|
+        with pytest.raises(NumericalError, match="inaccurate at degree 48"):
+            pf_from_ratio(*self.random_ratio(48, 7))
+
     def test_degree_40_fails_closed(self):
         # unchecked, poles were trimmed and A/B missed by 7e-7 with no error
         with pytest.raises(NumericalError, match="inaccurate at degree 40"):
@@ -224,8 +229,7 @@ class TestNonFinite:
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_hardy_from_terms_coefficient(self, bad):
-        # unchecked, one infinite coefficient makes the trim floor infinite
-        # and the result the zero symbol
+        # unchecked, an infinite coefficient would be stored in the symbol
         with pytest.raises(InputError, match="finite"):
             hardy_from_terms([(-1j, [bad]), (1 - 1j, [1.0])])
 
@@ -433,6 +437,16 @@ class TestBlaschke:
         with pytest.raises(NumericalError, match="Blaschke postcondition"):
             blaschke(as_hardy(amplitude * generic_m2))
 
+    def test_near_axis_error_rejected(self, monkeypatch, double_eig_symbol):
+        # on u(1e5), g off by 1e-3 at the near-axis pole (sorted first) leaves H_u g off u
+        # by 2e-8 of ||u||, yet by 5e-13 of u's largest coefficient
+        u = recover_rational(eigendecompose(double_eig_symbol), 1e5)
+        blaschke(u)
+        exact = rational._g_coeffs
+        monkeypatch.setattr(rational, "_g_coeffs", lambda v: exact(v) * [1.0 + 1e-3, 1.0])
+        with pytest.raises(NumericalError, match="Blaschke postcondition"):
+            blaschke(u)
+
     @pytest.mark.parametrize("name", G_CHECKED)
     def test_closed_form_matches_laurent_reference(self, name, request):
         u = request.getfixturevalue(name)
@@ -483,6 +497,29 @@ class TestProduct:
         assert (mixed_mult * zero()).is_zero() and (zero() * mixed_mult).is_zero()
         assert (mixed_mult * 2.5).terms == (2.5 * mixed_mult).terms == mixed_mult.scale(2.5).terms
         self.assert_pointwise(mixed_mult, simple_pole(2.5, -3j))
+
+
+class TestNearAxisProducts:
+    """On u(t) of `double_eig_symbol`, one pole nears the axis like -13.5i/t^2 while its
+    coefficient shrinks like t^-2; products keep its terms, however small beside the other
+    pole's."""
+
+    @staticmethod
+    def flow_at_pole_local_points(u0):
+        dec = eigendecompose(u0)
+        for t in np.geomspace(1e3, 3e6, 8):
+            u = recover_rational(dec, t)
+            xs = np.array([p.real + k * abs(p.imag) for p in u.poles() for k in (-2, 0, 2)])
+            yield u, xs, *mp_square_and_cubic(u, xs)
+
+    def test_square(self, double_eig_symbol):
+        for u, xs, square, _ in self.flow_at_pole_local_points(double_eig_symbol):
+            assert np.max(np.abs((u * u).evaluate(xs) - square) / np.abs(square)) <= 1e-12
+
+    def test_projected_cubic(self, double_eig_symbol):
+        for u, xs, _, cubic in self.flow_at_pole_local_points(double_eig_symbol):
+            got = szego_project(u * u * u.conj_reflect()).evaluate(xs)
+            assert np.max(np.abs(got - cubic) / np.abs(cubic)) <= 1e-12
 
 
 class TestFourier:
@@ -859,7 +896,7 @@ class TestFlatView:
 
 def loop_from_terms(pairs):
     """Reference canonicalizer, one `PoleTerm` per pole: merge into the first kept
-    pole within the merge tolerance, trim, sort."""
+    pole within the merge tolerance, drop exact zeros at a pole's top, sort."""
     merged = []
     for pole, coeffs in pairs:
         pole = complex(pole)
@@ -874,13 +911,10 @@ def loop_from_terms(pairs):
                 break
         else:
             merged.append((pole, coeffs))
-    scale = max((abs(c) for _, cs in merged for c in cs), default=0.0)
-    floor = COEFF_TRIM_RTOL * scale
     out = []
     for pole, coeffs in merged:
-        while coeffs and abs(coeffs[-1]) <= floor:
+        while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        coeffs = [0.0j if abs(c) <= floor else c for c in coeffs]
         if coeffs:
             out.append(PoleTerm(pole, tuple(coeffs)))
     out.sort(key=lambda t: (t.pole.real, t.pole.imag))
@@ -916,6 +950,13 @@ class TestCanonicalizer:
                 assert got[0] == layout
                 assert got[1].tobytes() == np.array(poles, dtype=complex).tobytes()
                 assert got[2].tobytes() == np.array(coeffs, dtype=complex).tobytes()
+
+    @pytest.mark.parametrize("build", (from_terms, hardy_from_terms))
+    def test_only_exact_zeros_are_dropped(self, build):
+        # 1e-20 beside 1.0 is kept below a pole's top and at it; an exact zero at the top goes
+        u = build([(-1j, [1e-20, 1.0]), (1 - 1j, [1e-20]), (2 - 1j, [1.0, 1e-20, 0.0])])
+        assert u._flat[0] == (0, 1, 0, 0, 1)
+        assert u._flat[2].tolist() == [1e-20, 1.0, 1e-20, 1.0, 1e-20]
 
     def test_merge_rule_is_relative_below_unit_scale(self):
         # 1% apart relative to |p|: two poles at any scale, in a sum and in a product
@@ -973,17 +1014,16 @@ def seeded_rows(rng, T, n):
     """A (T, n) stack of simple-pole flat views with poles in [-2, 2] x [-2, -0.1]i.
 
     Among its rows: a pair within POLE_MERGE_RTOL, a pair between one and two
-    of it, a coefficient under the trim floor, one between one and two floors,
-    and equal real parts.  At T = 1 they all fall on the one row.
+    of it, two exact zero coefficients, their signs from a random phase, and
+    equal real parts.  At T = 1 they all fall on the one row.
     """
     poles = rng.uniform(-2, 2, (T, n)) - 1j * rng.uniform(0.1, 2, (T, n))
     coeffs = rng.normal(size=(T, n)) + 1j * rng.normal(size=(T, n))
-    floor = COEFF_TRIM_RTOL * np.abs(coeffs).max(axis=-1)
     for row, gap in zip(rng.permutation(T)[:2], (0.5, 1.5)):
         if n > 1:
             poles[row, 1] = poles[row, 0] + gap * POLE_MERGE_RTOL * abs(poles[row, 0])
-    for row, under in zip(rng.permutation(T)[:2], (0.5, 1.5)):
-        coeffs[row, -1] = under * floor[row] * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    for row in rng.permutation(T)[:2]:
+        coeffs[row, -1] = 0.0 * np.exp(1j * rng.uniform(0, 2 * np.pi))
     if n > 2:
         poles[rng.integers(T), 2] = poles[rng.integers(T), 0].real - 1j * rng.uniform(0.1, 2)
         row = rng.integers(T)
@@ -1033,8 +1073,16 @@ class TestCanonicalRows:
         monkeypatch.setattr(rational, "_canonical",
                             lambda *args: looped.append(args) or inner(*args))
         got = rational._canonical_rows(HardyRational, poles, coeffs)
-        assert 2 <= len(looped) <= 4     # the two merge and the two trim candidates
-        assert sum(u.degree < 4 for u in got) == 2
+        assert 2 <= len(looped) <= 4     # the two merge candidates and the two zero rows
+        assert sum(u.degree < 4 for u in got) == 3
+
+    @pytest.mark.parametrize("T", (1, 41))
+    def test_tiny_coefficients_are_kept(self, T):
+        poles = np.tile([-1j, 1 - 1j, 2 - 1j], (T, 1))
+        coeffs = np.tile([1.0, 1e-20, 1.0], (T, 1)) + 0j
+        self.assert_same(HardyRational, poles, coeffs)
+        got = rational._canonical_rows(HardyRational, poles, coeffs)
+        assert [u._flat[2].tolist() for u in got] == [[1.0, 1e-20, 1.0]] * T
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     @pytest.mark.parametrize("where", ("pole", "coeff"))
@@ -1054,18 +1102,16 @@ class TestCanonicalRows:
         self.assert_same(RationalFn, poles, coeffs)
 
     def test_margins_cover_the_rounding_of_numpy_abs(self):
-        # Python's abs, which the loop uses, puts c on the trim floor COEFF_TRIM_RTOL * big
-        # and q - p on p's merge radius exactly; numpy's vectorized abs (x86-64, numpy 2.4)
-        # puts both one unit above.  The loop trims c and merges p into q
-        c, big = 0.0413259793472436 - 0.13616727303532677j, 2846005116993.7153
+        # Python's abs, which the loop uses, puts q - p on p's merge radius exactly;
+        # numpy's vectorized abs (x86-64, numpy 2.4) puts it one unit above.  The loop
+        # merges p into q
         q, p = 1.0871303857129533e-12 - 1.4962530690805909j, -1.496253069081619j
-        assert abs(c) == COEFF_TRIM_RTOL * big and abs(q - p) == POLE_MERGE_RTOL * abs(p)
+        assert abs(q - p) == POLE_MERGE_RTOL * abs(p)
         poles, coeffs = seeded_rows(np.random.default_rng(4), 41, 2)
-        coeffs[7] = big, c
         poles[9] = q, p
         self.assert_same(HardyRational, poles, coeffs)
         got = rational._canonical_rows(HardyRational, poles, coeffs)
-        assert got[7].degree == got[9].degree == 1
+        assert got[9].degree == 1
 
     @pytest.mark.parametrize("first", ("pole", "coeff"))
     def test_the_first_failing_row_raises(self, first):
